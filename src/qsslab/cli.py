@@ -1,6 +1,7 @@
 """Batch front door: analyze / simulate / classical / sweep.
 
-Exit codes: 0 success, 1 input error, 2 theory-consistency failure.
+Exit codes: 0 success, 1 input error, 2 theory-consistency or numerical
+failure (an eigensolve that does not converge or check out).
 Reports are emitted as deterministic JSON (sorted keys, fixed float
 formatting); sweeps are locale-independent CSV.
 """
@@ -43,32 +44,26 @@ def _load(path) -> modelio.ModelFile:
         raise InputError(f"invalid model file: {exc}") from exc
 
 
-def _analysis_bundle(spec, tol_eig, tol_psd, seed=None):
-    """Run the full structural + spectral pipeline on one model."""
-    sub = structure_mod.check_subharmonic(spec)
+def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
+    """Run the full structural + spectral pipeline on one model context."""
+    sub = ctx.subharmonic
     if not sub.verdict:
         raise InputError(
             "p0 is not subharmonic for this model "
             f"(algebraic residual {sub.algebraic_residual:.3e})"
         )
-    restr = structure_mod.restrict(spec)
-    absorption = structure_mod.absorption_operator(spec)
+    restr = ctx.restriction
+    absorption = ctx.absorption
     irred = structure_mod.check_irreducible(restr)
     cands = qss_mod.real_eigen_candidates(restr, real_tol=tol_eig)
-    result = qss_mod.extract_qss(cands)
-    try:
-        result = qss_mod.perron_structure(
-            restr, result, irreducible=irred.verdict if irred.verdict else None
-        )
-    except qss_mod.QssTheoryError as exc:
-        raise ConsistencyError(str(exc)) from exc
+    result = qss_mod.perron_structure(
+        restr, qss_mod.extract_qss(cands), irreducible=irred.verdict if irred.verdict else None
+    )
 
-    spectrum, _ = op.eig_general(restr.gen_schr.mat)
+    spectrum, _ = restr.eigen
     families_json = []
-    verifications = []
     for fam in result.families:
-        report = qss_mod.verify_qss(spec, fam.anchor)
-        verifications.append(report)
+        report = qss_mod.verify_qss(ctx, fam.anchor)
         fam_json = {
             "alpha": fam.alpha,
             "is_perron": fam.anchor.is_perron,
@@ -91,7 +86,7 @@ def _analysis_bundle(spec, tol_eig, tol_psd, seed=None):
             fam_json["endpoints"] = [modelio.matrix_to_json(c.nu) for c in fam.endpoints]
         families_json.append(fam_json)
     bundle = {
-        "label": spec.label,
+        "label": ctx.spec.label,
         "structure": {
             "subharmonic": {
                 "algebraic_residual": sub.algebraic_residual,
@@ -118,7 +113,7 @@ def _analysis_bundle(spec, tol_eig, tol_psd, seed=None):
             "seed": seed,
         },
     }
-    return bundle, result, restr, absorption
+    return bundle, result
 
 
 def _write_out(text: str, out_path):
@@ -133,7 +128,8 @@ def cmd_analyze(args) -> int:
     mf = _load(args.model)
     if mf.spec is None:
         raise InputError("model file has no quantum model block")
-    bundle, _, _, _ = _analysis_bundle(mf.spec, args.tol_eig, args.tol_psd, seed=args.seed)
+    ctx = structure_mod.Analysis(mf.spec)
+    bundle, _ = _analysis_bundle(ctx, args.tol_eig, args.tol_psd, seed=args.seed)
     _write_out(modelio.dumps(bundle) + "\n", args.out)
     return 0
 
@@ -147,14 +143,7 @@ def cmd_simulate(args) -> int:
     if mf.spec is None:
         raise InputError("model file has no quantum model block")
     spec = mf.spec
-    if args.start == "qss":
-        _, result, _, _ = _analysis_bundle(spec, args.tol_eig, args.tol_psd)
-        perron = [f for f in result.families if f.anchor.is_perron]
-        if not perron:
-            raise ConsistencyError("no QSS available for --start qss")
-        rho0 = perron[0].anchor.nu
-        alpha = perron[0].alpha
-    else:
+    if args.start == "file":
         if not args.start_file:
             raise InputError("--start file requires --start-file PATH")
         try:
@@ -171,12 +160,15 @@ def cmd_simulate(args) -> int:
             op.validate_density(rho0)
         except (ModelFileError, ValueError) as exc:
             raise InputError(f"invalid start density: {exc}") from exc
-        _, result, _, _ = _analysis_bundle(spec, args.tol_eig, args.tol_psd)
-        perron = [f for f in result.families if f.anchor.is_perron]
-        if not perron:
-            raise ConsistencyError("no QSS available to calibrate jump statistics")
-        alpha = perron[0].alpha
-    kernel = traj_mod.build_kernel(spec)
+    ctx = structure_mod.Analysis(spec)
+    _, result = _analysis_bundle(ctx, args.tol_eig, args.tol_psd)
+    perron = [f for f in result.families if f.anchor.is_perron]
+    if not perron:
+        raise ConsistencyError("no Perron QSS available")
+    alpha = perron[0].alpha
+    if args.start == "qss":
+        rho0 = perron[0].anchor.nu
+    kernel = traj_mod.build_kernel(ctx)
 
     n_workers = max(1, int(os.environ.get("QSSLAB_THREADS", "1")))
     if n_workers > 1:
@@ -276,15 +268,13 @@ def cmd_sweep(args) -> int:
     mf = _load(args.model)
     if mf.family is None:
         raise InputError("sweep requires a model file with a 'family' entry")
-    if args.param != "omega" or "omega" not in (mf.params or {"omega": None}):
-        if args.param != "omega":
-            raise InputError(f"unknown parameter {args.param!r}; this family exposes 'omega'")
+    if args.param != "omega":
+        raise InputError(f"unknown parameter {args.param!r}; this family exposes 'omega'")
     factory = FIXTURE_FAMILIES[mf.family]
     values = _parse_range(args.range)
     rows = []
     for value in values:
-        spec = factory(float(value))
-        restr = structure_mod.restrict(spec)
+        restr = structure_mod.restrict(factory(float(value)))
         # loose realness tolerance: branches collide at the bifurcation and
         # a defective pair splits at the sqrt(eps) level
         cands = qss_mod.real_eigen_candidates(restr, real_tol=1e-6)
@@ -356,8 +346,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConsistencyError as exc:
+    except (ConsistencyError, qss_mod.QssTheoryError) as exc:
         print(f"theory-consistency failure: {exc}", file=sys.stderr)
+        return 2
+    except op.EigenSolveError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (structure_mod.StructureError, traj_mod.TrajectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

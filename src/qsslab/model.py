@@ -10,6 +10,7 @@ conjugate transpose, which realizes the trace pairing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,11 @@ class Superop:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return devectorize(self.mat @ vectorize(x))
 
+    @cached_property
+    def propagator(self) -> op.Propagator:
+        """Serves every exp(t * mat) from one eigendecomposition."""
+        return op.Propagator(self.mat)
+
 
 def left_mul(a: np.ndarray) -> np.ndarray:
     """Superoperator matrix of x -> a x."""
@@ -138,7 +144,7 @@ def apply_semigroup(gen: Superop, t: float, x: np.ndarray) -> np.ndarray:
         raise ValueError("semigroup is defined for t >= 0 only")
     if t == 0:
         return op.as_operator(x).copy()
-    return devectorize(op.expm(gen.mat, t) @ vectorize(x))
+    return devectorize(gen.propagator.matrix(t) @ vectorize(x))
 
 
 def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> float:
@@ -148,24 +154,6 @@ def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> fl
     lhs = complex(np.trace(op.as_operator(x) @ apply_semigroup(heis, t, y)))
     rhs = complex(np.trace(apply_semigroup(schr, t, x) @ op.as_operator(y)))
     return abs(lhs - rhs)
-
-
-def choi_matrix(superop_mat: np.ndarray) -> np.ndarray:
-    """Choi matrix of the map realized by ``superop_mat``.
-
-    C = sum_{ij} |i><j| (x) Phi(|i><j|); the map is completely positive iff
-    C is PSD.
-    """
-    d2 = superop_mat.shape[0]
-    d = int(round(d2**0.5))
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            block = devectorize(superop_mat @ vectorize(e))
-            c[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-    return c
 
 
 # ---------------------------------------------------------------------------

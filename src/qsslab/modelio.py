@@ -148,22 +148,6 @@ def matrix_to_json(mat: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
-def model_to_doc(spec: ModelSpec, family: str = None, params: dict = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "label": spec.label,
-        "dim": spec.dim,
-        "hamiltonian": matrix_to_json(spec.hamiltonian),
-        "jump_ops": [matrix_to_json(l) for l in spec.jump_ops],
-        "p0_matrix": matrix_to_json(spec.p0),
-    }
-    if family:
-        doc["family"] = family
-    if params:
-        doc["params"] = params
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # Deterministic JSON emission
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Default tolerances (all overridable per call):
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -130,31 +131,68 @@ def devectorize(v) -> np.ndarray:
     return v.reshape(d, d, order="F").copy()
 
 
-def expm(a, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential ``exp(t*a)``.
+class Propagator:
+    """``exp(t*a)`` for many ``t`` from one eigendecomposition ``a = V diag(w) V^-1``.
 
-    Diagonalizes ``a`` when the eigenvector basis is well conditioned
-    (condition number below ``EXPM_COND_LIMIT``); falls back to
-    scaling-and-squaring otherwise.  For the small dense problems in this
-    package robustness matters more than speed.
+    The eigensolve, the condition-number gate (``EXPM_COND_LIMIT``) and the
+    reconstruction check run once.  If both gates pass, ``spectral`` is true;
+    otherwise every call falls back to scaling-and-squaring.  ``w``, ``v`` and
+    ``v_inv`` are kept on either path for spectral projections.
     """
-    a = as_operator(a)
-    if not np.isfinite(t):
-        raise ValueError("time parameter must be finite")
-    if a.shape[0] == 0:
-        return a.copy()
-    try:
-        w, v = np.linalg.eig(a)
-        cond = np.linalg.cond(v)
-        if np.isfinite(cond) and cond < EXPM_COND_LIMIT:
-            v_inv = np.linalg.inv(v)
-            # the cond gate alone misses near-defective cases; require the
-            # decomposition to actually reconstruct the matrix
-            if frob((v * w) @ v_inv - a) <= 1e-12 * max(1.0, frob(a)):
-                return (v * np.exp(t * w)) @ v_inv
-    except np.linalg.LinAlgError:
-        pass
-    return sla.expm(t * a)
+
+    def __init__(self, a):
+        self.mat = a = as_operator(a)
+        self.w = self.v = self.v_inv = None
+        self.spectral = False
+        try:
+            self.w, self.v = np.linalg.eig(a)
+            self.v_inv = np.linalg.inv(self.v)
+            cond = np.linalg.cond(self.v)
+        except np.linalg.LinAlgError:  # also raised for an empty matrix
+            return
+        # the cond gate alone misses near-defective cases; require the
+        # decomposition to actually reconstruct the matrix
+        self.spectral = bool(
+            np.isfinite(cond)
+            and cond < EXPM_COND_LIMIT
+            and frob((self.v * self.w) @ self.v_inv - a) <= 1e-12 * max(1.0, frob(a))
+        )
+
+    def matrix(self, t: float) -> np.ndarray:
+        if not np.isfinite(t):
+            raise ValueError("time parameter must be finite")
+        if self.spectral:
+            return (self.v * np.exp(t * self.w)) @ self.v_inv
+        return sla.expm(t * self.mat)
+
+    def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
+        """``exp(t*a) @ vec`` without forming the matrix on the spectral path."""
+        if self.spectral:
+            return self.v @ (np.exp(t * self.w) * (self.v_inv @ vec))
+        return self.matrix(t) @ vec
+
+    @cached_property
+    def _trace_row(self) -> np.ndarray:
+        return vectorize(np.eye(math.isqrt(self.mat.shape[0]))).conj()
+
+    @cached_property
+    def _spectral_trace_row(self) -> np.ndarray:
+        return self._trace_row @ self.v
+
+    def trace_curve(self, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """``t -> tr(exp(t*a) vec)`` on a grid, for a superoperator ``a``."""
+        if not self.spectral:
+            return np.array([float((self._trace_row @ self.apply(t, vec)).real) for t in times])
+        coef = self._spectral_trace_row * (self.v_inv @ vec)
+        keep = np.abs(coef) > 1e-18
+        if not np.any(keep):
+            return np.zeros(len(times))
+        return np.exp(np.outer(times, self.w[keep])) @ coef[keep]
+
+
+def expm(a, t: float = 1.0) -> np.ndarray:
+    """Matrix exponential ``exp(t*a)``; see :class:`Propagator`."""
+    return Propagator(a).matrix(t)
 
 
 def eig_general(a, tol: float = TOL_EIG):

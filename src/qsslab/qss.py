@@ -16,9 +16,9 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op
-from .model import SCHRODINGER, ModelSpec, apply_semigroup, build_generator
+from .model import apply_semigroup
 from .operators import adjoint, devectorize, frob, vectorize
-from .structure import AbsorptionReport, RestrictedGenerator
+from .structure import AbsorptionReport, RestrictedGenerator, as_analysis
 
 CLUSTER_TOL = 1e-8
 DEFAULT_REAL_TOL = op.TOL_EIG
@@ -124,9 +124,8 @@ def real_eigen_candidates(
     Hermitian basis.
     """
     m = restr.m
-    gen = restr.gen_schr.mat
-    w, v = op.eig_general(gen)
-    scale = max(1.0, frob(gen))
+    w, v = restr.eigen
+    scale = max(1.0, frob(restr.gen_schr.mat))
     real_mask = (np.abs(w.imag) <= real_tol * scale) & (w.real <= real_tol * scale)
     idx = np.where(real_mask)[0]
     used = np.zeros(len(w), dtype=bool)
@@ -363,9 +362,10 @@ def perron_structure(
     spectrum.  Under irreducibility the Perron family must be a single
     strictly positive state and the only family.
     """
-    w, _ = op.eig_general(restr.gen_schr.mat)
+    w, _ = restr.eigen
     abscissa = float(np.max(w.real))
-    spectrum = np.sort_complex(w)
+    # one line: the message is printed as the CLI's one-line error
+    spectrum = np.array2string(np.sort_complex(w), max_line_width=np.inf)
     families = list(result.families)
     if not families:
         raise QssTheoryError(
@@ -416,7 +416,7 @@ class VerificationReport:
         )
 
 
-def verify_qss(spec: ModelSpec, cert: QssCertificate, tol: float = 1e-8) -> VerificationReport:
+def verify_qss(model, cert: QssCertificate, tol: float = 1e-8) -> VerificationReport:
     """Check a certificate against the equivalent characterizations.
 
     (a) the conditioned evolution returns nu; (b) tr(T_t*(nu) p0_perp) =
@@ -424,8 +424,8 @@ def verify_qss(spec: ModelSpec, cert: QssCertificate, tol: float = 1e-8) -> Veri
     under n=3 repeated measure-and-condition cycles.  The decay rate is also
     cross-checked against -log f(1).
     """
-    schr = build_generator(spec, SCHRODINGER)
-    perp = spec.p0_perp
+    ctx = as_analysis(model)
+    schr, perp = ctx.schr, ctx.spec.p0_perp
     nu = cert.nu
     alpha = cert.alpha
 

@@ -4,12 +4,14 @@ Given a model whose distinguished projection p0 is subharmonic, the state
 evolution compressed to the range of p0-perp is again a semigroup; its
 generator (in both pictures) is built here together with the absorption
 operator A(p0) = lim_t T_t(p0) and an invariant-subspace search used to
-classify the restriction as irreducible or not.
+classify the restriction as irreducible or not.  :class:`Analysis` builds
+each of them once per model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,7 +29,7 @@ from .model import (
 from .operators import adjoint, devectorize, frob, vectorize
 
 SUBHARMONIC_CHECK_TIMES = (0.1, 0.5, 1.0, 5.0)
-ABSORPTION_DOUBLING_CAP = 2.0**16
+ABSORPTION_DOUBLING_CAP = 2.0**40
 ABSORBING_NORM_TOL = 1e-6
 
 
@@ -74,6 +76,11 @@ class RestrictedGenerator:
     def evolve(self, t: float, rho_hat: np.ndarray) -> np.ndarray:
         return apply_semigroup(self.gen_schr, t, rho_hat)
 
+    @cached_property
+    def eigen(self):
+        """``op.eig_general`` pair of ``gen_schr``, solved once."""
+        return op.eig_general(self.gen_schr.mat)
+
 
 @dataclass(frozen=True)
 class AbsorptionReport:
@@ -90,21 +97,58 @@ class IrreducibilityReport:
     note: str
 
 
-def check_subharmonic(spec: ModelSpec) -> SubharmonicReport:
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """What ``analyze`` derives from one model, each object built on first use.
+
+    Every generator (``heis``, ``schr``, ``restriction.gen_schr``) caches its
+    propagator, so it is eigendecomposed once.  The stage functions below take
+    an ``Analysis`` or a bare ``ModelSpec``, which gets a fresh context.
+    """
+
+    spec: ModelSpec
+
+    @cached_property
+    def heis(self) -> Superop:
+        return build_generator(self.spec, HEISENBERG)
+
+    @cached_property
+    def schr(self) -> Superop:
+        return build_generator(self.spec, SCHRODINGER)
+
+    @cached_property
+    def subharmonic(self) -> SubharmonicReport:
+        return check_subharmonic(self)
+
+    @cached_property
+    def restriction(self) -> RestrictedGenerator:
+        return restrict(self)
+
+    @cached_property
+    def absorption(self) -> AbsorptionReport:
+        return absorption_operator(self)
+
+
+def as_analysis(model) -> Analysis:
+    return model if isinstance(model, Analysis) else Analysis(model)
+
+
+def check_subharmonic(model) -> SubharmonicReport:
     """Decide whether p0 is subharmonic, algebraically and dynamically.
 
     Algebraic criterion: the range of p0 is invariant under every jump
     operator and under the drift G.  Dynamical criterion: T_t(p0) >= p0 at a
     few sample times.  The verdict requires both.
     """
+    ctx = as_analysis(model)
+    spec = ctx.spec
     p0, perp = spec.p0, spec.p0_perp
     residual = frob(perp @ spec.effective_drift() @ p0)
     for l in spec.jump_ops:
         residual = max(residual, frob(perp @ l @ p0))
-    heis = build_generator(spec, HEISENBERG)
     semigroup_residual = 0.0
     for t in SUBHARMONIC_CHECK_TIMES:
-        diff = apply_semigroup(heis, t, p0) - p0
+        diff = apply_semigroup(ctx.heis, t, p0) - p0
         w = np.linalg.eigvalsh(0.5 * (diff + adjoint(diff)))
         semigroup_residual = min(semigroup_residual, float(w[0]))
     verdict = residual <= 1e-10 * max(1.0, frob(spec.hamiltonian)) and (
@@ -137,9 +181,10 @@ def _perp_isometry(spec: ModelSpec) -> np.ndarray:
     return vecs[:, w > 0.5]
 
 
-def restrict(spec: ModelSpec) -> RestrictedGenerator:
+def restrict(model) -> RestrictedGenerator:
     """Build the compressed generator on range(p0_perp) in both pictures."""
-    report = check_subharmonic(spec)
+    ctx = as_analysis(model)
+    spec, report = ctx.spec, ctx.subharmonic
     if not report.verdict:
         raise StructureError(
             "restriction undefined: p0 is not subharmonic "
@@ -147,10 +192,9 @@ def restrict(spec: ModelSpec) -> RestrictedGenerator:
         )
     v = _perp_isometry(spec)
     m = v.shape[1]
-    full = build_generator(spec, SCHRODINGER)
     compress_mat = sandwich(v.conj().T, v)  # x -> V^dag x V
     embed_mat = sandwich(v, v.conj().T)  # x -> V x V^dag
-    gen_schr = compress_mat @ full.mat @ embed_mat
+    gen_schr = compress_mat @ ctx.schr.mat @ embed_mat
 
     g_hat = v.conj().T @ spec.effective_drift() @ v
     jumps_hat = tuple(v.conj().T @ l @ v for l in spec.jump_ops)
@@ -176,22 +220,23 @@ def restrict(spec: ModelSpec) -> RestrictedGenerator:
     )
 
 
-def absorption_operator(spec: ModelSpec) -> AbsorptionReport:
+def absorption_operator(model) -> AbsorptionReport:
     """A(p0) = lim_t T_t(p0), via the peripheral spectral component.
 
     The limit is computed by projecting vec(p0) onto the eigenspaces of the
     Heisenberg generator with eigenvalue 0; purely imaginary peripheral
     eigenvalues are dropped, which realizes the Cesaro time average.  The
     result is cross-validated against direct semigroup evaluation with time
-    doubling.
+    doubling.  Both use the generator's one cached eigendecomposition.
     """
-    report = check_subharmonic(spec)
-    if not report.verdict:
+    ctx = as_analysis(model)
+    spec, heis = ctx.spec, ctx.heis
+    if not ctx.subharmonic.verdict:
         raise StructureError("absorption operator requires a subharmonic p0")
-    heis = build_generator(spec, HEISENBERG)
-    m = heis.mat
-    w, vr = np.linalg.eig(m)
-    vr_inv = np.linalg.inv(vr)
+    m, prop = heis.mat, heis.propagator
+    if prop.v_inv is None:
+        raise op.EigenSolveError("Heisenberg generator has no invertible eigenvector basis")
+    w, vr, vr_inv = prop.w, prop.v, prop.v_inv
     scale = max(1.0, frob(m))
     keep = np.abs(w) <= 1e-9 * scale
     coef = vr_inv @ vectorize(spec.p0)

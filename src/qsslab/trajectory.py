@@ -14,7 +14,7 @@ branch), so an unconditional next-jump draw would not terminate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,9 +22,9 @@ import scipy.integrate
 import scipy.stats
 
 from . import operators as op
-from .model import SCHRODINGER, ModelSpec, Superop, build_generator, left_mul, right_mul, sandwich
+from .model import SCHRODINGER, ModelSpec, Superop, left_mul, right_mul, sandwich
 from .operators import devectorize, frob, vectorize
-from .structure import check_subharmonic
+from .structure import as_analysis, check_subharmonic  # noqa: F401 (still importable from here)
 
 STEP = 0.01           # no-jump scan step for locating the firing time
 TIME_TOL = 1e-10      # bisection tolerance on the firing time
@@ -34,73 +34,26 @@ class TrajectoryError(RuntimeError):
     pass
 
 
-class _Propagator:
-    """Action of exp(t*M) via a cached eigendecomposition.
-
-    Falls back to per-call scaling-and-squaring if the eigenvector basis is
-    badly conditioned.  ``trace_curve`` evaluates t -> tr(exp(t M) vec) on a
-    whole grid from the spectral form, which is what makes trajectory
-    sampling cheap.
-    """
-
-    def __init__(self, mat: np.ndarray, cond_limit: float = 1e8):
-        self.mat = mat
-        self.dim = mat.shape[0]
-        w, vr = np.linalg.eig(mat)
-        cond = np.linalg.cond(vr)
-        self.spectral = bool(np.isfinite(cond) and cond < cond_limit)
-        if self.spectral:
-            vr_inv = np.linalg.inv(vr)
-            # require genuine reconstruction, not just a tame condition number
-            residual = np.linalg.norm((vr * w) @ vr_inv - mat)
-            self.spectral = residual <= 1e-11 * max(1.0, np.linalg.norm(mat))
-        if self.spectral:
-            self.w = w
-            self.vr = vr
-            self.vr_inv = vr_inv
-            ident = vectorize(np.eye(int(round(self.dim**0.5))))
-            self.trace_row = ident.conj() @ vr
-
-    def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        if self.spectral:
-            return self.vr @ (np.exp(t * self.w) * (self.vr_inv @ vec))
-        return op.expm(self.mat, t) @ vec
-
-    def trace_of(self, t: float, vec: np.ndarray) -> float:
-        ident = vectorize(np.eye(int(round(self.dim**0.5))))
-        return float((ident.conj() @ self.apply(t, vec)).real)
-
-    def trace_curve(self, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
-        if self.spectral:
-            coef = self.trace_row * (self.vr_inv @ vec)
-            keep = np.abs(coef) > 1e-18
-            if not np.any(keep):
-                return np.zeros(len(times))
-            return np.exp(np.outer(times, self.w[keep])) @ coef[keep]
-        return np.array([self.trace_of(t, vec) for t in times])
-
-
 @dataclass(frozen=True)
 class UnravelingKernel:
     spec: ModelSpec
     gen_nojump: Superop
     gen_tilde: Superop
     p0_perp: np.ndarray
-    _prop_nojump: _Propagator = field(repr=False, compare=False, default=None)
-    _prop_tilde: _Propagator = field(repr=False, compare=False, default=None)
 
     def jump_map(self, rho: np.ndarray) -> np.ndarray:
         """Unnormalized post-jump compression p0_perp rho p0_perp."""
         return self.p0_perp @ rho @ self.p0_perp
 
 
-def build_kernel(spec: ModelSpec) -> UnravelingKernel:
-    """No-jump and trace-preserving companion generators for ``spec``."""
-    if not check_subharmonic(spec).verdict:
+def build_kernel(model) -> UnravelingKernel:
+    """No-jump and trace-preserving companion generators for the model."""
+    ctx = as_analysis(model)
+    if not ctx.subharmonic.verdict:
         raise TrajectoryError("unraveling kernel requires a subharmonic p0")
-    d = spec.dim
-    perp = spec.p0_perp
-    schr = build_generator(spec, SCHRODINGER).mat
+    spec = ctx.spec
+    d, perp = spec.dim, spec.p0_perp
+    schr = ctx.schr.mat
     nojump = schr - 0.5 * (left_mul(perp) + right_mul(perp))
     tilde = nojump + sandwich(perp, perp)
     ident = vectorize(np.eye(d))
@@ -114,8 +67,6 @@ def build_kernel(spec: ModelSpec) -> UnravelingKernel:
         gen_nojump=Superop(mat=nojump, picture=SCHRODINGER, dim=d),
         gen_tilde=Superop(mat=tilde, picture=SCHRODINGER, dim=d),
         p0_perp=perp,
-        _prop_nojump=_Propagator(nojump),
-        _prop_tilde=_Propagator(tilde),
     )
 
 
@@ -123,7 +74,7 @@ def nojump_survival(kernel: UnravelingKernel, rho0: np.ndarray, t: float):
     """(tr S_t(rho0), tr(S_t(rho0) p0_perp)) of the no-jump branch."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    sig = devectorize(kernel._prop_nojump.apply(t, vectorize(rho0)))
+    sig = devectorize(kernel.gen_nojump.propagator.apply(t, vectorize(rho0)))
     total = float(np.trace(sig).real)
     perp = float(np.trace(sig @ kernel.p0_perp).real)
     return total, perp
@@ -170,7 +121,7 @@ def sample_trajectory(
         raise ValueError("horizon must be positive")
     rho0 = op.as_operator(rho0)
     rng = _rng_for(seed, stream)
-    prop = kernel._prop_nojump
+    prop = kernel.gen_nojump.propagator
     t_now = 0.0
     rho = rho0
     jump_times = []
@@ -316,7 +267,7 @@ def measure_weight(kernel: UnravelingKernel, jump_times, horizon: float, rho0) -
         raise ValueError("jump times must be ordered")
     if times and (times[0] < 0 or times[-1] > horizon):
         raise ValueError("jump times must lie in [0, horizon]")
-    prop = kernel._prop_nojump
+    prop = kernel.gen_nojump.propagator
     vec = vectorize(op.as_operator(rho0))
     prev = 0.0
     for t in times:
@@ -336,8 +287,8 @@ def sector_sum(kernel: UnravelingKernel, rho0, horizon: float) -> float:
     """
     rho0 = op.as_operator(rho0)
     vec0 = vectorize(rho0)
-    prop = kernel._prop_nojump
-    tilde = kernel._prop_tilde
+    prop = kernel.gen_nojump.propagator
+    tilde = kernel.gen_tilde.propagator
     zero_jump = float(np.trace(devectorize(prop.apply(horizon, vec0))).real)
 
     def integrand(t):

@@ -4,8 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from helpers import model_to_doc
 from qsslab import cli
+from qsslab import operators as op
+from qsslab import qss
 from qsslab.classical import ClassicalQsd, CrosscheckReport
+from qsslab.model import two_qubit_site1
 
 
 def run(argv):
@@ -85,6 +89,55 @@ def test_analyze_input_errors(models_dir, tmp_path, capsys):
     # classical-only file has no quantum block
     assert run(["analyze", model_path(models_dir, "classical_two_state.json")]) == 1
     assert "no quantum model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega", [0.001, 0.015])
+def test_analyze_small_omega_converges(omega, tmp_path):
+    # the slowest decay rate is ~omega^2, so T_t(p0) settles only at t ~ 1e7
+    spec = two_qubit_site1(omega)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_doc(spec)))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    # reference: spectral abscissa of the compressed GKLS generator
+    # rho -> G rho + rho G^dag + L rho L^dag on range(p0_perp)
+    v = np.eye(4)[:, 1:]
+    g = v.T @ spec.effective_drift() @ v
+    gen = np.kron(np.eye(3), g) + np.kron(g.conj(), np.eye(3))
+    for l in spec.jump_ops:
+        l_hat = v.T @ l @ v
+        gen = gen + np.kron(l_hat.conj(), l_hat)
+    alpha_ref = -np.max(np.linalg.eigvals(gen).real)
+    perron = [f for f in doc["qss_families"] if f["is_perron"]]
+    assert len(perron) == 1
+    assert abs(perron[0]["alpha"] - alpha_ref) <= 1e-9 * alpha_ref
+    assert all(f["verification"]["ok"] for f in doc["qss_families"])
+    assert doc["structure"]["absorption"]["is_absorbing"] is True
+
+
+def test_numerical_failures_exit_2_without_traceback(models_dir, monkeypatch, capsys):
+    def failing_eig_general(a, tol=op.TOL_EIG):
+        raise op.EigenSolveError("eigensolver did not converge: injected")
+
+    monkeypatch.setattr(op, "eig_general", failing_eig_general)
+    rc = run(["analyze", model_path(models_dir, "two_qubit_site1.json"), "--out", os.devnull])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == ["numerical failure: eigensolver did not converge: injected"]
+
+
+def test_theory_errors_outside_perron_exit_2(models_dir, monkeypatch, capsys):
+    def failing_verify(model, cert, tol=1e-8):
+        raise qss.QssTheoryError("injected verification failure")
+
+    monkeypatch.setattr(qss, "verify_qss", failing_verify)
+    rc = run(["analyze", model_path(models_dir, "two_qubit_site1.json"), "--out", os.devnull])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "injected verification failure" in err
 
 
 def test_simulate_small_run(models_dir, tmp_path):

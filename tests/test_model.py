@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import choi_matrix
 from qsslab import operators as op
 from qsslab.model import (
     HEISENBERG,
@@ -8,7 +9,6 @@ from qsslab.model import (
     ModelSpec,
     apply_semigroup,
     build_generator,
-    choi_matrix,
     duality_check,
     gkls_matrix,
     left_mul,

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import model_to_doc
 from qsslab import modelio
 from qsslab.model import two_qubit_both, two_qubit_site1
-from qsslab.modelio import ModelFileError, dumps, matrix_to_json, model_to_doc, parse_model
+from qsslab.modelio import ModelFileError, dumps, matrix_to_json, parse_model
 
 
 def minimal_doc():

@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg as sla
 
 from qsslab import operators as op
+from qsslab.model import gkls_matrix, two_qubit_site1
+from qsslab.trajectory import build_kernel
 
 
 def random_complex(rng, d):
@@ -100,6 +102,37 @@ def test_expm_defective_fallback():
 def test_expm_rejects_bad_time():
     with pytest.raises(ValueError):
         op.expm(np.eye(2), np.inf)
+
+
+def test_propagator_matches_scipy_on_random_generator():
+    rng = np.random.default_rng(6)
+    d = 6
+    h = random_complex(rng, d)
+    h = 0.5 * (h + h.conj().T)
+    jumps = [random_complex(rng, d) for _ in range(2)]
+    a = gkls_matrix(h, jumps)
+    prop = op.Propagator(a)
+    assert prop.spectral
+    vec = op.vectorize(np.eye(d) / d)
+    for t in (0.1, 1.0, 10.0):
+        ref = sla.expm(t * a)
+        assert np.linalg.norm(prop.matrix(t) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(prop.apply(t, vec) - ref @ vec) <= 1e-12 * np.linalg.norm(ref @ vec)
+
+
+def test_propagator_falls_back_on_defective_nojump_generator():
+    # the no-jump generator of the site-1 fixture at the branch collision
+    # has a near-defective eigenbasis (condition number ~2e10)
+    prop = build_kernel(two_qubit_site1(0.5)).gen_nojump.propagator
+    assert not prop.spectral
+    vec = op.vectorize(np.diag([0.0, 0.5, 0.5, 0.0]))
+    times = np.array([0.0, 0.7, 3.0])
+    for t in times:
+        ref = sla.expm(t * prop.mat)
+        assert np.array_equal(prop.matrix(t), ref)
+    curve = prop.trace_curve(vec, times)
+    expected = [np.trace(op.devectorize(sla.expm(t * prop.mat) @ vec)).real for t in times]
+    assert np.allclose(curve, expected, atol=1e-12)
 
 
 def test_eig_general_sorted_and_accurate():

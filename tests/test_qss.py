@@ -126,8 +126,9 @@ def test_perron_marking():
 def test_perron_existence_failure_raises():
     restr, _ = analysis(two_qubit_site1(1.0))
     empty = ExtractionResult(families=(), rejected=())
-    with pytest.raises(QssTheoryError, match="existence"):
+    with pytest.raises(QssTheoryError, match="existence") as exc:
         perron_structure(restr, empty)
+    assert "\n" not in str(exc.value)  # printed as a one-line CLI error
 
 
 def test_absorbing_implies_positive_rate():

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from qsslab import cli, structure
 from qsslab import operators as op
 from qsslab.classical import RateMatrix, embed
 from qsslab.model import ModelSpec, apply_semigroup, two_qubit_both, two_qubit_site1
@@ -153,3 +156,38 @@ def test_irreducibility_classical_connected_chain():
     report = check_irreducible(restrict(embed(rm)))
     assert report.verdict
     assert report.witness is None
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_path):
+    # heisenberg, schrodinger and restricted generators plus g_hat in the
+    # irreducibility search: one dense eigensolve each
+    dense_eig = _count_calls(monkeypatch, np.linalg, "eig")
+    subharmonic = _count_calls(monkeypatch, structure, "check_subharmonic")
+    eig_general = _count_calls(monkeypatch, op, "eig_general")
+    path = os.path.join(models_dir, "two_qubit_site1.json")
+    assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
+    assert len(dense_eig) <= 5
+    assert len(subharmonic) == 1
+    assert len(eig_general) == 1
+
+
+def test_simulate_checks_subharmonicity_once(models_dir, monkeypatch, tmp_path):
+    subharmonic = _count_calls(monkeypatch, structure, "check_subharmonic")
+    path = os.path.join(models_dir, "two_qubit_site1.json")
+    rc = cli.main(
+        ["simulate", path, "--start", "qss", "--samples", "20", "--out", str(tmp_path / "s.json")]
+    )
+    assert rc == 0
+    assert len(subharmonic) == 1
