@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -170,44 +168,12 @@ def cmd_simulate(args) -> int:
         rho0 = perron[0].anchor.nu
     kernel = traj_mod.build_kernel(ctx)
 
-    n_workers = max(1, int(os.environ.get("QSSLAB_THREADS", "1")))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            records = list(
-                pool.map(
-                    lambda i: traj_mod.sample_trajectory(
-                        kernel, rho0, args.horizon, args.seed, stream=i
-                    ),
-                    range(args.samples),
-                )
-            )
-    else:
-        records = traj_mod.sample_trajectories(
-            kernel, rho0, args.horizon, args.seed, args.samples
-        )
+    records = traj_mod.sample_trajectories(kernel, rho0, args.horizon, args.seed, args.samples)
     stats = traj_mod.jump_statistics(records, alpha, nu=rho0)
-
-    lines = []
-    for rec in records:
-        lines.append(
-            modelio.dumps(
-                {
-                    "seed": rec.seed,
-                    "stream": rec.stream,
-                    "horizon": rec.horizon,
-                    "jump_times": list(rec.jump_times),
-                    "post_jump_states": [
-                        modelio.matrix_to_json(s) for s in rec.post_jump_states
-                    ],
-                    "final_state": modelio.matrix_to_json(rec.final_state),
-                    "final_weight": rec.final_weight,
-                    "censored": rec.censored,
-                }
-            )
-        )
     if args.records:
         with open(args.records, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            # a record's JSON keys are the TrajectoryRecord fields
+            fh.writelines(modelio.dumps(vars(rec)) + "\n" for rec in records)
     summary = {
         "n_trajectories": stats.n_trajectories,
         "n_observed_jumps": stats.n_observed_jumps,

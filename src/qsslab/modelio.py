@@ -9,6 +9,7 @@ deterministic: keys sorted, floats rendered with 17 significant digits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,15 +154,18 @@ def matrix_to_json(mat: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if x != x:
-        raise ValueError("NaN is not serializable in reports")
-    if x in (float("inf"), float("-inf")):
-        raise ValueError("infinity is not serializable in reports")
-    return format(float(x), ".17g")
+    if not math.isfinite(x):
+        kind = "NaN" if x != x else "infinity"
+        raise ValueError(f"{kind} is not serializable in reports")
+    return format(x, ".17g")
 
 
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with sorted keys and 17-significant-digit floats."""
+    if type(obj) is float:
+        return _fmt_float(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(dumps, obj)) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -172,8 +176,6 @@ def dumps(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = []
         for key in sorted(obj):
@@ -183,6 +185,10 @@ def dumps(obj, indent: int = 0) -> str:
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return dumps(matrix_to_json(obj))
+            # a matrix: the text of dumps(matrix_to_json(obj)), without the nested lists
+            return "[" + ", ".join(
+                "[" + ", ".join(f"[{_fmt_float(a)}, {_fmt_float(b)}]" for a, b in zip(re, im)) + "]"
+                for re, im in zip(obj.real.tolist(), obj.imag.tolist())
+            ) + "]"
         return dumps(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")

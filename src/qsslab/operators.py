@@ -165,29 +165,46 @@ class Propagator:
             return (self.v * np.exp(t * self.w)) @ self.v_inv
         return sla.expm(t * self.mat)
 
-    def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        """``exp(t*a) @ vec`` without forming the matrix on the spectral path."""
+    def apply(self, t, vec: np.ndarray) -> np.ndarray:
+        """``exp(t*a) @ vec``, or with one time per row of a batch ``vec``."""
         if self.spectral:
-            return self.v @ (np.exp(t * self.w) * (self.v_inv @ vec))
-        return self.matrix(t) @ vec
+            return rowdot(self.v, np.exp(np.multiply.outer(t, self.w)) * rowdot(self.v_inv, vec))
+        if np.ndim(t) == 0:
+            return self.matrix(t) @ vec
+        return np.reshape([self.matrix(s) @ x for s, x in zip(t, vec)], np.shape(vec))
 
     @cached_property
     def _trace_row(self) -> np.ndarray:
         return vectorize(np.eye(math.isqrt(self.mat.shape[0]))).conj()
 
-    @cached_property
-    def _spectral_trace_row(self) -> np.ndarray:
-        return self._trace_row @ self.v
+    def trace_coords(self, vecs: np.ndarray) -> np.ndarray:
+        """``x`` with ``tr(exp(t*a) vec) = sum(x * trace_rows(t))`` for each row of ``vecs``.
 
-    def trace_curve(self, vec: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """``t -> tr(exp(t*a) vec)`` on a grid, for a superoperator ``a``."""
+        Spectral: trace-weighted eigencoefficients, zeroed at modulus <= 1e-18.
+        """
         if not self.spectral:
-            return np.array([float((self._trace_row @ self.apply(t, vec)).real) for t in times])
-        coef = self._spectral_trace_row * (self.v_inv @ vec)
-        keep = np.abs(coef) > 1e-18
-        if not np.any(keep):
-            return np.zeros(len(times))
-        return np.exp(np.outer(times, self.w[keep])) @ coef[keep]
+            return np.asarray(vecs, dtype=complex)
+        coef = (self._trace_row @ self.v) * rowdot(self.v_inv, vecs)
+        coef[np.abs(coef) <= 1e-18] = 0.0
+        return coef
+
+    def trace_rows(self, times) -> np.ndarray:
+        """``exp(t*w)`` per time; the fallback forms ``tr(exp(t*a) .)`` from :meth:`matrix`."""
+        times = np.asarray(times, dtype=float)
+        if self.spectral:
+            return np.exp(times[..., None] * self.w)
+        rows = [self._trace_row @ self.matrix(t) for t in times.ravel()]
+        return np.reshape(rows, times.shape + self.mat.shape[:1])
+
+    def trace_curve(self, vecs: np.ndarray, times) -> np.ndarray:
+        """``tr(exp(t*a) vec)`` for each row of ``vecs``, on a shared or a per-row grid."""
+        return (self.trace_coords(vecs)[..., None, :] * self.trace_rows(times)).sum(-1).real
+
+
+def rowdot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x[b]`` for each row ``b`` as a broadcast row-wise sum: a row's result
+    depends on that row only, bit for bit, unlike a BLAS product over the batch."""
+    return (a * x[..., None, :]).sum(-1)
 
 
 def expm(a, t: float = 1.0) -> np.ndarray:

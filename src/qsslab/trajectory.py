@@ -9,7 +9,11 @@ sector-sum checks.
 
 Sampling is inverse-CDF on the unnormalized trace with censoring at a
 finite horizon: the trace can plateau strictly above zero (the absorbed
-branch), so an unconditional next-jump draw would not terminate.
+branch), so an unconditional next-jump draw would not terminate.  All
+trajectories of a batch advance in lockstep, one segment per round: the
+survival scan on the ``STEP`` grid and the bisection to ``TIME_TOL`` run
+over the whole batch at once, in row-wise arithmetic, so a record does not
+depend on the batch size.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from .structure import as_analysis, check_subharmonic  # noqa: F401 (still impor
 
 STEP = 0.01           # no-jump scan step for locating the firing time
 TIME_TOL = 1e-10      # bisection tolerance on the firing time
+CHUNK_ROWS = 128      # trajectories per chunk of every batched sampler step
+SCAN_POINTS = 32      # grid points per block of the survival scan
+DRAWS = 8             # uniforms drawn from a stream at a time
 
 
 class TrajectoryError(RuntimeError):
@@ -103,93 +110,102 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     )
 
 
-def sample_trajectory(
-    kernel: UnravelingKernel,
-    rho0: np.ndarray,
-    horizon: float,
-    seed: int,
-    stream: int = 0,
-) -> TrajectoryRecord:
-    """One waiting-time unraveling of the counting process.
+def _segment(prop, table, grid, vecs, u, remaining):
+    """Advance rows to the first ``t <= remaining`` with ``tr(S_t(rho)) = u``.
 
-    Per segment: draw u ~ U(0,1); the jump fires at the first t with
-    tr(S_t(rho)) = u, located by scanning the survival curve on a fixed step
-    grid and refining by bisection.  If the trace never reaches u before the
-    horizon, the record is censored with the surviving unnormalized weight.
+    Returns ``(fired, t, sig)``: whether a row fired, its firing time
+    (``remaining`` if not) and ``vec(S_t(rho))``.
+    """
+    x = prop.trace_coords(vecs)
+    n_steps = np.ceil(remaining / STEP).astype(int)
+    # a row's scan grid is min(grid[k], remaining) for k = 0..n_steps
+    at_end = (x * prop.trace_rows(remaining)).sum(-1).real
+    k_hit = np.full(len(u), -1)
+    todo = np.arange(len(u))
+    for k0 in range(0, len(grid), SCAN_POINTS):
+        todo = todo[n_steps[todo] >= k0]
+        if not todo.size:
+            break
+        ks = np.arange(k0, min(k0 + SCAN_POINTS, len(grid)))
+        curve = (x[todo, None, :] * table[ks]).sum(-1).real
+        curve = np.where(grid[ks] > remaining[todo, None], at_end[todo, None], curve)
+        below = (curve < u[todo, None]) & (ks <= n_steps[todo, None])
+        hit = below.any(1)
+        k_hit[todo[hit]] = ks[below[hit].argmax(1)]
+        todo = todo[~hit]
+    fired = k_hit >= 0
+    hi = np.minimum(grid[k_hit], remaining)
+    lo = np.where(k_hit > 0, np.minimum(grid[k_hit - 1], remaining), 0.0)
+    active = np.flatnonzero(fired & (hi - lo > TIME_TOL))
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        up = (x[active] * prop.trace_rows(mid)).sum(-1).real >= u[active]
+        lo[active[up]] = mid[up]
+        hi[active[~up]] = mid[~up]
+        active = active[hi[active] - lo[active] > TIME_TOL]
+    t = np.where(fired, 0.5 * (lo + hi), remaining)
+    return fired, t, prop.apply(t, vecs)
+
+
+def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int = 0):
+    """Waiting-time unravelings of streams ``first_stream .. first_stream + n - 1``.
+
+    Per round, each live trajectory draws u ~ U(0,1) from its own stream; its
+    jump fires at the first t with tr(S_t(rho)) = u, bracketed on the grid
+    from a table of the survival curve's exponentials and then bisected.  A
+    trajectory whose trace stays above u up to the horizon, or whose jump has
+    vanishing weight (the absorbed branch), ends censored with its surviving
+    unnormalized weight.  Rows pass every step in chunks of ``CHUNK_ROWS``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     rho0 = op.as_operator(rho0)
-    rng = _rng_for(seed, stream)
+    d = rho0.shape[0]
     prop = kernel.gen_nojump.propagator
-    t_now = 0.0
-    rho = rho0
-    jump_times = []
-    post_states = []
-    censored = False
-    final_state = rho
-    final_weight = 1.0
-    while True:
-        remaining = horizon - t_now
-        u = float(rng.uniform())
-        vec = vectorize(rho)
-        n_steps = int(np.ceil(remaining / STEP))
-        grid = np.minimum(STEP * np.arange(n_steps + 1), remaining)
-        curve = np.real(prop.trace_curve(vec, grid))
-        below = np.where(curve < u)[0]
-        if len(below) == 0:
-            censored = True
-            sig = devectorize(prop.apply(remaining, vec))
-            final_weight = float(np.trace(sig).real)
-            tr = final_weight
-            final_state = sig / tr if tr > 1e-300 else sig
-            break
-        k = int(below[0])
-        lo = 0.0 if k == 0 else float(grid[k - 1])
-        hi = float(grid[k])
-
-        def survival(t):
-            return float(np.real(prop.trace_curve(vec, np.array([t]))[0]))
-
-        while hi - lo > TIME_TOL:
-            mid = 0.5 * (lo + hi)
-            if survival(mid) >= u:
-                lo = mid
-            else:
-                hi = mid
-        t_fire = 0.5 * (lo + hi)
-        sig = devectorize(prop.apply(t_fire, vec))
-        jumped = kernel.jump_map(sig)
-        w = float(np.trace(jumped).real)
-        if w <= 1e-300:
-            # absorbed branch: intensity vanished before the draw level
-            censored = True
-            final_weight = float(np.trace(sig).real)
-            final_state = sig / final_weight if final_weight > 1e-300 else sig
-            break
-        t_now = t_now + t_fire
-        rho = jumped / w
-        jump_times.append(t_now)
-        post_states.append(rho)
-        final_state = rho
-        final_weight = w
-    return TrajectoryRecord(
-        seed=seed,
-        stream=stream,
-        horizon=horizon,
-        jump_times=tuple(jump_times),
-        post_jump_states=tuple(post_states),
-        final_state=final_state,
-        final_weight=final_weight,
-        censored=censored,
-    )
-
-
-def sample_trajectories(kernel, rho0, horizon, seed, n: int):
-    """n independent records; stream-split by trajectory index."""
+    grid = STEP * np.arange(int(np.ceil(horizon / STEP)) + 1)
+    table = prop.trace_rows(grid)
+    jump = sandwich(kernel.p0_perp, kernel.p0_perp)
+    diag = np.arange(d) * (d + 1)
+    draws = np.empty((n, DRAWS))
+    vecs = np.tile(vectorize(rho0), (n, 1))
+    t_now = np.zeros(n)
+    times = [[] for _ in range(n)]
+    states = [[] for _ in range(n)]
+    ends = [None] * n
+    alive = np.ones(n, dtype=bool)
+    r = 0
+    while (live := np.flatnonzero(alive)).size:
+        if r % DRAWS == 0:  # the next DRAWS uniforms of each live stream, in stream order
+            draws[live] = [_rng_for(seed, first_stream + i).uniform(size=r + DRAWS)[r:] for i in live]
+        u = draws[live, r % DRAWS]
+        r += 1
+        for c in range(0, live.size, CHUNK_ROWS):
+            rows = live[c:c + CHUNK_ROWS]
+            fired, t, sig = _segment(prop, table, grid, vecs[rows], u[c:c + CHUNK_ROWS],
+                                     horizon - t_now[rows])
+            jumped = op.rowdot(jump, sig)
+            w = jumped[:, diag].sum(-1).real
+            go = fired & (w > 1e-300)
+            for j in np.flatnonzero(~go):  # censored at the horizon, or absorbed
+                end, weight = sig[j].reshape(d, d, order="F"), float(sig[j, diag].sum().real)
+                ends[rows[j]] = (end / weight if weight > 1e-300 else end, weight)
+            alive[rows[~go]] = False
+            rows, post = rows[go], jumped[go] / w[go, None]
+            t_now[rows] += t[go]
+            vecs[rows] = post
+            for i, t_i, v in zip(rows, t_now[rows], post):
+                times[i].append(float(t_i))
+                states[i].append(v.reshape(d, d, order="F"))
     return [
-        sample_trajectory(kernel, rho0, horizon, seed, stream=i) for i in range(n)
+        TrajectoryRecord(seed, first_stream + i, horizon, tuple(times[i]), tuple(states[i]),
+                         *ends[i], censored=True)
+        for i in range(n)
     ]
+
+
+def sample_trajectory(kernel, rho0, horizon, seed, stream: int = 0) -> TrajectoryRecord:
+    """One record: the ``n = 1`` case of :func:`sample_trajectories`."""
+    return sample_trajectories(kernel, rho0, horizon, seed, 1, first_stream=stream)[0]
 
 
 @dataclass(frozen=True)
@@ -218,24 +234,19 @@ def jump_statistics(records, alpha: float, nu: Optional[np.ndarray] = None) -> J
     law truncated to the censoring window (the horizon), since conditioning
     on observation before the horizon is exactly what the sampler does.
     """
-    gaps = []
-    max_dev = 0.0
-    n_zero = 0
-    window = 0.0
-    for rec in records:
-        window = max(window, rec.horizon)
-        prev = 0.0
-        if not rec.jump_times:
-            n_zero += 1
-        for t, state in zip(rec.jump_times, rec.post_jump_states):
-            gaps.append(t - prev)
-            prev = t
-            if nu is not None:
-                max_dev = max(max_dev, frob(state - nu))
-    if not gaps:
+    counts = np.array([rec.n_jumps for rec in records])
+    if not counts.sum():
         raise TrajectoryError("no samples: no jumps observed in the record set")
+    window = max(rec.horizon for rec in records)
+    times = np.concatenate([rec.jump_times for rec in records])
+    prev = np.roll(times, 1)
+    prev[(np.cumsum(counts) - counts)[counts > 0]] = 0.0  # first jump of each record
+    gaps_arr = times - prev
+    max_dev = 0.0
+    if nu is not None:
+        states = np.array([s for rec in records for s in rec.post_jump_states])
+        max_dev = float(np.max(np.linalg.norm(states - nu, axis=(1, 2))))
     rate = 1.0 + alpha
-    gaps_arr = np.array(gaps)
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
@@ -245,12 +256,12 @@ def jump_statistics(records, alpha: float, nu: Optional[np.ndarray] = None) -> J
     ks = float(scipy.stats.kstest(gaps_arr, cdf).statistic)
     return JumpStatistics(
         n_trajectories=len(records),
-        n_observed_jumps=len(gaps),
-        interjump_samples=tuple(gaps),
+        n_observed_jumps=len(gaps_arr),
+        interjump_samples=tuple(gaps_arr.tolist()),
         empirical_mean=float(np.mean(gaps_arr)),
         ks_statistic=ks,
         post_jump_max_deviation=max_dev,
-        censoring_fraction=n_zero / len(records),
+        censoring_fraction=int(np.sum(counts == 0)) / len(records),
         rate=rate,
         window=window,
     )

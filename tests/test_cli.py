@@ -161,19 +161,6 @@ def test_simulate_small_run(models_dir, tmp_path):
     assert rec["seed"] == 42 and rec["horizon"] == 6
 
 
-def test_simulate_thread_determinism(models_dir, tmp_path, monkeypatch):
-    args = [
-        "simulate", model_path(models_dir, "two_qubit_both.json"),
-        "--samples", "40", "--horizon", "4", "--seed", "7",
-    ]
-    out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    monkeypatch.setenv("QSSLAB_THREADS", "1")
-    run(args + ["--out", str(out1)])
-    monkeypatch.setenv("QSSLAB_THREADS", "4")
-    run(args + ["--out", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_simulate_start_file(models_dir, tmp_path):
     nu = np.diag([0.0, 0.5, 0.5, 0.0])
     start = tmp_path / "start.json"

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from qsslab import operators
 from qsslab.model import two_qubit_both, two_qubit_site1
 from qsslab.structure import restrict
-from qsslab.qss import extract_qss, real_eigen_candidates
+from qsslab.qss import extract_qss, perron_structure, real_eigen_candidates
 from qsslab.trajectory import (
     TrajectoryError,
+    DRAWS,
+    _rng_for,
     build_kernel,
     jump_statistics,
     measure_weight,
@@ -22,6 +25,15 @@ def both_sites_qss():
     restr = restrict(two_qubit_both(1.0))
     result = extract_qss(real_eigen_candidates(restr))
     return result.families[0].anchor.nu
+
+
+def perron_qss(spec):
+    restr = restrict(spec)
+    result = perron_structure(restr, extract_qss(real_eigen_candidates(restr)))
+    return next(f.anchor.nu for f in result.families if f.anchor.is_perron)
+
+
+SAMPLER_MODELS = (two_qubit_both(1.0), two_qubit_site1(1.0), two_qubit_site1(0.3))
 
 
 def test_build_kernel_requires_subharmonic():
@@ -65,17 +77,79 @@ def test_sampling_determinism_and_stream_split():
 
 
 def test_record_invariants():
-    kernel = build_kernel(two_qubit_both(1.0))
-    nu = both_sites_qss()
-    records = sample_trajectories(kernel, nu, 6.0, seed=1, n=50)
-    for rec in records:
-        times = list(rec.jump_times)
-        assert times == sorted(times)
-        assert all(0 <= t <= rec.horizon for t in times)
-        assert rec.n_jumps == len(rec.post_jump_states)
-        assert rec.censored == (rec.final_weight > 0 and len(times) == 0) or rec.n_jumps > 0
-        for state in rec.post_jump_states:
-            assert abs(np.trace(state).real - 1.0) < 1e-10
+    for spec in SAMPLER_MODELS[:2]:
+        kernel = build_kernel(spec)
+        records = sample_trajectories(kernel, perron_qss(spec), 6.0, seed=1, n=300)
+        for rec in records:
+            times = list(rec.jump_times)
+            assert times == sorted(times)
+            assert all(0 <= t <= rec.horizon for t in times)
+            assert rec.n_jumps == len(rec.post_jump_states)
+            # every trajectory ends censored: at the horizon or in the absorbed branch
+            assert rec.censored is True
+            for state in rec.post_jump_states:
+                assert abs(np.trace(state).real - 1.0) < 1e-10
+        stats = jump_statistics(records, alpha=1.0)
+        assert stats.censoring_fraction == sum(r.n_jumps == 0 for r in records) / len(records)
+
+
+def test_records_independent_of_batch_size():
+    # every record of a batch is bit-identical to the same stream sampled in
+    # any other batch size, across chunk boundaries
+    for spec in SAMPLER_MODELS:
+        kernel = build_kernel(spec)
+        nu = perron_qss(spec)
+        ref = sample_trajectories(kernel, nu, 6.0, seed=11, n=400)
+        for n in (1, 3, 17, 64):
+            for rec, other in zip(sample_trajectories(kernel, nu, 6.0, seed=11, n=n), ref):
+                assert rec.stream == other.stream
+                assert rec.jump_times == other.jump_times
+                assert rec.final_weight == other.final_weight
+                assert np.array_equal(rec.final_state, other.final_state)
+                assert len(rec.post_jump_states) == len(other.post_jump_states)
+                for a, b in zip(rec.post_jump_states, other.post_jump_states):
+                    assert np.array_equal(a, b)
+        single = sample_trajectory(kernel, nu, 6.0, seed=11, stream=250)
+        assert single.jump_times == ref[250].jump_times
+        assert single.final_weight == ref[250].final_weight
+
+
+def test_jump_times_invert_the_survival_curve():
+    # oracle independent of the scan and bisection: redraw each stream's
+    # uniforms one by one; the no-jump survival over each gap equals its draw,
+    # and the survival up to the horizon stays at or above the last draw
+    longest = 0
+    for spec in SAMPLER_MODELS[:2]:
+        kernel = build_kernel(spec)
+        nu = perron_qss(spec)
+        n_jumps = 0
+        for rec in sample_trajectories(kernel, nu, 6.0, seed=23, n=150):
+            longest = max(longest, rec.n_jumps)
+            rng = _rng_for(23, rec.stream)
+            rho, prev = nu, 0.0
+            for t, state in zip(rec.jump_times, rec.post_jump_states):
+                total, _ = nojump_survival(kernel, rho, t - prev)
+                assert abs(total - rng.uniform()) < 1e-8
+                rho, prev = state, t
+                n_jumps += 1
+            total, _ = nojump_survival(kernel, rho, rec.horizon - prev)
+            assert total >= rng.uniform()
+        assert n_jumps > 100
+    assert longest >= DRAWS  # some stream needs more than one block of draws
+
+
+def test_fallback_propagator_samples_like_the_spectral_one(monkeypatch):
+    spec = two_qubit_both(1.0)
+    nu = perron_qss(spec)
+    spectral = sample_trajectories(build_kernel(spec), nu, 6.0, seed=5, n=30)
+    monkeypatch.setattr(operators, "EXPM_COND_LIMIT", 0.0)
+    kernel = build_kernel(spec)
+    assert not kernel.gen_nojump.propagator.spectral
+    fallback = sample_trajectories(kernel, nu, 6.0, seed=5, n=30)
+    assert sum(r.n_jumps for r in spectral) > 10
+    for a, b in zip(spectral, fallback):
+        assert a.n_jumps == b.n_jumps
+        assert np.allclose(a.jump_times, b.jump_times, rtol=0.0, atol=1e-9)
 
 
 def test_post_jump_states_return_to_qss():
