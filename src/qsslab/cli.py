@@ -42,21 +42,31 @@ def _load(path) -> modelio.ModelFile:
         raise InputError(f"invalid model file: {exc}") from exc
 
 
-def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
-    """Run the full structural + spectral pipeline on one model context."""
+def _restriction(ctx):
+    """The restricted generator; p0 must be subharmonic."""
     sub = ctx.subharmonic
     if not sub.verdict:
         raise InputError(
             "p0 is not subharmonic for this model "
             f"(algebraic residual {sub.algebraic_residual:.3e})"
         )
-    restr = ctx.restriction
+    return ctx.restriction
+
+
+def _qss_families(ctx, tol_eig, irreducible=None):
+    """Candidates, extraction and Perron marking: all that ``simulate`` needs."""
+    restr = _restriction(ctx)
+    cands = qss_mod.real_eigen_candidates(restr, real_tol=tol_eig)
+    return qss_mod.perron_structure(restr, qss_mod.extract_qss(cands), irreducible=irreducible)
+
+
+def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
+    """Run the full structural + spectral pipeline on one model context."""
+    restr = _restriction(ctx)
+    sub = ctx.subharmonic
     absorption = ctx.absorption
     irred = structure_mod.check_irreducible(restr)
-    cands = qss_mod.real_eigen_candidates(restr, real_tol=tol_eig)
-    result = qss_mod.perron_structure(
-        restr, qss_mod.extract_qss(cands), irreducible=irred.verdict if irred.verdict else None
-    )
+    result = _qss_families(ctx, tol_eig, irreducible=irred.verdict or None)
 
     spectrum, _ = restr.eigen
     families_json = []
@@ -111,7 +121,7 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
             "seed": seed,
         },
     }
-    return bundle, result
+    return bundle
 
 
 def _write_out(text: str, out_path):
@@ -127,7 +137,7 @@ def cmd_analyze(args) -> int:
     if mf.spec is None:
         raise InputError("model file has no quantum model block")
     ctx = structure_mod.Analysis(mf.spec)
-    bundle, _ = _analysis_bundle(ctx, args.tol_eig, args.tol_psd, seed=args.seed)
+    bundle = _analysis_bundle(ctx, args.tol_eig, args.tol_psd, seed=args.seed)
     _write_out(modelio.dumps(bundle) + "\n", args.out)
     return 0
 
@@ -159,7 +169,7 @@ def cmd_simulate(args) -> int:
         except (ModelFileError, ValueError) as exc:
             raise InputError(f"invalid start density: {exc}") from exc
     ctx = structure_mod.Analysis(spec)
-    _, result = _analysis_bundle(ctx, args.tol_eig, args.tol_psd)
+    result = _qss_families(ctx, args.tol_eig)
     perron = [f for f in result.families if f.anchor.is_perron]
     if not perron:
         raise ConsistencyError("no Perron QSS available")

@@ -6,6 +6,13 @@ adjoint map and carries a Hermitian basis; the trace-one PSD slice of that
 eigenspace (a point, a segment, or a higher-dimensional family) is the set
 of quasi-stationary states at rate alpha.  Perron-Frobenius structure marks
 the family at the spectral abscissa and enforces the existence theorem.
+
+The slice geometry is exact.  One primitive, ``_psd_range``, gives the
+interval {t : x + t d PSD} from the roots of det(a + t b) on the joint range
+of x and d (one generalized eigensolve).  It is the segment of a
+2-dimensional eigenspace; in larger ones a face walk moves along directions
+supported on supp x to the boundary until none is left, which certifies an
+extreme point (Ramana & Goldman, J. Global Optim. 7, 1995).
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import operators as op
 from .model import apply_semigroup
@@ -25,6 +33,8 @@ DEFAULT_REAL_TOL = op.TOL_EIG
 VERIFY_TIMES = (0.1, 0.5, 1.0, 2.0)
 MULT_GRID = (0.3, 0.7, 1.1)
 REPEATED_TIMES = (0.3, 0.7, 1.1)
+EXTREME_POINTS_NOTE = "endpoints: 4 extreme points reached by face walks; the family has others"
+FACE_TOL = 1e-10  # relative rank cut of supports and joint ranges in the PSD-slice geometry
 
 
 class QssTheoryError(RuntimeError):
@@ -62,7 +72,9 @@ class QssFamily:
 
     For a 2-dimensional real eigenspace the family is the segment
     ``nu0 + x * sigma`` for x in ``param_interval``; the endpoint states are
-    kept as certificates.  ``herm_basis`` is embedded in the full space.
+    kept as certificates.  For a larger eigenspace ``endpoints`` holds four
+    extreme points of the family, not all of them.  ``herm_basis`` is
+    embedded in the full space.
     """
 
     alpha: float
@@ -85,7 +97,7 @@ class ExtractionResult:
     rejected: tuple
 
 
-def _hermitian_basis(vectors: np.ndarray, m: int, tol: float = 1e-8):
+def _hermitian_basis(vectors: np.ndarray, tol: float = 1e-8):
     """Orthonormal Hermitian basis of the span of devectorized eigenvectors.
 
     Uses {v + v^dag, i(v - v^dag)} followed by an SVD orthonormalization in
@@ -123,7 +135,6 @@ def real_eigen_candidates(
     algebraic one are flagged defective; only genuine eigenvectors enter the
     Hermitian basis.
     """
-    m = restr.m
     w, v = restr.eigen
     scale = max(1.0, frob(restr.gen_schr.mat))
     real_mask = (np.abs(w.imag) <= real_tol * scale) & (w.real <= real_tol * scale)
@@ -140,7 +151,7 @@ def real_eigen_candidates(
         u, s, _ = np.linalg.svd(vecs, full_matrices=False)
         geom = int(np.sum(s > 1e-8 * max(1.0, s[0])))
         defective = geom < len(cluster)
-        basis = _hermitian_basis(u[:, :geom], m)
+        basis = _hermitian_basis(u[:, :geom])
         alpha = float(-np.mean([w[j].real for j in cluster]))
         candidates.append(
             RealEigenCandidate(
@@ -188,166 +199,141 @@ def _min_eig(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (h + adjoint(h)))[0])
 
 
-def _psd_interval(nu0: np.ndarray, sigma: np.ndarray, tol: float = 1e-12):
-    """{x : nu0 + x sigma PSD} for a trace-one line; None when empty.
+def _psd_range(x: np.ndarray, d: np.ndarray):
+    """{t : x + t d PSD} as ``(lo, hi)``; None when empty.
 
-    The minimum eigenvalue is concave in x, so the admissible set is a
-    closed interval; the endpoints are located by bisection.  Feasibility is
-    min-eig >= -1e-12: states supported on a proper subspace carry exact
-    zero eigenvalues whose numerical noise would otherwise flip the sign.
+    Compressed to the joint range of x and d (a and b), the boundary points
+    are roots of det(a + t b): the finite eigenvalues of the pencil (a, -b).
+    The inertia of a + t b is constant between consecutive roots, so the
+    PSD set is the gap whose midpoint is PSD, or else a single PSD root.  A
+    gap with PSD interior makes the pencil definite and its roots real, so
+    keeping only real parts adds at most harmless breakpoints.  Bounded for
+    traceless d != 0.
     """
-    radius = (1.0 + frob(nu0)) / frob(sigma)
-    xs = np.linspace(-radius, radius, 401)
-    vals = [_min_eig(nu0 + x * sigma) for x in xs]
-    k = int(np.argmax(vals))
-    if vals[k] < -op.TOL_PSD:
-        return None
-    x_feas = xs[k]
-    # the best grid point anchors the feasibility threshold: its min-eig is
-    # zero up to eigensolver noise, which must not flip the bracket invariant
-    feas_tol = max(1e-11, -4.0 * min(vals[k], 0.0))
+    u, s, _ = np.linalg.svd(np.hstack([x, d]))
+    u = u[:, s > FACE_TOL * s[0]]  # joint range
+    a, b = adjoint(u) @ x @ u, adjoint(u) @ d @ u
+    roots = sla.eigvals(a, -b)
+    roots = np.sort(roots[np.isfinite(roots)].real)
+    if len(roots) > 1:
+        mid_eigs = [_min_eig(a + 0.5 * (r0 + r1) * b) for r0, r1 in zip(roots, roots[1:])]
+        k = int(np.argmax(mid_eigs))
+        if mid_eigs[k] >= -op.TOL_PSD:
+            return float(roots[k]), float(roots[k + 1])
+    for r in roots:
+        if _min_eig(a + r * b) >= -op.TOL_PSD:
+            return float(r), float(r)
+    return None
 
-    def feasible(x):
-        return _min_eig(nu0 + x * sigma) >= -feas_tol
 
-    def bisect(a, b):
-        # a feasible, b not; |a - b| shrinks regardless of orientation
-        for _ in range(200):
-            if abs(b - a) < tol:
+def _walk_to_extreme(x: np.ndarray, dirs: np.ndarray, pref: np.ndarray) -> np.ndarray:
+    """Walk from the PSD point x of the slice x + span(dirs) to an extreme point.
+
+    While some direction c . dirs is supported on supp x (c in the null
+    space of c -> (1 - P_x) sum_i c_i dirs_i), move along the projection of
+    the preferred coefficients ``pref`` onto those directions to the far
+    boundary, where the rank of x drops.  When no such direction is left, x
+    is extreme (Ramana & Goldman); this takes at most rank(x) steps.
+    """
+    for _ in range(len(x)):
+        w, v = np.linalg.eigh(x)
+        u = v[:, w > FACE_TOL * w[-1]]  # supp x
+        off = (dirs - u @ (adjoint(u) @ dirs)).reshape(len(dirs), -1)
+        _, s, vt = np.linalg.svd(np.hstack([off.real, off.imag]).T)
+        null = vt[int(np.sum(s > FACE_TOL)):]  # dirs are orthonormal: s <= 1
+        if not len(null):
+            break
+        c = null.T @ (null @ pref)
+        c = c / np.linalg.norm(c) if np.linalg.norm(c) > FACE_TOL else null[0]
+        step = np.tensordot(c, dirs, axes=1)
+        # on supp x, where x is positive definite, t = 0 is interior
+        x = x + _psd_range(adjoint(u) @ x @ u, adjoint(u) @ step @ u)[1] * step
+    return x
+
+
+def _extreme_points(nu0: np.ndarray, basis, traces: np.ndarray):
+    """Anchor and four extreme points of the PSD slice of a >= 3-dim eigenspace.
+
+    The anchor is ``nu0`` when it is PSD, else the midpoint of the first
+    non-empty chord through ``nu0`` along a traceless direction (a heuristic
+    search; None when it finds nothing).  The extreme points are face walks
+    from the anchor with preferred directions +-d1 and +-d2.
+    """
+    _, _, vt = np.linalg.svd(traces[None, :])  # rows 1.. are orthogonal to the traces
+    dirs = np.tensordot(vt[1:], np.array(basis), axes=1)  # orthonormal, traceless
+    anchor = nu0
+    if _min_eig(nu0) < -op.TOL_PSD:
+        for d in dirs:
+            chord = _psd_range(nu0, d)
+            if chord is not None:
+                anchor = nu0 + 0.5 * (chord[0] + chord[1]) * d
                 break
-            mid = 0.5 * (a + b)
-            if feasible(mid):
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    left = bisect(x_feas, -radius) if not feasible(-radius) else -radius
-    right = bisect(x_feas, radius) if not feasible(radius) else radius
-    if left > right:
-        left, right = right, left
-    return float(left), float(right)
+        else:
+            return None
+    prefs = np.eye(len(dirs))[:2]
+    return anchor, tuple(_walk_to_extreme(anchor, dirs, s * p) for p in prefs for s in (1.0, -1.0))
 
 
-def extract_qss(cands: CandidateSet, n_functionals: int = 64) -> ExtractionResult:
+def _psd_slice(cand: RealEigenCandidate):
+    """Anchor, endpoint states, interval and notes of a candidate's QSS set.
+
+    Returns the rejection reason (a str) instead when no state is found.
+    """
+    basis, notes = cand.herm_basis, (cand.warning,) if cand.warning else ()
+    if cand.defective and not basis:
+        return cand.warning
+    traces = np.array([np.trace(b).real for b in basis])
+    if len(basis) == 1:
+        if abs(traces[0]) <= 1e-10:
+            return "trace-zero eigenvector"
+        nu_hat = basis[0] / traces[0]
+        ok, min_eig = op.psd_check(nu_hat, op.TOL_PSD)
+        return (nu_hat, (), None, notes) if ok else f"not PSD (min eigenvalue {min_eig:.3e})"
+    tnorm2 = float(traces @ traces)
+    if tnorm2 <= 1e-16:
+        return "no trace-one element in eigenspace"
+    nu0 = sum(t * b for t, b in zip(traces, basis)) / tnorm2  # minimum-norm trace-one element
+    if len(basis) == 2:
+        sigma = (traces[1] * basis[0] - traces[0] * basis[1]) / np.sqrt(tnorm2)
+        interval = _psd_range(nu0, sigma)
+        if interval is None:
+            return "empty PSD slice"
+        lo, hi = interval
+        return nu0 + 0.5 * (lo + hi) * sigma, (nu0 + lo * sigma, nu0 + hi * sigma), interval, notes
+    found = _extreme_points(nu0, basis, traces)
+    if found is None:
+        return "no PSD state on the chords through the minimum-norm element (heuristic search)"
+    return found + (None, notes + (EXTREME_POINTS_NOTE,))
+
+
+def extract_qss(cands: CandidateSet) -> ExtractionResult:
     """Trace-one PSD representatives of each real eigenspace.
 
     Dimension 1: normalize and test positivity.  Dimension 2: the trace-one
-    slice is a line; its PSD part is an interval found by min-eigenvalue
-    bisection, and the endpoint (extremal-support) states are certified.
-    Dimension >= 3: a partial extremal scan over fixed random linear
-    functionals, flagged as such.
+    slice is a line; its PSD part is an exact interval (``_psd_range``), and
+    the endpoint (extremal-support) states are certified.  Dimension >= 3:
+    four extreme points of the slice from face walks, flagged as a partial
+    list.
     """
     restr = cands.restr
     families, rejected = [], []
     for cand in cands.candidates:
-        alpha = cand.alpha
-        if cand.defective and not cand.herm_basis:
-            rejected.append(RejectedCandidate(alpha, cand.warning))
+        found = _psd_slice(cand)
+        if isinstance(found, str):
+            rejected.append(RejectedCandidate(cand.alpha, found))
             continue
-        basis = cand.herm_basis
-        notes = (cand.warning,) if cand.warning else ()
-        traces = np.array([np.trace(b).real for b in basis])
-        dim = len(basis)
-        if dim == 1:
-            b = basis[0]
-            if abs(traces[0]) <= 1e-10:
-                rejected.append(RejectedCandidate(alpha, "trace-zero eigenvector"))
-                continue
-            nu_hat = b / traces[0]
-            ok, min_eig = op.psd_check(nu_hat, op.TOL_PSD)
-            if not ok:
-                rejected.append(
-                    RejectedCandidate(alpha, f"not PSD (min eigenvalue {min_eig:.3e})")
-                )
-                continue
-            anchor = _certificate(restr, alpha, nu_hat)
-            families.append(
-                QssFamily(
-                    alpha=alpha,
-                    herm_basis=tuple(restr.embed(b) for b in basis),
-                    anchor=anchor,
-                    notes=notes,
-                )
+        anchor, points, interval, notes = found
+        families.append(
+            QssFamily(
+                alpha=cand.alpha,
+                herm_basis=tuple(restr.embed(b) for b in cand.herm_basis),
+                anchor=_certificate(restr, cand.alpha, anchor),
+                param_interval=interval,
+                endpoints=tuple(_certificate(restr, cand.alpha, x) for x in points),
+                notes=notes,
             )
-        elif dim == 2:
-            tnorm2 = float(traces @ traces)
-            if tnorm2 <= 1e-16:
-                rejected.append(RejectedCandidate(alpha, "no trace-one element in eigenspace"))
-                continue
-            nu0 = (traces[0] * basis[0] + traces[1] * basis[1]) / tnorm2
-            sigma = (traces[1] * basis[0] - traces[0] * basis[1]) / np.sqrt(tnorm2)
-            interval = _psd_interval(nu0, sigma)
-            if interval is None:
-                rejected.append(RejectedCandidate(alpha, "empty PSD slice"))
-                continue
-            lo, hi = interval
-            anchor = _certificate(restr, alpha, nu0 + 0.5 * (lo + hi) * sigma)
-            endpoints = (
-                _certificate(restr, alpha, nu0 + lo * sigma),
-                _certificate(restr, alpha, nu0 + hi * sigma),
-            )
-            families.append(
-                QssFamily(
-                    alpha=alpha,
-                    herm_basis=tuple(restr.embed(b) for b in basis),
-                    anchor=anchor,
-                    param_interval=(lo, hi),
-                    endpoints=endpoints,
-                    notes=notes,
-                )
-            )
-        else:
-            family = _extract_high_dim(restr, alpha, basis, notes, n_functionals)
-            if family is None:
-                rejected.append(RejectedCandidate(alpha, "no PSD trace-one element found"))
-            else:
-                families.append(family)
+        )
     return ExtractionResult(families=tuple(families), rejected=tuple(rejected))
-
-
-def _extract_high_dim(restr, alpha, basis, notes, n_functionals):
-    """Partial extremal scan over the PSD slice of a >=3-dim eigenspace."""
-    m = restr.m
-    traces = np.array([np.trace(b).real for b in basis])
-    tnorm2 = float(traces @ traces)
-    if tnorm2 <= 1e-16:
-        return None
-    nu0 = sum(t * b for t, b in zip(traces, basis)) / tnorm2
-    # traceless directions within the eigenspace
-    dirs = []
-    for i, b in enumerate(basis):
-        d = b - traces[i] * nu0
-        if frob(d) > 1e-10:
-            dirs.append(d / frob(d))
-    rng = np.random.default_rng(397101)
-    psd_points = []
-    if _min_eig(nu0) >= -op.TOL_PSD:
-        psd_points.append(nu0)
-    for _ in range(2048):
-        coeffs = rng.standard_normal(len(dirs))
-        point = nu0 + sum(c * d for c, d in zip(coeffs, dirs))
-        if _min_eig(point) >= -op.TOL_PSD:
-            psd_points.append(point)
-    if not psd_points:
-        return None
-    extremals = []
-    for _ in range(n_functionals):
-        f = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        f = 0.5 * (f + adjoint(f))
-        values = [np.trace(f @ p).real for p in psd_points]
-        extremals.append(psd_points[int(np.argmax(values))])
-    anchor = _certificate(restr, alpha, psd_points[0])
-    endpoint_certs = tuple(
-        _certificate(restr, alpha, p) for p in extremals[: min(4, len(extremals))]
-    )
-    return QssFamily(
-        alpha=alpha,
-        herm_basis=tuple(restr.embed(b) for b in basis),
-        anchor=anchor,
-        endpoints=endpoint_certs,
-        notes=notes + ("partial extremal scan",),
-    )
 
 
 def perron_structure(

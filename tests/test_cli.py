@@ -140,6 +140,15 @@ def test_theory_errors_outside_perron_exit_2(models_dir, monkeypatch, capsys):
     assert "injected verification failure" in err
 
 
+def test_simulate_without_perron_family_exits_2(models_dir, monkeypatch, capsys):
+    monkeypatch.setattr(qss, "extract_qss", lambda cands: qss.ExtractionResult((), ()))
+    rc = run(["simulate", model_path(models_dir, "two_qubit_both.json"), "--samples", "5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "Perron existence failed" in err
+
+
 def test_simulate_small_run(models_dir, tmp_path):
     out = tmp_path / "summary.json"
     records = tmp_path / "records.jsonl"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from qsslab import operators as op
-from qsslab.model import two_qubit_both, two_qubit_site1
+from qsslab.model import ModelSpec, two_qubit_both, two_qubit_site1
 from qsslab.qss import (
     ExtractionResult,
     QssCertificate,
     QssTheoryError,
+    _psd_range,
     absorbing_implies_positive_rate,
     extract_qss,
     perron_structure,
@@ -166,3 +168,106 @@ def test_candidates_sorted_and_hermitian():
         for b in cand.herm_basis:
             assert op.is_hermitian(b, 1e-10)
             assert abs(np.linalg.norm(b) - 1.0) < 1e-10
+
+
+def block_model(d, unitary=None):
+    """H = 0 and L_k = |0><k|: every state on range(p0_perp) is a QSS at alpha = 1.
+
+    ``unitary`` rotates range(p0_perp); the extreme QSSs are its pure states.
+    """
+    u = np.eye(d, dtype=complex)
+    if unitary is not None:
+        u[1:, 1:] = unitary
+    jumps = []
+    for k in range(1, d):
+        l = np.zeros((d, d), dtype=complex)
+        l[0, k] = 1.0
+        jumps.append(u @ l @ u.conj().T)
+    p0 = np.zeros((d, d), dtype=complex)
+    p0[0, 0] = 1.0
+    return ModelSpec(dim=d, hamiltonian=np.zeros((d, d)), jump_ops=tuple(jumps), p0=p0)
+
+
+def random_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_block_model_endpoints_are_pure(d):
+    _, result = analysis(block_model(d))
+    assert len(result.families) == 1
+    fam = result.families[0]
+    assert abs(fam.alpha - 1.0) < 1e-9
+    assert len(fam.herm_basis) == (d - 1) ** 2
+    assert len(fam.endpoints) == 4
+    for c in fam.endpoints:
+        w = np.linalg.eigvalsh(c.nu)
+        assert w[0] >= -1e-9
+        assert w[-2] <= 1e-9  # rank 1
+        assert c.residual_eigen < 1e-9
+
+
+def _smallest_supported_direction(fam, nu, support_tol=1e-9):
+    """Smallest singular value of c -> (1 - P_nu) sum_i c_i d_i.
+
+    The d_i span the traceless part of the family's eigenspace.  A positive
+    value certifies that no direction of the slice is supported on supp nu,
+    i.e. that nu is an extreme point of the PSD slice.
+    """
+    basis = np.array(fam.herm_basis)
+    traces = np.einsum("kii->k", basis).real
+    dirs = np.tensordot(sla.null_space(traces[None, :]).T, basis, axes=1)
+    w, v = np.linalg.eigh(nu)
+    support = v[:, w > support_tol]
+    off = dirs - support @ (support.conj().T @ dirs)
+    flat = off.reshape(len(dirs), -1)
+    return np.linalg.svd(np.hstack([flat.real, flat.imag]), compute_uv=False)[-1]
+
+
+def test_high_dim_endpoints_carry_extremality_certificate():
+    specs = [block_model(d) for d in (3, 4, 5)]
+    specs += [block_model(4, random_unitary(3, 17)), two_qubit_site1(0.0), two_qubit_both(0.0)]
+    checked = 0
+    for spec in specs:
+        _, result = analysis(spec)
+        for fam in result.families:
+            if len(fam.herm_basis) < 3:
+                continue
+            assert fam.param_interval is None
+            for c in fam.endpoints:
+                assert np.linalg.eigvalsh(c.nu)[0] >= -1e-9
+                assert _smallest_supported_direction(fam, c.nu) > 1e-6
+                checked += 1
+    assert checked >= 4 * len(specs)
+
+
+def test_psd_range_when_min_norm_point_is_not_psd():
+    # the segment between a pure P and R = diag(.9, .1, 0): its line's
+    # minimum-norm point lies beyond R and is not PSD
+    psi = np.sqrt([0.95, 0.0, 0.05])
+    p = np.outer(psi, psi).astype(complex)
+    r = np.diag([0.9, 0.1, 0.0]).astype(complex)
+    d = r - p
+    s0 = -np.vdot(d, p).real / np.vdot(d, d).real
+    nu0 = p + s0 * d
+    assert np.linalg.eigvalsh(nu0)[0] < -1e-3
+    lo, hi = _psd_range(nu0, d)
+    assert abs(lo + s0) < 1e-12  # P
+    assert abs(hi - (1.0 - s0)) < 1e-12  # R
+    # a direction that leaves the negative diagonal entry of nu0 alone
+    swap_12 = np.zeros((3, 3), dtype=complex)
+    swap_12[0, 1] = swap_12[1, 0] = 1.0
+    assert _psd_range(nu0, swap_12) is None
+
+
+@pytest.mark.parametrize(
+    "spec, half_width",
+    [(two_qubit_both(1.0), 1.0 / np.sqrt(2.0)), (two_qubit_site1(1.0), np.sqrt(3.0 / 8.0))],
+)
+def test_segment_intervals_are_exact(spec, half_width):
+    _, result = analysis(spec)
+    lo, hi = result.families[0].param_interval
+    assert abs(lo + half_width) < 1e-14
+    assert abs(hi - half_width) < 1e-14

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from qsslab import cli, structure
+from qsslab import cli, qss, structure
 from qsslab import operators as op
 from qsslab.classical import RateMatrix, embed
 from qsslab.model import ModelSpec, apply_semigroup, two_qubit_both, two_qubit_site1
@@ -191,3 +191,15 @@ def test_simulate_checks_subharmonicity_once(models_dir, monkeypatch, tmp_path):
     )
     assert rc == 0
     assert len(subharmonic) == 1
+
+
+def test_simulate_skips_the_analyze_only_stages(models_dir, monkeypatch, tmp_path):
+    calls = [
+        _count_calls(monkeypatch, structure, "absorption_operator"),
+        _count_calls(monkeypatch, structure, "check_irreducible"),
+        _count_calls(monkeypatch, qss, "verify_qss"),
+    ]
+    path = os.path.join(models_dir, "two_qubit_both.json")
+    rc = cli.main(["simulate", path, "--samples", "20", "--out", str(tmp_path / "s.json")])
+    assert rc == 0
+    assert calls == [[], [], []]

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.stats
 
 from qsslab import operators
 from qsslab.model import two_qubit_both, two_qubit_site1
@@ -172,6 +177,30 @@ def test_jump_statistics_small_run():
     assert abs(stats.empirical_mean - target) < 0.1
     assert stats.ks_statistic < 0.1
     assert 0.3 < stats.censoring_fraction < 0.7
+
+
+def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, qsslab.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_ks_statistic_matches_scipy():
+    kernel = build_kernel(two_qubit_both(1.0))
+    nu = both_sites_qss()
+    records = sample_trajectories(kernel, nu, 6.0, seed=9, n=300)
+    stats = jump_statistics(records, alpha=1.0, nu=nu)
+    z = 1.0 - np.exp(-stats.rate * stats.window)
+
+    def cdf(x):
+        return np.clip((1.0 - np.exp(-stats.rate * np.asarray(x, dtype=float))) / z, 0.0, 1.0)
+
+    assert stats.ks_statistic == scipy.stats.kstest(stats.interjump_samples, cdf).statistic
 
 
 def test_jump_statistics_requires_jumps():
