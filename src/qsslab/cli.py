@@ -91,6 +91,7 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
         }
         if fam.param_interval is not None:
             fam_json["param_interval"] = list(fam.param_interval)
+        if fam.endpoints:
             fam_json["endpoints"] = [modelio.matrix_to_json(c.nu) for c in fam.endpoints]
         families_json.append(fam_json)
     bundle = {

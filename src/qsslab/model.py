@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -73,11 +74,16 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Superop:
-    """A d^2 x d^2 matrix realizing a superoperator under column stacking."""
+    """A d^2 x d^2 matrix realizing a superoperator under column stacking.
+
+    ``eig`` is an optional right eigenpair ``(w, V)`` of ``mat`` solved by the
+    builder; the propagator then reuses it instead of solving again.
+    """
 
     mat: np.ndarray
     picture: str
     dim: int
+    eig: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return devectorize(self.mat @ vectorize(x))
@@ -85,7 +91,7 @@ class Superop:
     @cached_property
     def propagator(self) -> op.Propagator:
         """Serves every exp(t * mat) from one eigendecomposition."""
-        return op.Propagator(self.mat)
+        return op.Propagator(self.mat, self.eig)
 
 
 def left_mul(a: np.ndarray) -> np.ndarray:
@@ -139,12 +145,16 @@ def build_generator(spec: ModelSpec, picture: str = SCHRODINGER) -> Superop:
 
 
 def apply_semigroup(gen: Superop, t: float, x: np.ndarray) -> np.ndarray:
-    """exp(t * gen) applied to the operator x.  Semigroup only: t >= 0."""
-    if t < 0:
-        raise ValueError("semigroup is defined for t >= 0 only")
+    """exp(t * gen) applied to the operator x.  Semigroup only: t >= 0.
+
+    On the spectral path this is two matrix-vector products in the
+    generator's eigenbasis, O(d^4); exp(t * gen) is not formed.
+    """
+    if not 0 <= t < np.inf:
+        raise ValueError("semigroup is defined for finite t >= 0 only")
     if t == 0:
         return op.as_operator(x).copy()
-    return devectorize(gen.propagator.matrix(t) @ vectorize(x))
+    return devectorize(gen.propagator.apply(t, vectorize(x)))
 
 
 def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> float:

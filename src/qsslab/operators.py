@@ -134,18 +134,20 @@ def devectorize(v) -> np.ndarray:
 class Propagator:
     """``exp(t*a)`` for many ``t`` from one eigendecomposition ``a = V diag(w) V^-1``.
 
-    The eigensolve, the condition-number gate (``EXPM_COND_LIMIT``) and the
-    reconstruction check run once.  If both gates pass, ``spectral`` is true;
-    otherwise every call falls back to scaling-and-squaring.  ``w``, ``v`` and
-    ``v_inv`` are kept on either path for spectral projections.
+    ``eig`` is an eigenpair ``(w, V)`` of ``a`` solved elsewhere; without it
+    ``a`` is eigendecomposed here.  The inverse, the condition-number gate
+    (``EXPM_COND_LIMIT``) and the reconstruction check run once, on either.
+    If both gates pass, ``spectral`` is true; otherwise every call falls back
+    to scaling-and-squaring.  ``w``, ``v`` and ``v_inv`` are kept on either
+    path for spectral projections.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, eig=None):
         self.mat = a = as_operator(a)
         self.w = self.v = self.v_inv = None
         self.spectral = False
         try:
-            self.w, self.v = np.linalg.eig(a)
+            self.w, self.v = np.linalg.eig(a) if eig is None else eig
             self.v_inv = np.linalg.inv(self.v)
             cond = np.linalg.cond(self.v)
         except np.linalg.LinAlgError:  # also raised for an empty matrix
@@ -168,6 +170,8 @@ class Propagator:
     def apply(self, t, vec: np.ndarray) -> np.ndarray:
         """``exp(t*a) @ vec``, or with one time per row of a batch ``vec``."""
         if self.spectral:
+            if np.ndim(vec) == 1:
+                return self.v @ (np.exp(t * self.w) * (self.v_inv @ vec))
             return rowdot(self.v, np.exp(np.multiply.outer(t, self.w)) * rowdot(self.v_inv, vec))
         if np.ndim(t) == 0:
             return self.matrix(t) @ vec
@@ -210,6 +214,18 @@ def rowdot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def expm(a, t: float = 1.0) -> np.ndarray:
     """Matrix exponential ``exp(t*a)``; see :class:`Propagator`."""
     return Propagator(a).matrix(t)
+
+
+def eig_left_right(a):
+    """``(w, vl, vr)`` with ``a @ vr = vr * w`` and ``vl^dag @ a = w * vl^dag``.
+
+    The columns of ``vl`` are right eigenvectors of ``adjoint(a)`` for
+    ``conj(w)``, so one solve serves a matrix and its adjoint.
+    """
+    try:
+        return sla.eig(as_operator(a), left=True, right=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
 
 
 def eig_general(a, tol: float = TOL_EIG):

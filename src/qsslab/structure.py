@@ -10,7 +10,7 @@ each of them once per model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -76,10 +76,10 @@ class RestrictedGenerator:
     def evolve(self, t: float, rho_hat: np.ndarray) -> np.ndarray:
         return apply_semigroup(self.gen_schr, t, rho_hat)
 
-    @cached_property
+    @property
     def eigen(self):
-        """``op.eig_general`` pair of ``gen_schr``, solved once."""
-        return op.eig_general(self.gen_schr.mat)
+        """``op.eig_general`` pair of ``gen_schr``, solved once by :func:`restrict`."""
+        return self.gen_schr.eig
 
 
 @dataclass(frozen=True)
@@ -101,20 +101,31 @@ class IrreducibilityReport:
 class Analysis:
     """What ``analyze`` derives from one model, each object built on first use.
 
-    Every generator (``heis``, ``schr``, ``restriction.gen_schr``) caches its
-    propagator, so it is eigendecomposed once.  The stage functions below take
-    an ``Analysis`` or a bare ``ModelSpec``, which gets a fresh context.
+    ``schr`` and ``heis`` share one eigensolve of the Schroedinger matrix S:
+    its right pairs (w, V_R) serve ``schr``, and its left vectors V_L, the
+    right eigenvectors of H = S^dag for conj(w), serve ``heis``.  Each
+    generator builds its propagator on first use from its pair.  The stage
+    functions below take an ``Analysis`` or a bare ``ModelSpec``, which gets
+    a fresh context.
     """
 
     spec: ModelSpec
 
     @cached_property
-    def heis(self) -> Superop:
-        return build_generator(self.spec, HEISENBERG)
+    def _pictures(self) -> tuple:
+        schr = build_generator(self.spec, SCHRODINGER)
+        # H = S^dag satisfies the conjugate of the Schroedinger picture check
+        heis = Superop(mat=adjoint(schr.mat), picture=HEISENBERG, dim=self.spec.dim)
+        w, vl, vr = op.eig_left_right(schr.mat)
+        return replace(schr, eig=(w, vr)), replace(heis, eig=(w.conj(), vl))
 
-    @cached_property
+    @property
     def schr(self) -> Superop:
-        return build_generator(self.spec, SCHRODINGER)
+        return self._pictures[0]
+
+    @property
+    def heis(self) -> Superop:
+        return self._pictures[1]
 
     @cached_property
     def subharmonic(self) -> SubharmonicReport:
@@ -182,7 +193,11 @@ def _perp_isometry(spec: ModelSpec) -> np.ndarray:
 
 
 def restrict(model) -> RestrictedGenerator:
-    """Build the compressed generator on range(p0_perp) in both pictures."""
+    """Build the compressed generator on range(p0_perp) in both pictures.
+
+    ``gen_schr`` carries its ``op.eig_general`` pair, the restriction's one
+    eigensolve, which serves the candidates and the propagator alike.
+    """
     ctx = as_analysis(model)
     spec, report = ctx.spec, ctx.subharmonic
     if not report.verdict:
@@ -213,7 +228,7 @@ def restrict(model) -> RestrictedGenerator:
         spec=spec,
         m=m,
         isometry=v,
-        gen_schr=Superop(mat=gen_schr, picture=SCHRODINGER, dim=m),
+        gen_schr=Superop(mat=gen_schr, picture=SCHRODINGER, dim=m, eig=op.eig_general(gen_schr)),
         gen_heis=Superop(mat=adjoint(gen_schr), picture=HEISENBERG, dim=m),
         g_hat=g_hat,
         jumps_hat=jumps_hat,
@@ -223,25 +238,28 @@ def restrict(model) -> RestrictedGenerator:
 def absorption_operator(model) -> AbsorptionReport:
     """A(p0) = lim_t T_t(p0), via the peripheral spectral component.
 
-    The limit is computed by projecting vec(p0) onto the eigenspaces of the
-    Heisenberg generator with eigenvalue 0; purely imaginary peripheral
-    eigenvalues are dropped, which realizes the Cesaro time average.  The
-    result is cross-validated against direct semigroup evaluation with time
-    doubling.  Both use the generator's one cached eigendecomposition.
+    The limit is the spectral projector of the Heisenberg generator H onto
+    its kernel, P = V_k (U_k^dag V_k)^-1 U_k^dag, applied to vec(p0).  V_k and
+    U_k are H's right and left eigenvectors with |w| <= 1e-9 * scale; U_k are
+    the Schroedinger generator's right eigenvectors.  Unlike V^-1, this needs
+    no inverse of a possibly ill-conditioned eigenbasis.  Purely imaginary
+    peripheral eigenvalues are dropped, which realizes the Cesaro time
+    average.  The result is cross-validated against direct semigroup
+    evaluation with time doubling.
     """
     ctx = as_analysis(model)
     spec, heis = ctx.spec, ctx.heis
     if not ctx.subharmonic.verdict:
         raise StructureError("absorption operator requires a subharmonic p0")
-    m, prop = heis.mat, heis.propagator
-    if prop.v_inv is None:
-        raise op.EigenSolveError("Heisenberg generator has no invertible eigenvector basis")
-    w, vr, vr_inv = prop.w, prop.v, prop.v_inv
-    scale = max(1.0, frob(m))
-    keep = np.abs(w) <= 1e-9 * scale
-    coef = vr_inv @ vectorize(spec.p0)
-    a_vec = vr @ (keep * coef)
-    a_op = devectorize(a_vec)
+    m = heis.mat
+    (w, v), u = heis.eig, ctx.schr.eig[1]
+    keep = np.abs(w) <= 1e-9 * max(1.0, frob(m))
+    v_k, u_k_adj = v[:, keep], adjoint(u[:, keep])
+    try:
+        coef = np.linalg.solve(u_k_adj @ v_k, u_k_adj @ vectorize(spec.p0))
+    except np.linalg.LinAlgError as exc:
+        raise op.EigenSolveError(f"kernel projector of the Heisenberg generator: {exc}") from exc
+    a_op = devectorize(v_k @ coef)
     a_op = 0.5 * (a_op + adjoint(a_op))
 
     t, gap = 1.0, np.inf

@@ -8,8 +8,9 @@ from helpers import model_to_doc
 from qsslab import cli
 from qsslab import operators as op
 from qsslab import qss
+from qsslab import structure
 from qsslab.classical import ClassicalQsd, CrosscheckReport
-from qsslab.model import two_qubit_site1
+from qsslab.model import two_qubit_both, two_qubit_site1
 
 
 def run(argv):
@@ -58,6 +59,30 @@ def test_analyze_both_sites_golden(models_dir, tmp_path):
     assert np.max(np.abs(anchor - np.diag([0.0, 0.5, 0.5, 0.0]))) < 1e-9
     rejected = {round(r["alpha"], 6): r["reason"] for r in doc["rejected_candidates"]}
     assert "not PSD" in rejected[2.0]
+
+
+def test_analyze_reports_face_walk_endpoints(tmp_path):
+    # two_qubit_both at omega = 0 has a 4-dimensional family: no segment,
+    # but four certified extreme points, which the report must carry
+    spec = two_qubit_both(0.0)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_to_doc(spec)))
+    out = tmp_path / "report.json"
+    assert run(["analyze", str(model), "--out", str(out)]) == 0
+    fams = [f for f in json.loads(out.read_text())["qss_families"] if f["dimension"] >= 3]
+    assert len(fams) == 1
+    fam = fams[0]
+    assert "param_interval" not in fam
+    restr = structure.restrict(spec)
+    (expected,) = [
+        f for f in qss.extract_qss(qss.real_eigen_candidates(restr)).families
+        if abs(f.alpha - fam["alpha"]) < 1e-12
+    ]
+    assert len(fam["endpoints"]) == len(expected.endpoints) == 4
+    for got, cert in zip(fam["endpoints"], expected.endpoints):
+        nu = np.array([[complex(re, im) for re, im in row] for row in got])
+        op.validate_density(nu)
+        assert np.max(np.abs(nu - cert.nu)) <= 1e-12
 
 
 def test_analyze_deterministic_output(models_dir, tmp_path):

@@ -1,12 +1,23 @@
 import os
 
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from qsslab import cli, qss, structure
 from qsslab import operators as op
 from qsslab.classical import RateMatrix, embed
-from qsslab.model import ModelSpec, apply_semigroup, two_qubit_both, two_qubit_site1
+from qsslab.model import (
+    HEISENBERG,
+    SCHRODINGER,
+    ModelSpec,
+    apply_semigroup,
+    build_generator,
+    two_qubit_both,
+    two_qubit_site1,
+)
 from qsslab.structure import (
     StructureError,
     absorption_operator,
@@ -139,6 +150,50 @@ def test_absorption_site1_uncoupled_dark_state():
     assert np.min(np.abs(w)) < 1e-9  # alpha = 0 eigenvalue present
 
 
+@pytest.mark.parametrize("omega", [0.5 - 1e-6, 0.5, 0.5 + 1e-6])
+def test_absorption_at_the_branch_collision_matches_the_long_time_limit(omega):
+    # the Heisenberg eigenbasis is singular to working precision at omega = 1/2,
+    # so only the left/right kernel projector gets the limit right there
+    spec = two_qubit_site1(omega)
+    heis = build_generator(spec, HEISENBERG).mat
+    limit = op.devectorize(sla.expm(400.0 * heis) @ op.vectorize(spec.p0))
+    report = absorption_operator(spec)
+    assert np.max(np.abs(report.a_op - limit)) <= 1e-9
+    assert report.is_absorbing
+
+
+def test_absorption_with_a_multidimensional_heisenberg_kernel():
+    # H = 0, L = |0><2|, p0 = |0><0|: |1> is dark, |2> decays into range(p0)
+    jump = np.zeros((3, 3), dtype=complex)
+    jump[0, 2] = 1.0
+    spec = ModelSpec(dim=3, hamiltonian=np.zeros((3, 3)), jump_ops=(jump,),
+                     p0=np.diag([1.0, 0.0, 0.0]).astype(complex))
+    ctx = structure.Analysis(spec)
+    w, _ = ctx.heis.eig
+    assert np.sum(np.abs(w) <= 1e-9 * max(1.0, op.frob(ctx.heis.mat))) >= 2
+    report = ctx.absorption
+    assert np.max(np.abs(report.a_op - np.diag([1.0, 0.0, 1.0]))) <= 1e-9
+    assert not report.is_absorbing
+
+
+@pytest.mark.parametrize("spec", [two_qubit_site1(1.0), two_qubit_both(0.3)], ids=["site1", "both"])
+def test_analysis_propagators_match_independent_generators(spec):
+    ctx = structure.Analysis(spec)
+    for picture, gen in ((HEISENBERG, ctx.heis), (SCHRODINGER, ctx.schr)):
+        ref = build_generator(spec, picture)
+        assert np.array_equal(gen.mat, ref.mat)
+        assert gen.propagator.spectral
+        vec = op.vectorize(spec.p0 if picture == HEISENBERG else np.eye(spec.dim) / spec.dim)
+        for t in (0.1, 1.0, 10.0):
+            want = ref.propagator.matrix(t)
+            got = gen.propagator.matrix(t)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            want_vec = want @ vec
+            assert np.linalg.norm(gen.propagator.apply(t, vec) - want_vec) <= 1e-12 * np.linalg.norm(
+                want_vec
+            )
+
+
 def test_irreducibility_fixtures_are_reducible():
     for spec in (two_qubit_site1(1.0), two_qubit_both(1.0)):
         report = check_irreducible(restrict(spec))
@@ -170,17 +225,34 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _count_sizes(monkeypatch, owner, name, sizes):
+    original = getattr(owner, name)
+
+    def counting(a, *args, **kwargs):
+        sizes[np.shape(a)[0]] += 1
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
 def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_path):
-    # heisenberg, schrodinger and restricted generators plus g_hat in the
-    # irreducibility search: one dense eigensolve each
-    dense_eig = _count_calls(monkeypatch, np.linalg, "eig")
+    # one d^2 x d^2 solve serves both pictures, one m^2 x m^2 solve the
+    # restriction, and g_hat (m x m) seeds the irreducibility search
+    sizes = Counter()
+    _count_sizes(monkeypatch, np.linalg, "eig", sizes)
+    _count_sizes(monkeypatch, sla, "eig", sizes)
     subharmonic = _count_calls(monkeypatch, structure, "check_subharmonic")
     eig_general = _count_calls(monkeypatch, op, "eig_general")
+    matrix = _count_calls(monkeypatch, op.Propagator, "matrix")
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
-    assert len(dense_eig) <= 5
+    d, m = 4, 3
+    assert sizes == {d * d: 1, m * m: 1, m: 1}
     assert len(subharmonic) == 1
     assert len(eig_general) == 1
+    # every propagator of this model is spectral, so apply_semigroup never
+    # forms exp(tL)
+    assert matrix == []
 
 
 def test_simulate_checks_subharmonicity_once(models_dir, monkeypatch, tmp_path):
