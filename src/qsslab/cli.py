@@ -68,7 +68,7 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
     irred = structure_mod.check_irreducible(restr)
     result = _qss_families(ctx, tol_eig, irreducible=irred.verdict or None)
 
-    spectrum, _ = restr.eigen
+    spectrum, _ = restr.gen_schr.eig
     families_json = []
     for fam in result.families:
         report = qss_mod.verify_qss(ctx, fam.anchor)

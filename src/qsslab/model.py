@@ -147,8 +147,8 @@ def build_generator(spec: ModelSpec, picture: str = SCHRODINGER) -> Superop:
 def apply_semigroup(gen: Superop, t: float, x: np.ndarray) -> np.ndarray:
     """exp(t * gen) applied to the operator x.  Semigroup only: t >= 0.
 
-    On the spectral path this is two matrix-vector products in the
-    generator's eigenbasis, O(d^4); exp(t * gen) is not formed.
+    On the spectral path ``Propagator.apply`` maps x into the generator's
+    eigenbasis and back, O(d^4); exp(t * gen) is not formed.
     """
     if not 0 <= t < np.inf:
         raise ValueError("semigroup is defined for finite t >= 0 only")

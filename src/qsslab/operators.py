@@ -170,8 +170,6 @@ class Propagator:
     def apply(self, t, vec: np.ndarray) -> np.ndarray:
         """``exp(t*a) @ vec``, or with one time per row of a batch ``vec``."""
         if self.spectral:
-            if np.ndim(vec) == 1:
-                return self.v @ (np.exp(t * self.w) * (self.v_inv @ vec))
             return rowdot(self.v, np.exp(np.multiply.outer(t, self.w)) * rowdot(self.v_inv, vec))
         if np.ndim(t) == 0:
             return self.matrix(t) @ vec

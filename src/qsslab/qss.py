@@ -135,7 +135,7 @@ def real_eigen_candidates(
     algebraic one are flagged defective; only genuine eigenvectors enter the
     Hermitian basis.
     """
-    w, v = restr.eigen
+    w, v = restr.gen_schr.eig
     scale = max(1.0, frob(restr.gen_schr.mat))
     real_mask = (np.abs(w.imag) <= real_tol * scale) & (w.real <= real_tol * scale)
     idx = np.where(real_mask)[0]
@@ -348,7 +348,7 @@ def perron_structure(
     spectrum.  Under irreducibility the Perron family must be a single
     strictly positive state and the only family.
     """
-    w, _ = restr.eigen
+    w, _ = restr.gen_schr.eig
     abscissa = float(np.max(w.real))
     # one line: the message is printed as the CLI's one-line error
     spectrum = np.array2string(np.sort_complex(w), max_line_width=np.inf)

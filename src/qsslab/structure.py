@@ -76,11 +76,6 @@ class RestrictedGenerator:
     def evolve(self, t: float, rho_hat: np.ndarray) -> np.ndarray:
         return apply_semigroup(self.gen_schr, t, rho_hat)
 
-    @property
-    def eigen(self):
-        """``op.eig_general`` pair of ``gen_schr``, solved once by :func:`restrict`."""
-        return self.gen_schr.eig
-
 
 @dataclass(frozen=True)
 class AbsorptionReport:
