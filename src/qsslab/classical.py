@@ -162,15 +162,11 @@ def crosscheck(rm: RateMatrix, tol: float = 1e-9) -> CrosscheckReport:
 
 
 def _distance_to_family(fam, target: np.ndarray) -> float:
-    """Distance from ``target`` to the family's certified states or segment."""
-    candidates = [fam.anchor.nu] + [c.nu for c in fam.endpoints]
-    best = min(frob(nu - target) for nu in candidates)
-    if fam.param_interval is not None and len(fam.endpoints) == 2:
-        # project onto the segment between the endpoint states
-        a, b = fam.endpoints[0].nu, fam.endpoints[1].nu
-        direction = b - a
-        denom = np.vdot(direction, direction).real
-        if denom > 1e-20:
-            s = np.clip(np.vdot(direction, target - a).real / denom, 0.0, 1.0)
-            best = min(best, frob(a + s * direction - target))
-    return best
+    """Distance from ``target`` to span(``fam.herm_basis``).
+
+    The family is the PSD trace-one part of that span, so a PSD trace-one
+    target is a member iff the distance is zero.  The embedded basis is
+    Hilbert-Schmidt orthonormal, which makes the distance the norm of the
+    orthogonal remainder.
+    """
+    return frob(target - sum(np.vdot(b, target).real * b for b in fam.herm_basis))

@@ -214,41 +214,35 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     return Propagator(a).matrix(t)
 
 
-def eig_left_right(a):
-    """``(w, vl, vr)`` with ``a @ vr = vr * w`` and ``vl^dag @ a = w * vl^dag``.
-
-    The columns of ``vl`` are right eigenvectors of ``adjoint(a)`` for
-    ``conj(w)``, so one solve serves a matrix and its adjoint.
-    """
-    try:
-        return sla.eig(as_operator(a), left=True, right=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
-
-
-def eig_general(a, tol: float = TOL_EIG):
+def eig_general(a, tol: float = TOL_EIG, left: bool = False):
     """All eigenpairs of a general complex matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with unit-norm right eigenvectors
     as columns, sorted by descending real part (descending imaginary part as
-    tie break, so the output is deterministic).  Residuals
-    ``||a v - lambda v||`` are checked against ``tol * max(1, ||a||)``.
+    tie break, so the output is deterministic).  With ``left`` the same solve
+    also gives ``vl`` with ``vl^dag @ a = w * vl^dag``, and the result is
+    ``(w, vl, vr)``: the columns of ``vl`` are right eigenvectors of
+    ``adjoint(a)`` for ``conj(w)``, so one solve serves a matrix and its
+    adjoint.  Residuals ``||a v - lambda v||`` of every returned vector are
+    checked against ``tol * max(1, ||a||)``.
     """
     a = as_operator(a)
     try:
-        w, v = sla.eig(a)
+        w, *vecs = sla.eig(a, left=left)
     except (np.linalg.LinAlgError, sla.LinAlgError) as exc:  # pragma: no cover
         raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
-    norms = np.linalg.norm(v, axis=0)
-    norms[norms == 0] = 1.0
-    v = v / norms
     order = np.lexsort((-w.imag, -w.real))
-    w, v = w[order], v[:, order]
+    w = w[order]
+    for k, v in enumerate(vecs):
+        norms = np.linalg.norm(v, axis=0)
+        norms[norms == 0] = 1.0
+        vecs[k] = (v / norms)[:, order]
     scale = max(1.0, frob(a))
-    residual = np.linalg.norm(a @ v - v * w, axis=0)
-    if np.max(residual, initial=0.0) > tol * scale:
+    checks = [(a, vecs[-1], w)] + ([(adjoint(a), vecs[0], w.conj())] if left else [])
+    residual = max(np.max(np.linalg.norm(b @ v - v * z, axis=0), initial=0.0) for b, v, z in checks)
+    if residual > tol * scale:
         raise EigenSolveError(
-            f"eigenpair residual {np.max(residual):.3e} exceeds {tol * scale:.3e}",
-            partial=(w, v),
+            f"eigenpair residual {residual:.3e} exceeds {tol * scale:.3e}",
+            partial=(w, *vecs),
         )
-    return w, v
+    return (w, *vecs)

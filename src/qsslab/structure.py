@@ -5,12 +5,13 @@ evolution compressed to the range of p0-perp is again a semigroup; its
 generator (in both pictures) is built here together with the absorption
 operator A(p0) = lim_t T_t(p0) and an invariant-subspace search used to
 classify the restriction as irreducible or not.  :class:`Analysis` builds
-each of them once per model.
+each of them once per model.  Everything past the generator itself is read
+off the m^2 x m^2 restriction: no d^2 x d^2 matrix is eigendecomposed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -24,6 +25,8 @@ from .model import (
     Superop,
     apply_semigroup,
     build_generator,
+    left_mul,
+    right_mul,
     sandwich,
 )
 from .operators import adjoint, devectorize, frob, vectorize
@@ -50,8 +53,9 @@ class RestrictedGenerator:
 
     ``isometry`` has the orthonormal basis of range(p0_perp) as columns;
     ``gen_schr`` / ``gen_heis`` are the m^2 x m^2 generator matrices of the
-    compressed state / observable evolution; ``g_hat`` and ``jumps_hat`` are
-    the compressed drift and jump operators generating the same semigroup.
+    compressed state / observable evolution, carrying the right and the left
+    vectors of one eigensolve; ``g_hat`` and ``jumps_hat`` are the compressed
+    drift and jump operators generating the same semigroup.
     """
 
     spec: ModelSpec
@@ -96,31 +100,17 @@ class IrreducibilityReport:
 class Analysis:
     """What ``analyze`` derives from one model, each object built on first use.
 
-    ``schr`` and ``heis`` share one eigensolve of the Schroedinger matrix S:
-    its right pairs (w, V_R) serve ``schr``, and its left vectors V_L, the
-    right eigenvectors of H = S^dag for conj(w), serve ``heis``.  Each
-    generator builds its propagator on first use from its pair.  The stage
-    functions below take an ``Analysis`` or a bare ``ModelSpec``, which gets
-    a fresh context.
+    ``schr`` is the d^2 x d^2 Schroedinger generator; the restriction
+    compresses it and the sampler's kernels shift it, but nothing
+    eigendecomposes it.  The stage functions below take an ``Analysis`` or a
+    bare ``ModelSpec``, which gets a fresh context.
     """
 
     spec: ModelSpec
 
     @cached_property
-    def _pictures(self) -> tuple:
-        schr = build_generator(self.spec, SCHRODINGER)
-        # H = S^dag satisfies the conjugate of the Schroedinger picture check
-        heis = Superop(mat=adjoint(schr.mat), picture=HEISENBERG, dim=self.spec.dim)
-        w, vl, vr = op.eig_left_right(schr.mat)
-        return replace(schr, eig=(w, vr)), replace(heis, eig=(w.conj(), vl))
-
-    @property
     def schr(self) -> Superop:
-        return self._pictures[0]
-
-    @property
-    def heis(self) -> Superop:
-        return self._pictures[1]
+        return build_generator(self.spec, SCHRODINGER)
 
     @cached_property
     def subharmonic(self) -> SubharmonicReport:
@@ -139,31 +129,44 @@ def as_analysis(model) -> Analysis:
     return model if isinstance(model, Analysis) else Analysis(model)
 
 
+def _algebraic_residual(spec: ModelSpec) -> tuple:
+    """``(residual, ok)``: how far range(p0) is from invariant under G and every jump.
+
+    For a projection this criterion is exact (Fagnola & Rebolledo, J. Math.
+    Phys. 43, 2002): ``ok`` decides subharmonicity.
+    """
+    p0, perp = spec.p0, spec.p0_perp
+    residual = frob(perp @ spec.effective_drift() @ p0)
+    for l in spec.jump_ops:
+        residual = max(residual, frob(perp @ l @ p0))
+    return residual, residual <= 1e-10 * max(1.0, frob(spec.hamiltonian))
+
+
 def check_subharmonic(model) -> SubharmonicReport:
     """Decide whether p0 is subharmonic, algebraically and dynamically.
 
     Algebraic criterion: the range of p0 is invariant under every jump
     operator and under the drift G.  Dynamical criterion: T_t(p0) >= p0 at a
-    few sample times.  The verdict requires both.
+    few sample times, read off the restriction as
+    T_t(p0) - p0 = V (1_m - T^*_t(1_m)) V^dag; ``semigroup_residual`` is the
+    smallest eigenvalue (at most 0), or nan when the algebraic criterion
+    already fails and no restriction exists.  The verdict requires both.
     """
     ctx = as_analysis(model)
-    spec = ctx.spec
-    p0, perp = spec.p0, spec.p0_perp
-    residual = frob(perp @ spec.effective_drift() @ p0)
-    for l in spec.jump_ops:
-        residual = max(residual, frob(perp @ l @ p0))
-    semigroup_residual = 0.0
-    for t in SUBHARMONIC_CHECK_TIMES:
-        diff = apply_semigroup(ctx.heis, t, p0) - p0
-        w = np.linalg.eigvalsh(0.5 * (diff + adjoint(diff)))
-        semigroup_residual = min(semigroup_residual, float(w[0]))
-    verdict = residual <= 1e-10 * max(1.0, frob(spec.hamiltonian)) and (
-        semigroup_residual >= -op.TOL_PSD
-    )
+    residual, ok = _algebraic_residual(ctx.spec)
+    semigroup_residual = np.nan
+    if ok:
+        heis = ctx.restriction.gen_heis
+        one = np.eye(heis.dim)
+        semigroup_residual = 0.0
+        for t in SUBHARMONIC_CHECK_TIMES:
+            diff = one - apply_semigroup(heis, t, one)
+            w = np.linalg.eigvalsh(0.5 * (diff + adjoint(diff)))
+            semigroup_residual = min(semigroup_residual, float(w[0]))
     return SubharmonicReport(
         algebraic_residual=residual,
         semigroup_residual=semigroup_residual,
-        verdict=verdict,
+        verdict=ok and semigroup_residual >= -op.TOL_PSD,
     )
 
 
@@ -190,15 +193,19 @@ def _perp_isometry(spec: ModelSpec) -> np.ndarray:
 def restrict(model) -> RestrictedGenerator:
     """Build the compressed generator on range(p0_perp) in both pictures.
 
-    ``gen_schr`` carries its ``op.eig_general`` pair, the restriction's one
-    eigensolve, which serves the candidates and the propagator alike.
+    Gated on the algebraic criterion alone, since the dynamical one is
+    evaluated on this restriction.  One ``op.eig_general`` solve with left
+    vectors gives ``gen_schr`` its right pairs (w, V_R) and ``gen_heis`` =
+    ``gen_schr^dag`` its pairs (conj(w), V_L); they serve the candidates,
+    the absorption projector and both propagators.
     """
     ctx = as_analysis(model)
-    spec, report = ctx.spec, ctx.subharmonic
-    if not report.verdict:
+    spec = ctx.spec
+    residual, ok = _algebraic_residual(spec)
+    if not ok:
         raise StructureError(
             "restriction undefined: p0 is not subharmonic "
-            f"(algebraic residual {report.algebraic_residual:.3e})"
+            f"(algebraic residual {residual:.3e})"
         )
     v = _perp_isometry(spec)
     m = v.shape[1]
@@ -209,8 +216,6 @@ def restrict(model) -> RestrictedGenerator:
     g_hat = v.conj().T @ spec.effective_drift() @ v
     jumps_hat = tuple(v.conj().T @ l @ v for l in spec.jump_ops)
     # same semigroup from the compressed GKLS data: G rho + rho G^dag + sum L rho L^dag
-    from .model import left_mul, right_mul  # local import to avoid cycle noise
-
     gkls_form = left_mul(g_hat) + right_mul(adjoint(g_hat))
     for l in jumps_hat:
         gkls_form = gkls_form + sandwich(l, adjoint(l))
@@ -219,12 +224,13 @@ def restrict(model) -> RestrictedGenerator:
         raise StructureError(
             f"restricted generator inconsistent with compressed GKLS form: {defect:.3e}"
         )
+    w, vl, vr = op.eig_general(gen_schr, left=True)
     return RestrictedGenerator(
         spec=spec,
         m=m,
         isometry=v,
-        gen_schr=Superop(mat=gen_schr, picture=SCHRODINGER, dim=m, eig=op.eig_general(gen_schr)),
-        gen_heis=Superop(mat=adjoint(gen_schr), picture=HEISENBERG, dim=m),
+        gen_schr=Superop(mat=gen_schr, picture=SCHRODINGER, dim=m, eig=(w, vr)),
+        gen_heis=Superop(mat=adjoint(gen_schr), picture=HEISENBERG, dim=m, eig=(w.conj(), vl)),
         g_hat=g_hat,
         jumps_hat=jumps_hat,
     )
@@ -233,34 +239,38 @@ def restrict(model) -> RestrictedGenerator:
 def absorption_operator(model) -> AbsorptionReport:
     """A(p0) = lim_t T_t(p0), via the peripheral spectral component.
 
-    The limit is the spectral projector of the Heisenberg generator H onto
-    its kernel, P = V_k (U_k^dag V_k)^-1 U_k^dag, applied to vec(p0).  V_k and
-    U_k are H's right and left eigenvectors with |w| <= 1e-9 * scale; U_k are
-    the Schroedinger generator's right eigenvectors.  Unlike V^-1, this needs
-    no inverse of a possibly ill-conditioned eigenbasis.  Purely imaginary
-    peripheral eigenvalues are dropped, which realizes the Cesaro time
-    average.  The result is cross-validated against direct semigroup
-    evaluation with time doubling.
+    For subharmonic p0, 0 <= T_t(p0_perp) <= p0_perp forces
+    T_t(p0_perp) = V T^*_t(1_m) V^dag, so A(p0) = 1 - V P(1_m) V^dag with P
+    the spectral projector of the restricted Heisenberg generator H onto its
+    kernel, P = V_k (U_k^dag V_k)^-1 U_k^dag.  V_k and U_k are H's right and
+    left eigenvectors with |w| <= 1e-9 * scale, from the restriction's one
+    solve.  Unlike V^-1, this needs no inverse of a possibly ill-conditioned
+    eigenbasis; an empty kernel (absorbing p0) gives A(p0) = 1 exactly.
+    Purely imaginary peripheral eigenvalues are dropped, which realizes the
+    Cesaro time average.  The result is cross-validated against direct
+    evaluation of T^*_t(1_m) with time doubling.
     """
     ctx = as_analysis(model)
-    spec, heis = ctx.spec, ctx.heis
+    spec = ctx.spec
     if not ctx.subharmonic.verdict:
         raise StructureError("absorption operator requires a subharmonic p0")
-    m = heis.mat
-    (w, v), u = heis.eig, ctx.schr.eig[1]
-    keep = np.abs(w) <= 1e-9 * max(1.0, frob(m))
+    restr = ctx.restriction
+    heis, one = restr.gen_heis, np.eye(restr.m)
+    (w, v), u = heis.eig, restr.gen_schr.eig[1]
+    keep = np.abs(w) <= 1e-9 * max(1.0, frob(heis.mat))
     v_k, u_k_adj = v[:, keep], adjoint(u[:, keep])
     try:
-        coef = np.linalg.solve(u_k_adj @ v_k, u_k_adj @ vectorize(spec.p0))
+        coef = np.linalg.solve(u_k_adj @ v_k, u_k_adj @ vectorize(one))
     except np.linalg.LinAlgError as exc:
         raise op.EigenSolveError(f"kernel projector of the Heisenberg generator: {exc}") from exc
-    a_op = devectorize(v_k @ coef)
-    a_op = 0.5 * (a_op + adjoint(a_op))
+    pi_one = devectorize(v_k @ coef)
+    pi_one = 0.5 * (pi_one + adjoint(pi_one))
+    a_op = np.eye(spec.dim) - restr.embed(pi_one)
 
     t, gap = 1.0, np.inf
-    prev = apply_semigroup(heis, t, spec.p0)
+    prev = apply_semigroup(heis, t, one)
     while t <= ABSORPTION_DOUBLING_CAP:
-        cur = apply_semigroup(heis, 2 * t, spec.p0)
+        cur = apply_semigroup(heis, 2 * t, one)
         gap = frob(cur - prev)
         prev, t = cur, 2 * t
         if gap <= 1e-8:
@@ -269,12 +279,12 @@ def absorption_operator(model) -> AbsorptionReport:
         raise StructureError(
             f"T_t(p0) did not converge: gap {gap:.3e} at t={t:g} (cap {ABSORPTION_DOUBLING_CAP:g})"
         )
-    direct_gap = frob(a_op - prev)
+    direct_gap = frob(pi_one - prev)
     if direct_gap > 1e-6:
         raise StructureError(
             f"spectral and semigroup limits disagree: {direct_gap:.3e}"
         )
-    residual_harmonic = frob(devectorize(m @ vectorize(a_op)))
+    residual_harmonic = frob(devectorize(adjoint(ctx.schr.mat) @ vectorize(a_op)))
     is_absorbing = frob(a_op - np.eye(spec.dim)) <= ABSORBING_NORM_TOL
     return AbsorptionReport(
         a_op=a_op,

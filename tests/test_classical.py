@@ -5,11 +5,13 @@ import scipy.linalg as sla
 from qsslab.classical import (
     ClassicalError,
     RateMatrix,
+    _distance_to_family,
     classical_qsd,
     crosscheck,
     embed,
 )
 from qsslab.model import SCHRODINGER, apply_semigroup, build_generator
+from qsslab.qss import QssCertificate, QssFamily
 
 
 def chain_two_state(rate=1.0):
@@ -106,6 +108,29 @@ def test_crosscheck_random_chains():
         rm = random_absorbing_chain(rng, n)
         report = crosscheck(rm)
         assert report.ok, f"crosscheck failed for chain\n{rm.q}"
+
+
+def test_distance_to_family_is_exact_membership():
+    # a 3-dimensional family: all states diagonal in a rotated basis; the
+    # anchor is the maximally mixed state and the endpoints are the pure ones
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+
+    def rotated(diag):
+        return u @ np.diag(diag).astype(complex) @ u.conj().T
+
+    def cert(nu):
+        return QssCertificate(alpha=1.0, nu=nu, residual_eigen=0.0, residual_defn=0.0)
+
+    basis = tuple(rotated(e) for e in np.eye(3))
+    fam = QssFamily(alpha=1.0, herm_basis=basis, anchor=cert(rotated([1 / 3] * 3)),
+                    endpoints=tuple(cert(b) for b in basis))
+    member = rotated([0.6, 0.3, 0.1])
+    assert min(np.linalg.norm(member - c.nu) for c in (fam.anchor,) + fam.endpoints) > 0.3
+    assert _distance_to_family(fam, member) <= 1e-12
+    off = np.full((3, 3), 1 / 3, dtype=complex)  # |+><+| in the standard basis
+    non_member = 0.5 * member + 0.5 * u @ off @ u.conj().T
+    assert _distance_to_family(fam, non_member) > 0.1
 
 
 def test_crosscheck_alpha_against_direct_eigensolve():

@@ -142,7 +142,7 @@ def test_analyze_small_omega_converges(omega, tmp_path):
 
 
 def test_numerical_failures_exit_2_without_traceback(models_dir, monkeypatch, capsys):
-    def failing_eig_general(a, tol=op.TOL_EIG):
+    def failing_eig_general(a, tol=op.TOL_EIG, left=False):
         raise op.EigenSolveError("eigensolver did not converge: injected")
 
     monkeypatch.setattr(op, "eig_general", failing_eig_general)

@@ -13,6 +13,7 @@ from qsslab.model import (
     HEISENBERG,
     SCHRODINGER,
     ModelSpec,
+    Superop,
     apply_semigroup,
     build_generator,
     two_qubit_both,
@@ -168,22 +169,35 @@ def test_absorption_with_a_multidimensional_heisenberg_kernel():
     jump[0, 2] = 1.0
     spec = ModelSpec(dim=3, hamiltonian=np.zeros((3, 3)), jump_ops=(jump,),
                      p0=np.diag([1.0, 0.0, 0.0]).astype(complex))
-    ctx = structure.Analysis(spec)
-    w, _ = ctx.heis.eig
-    assert np.sum(np.abs(w) <= 1e-9 * max(1.0, op.frob(ctx.heis.mat))) >= 2
-    report = ctx.absorption
+    heis = build_generator(spec, HEISENBERG).mat
+    w = np.linalg.eigvals(heis)
+    assert np.sum(np.abs(w) <= 1e-9 * max(1.0, op.frob(heis))) >= 2
+    report = structure.Analysis(spec).absorption
     assert np.max(np.abs(report.a_op - np.diag([1.0, 0.0, 1.0]))) <= 1e-9
     assert not report.is_absorbing
 
 
+@pytest.mark.parametrize("omega", [5e-4, 1e-3, 1e-2])
+def test_small_omega_absorption_is_exact(omega):
+    # the slowest restricted rate is ~omega^2, far above the kernel cut, so
+    # the restricted Heisenberg kernel is empty and A(p0) = 1 exactly
+    report = absorption_operator(two_qubit_site1(omega))
+    assert np.max(np.abs(report.a_op - np.eye(4))) <= 1e-14
+    assert report.is_absorbing
+
+
 @pytest.mark.parametrize("spec", [two_qubit_site1(1.0), two_qubit_both(0.3)], ids=["site1", "both"])
 def test_analysis_propagators_match_independent_generators(spec):
-    ctx = structure.Analysis(spec)
-    for picture, gen in ((HEISENBERG, ctx.heis), (SCHRODINGER, ctx.schr)):
-        ref = build_generator(spec, picture)
+    # the restricted generators against compressions of the independently
+    # built full-space ones, whose propagators eigendecompose them afresh
+    restr = structure.Analysis(spec).restriction
+    v, one = restr.isometry, np.eye(restr.m)
+    compress, embed = np.kron(v.T, v.conj().T), np.kron(v.conj(), v)
+    for picture, gen in ((HEISENBERG, restr.gen_heis), (SCHRODINGER, restr.gen_schr)):
+        ref = Superop(mat=compress @ build_generator(spec, picture).mat @ embed, picture=picture, dim=restr.m)
         assert np.array_equal(gen.mat, ref.mat)
         assert gen.propagator.spectral
-        vec = op.vectorize(spec.p0 if picture == HEISENBERG else np.eye(spec.dim) / spec.dim)
+        vec = op.vectorize(one if picture == HEISENBERG else one / restr.m)
         for t in (0.1, 1.0, 10.0):
             want = ref.propagator.matrix(t)
             got = gen.propagator.matrix(t)
@@ -236,8 +250,9 @@ def _count_sizes(monkeypatch, owner, name, sizes):
 
 
 def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_path):
-    # one d^2 x d^2 solve serves both pictures, one m^2 x m^2 solve the
-    # restriction, and g_hat (m x m) seeds the irreducibility search
+    # one m^2 x m^2 solve serves the restriction in both pictures, g_hat
+    # (m x m) seeds the irreducibility search, and no d^2 x d^2 matrix is
+    # eigendecomposed
     sizes = Counter()
     _count_sizes(monkeypatch, np.linalg, "eig", sizes)
     _count_sizes(monkeypatch, sla, "eig", sizes)
@@ -246,13 +261,33 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     matrix = _count_calls(monkeypatch, op.Propagator, "matrix")
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
-    d, m = 4, 3
-    assert sizes == {d * d: 1, m * m: 1, m: 1}
+    m = 3
+    assert sizes == {m * m: 1, m: 1}
     assert len(subharmonic) == 1
     assert len(eig_general) == 1
     # every propagator of this model is spectral, so apply_semigroup never
     # forms exp(tL)
     assert matrix == []
+
+
+def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_path):
+    sizes = Counter()
+    _count_sizes(monkeypatch, np.linalg, "eig", sizes)
+    _count_sizes(monkeypatch, sla, "eig", sizes)
+    path = os.path.join(models_dir, "two_qubit_site1.json")
+    assert cli.main(["sweep", path, "--range", "0.1:1.0:4", "--out", str(tmp_path / "s.csv")]) == 0
+    assert sizes == {3 * 3: 4}
+
+
+def test_simulate_solves_only_the_nojump_generator_in_full(models_dir, monkeypatch, tmp_path):
+    sizes = Counter()
+    _count_sizes(monkeypatch, np.linalg, "eig", sizes)
+    _count_sizes(monkeypatch, sla, "eig", sizes)
+    path = os.path.join(models_dir, "two_qubit_site1.json")
+    rc = cli.main(["simulate", path, "--samples", "20", "--out", str(tmp_path / "s.json")])
+    assert rc == 0
+    d, m = 4, 3
+    assert sizes == {d * d: 1, m * m: 1}
 
 
 def test_simulate_checks_subharmonicity_once(models_dir, monkeypatch, tmp_path):
