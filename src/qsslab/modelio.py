@@ -160,7 +160,7 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps(obj, indent: int = 0) -> str:
+def dumps(obj) -> str:
     """JSON text with sorted keys and 17-significant-digit floats."""
     if type(obj) is float:
         return _fmt_float(obj)

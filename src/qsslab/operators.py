@@ -198,10 +198,6 @@ class Propagator:
         rows = [self._trace_row @ self.matrix(t) for t in times.ravel()]
         return np.reshape(rows, times.shape + self.mat.shape[:1])
 
-    def trace_curve(self, vecs: np.ndarray, times) -> np.ndarray:
-        """``tr(exp(t*a) vec)`` for each row of ``vecs``, on a shared or a per-row grid."""
-        return (self.trace_coords(vecs)[..., None, :] * self.trace_rows(times)).sum(-1).real
-
 
 def rowdot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a @ x[b]`` for each row ``b`` as a broadcast row-wise sum: a row's result

@@ -9,11 +9,12 @@ sector-sum checks.
 
 Sampling is inverse-CDF on the unnormalized trace with censoring at a
 finite horizon: the trace can plateau strictly above zero (the absorbed
-branch), so an unconditional next-jump draw would not terminate.  All
-trajectories of a batch advance in lockstep, one segment per round: the
-survival scan on the ``STEP`` grid and the bisection to ``TIME_TOL`` run
-over the whole batch at once, in row-wise arithmetic, so a record does not
-depend on the batch size.
+branch), so an unconditional next-jump draw would not terminate.  The
+survival curve tr S_t(rho) is non-increasing (d/dt = -tr(p0_perp S_t(rho)) <= 0):
+a jump fires iff it ends below the draw, a binary search over the ``STEP``
+grid brackets the one crossing and a bisection to ``TIME_TOL`` refines it.
+All trajectories of a batch advance in lockstep, one segment per round, in
+row-wise arithmetic, so a record does not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ import numpy as np
 from . import operators as op
 from .model import SCHRODINGER, ModelSpec, Superop, left_mul, right_mul, sandwich
 from .operators import devectorize, frob, vectorize
-from .structure import as_analysis, check_subharmonic  # noqa: F401 (still importable from here)
+from .structure import as_analysis, check_subharmonic  # noqa: F401 (qssbench tests patch it)
 
-STEP = 0.01           # no-jump scan step for locating the firing time
+STEP = 0.01           # grid step of the survival curve's bracket search
 TIME_TOL = 1e-10      # bisection tolerance on the firing time
 CHUNK_ROWS = 128      # trajectories per chunk of every batched sampler step
-SCAN_POINTS = 32      # grid points per block of the survival scan
 DRAWS = 8             # uniforms drawn from a stream at a time
 
 
@@ -108,6 +108,24 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     )
 
 
+def _bracket(x, at_end, table, grid, u, remaining):
+    """``(fired, k_hit)``: the first grid index ``k <= ceil(remaining / STEP)`` with
+    survival below ``u`` (``-1`` where none), by binary search on the monotone
+    curve; grid points past ``remaining`` take ``at_end``, its value there."""
+    fired = at_end < u
+    k_hit = np.where(fired, np.ceil(remaining / STEP).astype(int), -1)
+    lo = np.full(len(u), -1)  # the last index known at or above u
+    active = np.flatnonzero(k_hit - lo > 1)
+    while active.size:
+        mid = (lo[active] + k_hit[active]) // 2
+        curve = (x[active] * table[mid]).sum(-1).real
+        below = np.where(grid[mid] > remaining[active], at_end[active], curve) < u[active]
+        k_hit[active[below]] = mid[below]
+        lo[active[~below]] = mid[~below]
+        active = active[k_hit[active] - lo[active] > 1]
+    return fired, k_hit
+
+
 def _segment(prop, table, grid, vecs, u, remaining):
     """Advance rows to the first ``t <= remaining`` with ``tr(S_t(rho)) = u``.
 
@@ -115,23 +133,8 @@ def _segment(prop, table, grid, vecs, u, remaining):
     (``remaining`` if not) and ``vec(S_t(rho))``.
     """
     x = prop.trace_coords(vecs)
-    n_steps = np.ceil(remaining / STEP).astype(int)
-    # a row's scan grid is min(grid[k], remaining) for k = 0..n_steps
     at_end = (x * prop.trace_rows(remaining)).sum(-1).real
-    k_hit = np.full(len(u), -1)
-    todo = np.arange(len(u))
-    for k0 in range(0, len(grid), SCAN_POINTS):
-        todo = todo[n_steps[todo] >= k0]
-        if not todo.size:
-            break
-        ks = np.arange(k0, min(k0 + SCAN_POINTS, len(grid)))
-        curve = (x[todo, None, :] * table[ks]).sum(-1).real
-        curve = np.where(grid[ks] > remaining[todo, None], at_end[todo, None], curve)
-        below = (curve < u[todo, None]) & (ks <= n_steps[todo, None])
-        hit = below.any(1)
-        k_hit[todo[hit]] = ks[below[hit].argmax(1)]
-        todo = todo[~hit]
-    fired = k_hit >= 0
+    fired, k_hit = _bracket(x, at_end, table, grid, u, remaining)
     hi = np.minimum(grid[k_hit], remaining)
     lo = np.where(k_hit > 0, np.minimum(grid[k_hit - 1], remaining), 0.0)
     active = np.flatnonzero(fired & (hi - lo > TIME_TOL))
@@ -149,8 +152,8 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     """Waiting-time unravelings of streams ``first_stream .. first_stream + n - 1``.
 
     Per round, each live trajectory draws u ~ U(0,1) from its own stream; its
-    jump fires at the first t with tr(S_t(rho)) = u, bracketed on the grid
-    from a table of the survival curve's exponentials and then bisected.  A
+    jump fires at the first t with tr(S_t(rho)) = u, bracketed by binary search
+    on the grid of a table of the survival curve's exponentials, then bisected.  A
     trajectory whose trace stays above u up to the horizon, or whose jump has
     vanishing weight (the absorbed branch), ends censored with its surviving
     unnormalized weight.  Rows pass every step in chunks of ``CHUNK_ROWS``.
@@ -164,6 +167,7 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     table = prop.trace_rows(grid)
     jump = sandwich(kernel.p0_perp, kernel.p0_perp)
     diag = np.arange(d) * (d + 1)
+    rngs = [_rng_for(seed, first_stream + i) for i in range(n)]
     draws = np.empty((n, DRAWS))
     vecs = np.tile(vectorize(rho0), (n, 1))
     t_now = np.zeros(n)
@@ -174,7 +178,7 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     r = 0
     while (live := np.flatnonzero(alive)).size:
         if r % DRAWS == 0:  # the next DRAWS uniforms of each live stream, in stream order
-            draws[live] = [_rng_for(seed, first_stream + i).uniform(size=r + DRAWS)[r:] for i in live]
+            draws[live] = [rngs[i].uniform(size=DRAWS) for i in live]
         u = draws[live, r % DRAWS]
         r += 1
         for c in range(0, live.size, CHUNK_ROWS):

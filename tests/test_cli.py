@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -193,6 +194,25 @@ def test_simulate_small_run(models_dir, tmp_path):
     assert len(lines) == 100
     rec = json.loads(lines[0])
     assert rec["seed"] == 42 and rec["horizon"] == 6
+
+
+def test_simulate_output_is_pinned(models_dir, tmp_path, capsys):
+    # the summary and every record byte for byte: neither the bracket search
+    # on the grid nor the order of the draws may move a bit
+    records = tmp_path / "records.jsonl"
+    rc = run(
+        [
+            "simulate", model_path(models_dir, "two_qubit_both.json"),
+            "--samples", "2000", "--horizon", "10", "--seed", "42", "--records", str(records),
+        ]
+    )
+    assert rc == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "f1cebf96172f1489932c1006b8f22d38ed04d1fade9c68df05c28c810111df7e"
+    )
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == (
+        "1a8e42e1767d2e1f4e5eba55043cb45a1bfa4d93245f12043726ca8e560a42d3"
+    )
 
 
 def test_simulate_start_file(models_dir, tmp_path):

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qsslab import operators
+import propcheck
+from qsslab import operators, trajectory
 from qsslab.model import two_qubit_both, two_qubit_site1
+from qsslab.operators import vectorize
 from qsslab.structure import restrict
 from qsslab.qss import extract_qss, perron_structure, real_eigen_candidates
 from qsslab.trajectory import (
     TrajectoryError,
     DRAWS,
+    STEP,
+    _bracket,
     _rng_for,
     build_kernel,
     jump_statistics,
@@ -155,6 +159,81 @@ def test_fallback_propagator_samples_like_the_spectral_one(monkeypatch):
     for a, b in zip(spectral, fallback):
         assert a.n_jumps == b.n_jumps
         assert np.allclose(a.jump_times, b.jump_times, rtol=0.0, atol=1e-9)
+
+
+def _scan_bracket(x, at_end, table, grid, u, remaining):
+    """Linear-scan reference for ``_bracket``: the grid in order, 32 points at a time.
+
+    Assumes nothing of the curve's shape: a row fires at its first grid point
+    ``k <= ceil(remaining / STEP)`` below ``u``, where points past
+    ``remaining`` take ``at_end``.
+    """
+    n_steps = np.ceil(remaining / STEP).astype(int)
+    k_hit = np.full(len(u), -1)
+    todo = np.arange(len(u))
+    for k0 in range(0, len(grid), 32):
+        todo = todo[n_steps[todo] >= k0]
+        if not todo.size:
+            break
+        ks = np.arange(k0, min(k0 + 32, len(grid)))
+        curve = (x[todo, None, :] * table[ks]).sum(-1).real
+        curve = np.where(grid[ks] > remaining[todo, None], at_end[todo, None], curve)
+        below = (curve < u[todo, None]) & (ks <= n_steps[todo, None])
+        hit = below.any(1)
+        k_hit[todo[hit]] = ks[below[hit].argmax(1)]
+        todo = todo[~hit]
+    return k_hit >= 0, k_hit
+
+
+def test_bracket_matches_the_linear_scan(monkeypatch):
+    # every segment of 10^4 streams per fixture, bracketed by binary search
+    # and by the linear scan, on the spectral and on the fallback propagator
+    segment = trajectory._segment
+    for spec in SAMPLER_MODELS[:2]:
+        segments = []
+
+        def capture(prop, table, grid, vecs, u, remaining):
+            segments.append((grid, vecs, u, remaining))
+            return segment(prop, table, grid, vecs, u, remaining)
+
+        kernel = build_kernel(spec)
+        with monkeypatch.context() as m:
+            m.setattr(trajectory, "_segment", capture)
+            sample_trajectories(kernel, perron_qss(spec), 6.0, seed=42, n=10_000)
+            m.setattr(operators, "EXPM_COND_LIMIT", 0.0)
+            fallback = build_kernel(spec).gen_nojump.propagator
+        assert not fallback.spectral
+        grid = segments[0][0]
+        vecs, u, remaining = (np.concatenate(parts) for parts in list(zip(*segments))[1:])
+        for prop in (kernel.gen_nojump.propagator, fallback):
+            x = prop.trace_coords(vecs)
+            times, at = np.unique(remaining, return_inverse=True)
+            at_end = (x * prop.trace_rows(times)[at]).sum(-1).real
+            table = prop.trace_rows(grid)
+            fired, k_hit = _bracket(x, at_end, table, grid, u, remaining)
+            for c in range(0, len(u), 1024):
+                rows = slice(c, c + 1024)
+                ref_fired, ref_k = _scan_bracket(x[rows], at_end[rows], table, grid, u[rows],
+                                                 remaining[rows])
+                assert np.array_equal(fired[rows], ref_fired)
+                assert np.array_equal(k_hit[rows], ref_k)
+            assert 0 < fired.sum() < len(u) and (k_hit > 0).any()
+
+
+def test_survival_curve_is_non_increasing_on_the_grid():
+    # the premise of the binary search: tr S_t(rho) of a post-jump state never
+    # rises from one grid point to the next, beyond roundoff
+    rng = np.random.default_rng(4242)
+    specs = list(SAMPLER_MODELS[:2]) + [propcheck.random_subharmonic_model(rng) for _ in range(30)]
+    grid = STEP * np.arange(3001)
+    for case, spec in enumerate(specs):
+        kernel = build_kernel(spec)
+        prop = kernel.gen_nojump.propagator
+        table = prop.trace_rows(grid)
+        for _ in range(5):
+            post = kernel.jump_map(propcheck.random_density(rng, spec.dim))
+            curve = (prop.trace_coords(vectorize(post / np.trace(post))) * table).sum(-1).real
+            assert np.diff(curve).max() <= 64 * np.finfo(float).eps, case
 
 
 def test_post_jump_states_return_to_qss():
