@@ -9,6 +9,7 @@ formatting); sweeps are locale-independent CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -279,6 +280,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsslab",

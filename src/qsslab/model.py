@@ -94,21 +94,25 @@ class Superop:
         return op.Propagator(self.mat, self.eig)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two matrices as one broadcast product, entry for entry."""
+    (n, m), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * p, m * q)
+
+
 def left_mul(a: np.ndarray) -> np.ndarray:
     """Superoperator matrix of x -> a x."""
-    d = a.shape[0]
-    return np.kron(np.eye(d), a)
+    return _kron(np.eye(a.shape[0]), a)
 
 
 def right_mul(b: np.ndarray) -> np.ndarray:
     """Superoperator matrix of x -> x b."""
-    d = b.shape[0]
-    return np.kron(b.T, np.eye(d))
+    return _kron(b.T, np.eye(b.shape[0]))
 
 
 def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Superoperator matrix of x -> a x b."""
-    return np.kron(b.T, a)
+    return _kron(b.T, a)
 
 
 def gkls_matrix(hamiltonian, jump_ops, picture: str = SCHRODINGER) -> np.ndarray:
@@ -144,17 +148,26 @@ def build_generator(spec: ModelSpec, picture: str = SCHRODINGER) -> Superop:
     return Superop(mat=m, picture=picture, dim=spec.dim)
 
 
-def apply_semigroup(gen: Superop, t: float, x: np.ndarray) -> np.ndarray:
+def apply_semigroup(gen: Superop, t, x: np.ndarray) -> np.ndarray:
     """exp(t * gen) applied to the operator x.  Semigroup only: t >= 0.
 
     On the spectral path ``Propagator.apply`` maps x into the generator's
-    eigenbasis and back, O(d^4); exp(t * gen) is not formed.
+    eigenbasis and back, O(d^4); exp(t * gen) is not formed.  A 1-D sequence
+    of times gives a (k, d, d) stack from one ``Propagator.apply`` call, each
+    slice bit for bit the scalar call's.
     """
-    if not 0 <= t < np.inf:
+    times = np.asarray(t, dtype=float)
+    if not np.all((0 <= times) & (times < np.inf)):
         raise ValueError("semigroup is defined for finite t >= 0 only")
-    if t == 0:
-        return op.as_operator(x).copy()
-    return devectorize(gen.propagator.apply(t, vectorize(x)))
+    x = op.as_operator(x)
+    zero = times == 0
+    if zero.all():
+        return np.broadcast_to(x, times.shape + x.shape).copy()
+    rows = gen.propagator.apply(times, vectorize(x))
+    # C-ordered slices, as devectorize returns: norms sum in memory order
+    out = rows.reshape(times.shape + x.shape).swapaxes(-1, -2).copy()
+    out[zero] = x
+    return out
 
 
 def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> float:

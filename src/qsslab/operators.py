@@ -49,7 +49,8 @@ def as_operator(a) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def frob(a) -> float:
@@ -168,12 +169,13 @@ class Propagator:
         return sla.expm(t * self.mat)
 
     def apply(self, t, vec: np.ndarray) -> np.ndarray:
-        """``exp(t*a) @ vec``, or with one time per row of a batch ``vec``."""
+        """``exp(t*a) @ vec``: one time per row of a batch ``vec``, or times for one ``vec``."""
         if self.spectral:
             return rowdot(self.v, np.exp(np.multiply.outer(t, self.w)) * rowdot(self.v_inv, vec))
         if np.ndim(t) == 0:
             return self.matrix(t) @ vec
-        return np.reshape([self.matrix(s) @ x for s, x in zip(t, vec)], np.shape(vec))
+        vec = np.broadcast_to(vec, np.shape(t) + np.shape(vec)[-1:])
+        return np.reshape([self.matrix(s) @ x for s, x in zip(t, vec)], vec.shape)
 
     @cached_property
     def _trace_row(self) -> np.ndarray:

@@ -93,6 +93,43 @@ def test_analyze_deterministic_output(models_dir, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "model, stream, digest",
+    [
+        ("two_qubit_site1.json", "out", "222fb7955f1f2eb06bb103fbed0311530e63671a4f096d6a49a05c87abf77fcd"),
+        ("two_qubit_both.json", "out", "f109c317f49cf6b26703a52edda395df7d325701d5ac3e59e202d2bc19eee083"),
+        (two_qubit_both(0.0), "out", "d9223d2b288348cf9ccff6b946a13032d5ecee5cb5d0e6acb32e402626a4e8c7"),
+        (two_qubit_site1(0.5), "err", "12e44de94ebd545c1f8c21b274dd080fb00dfa05fe83685b0b7fb15f4a7785e4"),
+    ],
+    ids=["site1", "both", "both-omega0-face-walk", "site1-omega-half-failure"],
+)
+def test_analyze_output_is_pinned(models_dir, tmp_path, capsys, model, stream, digest):
+    # the report byte for byte, and at omega = 1/2 the one-line Perron failure
+    # with its spectrum: batching the time grids may not move a bit
+    if isinstance(model, str):
+        path = model_path(models_dir, model)
+    else:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_doc(model)))
+    assert run(["analyze", str(path)]) == (0 if stream == "out" else 2)
+    text = getattr(capsys.readouterr(), stream)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_parser_is_reused_across_commands(models_dir, capsys):
+    # build_parser is cached: a failed parse in between leaves it as it was
+    argv = ["analyze", model_path(models_dir, "two_qubit_site1.json")]
+    assert run(argv) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--tol-eig", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr() == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_analyze_input_errors(models_dir, tmp_path, capsys):
     assert run(["analyze", str(tmp_path / "missing.json")]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -65,6 +65,12 @@ def test_multiplication_superoperators():
     assert np.allclose(op.devectorize(left_mul(a) @ op.vectorize(x)), a @ x)
     assert np.allclose(op.devectorize(right_mul(b) @ op.vectorize(x)), x @ b)
     assert np.allclose(op.devectorize(sandwich(a, b) @ op.vectorize(x)), a @ x @ b)
+    # one product per entry, as np.kron forms it: equal to the byte, also for
+    # the rectangular compression V^dag x V
+    v = b[:, :2]
+    assert left_mul(a).tobytes() == np.kron(np.eye(d), a).tobytes()
+    assert right_mul(b).tobytes() == np.kron(b.T, np.eye(d)).tobytes()
+    assert sandwich(v.conj().T, v).tobytes() == np.kron(v.T, v.conj().T).tobytes()
 
 
 def test_generator_trace_and_unitality():
@@ -107,6 +113,41 @@ def test_apply_semigroup_contract():
     # density preservation
     evolved = apply_semigroup(gen, 1.3, rho)
     op.validate_density(evolved)
+
+
+@pytest.mark.parametrize("cond_limit", [op.EXPM_COND_LIMIT, 0.0], ids=["spectral", "fallback"])
+def test_batched_apply_semigroup_matches_scalar_calls(monkeypatch, cond_limit):
+    # one Propagator.apply call for the whole grid, each slice bit for bit
+    # the scalar call's, on both propagator paths
+    monkeypatch.setattr(op, "EXPM_COND_LIMIT", cond_limit)
+    rng = np.random.default_rng(11)
+    for spec in (two_qubit_site1(1.0), two_qubit_both(1.0)):
+        gen = build_generator(spec, SCHRODINGER)
+        assert gen.propagator.spectral == (cond_limit > 0)
+        x = random_hermitian(rng, 4)
+        times = (0.0, 0.1, 0.5, 1.0, 2.0, 0.0, 2.0**20)
+        stack = apply_semigroup(gen, times, x)
+        assert stack.shape == (len(times), 4, 4)
+        for t, got in zip(times, stack):
+            # byte equality also sees signed zeros; C order as devectorize gives
+            assert got.flags.c_contiguous
+            assert got.tobytes() == apply_semigroup(gen, t, x).tobytes()
+        assert stack[0].tobytes() == x.tobytes()
+        assert apply_semigroup(gen, [], x).shape == (0, 4, 4)
+        for bad in ((0.5, -0.1), (1.0, np.inf), (np.nan,)):
+            with pytest.raises(ValueError):
+                apply_semigroup(gen, bad, x)
+
+
+def test_fallback_propagator_applies_one_vector_at_many_times():
+    # the branch collision omega = 1/2 is defective: scaling-and-squaring
+    prop = build_generator(two_qubit_site1(0.5), SCHRODINGER).propagator
+    assert not prop.spectral
+    vec = np.arange(16, dtype=complex)
+    rows = prop.apply(np.array([1.0, 2.0]), vec)
+    assert rows.shape == (2, 16)
+    for t, row in zip((1.0, 2.0), rows):
+        assert row.tobytes() == prop.apply(t, vec).tobytes()
 
 
 def test_choi_positivity_on_fixtures():

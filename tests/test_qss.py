@@ -131,6 +131,8 @@ def test_perron_existence_failure_raises():
     with pytest.raises(QssTheoryError, match="existence") as exc:
         perron_structure(restr, empty)
     assert "\n" not in str(exc.value)  # printed as a one-line CLI error
+    spectrum = np.array2string(np.sort_complex(restr.gen_schr.eig[0]), max_line_width=np.inf)
+    assert str(exc.value) == f"Perron existence failed: no QSS family found; spectrum {spectrum}"
 
 
 def test_absorbing_implies_positive_rate():

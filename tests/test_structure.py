@@ -270,6 +270,19 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     assert matrix == []
 
 
+def test_each_time_grid_is_one_propagator_call(models_dir, monkeypatch, tmp_path):
+    # analyze: subharmonicity 1, absorption 1 (converged within the first block
+    # of eight doublings), one per certificate for the definition residual (3:
+    # anchor and segment ends), verification 1 + 3 for the repeated cycle
+    apply = _count_calls(monkeypatch, op.Propagator, "apply")
+    path = os.path.join(models_dir, "two_qubit_site1.json")
+    assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
+    assert len(apply) == 9
+    apply.clear()
+    assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(apply) == 110
+
+
 def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_path):
     sizes = Counter()
     _count_sizes(monkeypatch, np.linalg, "eig", sizes)
