@@ -140,6 +140,11 @@ def cmd_analyze(args) -> int:
         raise InputError("model file has no quantum model block")
     ctx = structure_mod.Analysis(mf.spec)
     bundle = _analysis_bundle(ctx, args.tol_eig, args.tol_psd, seed=args.seed)
+    for fam in bundle["qss_families"]:  # e.g. T_t(nu) underflowing to 0 on the verify grid
+        verification = {f"verification.{k}": v for k, v in fam["verification"].items()}
+        for name, value in {**fam, **verification}.items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConsistencyError(f"{name} is {value} for the family at alpha {fam['alpha']:.6e}")
     _write_out(modelio.dumps(bundle) + "\n", args.out)
     return 0
 

@@ -163,7 +163,7 @@ def apply_semigroup(gen: Superop, t, x: np.ndarray) -> np.ndarray:
     zero = times == 0
     if zero.all():
         return np.broadcast_to(x, times.shape + x.shape).copy()
-    rows = gen.propagator.apply(times, vectorize(x))
+    rows = gen.propagator.apply(times, x.reshape(-1, order="F"))  # vectorize(x), validated once
     # C-ordered slices, as devectorize returns: norms sum in memory order
     out = rows.reshape(times.shape + x.shape).swapaxes(-1, -2).copy()
     out[zero] = x

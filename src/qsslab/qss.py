@@ -17,7 +17,9 @@ extreme point (Ramana & Goldman, J. Global Optim. 7, 1995).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -25,7 +27,7 @@ import scipy.linalg as sla
 
 from . import operators as op
 from .model import apply_semigroup
-from .operators import adjoint, devectorize, frob, vectorize
+from .operators import adjoint, devectorize, frob
 from .structure import AbsorptionReport, RestrictedGenerator, as_analysis
 
 CLUSTER_TOL = 1e-8
@@ -57,13 +59,25 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class QssCertificate:
-    """One verified quasi-stationary state (full-space density)."""
+    """One quasi-stationary state (full-space density) and its certificate.
+
+    ``residual_eigen`` and ``residual_defn`` are computed on first read, from
+    the ``restr`` and ``rho_hat`` the state was built from.
+    """
 
     alpha: float
     nu: np.ndarray
-    residual_eigen: float
-    residual_defn: float
     is_perron: bool = False
+    restr: Optional[RestrictedGenerator] = field(default=None, repr=False, compare=False)
+    rho_hat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def residual_eigen(self) -> float:
+        return _eigen_residual(self.restr, self.alpha, self.rho_hat)
+
+    @cached_property
+    def residual_defn(self) -> float:
+        return _defn_residual(self.restr, self.rho_hat)
 
 
 @dataclass(frozen=True)
@@ -103,12 +117,11 @@ def _hermitian_basis(vectors: np.ndarray, tol: float = 1e-8):
     Uses {v + v^dag, i(v - v^dag)} followed by an SVD orthonormalization in
     the Hilbert-Schmidt inner product.
     """
-    cols = []
-    for j in range(vectors.shape[1]):
-        v = devectorize(vectors[:, j])
-        cols.append(vectorize(0.5 * (v + adjoint(v))))
-        cols.append(vectorize(0.5j * (v - adjoint(v))))
-    stacked = np.column_stack(cols)
+    m = math.isqrt(vectors.shape[0])
+    v = vectors.T.reshape(-1, m, m).swapaxes(-1, -2)  # devectorized columns
+    pairs = np.stack([0.5 * (v + adjoint(v)), 0.5j * (v - adjoint(v))], axis=1)
+    # columns H(v_0), A(v_0), H(v_1), ..., each vectorized by column stacking
+    stacked = pairs.swapaxes(-1, -2).reshape(2 * len(v), m * m).T
     # orthonormalize over the *real* span: complex SVD could return i*B,
     # whose Hermitian part vanishes
     real_stacked = np.vstack([stacked.real, stacked.imag])
@@ -186,12 +199,7 @@ def _defn_residual(restr: RestrictedGenerator, rho_hat: np.ndarray) -> float:
 
 
 def _certificate(restr: RestrictedGenerator, alpha: float, rho_hat: np.ndarray) -> QssCertificate:
-    return QssCertificate(
-        alpha=alpha,
-        nu=restr.embed(rho_hat),
-        residual_eigen=_eigen_residual(restr, alpha, rho_hat),
-        residual_defn=_defn_residual(restr, rho_hat),
-    )
+    return QssCertificate(alpha=alpha, nu=restr.embed(rho_hat), restr=restr, rho_hat=rho_hat)
 
 
 def _min_eig(h: np.ndarray) -> float:
@@ -417,7 +425,7 @@ def verify_qss(model, cert: QssCertificate, tol: float = 1e-8) -> VerificationRe
     residual_defn = 0.0
     residual_exp = 0.0
     for t, x in zip(VERIFY_TIMES, evolved):
-        residual_defn = max(residual_defn, frob(x / f[t] - nu))
+        residual_defn = max(residual_defn, frob(x / f[t] - nu) if f[t] > 0 else np.inf)
         residual_exp = max(residual_exp, abs(f[t] - np.exp(-alpha * t)))
 
     residual_mult = 0.0
@@ -431,7 +439,7 @@ def verify_qss(model, cert: QssCertificate, tol: float = 1e-8) -> VerificationRe
     tr = float(np.trace(rho).real)
     residual_repeated = frob(rho / tr - nu) if tr > 0 else np.inf
 
-    alpha_log = abs(alpha + np.log(f[1.0]))
+    alpha_log = abs(alpha + np.log(f[1.0])) if f[1.0] > 0 else np.inf
     ok = (
         max(residual_defn, residual_exp, residual_mult, residual_repeated) <= tol
         and alpha_log <= 1e-7

@@ -1,8 +1,9 @@
-"""Test-only helpers: the Choi matrix of a superoperator, and a ModelSpec as a model-file document."""
+"""Test-only helpers: the Choi matrix of a superoperator, a ModelSpec as a model-file document,
+and a model that decays too fast to verify."""
 
 import numpy as np
 
-from qsslab.model import ModelSpec
+from qsslab.model import ModelSpec, two_qubit_both
 from qsslab.modelio import SCHEMA_VERSION, matrix_to_json
 from qsslab.operators import devectorize, vectorize
 
@@ -39,3 +40,11 @@ def model_to_doc(spec: ModelSpec, family: str = None, params: dict = None) -> di
     if params:
         doc["params"] = params
     return doc
+
+
+def fast_decay_model() -> ModelSpec:
+    """``two_qubit_both`` at omega = 1 with both jump operators x20: alpha = 400, and
+    T_t(nu) = exp(-400 t) nu underflows to 0 at t = 2 of the verification grid."""
+    spec = two_qubit_both(1.0)
+    return ModelSpec(dim=4, hamiltonian=spec.hamiltonian, p0=spec.p0,
+                     jump_ops=tuple(20 * l for l in spec.jump_ops), label="two_qubit_both x20")

@@ -120,7 +120,7 @@ def test_distance_to_family_is_exact_membership():
         return u @ np.diag(diag).astype(complex) @ u.conj().T
 
     def cert(nu):
-        return QssCertificate(alpha=1.0, nu=nu, residual_eigen=0.0, residual_defn=0.0)
+        return QssCertificate(alpha=1.0, nu=nu)
 
     basis = tuple(rotated(e) for e in np.eye(3))
     fam = QssFamily(alpha=1.0, herm_basis=basis, anchor=cert(rotated([1 / 3] * 3)),

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import model_to_doc
+from helpers import fast_decay_model, model_to_doc
 from qsslab import cli
 from qsslab import operators as op
 from qsslab import qss
@@ -189,6 +189,19 @@ def test_numerical_failures_exit_2_without_traceback(models_dir, monkeypatch, ca
     assert rc == 2
     assert "Traceback" not in err
     assert err.strip().splitlines() == ["numerical failure: eigensolver did not converge: injected"]
+
+
+def test_non_finite_report_value_exits_2_without_traceback(tmp_path, capsys):
+    path, out = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(json.dumps(model_to_doc(fast_decay_model())))
+    rc = run(["analyze", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [
+        "theory-consistency failure: residual_defn is inf for the family at alpha 4.000000e+02"
+    ]
+    assert not out.exists()
 
 
 def test_theory_errors_outside_perron_exit_2(models_dir, monkeypatch, capsys):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from helpers import fast_decay_model
 from qsslab import operators as op
+from qsslab import qss
 from qsslab.model import ModelSpec, two_qubit_both, two_qubit_site1
+from qsslab.operators import adjoint, devectorize, frob, vectorize
 from qsslab.qss import (
     ExtractionResult,
     QssCertificate,
@@ -140,12 +143,7 @@ def test_absorbing_implies_positive_rate():
     restr, result = analysis(two_qubit_both(1.0))
     marked = perron_structure(restr, result)
     assert absorbing_implies_positive_rate(absorption, marked.families[0].anchor)
-    fake = QssCertificate(
-        alpha=0.0,
-        nu=marked.families[0].anchor.nu,
-        residual_eigen=0.0,
-        residual_defn=0.0,
-    )
+    fake = QssCertificate(alpha=0.0, nu=marked.families[0].anchor.nu)
     assert not absorbing_implies_positive_rate(absorption, fake)
     non_absorbing = absorption_operator(two_qubit_site1(0.0))
     assert absorbing_implies_positive_rate(non_absorbing, fake)
@@ -273,3 +271,87 @@ def test_segment_intervals_are_exact(spec, half_width):
     lo, hi = result.families[0].param_interval
     assert abs(lo + half_width) < 1e-14
     assert abs(hi - half_width) < 1e-14
+
+
+def test_lazy_residuals_equal_direct_calls():
+    # anchors and endpoints of every family, read after Perron marking (whose
+    # replace() must carry the restriction and rho_hat along)
+    dims = set()
+    for factory in (two_qubit_site1, two_qubit_both):
+        for omega in (0.0, 0.25, 1.0):
+            restr, result = analysis(factory(omega))
+            for fam in perron_structure(restr, result).families:
+                dims.add(len(fam.herm_basis))
+                for c in (fam.anchor,) + fam.endpoints:
+                    assert c.restr is restr
+                    assert np.array_equal(restr.embed(c.rho_hat), c.nu)
+                    assert c.residual_eigen == qss._eigen_residual(restr, c.alpha, c.rho_hat)
+                    assert c.residual_defn == qss._defn_residual(restr, c.rho_hat)
+                    assert max(c.residual_eigen, c.residual_defn) < 1e-9
+    assert dims == {1, 2, 4}
+
+
+def _hermitian_basis_by_columns(vectors, tol=1e-8):
+    """The per-column construction of ``qss._hermitian_basis``, kept as its reference."""
+    cols = []
+    for j in range(vectors.shape[1]):
+        v = devectorize(vectors[:, j])
+        cols.append(vectorize(0.5 * (v + adjoint(v))))
+        cols.append(vectorize(0.5j * (v - adjoint(v))))
+    stacked = np.column_stack(cols)
+    real_stacked = np.vstack([stacked.real, stacked.imag])
+    u, s, _ = np.linalg.svd(real_stacked, full_matrices=False)
+    rank = int(np.sum(s > tol * max(1.0, s[0])))
+    half = stacked.shape[0]
+    basis = []
+    for j in range(rank):
+        b = devectorize(u[:half, j] + 1j * u[half:, j])
+        b = 0.5 * (b + adjoint(b))
+        basis.append(b / frob(b))
+    return tuple(basis)
+
+
+def test_hermitian_basis_matches_per_column_reference(monkeypatch):
+    # the eigenvector column sets the fixtures hand to _hermitian_basis
+    fixture_inputs = []
+    stacked = qss._hermitian_basis
+
+    def recording(vectors, tol=1e-8):
+        fixture_inputs.append(vectors)
+        return stacked(vectors, tol)
+
+    monkeypatch.setattr(qss, "_hermitian_basis", recording)
+    for factory in (two_qubit_site1, two_qubit_both):
+        for omega in (0.0, 0.25, 0.5, 1.0):
+            real_eigen_candidates(restrict(factory(omega)))
+    rng = np.random.default_rng(9)
+    random_inputs = []
+    for m in range(2, 7):
+        for k in range(1, 5):
+            z = rng.standard_normal((m * m, k + 1)) + 1j * rng.standard_normal((m * m, k + 1))
+            random_inputs += [z[:, :k], np.ascontiguousarray(z[:, 1:])]
+    # the SVD input, not only the basis, must be equal to the bit
+    svd_inputs = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        svd_inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert len(fixture_inputs) > 20
+    for vectors in fixture_inputs + random_inputs:
+        svd_inputs.clear()
+        got, ref = stacked(vectors), _hermitian_basis_by_columns(vectors)
+        assert len(svd_inputs) == 2 and np.array_equal(svd_inputs[0], svd_inputs[1])
+        assert len(got) == len(ref) and all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+def test_verify_flags_an_evolution_that_underflows():
+    spec = fast_decay_model()
+    restr, result = analysis(spec)
+    anchor = perron_structure(restr, result).families[0].anchor
+    assert anchor.alpha == pytest.approx(400.0)
+    report = verify_qss(spec, anchor)
+    assert not report.ok
+    assert report.residual_defn == np.inf

@@ -272,15 +272,33 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
 
 def test_each_time_grid_is_one_propagator_call(models_dir, monkeypatch, tmp_path):
     # analyze: subharmonicity 1, absorption 1 (converged within the first block
-    # of eight doublings), one per certificate for the definition residual (3:
-    # anchor and segment ends), verification 1 + 3 for the repeated cycle
+    # of eight doublings), the definition residual of the one reported anchor 1
+    # (the segment ends are reported by nu alone and never certified),
+    # verification 1 + 3 for the repeated cycle.  sweep reads only the decay
+    # rates, so it evolves nothing.
     apply = _count_calls(monkeypatch, op.Propagator, "apply")
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
-    assert len(apply) == 9
+    assert len(apply) == 7
     apply.clear()
     assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
-    assert len(apply) == 110
+    assert len(apply) == 0
+
+
+def test_only_analyze_certifies_and_only_what_it_reports(models_dir, monkeypatch, tmp_path):
+    # certificate residuals are computed on first read: sweep reads only the
+    # decay rates and simulate only the Perron anchor's nu
+    calls = [
+        _count_calls(monkeypatch, qss, "_eigen_residual"),
+        _count_calls(monkeypatch, qss, "_defn_residual"),
+    ]
+    path = os.path.join(models_dir, "two_qubit_site1.json")
+    assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
+    assert cli.main(["simulate", path, "--samples", "20", "--out", str(tmp_path / "s.json")]) == 0
+    assert calls == [[], []]
+    # analyze reads them of its one family's anchor, not of the segment ends
+    assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == [["_eigen_residual"], ["_defn_residual"]]
 
 
 def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_path):
