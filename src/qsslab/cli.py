@@ -77,7 +77,7 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
             "alpha": fam.alpha,
             "is_perron": fam.anchor.is_perron,
             "dimension": len(fam.herm_basis),
-            "anchor": modelio.matrix_to_json(fam.anchor.nu),
+            "anchor": fam.anchor.nu,
             "residual_eigen": fam.anchor.residual_eigen,
             "residual_defn": fam.anchor.residual_defn,
             "verification": {
@@ -93,7 +93,7 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
         if fam.param_interval is not None:
             fam_json["param_interval"] = list(fam.param_interval)
         if fam.endpoints:
-            fam_json["endpoints"] = [modelio.matrix_to_json(c.nu) for c in fam.endpoints]
+            fam_json["endpoints"] = [c.nu for c in fam.endpoints]
         families_json.append(fam_json)
     bundle = {
         "label": ctx.spec.label,
@@ -107,11 +107,11 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
                 "is_absorbing": absorption.is_absorbing,
                 "residual_harmonic": absorption.residual_harmonic,
                 "convergence_gap": absorption.convergence_gap,
-                "a_op": modelio.matrix_to_json(absorption.a_op),
+                "a_op": absorption.a_op,
             },
             "irreducible": {"verdict": irred.verdict, "note": irred.note},
         },
-        "spectrum": [[float(z.real), float(z.imag)] for z in spectrum],
+        "spectrum": spectrum,
         "qss_families": families_json,
         "rejected_candidates": [
             {"alpha": r.alpha, "reason": r.reason} for r in result.rejected
@@ -152,8 +152,8 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     if args.samples <= 0:
         raise InputError("--samples must be positive")
-    if args.horizon <= 0:
-        raise InputError("--horizon must be positive")
+    if not 0 < args.horizon < np.inf:  # also rejects nan
+        raise InputError("--horizon must be positive and finite")
     mf = _load(args.model)
     if mf.spec is None:
         raise InputError("model file has no quantum model block")
@@ -244,6 +244,8 @@ def _parse_range(text: str):
         raise InputError(f"--range must be a:b:n with numeric parts: {exc}") from exc
     if n <= 0:
         raise InputError("--range needs at least one point")
+    if not np.isfinite([a, b]).all():
+        raise InputError(f"--range endpoints must be finite, got {text!r}")
     return np.linspace(a, b, n)
 
 
@@ -326,6 +328,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("tol_eig", "tol_psd"):
+            if not 0 < getattr(args, flag) < np.inf:
+                raise InputError(f"--{flag.replace('_', '-')} must be positive and finite")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

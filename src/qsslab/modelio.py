@@ -8,6 +8,7 @@ deterministic: keys sorted, floats rendered with 17 significant digits.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -160,6 +161,15 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+@functools.cache
+def _template(shape) -> str:
+    """``%``-format of a complex array of ``shape``: nested lists of ``[re, im]`` pairs."""
+    text = "[%.17g, %.17g]"
+    for n in reversed(shape):
+        text = "[" + ", ".join([text] * n) + "]"
+    return text
+
+
 def dumps(obj) -> str:
     """JSON text with sorted keys and 17-significant-digit floats."""
     if type(obj) is float:
@@ -185,10 +195,10 @@ def dumps(obj) -> str:
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            # a matrix: the text of dumps(matrix_to_json(obj)), without the nested lists
-            return "[" + ", ".join(
-                "[" + ", ".join(f"[{_fmt_float(a)}, {_fmt_float(b)}]" for a, b in zip(re, im)) + "]"
-                for re, im in zip(obj.real.tolist(), obj.imag.tolist())
-            ) + "]"
+            # the text of dumps(matrix_to_json(obj)), from one format call
+            parts = np.stack([obj.real, obj.imag], -1).ravel()
+            if not np.isfinite(parts).all():
+                _fmt_float(float(parts[~np.isfinite(parts)][0]))  # raises its error
+            return _template(obj.shape) % tuple(parts.tolist())
         return dumps(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")

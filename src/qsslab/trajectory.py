@@ -12,7 +12,9 @@ finite horizon: the trace can plateau strictly above zero (the absorbed
 branch), so an unconditional next-jump draw would not terminate.  The
 survival curve tr S_t(rho) is non-increasing (d/dt = -tr(p0_perp S_t(rho)) <= 0):
 a jump fires iff it ends below the draw, a binary search over the ``STEP``
-grid brackets the one crossing and a bisection to ``TIME_TOL`` refines it.
+grid brackets the one crossing and safeguarded Newton refines it to within
+``TIME_TOL``: the curve is at or above the draw ``TIME_TOL`` before the firing
+time and at or below it ``TIME_TOL`` after (both clamped to the segment).
 All trajectories of a batch advance in lockstep, one segment per round, in
 row-wise arithmetic, so a record does not depend on the batch size.
 """
@@ -30,7 +32,7 @@ from .operators import devectorize, frob, vectorize
 from .structure import as_analysis, check_subharmonic  # noqa: F401 (qssbench tests patch it)
 
 STEP = 0.01           # grid step of the survival curve's bracket search
-TIME_TOL = 1e-10      # bisection tolerance on the firing time
+TIME_TOL = 1e-10      # a firing time lies within this of the crossing
 CHUNK_ROWS = 128      # trajectories per chunk of every batched sampler step
 DRAWS = 8             # uniforms drawn from a stream at a time
 
@@ -130,21 +132,32 @@ def _segment(prop, table, grid, vecs, u, remaining):
     """Advance rows to the first ``t <= remaining`` with ``tr(S_t(rho)) = u``.
 
     Returns ``(fired, t, sig)``: whether a row fired, its firing time
-    (``remaining`` if not) and ``vec(S_t(rho))``.
+    (``remaining`` if not) and ``vec(S_t(rho))``.  Safeguarded Newton on the
+    grid bracket, from its midpoint: each round takes f and f' (coordinates
+    ``dx``) from one ``trace_rows`` call and shrinks ``[lo, hi]`` by the sign of
+    f - u, keeping f(lo) >= u > f(hi); a step that leaves ``[lo, hi]`` bisects
+    it.  A row stops at a step <= ``TIME_TOL / 2`` or a bracket <= ``TIME_TOL``.
     """
     x = prop.trace_coords(vecs)
+    dx = x * prop.w if prop.spectral else prop.trace_coords(op.rowdot(prop.mat, vecs))
     at_end = (x * prop.trace_rows(remaining)).sum(-1).real
     fired, k_hit = _bracket(x, at_end, table, grid, u, remaining)
     hi = np.minimum(grid[k_hit], remaining)
     lo = np.where(k_hit > 0, np.minimum(grid[k_hit - 1], remaining), 0.0)
+    t = 0.5 * (lo + hi)
     active = np.flatnonzero(fired & (hi - lo > TIME_TOL))
     while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        up = (x[active] * prop.trace_rows(mid)).sum(-1).real >= u[active]
-        lo[active[up]] = mid[up]
-        hi[active[~up]] = mid[~up]
-        active = active[hi[active] - lo[active] > TIME_TOL]
-    t = np.where(fired, 0.5 * (lo + hi), remaining)
+        rows = prop.trace_rows(now := t[active])
+        f = (x[active] * rows).sum(-1).real - u[active]
+        lo[active] = np.where(f >= 0, now, lo[active])
+        hi[active] = np.where(f >= 0, hi[active], now)
+        with np.errstate(all="ignore"):  # f' = 0 gives a non-finite step, which bisects
+            step = f / (dx[active] * rows).sum(-1).real
+        newton = (now - step >= lo[active]) & (now - step <= hi[active])
+        t[active] = np.where(newton, now - step, 0.5 * (lo[active] + hi[active]))
+        done = (newton & (np.abs(step) <= TIME_TOL / 2)) | (hi[active] - lo[active] <= TIME_TOL)
+        active = active[~done]
+    t = np.where(fired, t, remaining)
     return fired, t, prop.apply(t, vecs)
 
 
@@ -153,13 +166,14 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
 
     Per round, each live trajectory draws u ~ U(0,1) from its own stream; its
     jump fires at the first t with tr(S_t(rho)) = u, bracketed by binary search
-    on the grid of a table of the survival curve's exponentials, then bisected.  A
+    on the grid of a table of the survival curve's exponentials, then refined by
+    safeguarded Newton to within ``TIME_TOL`` (see :func:`_segment`).  A
     trajectory whose trace stays above u up to the horizon, or whose jump has
     vanishing weight (the absorbed branch), ends censored with its surviving
     unnormalized weight.  Rows pass every step in chunks of ``CHUNK_ROWS``.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise ValueError("horizon must be positive and finite")
     rho0 = op.as_operator(rho0)
     d = rho0.shape[0]
     prop = kernel.gen_nojump.propagator

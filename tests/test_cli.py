@@ -247,8 +247,8 @@ def test_simulate_small_run(models_dir, tmp_path):
 
 
 def test_simulate_output_is_pinned(models_dir, tmp_path, capsys):
-    # the summary and every record byte for byte: neither the bracket search
-    # on the grid nor the order of the draws may move a bit
+    # the summary and every record byte for byte: the bracket, the draw order
+    # and the Newton refinement of each jump time may not move a bit
     records = tmp_path / "records.jsonl"
     rc = run(
         [
@@ -258,10 +258,10 @@ def test_simulate_output_is_pinned(models_dir, tmp_path, capsys):
     )
     assert rc == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-        "f1cebf96172f1489932c1006b8f22d38ed04d1fade9c68df05c28c810111df7e"
+        "6d5414097327a3ff5f413d2b4a72b903ce527ef3a38627a119b57ff27d1954ab"
     )
     assert hashlib.sha256(records.read_bytes()).hexdigest() == (
-        "1a8e42e1767d2e1f4e5eba55043cb45a1bfa4d93245f12043726ca8e560a42d3"
+        "6d858fc5c41f7b23f2da0d873e7a32c16b34df2f25504bcd26cf76906513dbc4"
     )
 
 
@@ -294,6 +294,29 @@ def test_simulate_input_errors(models_dir, capsys):
     assert run(
         ["simulate", model_path(models_dir, "two_qubit_both.json"), "--start", "file"]
     ) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate two_qubit_both.json --horizon nan",
+        "simulate two_qubit_both.json --horizon inf",
+        "sweep two_qubit_site1.json --range 0:nan:3",
+        "sweep two_qubit_site1.json --range 1:inf:3",
+        "analyze two_qubit_site1.json --tol-eig nan",
+        "analyze two_qubit_site1.json --tol-eig 0",
+        "simulate two_qubit_both.json --tol-psd inf",
+        "classical classical_two_state.json --tol-psd=-1e-9",
+    ],
+)
+def test_non_finite_arguments_are_input_errors(models_dir, capsys, argv):
+    # exit 1 with one stderr line that names the flag, never a traceback
+    command, model, *rest = argv.split()
+    assert run([command, model_path(models_dir, model), *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {rest[0].split('=')[0]} ") and "finite" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_classical_command(models_dir, tmp_path):

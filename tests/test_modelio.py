@@ -140,3 +140,53 @@ def test_load_model_files(models_dir):
     ):
         mf = modelio.load_model(os.path.join(models_dir, name))
         assert mf.label
+
+
+def _reference_dumps(obj):
+    """The recursive formatter that ``dumps`` replaced for complex arrays: one
+    ``format`` call per float, a nested list per axis and a pair per entry."""
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        obj = np.stack([obj.real, obj.imag], -1).tolist()
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_reference_dumps, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_reference_dumps(obj[k])}" for k in sorted(obj)) + "}"
+    if type(obj) is float:
+        if not math.isfinite(obj):
+            raise ValueError(f"{'NaN' if obj != obj else 'infinity'} is not serializable in reports")
+        return format(obj, ".17g")
+    return json.dumps(obj)  # bool, int, None, str
+
+
+def _random_complex(rng, shape):
+    parts = rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(-30, 30, (2,) + shape)
+    bits = rng.integers(0, 2**64, (2,) + shape, dtype=np.uint64).view(np.float64)
+    parts = np.where(rng.random((2,) + shape) < 0.3, np.where(np.isfinite(bits), bits, 0.0), parts)
+    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -17.0])
+    parts = np.where(rng.random((2,) + shape) < 0.3, rng.choice(specials, (2,) + shape), parts)
+    return parts[0] + 1j * parts[1]
+
+
+def test_complex_arrays_format_like_the_recursive_formatter():
+    rng = np.random.default_rng(2024)
+    shapes = [(r, c) for r in range(1, 13) for c in range(1, 13)] + [(k, 4, 4) for k in (1, 2, 5)]
+    for shape in shapes:
+        a = _random_complex(rng, shape)
+        assert dumps(a) == _reference_dumps(a), shape
+        assert dumps({"m": a, "x": [a, 1.5]}) == _reference_dumps({"m": a, "x": [a, 1.5]})
+    for bad in ((math.nan, math.inf), (math.inf, math.nan), (0.0, -math.inf)):
+        a = np.zeros((3, 3), dtype=complex)
+        a[1, 2], a[2, 0] = complex(bad[0], 1.0), complex(0.0, bad[1])
+        with pytest.raises(ValueError) as ref:
+            _reference_dumps(a)
+        with pytest.raises(ValueError, match=f"^{ref.value}$"):
+            dumps(a)
+
+
+def test_trajectory_records_format_like_the_recursive_formatter():
+    from qsslab.trajectory import build_kernel, sample_trajectories
+    from test_trajectory import perron_qss
+
+    for spec in (two_qubit_both(1.0), two_qubit_site1(1.0)):
+        for rec in sample_trajectories(build_kernel(spec), perron_qss(spec), 6.0, seed=3, n=500):
+            assert dumps(vars(rec)) == _reference_dumps(vars(rec))

@@ -16,6 +16,7 @@ from qsslab.trajectory import (
     TrajectoryError,
     DRAWS,
     STEP,
+    TIME_TOL,
     _bracket,
     _rng_for,
     build_kernel,
@@ -218,6 +219,69 @@ def test_bracket_matches_the_linear_scan(monkeypatch):
                 assert np.array_equal(fired[rows], ref_fired)
                 assert np.array_equal(k_hit[rows], ref_k)
             assert 0 < fired.sum() < len(u) and (k_hit > 0).any()
+
+
+def _segment_calls(monkeypatch, kernel, rho0, n):
+    """Every ``_segment`` call of ``n`` streams (horizon 6, seed 42), pooled:
+    ``(vecs, u, remaining, fired, t)`` and the number of times its Newton
+    rounds evaluated, i.e. every ``trace_rows`` time after the first call."""
+    prop = kernel.gen_nojump.propagator
+    segment, trace_rows = trajectory._segment, prop.trace_rows
+    calls, evaluations = [], []
+
+    def capture(prop, table, grid, vecs, u, remaining):
+        sizes = []
+
+        def counting(times):
+            sizes.append(np.size(times))
+            return trace_rows(times)
+
+        with monkeypatch.context() as m:
+            m.setattr(prop, "trace_rows", counting)
+            fired, t, sig = segment(prop, table, grid, vecs, u, remaining)
+        calls.append((vecs, u, remaining, fired, t))
+        evaluations.append(sum(sizes[1:]))
+        return fired, t, sig
+
+    with monkeypatch.context() as m:
+        m.setattr(trajectory, "_segment", capture)
+        sample_trajectories(kernel, rho0, 6.0, seed=42, n=n)
+    return [np.concatenate(parts) for parts in zip(*calls)], sum(evaluations)
+
+
+def test_jump_times_lie_within_time_tol_of_the_crossing(monkeypatch):
+    # the contract of the Newton refinement: f(t - TIME_TOL) >= u >= f(t + TIME_TOL),
+    # clamped to [0, remaining], with f the survival curve by the sampler's row formula
+    rng = np.random.default_rng(77)
+    cases = [(spec, perron_qss(spec), 10_000, False) for spec in SAMPLER_MODELS[:2]]
+    cases += [(spec, perron_qss(spec), 2000, True) for spec in SAMPLER_MODELS[:2]]
+    for _ in range(5):
+        spec = propcheck.random_subharmonic_model(rng)
+        cases.append((spec, propcheck.random_density(rng, spec.dim), 1000, False))
+    n_fired = 0
+    for spec, rho0, n, fallback in cases:
+        with monkeypatch.context() as m:
+            if fallback:
+                m.setattr(operators, "EXPM_COND_LIMIT", 0.0)
+            kernel = build_kernel(spec)
+            prop = kernel.gen_nojump.propagator
+            assert prop.spectral is not fallback
+            (vecs, u, remaining, fired, t), _ = _segment_calls(m, kernel, rho0, n)
+        x = prop.trace_coords(vecs[fired])
+        before = (x * prop.trace_rows(np.maximum(t[fired] - TIME_TOL, 0.0))).sum(-1).real
+        after = (x * prop.trace_rows(np.minimum(t[fired] + TIME_TOL, remaining[fired]))).sum(-1).real
+        assert (before >= u[fired]).all() and (u[fired] >= after).all()
+        n_fired += fired.sum()
+    assert n_fired >= 1000
+
+
+def test_newton_refines_in_a_few_rounds(monkeypatch):
+    # bisection from the 0.01 bracket to TIME_TOL takes 27 rounds; Newton about 4
+    for spec in SAMPLER_MODELS[:2]:
+        (*_, fired, _), evaluations = _segment_calls(monkeypatch, build_kernel(spec), perron_qss(spec),
+                                                     10_000)
+        assert fired.sum() >= 1000
+        assert evaluations / fired.sum() <= 6
 
 
 def test_survival_curve_is_non_increasing_on_the_grid():
