@@ -34,6 +34,13 @@ class ConsistencyError(RuntimeError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1 with one line, not argparse's 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _load(path) -> modelio.ModelFile:
     try:
         return modelio.load_model(path)
@@ -152,6 +159,8 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     if args.samples <= 0:
         raise InputError("--samples must be positive")
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative")
     if not 0 < args.horizon < np.inf:  # also rejects nan
         raise InputError("--horizon must be positive and finite")
     mf = _load(args.model)
@@ -190,7 +199,7 @@ def cmd_simulate(args) -> int:
     if args.records:
         with open(args.records, "w", encoding="utf-8") as fh:
             # a record's JSON keys are the TrajectoryRecord fields
-            fh.writelines(modelio.dumps(vars(rec)) + "\n" for rec in records)
+            fh.writelines(modelio.record_lines(records))
     summary = {
         "n_trajectories": stats.n_trajectories,
         "n_observed_jumps": stats.n_observed_jumps,
@@ -289,7 +298,7 @@ def cmd_sweep(args) -> int:
 
 @functools.cache  # parse_args leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsslab",
         description="Quasi-stationary states of finite-dimensional quantum Markov semigroups",
     )
@@ -325,9 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for flag in ("tol_eig", "tol_psd"):
             if not 0 < getattr(args, flag) < np.inf:
                 raise InputError(f"--{flag.replace('_', '-')} must be positive and finite")

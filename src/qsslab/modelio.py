@@ -20,6 +20,7 @@ from .classical import RateMatrix
 from .model import FIXTURE_FAMILIES, ModelSpec
 
 SCHEMA_VERSION = "1"
+RECORD_GROUP = 32  # trajectory records per array conversion of record_lines
 
 
 class ModelFileError(ValueError):
@@ -202,3 +203,43 @@ def dumps(obj) -> str:
             return _template(obj.shape) % tuple(parts.tolist())
         return dumps(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+@functools.cache
+def _record_template(n_jumps: int, shape) -> str:
+    """``%``-format of one trajectory record line, its fields in sorted order."""
+    state = _template(shape)
+    return (
+        '{"censored": %s, "final_state": ' + state + ', "final_weight": %.17g, "horizon": %.17g, '
+        '"jump_times": [' + ", ".join(["%.17g"] * n_jumps) + '], '
+        '"post_jump_states": [' + ", ".join([state] * n_jumps) + '], "seed": %d, "stream": %d}\n'
+    )
+
+
+def record_lines(records):
+    """``dumps(vars(rec)) + "\\n"`` of each trajectory record, one string per group.
+
+    A group's states and floats go through one ``np.array``, one finiteness
+    check and one ``tolist``; each record is then one ``%`` of a template.
+    """
+    for g in range(0, len(records), RECORD_GROUP):
+        group = records[g:g + RECORD_GROUP]
+        # np.array, unlike np.stack, lays the states out in C order: [re, im] per entry
+        states = np.array([s for rec in group for s in (rec.final_state, *rec.post_jump_states)])
+        scalars = [x for rec in group for x in (rec.final_weight, rec.horizon, *rec.jump_times)]
+        values = np.concatenate([states.view(np.float64).ravel(), scalars])
+        if not np.isfinite(values).all():
+            for rec in group:
+                dumps(vars(rec))  # raises the error of the first non-finite value
+        values = values.tolist()
+        size = 2 * states[0].size
+        at, sc = 0, len(values) - len(scalars)  # next state value, next scalar
+        lines = []
+        for rec in group:
+            k = len(rec.jump_times)
+            mid, end = at + size, at + size * (k + 1)
+            lines.append(_record_template(k, states.shape[1:]) % (
+                "true" if rec.censored else "false", *values[at:mid], *values[sc:sc + 2 + k],
+                *values[mid:end], rec.seed, rec.stream))
+            at, sc = end, sc + 2 + k
+        yield "".join(lines)

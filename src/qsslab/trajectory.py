@@ -17,10 +17,19 @@ grid brackets the one crossing and safeguarded Newton refines it to within
 time and at or below it ``TIME_TOL`` after (both clamped to the segment).
 All trajectories of a batch advance in lockstep, one segment per round, in
 row-wise arithmetic, so a record does not depend on the batch size.
+
+Round r of stream s consumes uniform r of that stream.  Philox is
+counter-based: a uniform is a pure function of (key, counter), so the
+uniforms of all live streams come from one vectorized function
+(:func:`stream_keys`, :func:`stream_uniforms`) over uint64 arrays, equal bit
+for bit to numpy's ``Generator(Philox(SeedSequence(entropy=seed,
+spawn_key=(stream,)))).uniform()``.  Its domain is ``seed >= 0`` and
+``0 <= stream < 2**32``; values outside raise ``ValueError``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,11 +112,88 @@ class TrajectoryRecord:
         return len(self.jump_times)
 
 
-def _rng_for(seed: int, stream: int) -> np.random.Generator:
-    # counter-based Philox; (seed, stream) identifies an independent stream
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
-    )
+# numpy's SeedSequence (pool of 4 uint32 words) and Philox4x64-10 constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _hasher(const: int, mult: int):
+    """numpy's SeedSequence hash: each call xors the word with ``const``,
+    advances ``const`` by ``mult`` and multiplies by it."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def stream_keys(seed: int, first_stream: int, n: int) -> np.ndarray:
+    """Philox keys of streams ``first_stream .. first_stream + n - 1``, shape ``(2, n)``:
+    ``SeedSequence(entropy=seed, spawn_key=(stream,)).generate_state(2, np.uint64)``.
+
+    Every word is a Python int below 2**32 or a uint64 array holding one, so
+    products fit and differences wrap; only the spawn key varies by stream.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    if not 0 <= first_stream <= first_stream + n <= 2**32:
+        raise ValueError("streams must lie in [0, 2**32)")
+    # little-endian 32-bit words, padded to the pool size since a spawn key follows
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:] + [np.arange(first_stream, first_stream + n, dtype=np.uint64)]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out = list(map(_hasher(_INIT_B, _MULT_B), pool))  # generate_state: low word first
+    return np.array([out[0] | out[1] << 32, out[2] | out[3] << 32], dtype=np.uint64)
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """Low and high 64-bit words of ``m * x``, the high word from 32-bit halves."""
+    m_lo, m_hi = m & _MASK32, m >> 32
+    x_lo, x_hi = x & _MASK32, x >> 32
+    lh, hl = m_lo * x_hi, m_hi * x_lo
+    mid = (m_lo * x_lo >> 32) + (lh & _MASK32) + (hl & _MASK32)
+    return m * x, m_hi * x_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+
+
+def stream_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Uniforms ``start .. start + count - 1`` of the streams of ``keys``, shape ``(n, count)``.
+
+    Uniform r of a stream is word ``r % 4`` of the Philox4x64-10 block at
+    counter ``(r // 4 + 1, 0, 0, 0)``, since numpy increments the counter
+    before a block, taken to ``[0, 1)`` by numpy's 53-bit rule.
+    """
+    first = start // 4
+    blocks = np.arange(first + 1, (start + count - 1) // 4 + 2, dtype=np.uint64)
+    k0, k1 = keys[0][:, None], keys[1][:, None]
+    c0 = np.broadcast_to(blocks, (k0.size, blocks.size))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], -1).reshape(k0.size, -1)
+    return (words[:, start - 4 * first:start - 4 * first + count] >> 11) * 2.0**-53
 
 
 def _bracket(x, at_end, table, grid, u, remaining):
@@ -181,7 +267,7 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     table = prop.trace_rows(grid)
     jump = sandwich(kernel.p0_perp, kernel.p0_perp)
     diag = np.arange(d) * (d + 1)
-    rngs = [_rng_for(seed, first_stream + i) for i in range(n)]
+    keys = stream_keys(seed, first_stream, n)
     draws = np.empty((n, DRAWS))
     vecs = np.tile(vectorize(rho0), (n, 1))
     t_now = np.zeros(n)
@@ -192,7 +278,7 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     r = 0
     while (live := np.flatnonzero(alive)).size:
         if r % DRAWS == 0:  # the next DRAWS uniforms of each live stream, in stream order
-            draws[live] = [rngs[i].uniform(size=DRAWS) for i in live]
+            draws[live] = stream_uniforms(keys[:, live], r, DRAWS)
         u = draws[live, r % DRAWS]
         r += 1
         for c in range(0, live.size, CHUNK_ROWS):

@@ -121,9 +121,7 @@ def test_parser_is_reused_across_commands(models_dir, capsys):
     argv = ["analyze", model_path(models_dir, "two_qubit_site1.json")]
     assert run(argv) == 0
     first = capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        run(["analyze", "--tol-eig", "x"])
-    assert exc.value.code == 2
+    assert run(["analyze", "--tol-eig", "x"]) == 1
     capsys.readouterr()
     assert run(argv) == 0
     assert capsys.readouterr() == first
@@ -317,6 +315,36 @@ def test_non_finite_arguments_are_input_errors(models_dir, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {rest[0].split('=')[0]} ") and "finite" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "analyze two_qubit_site1.json --tol-eig x",
+        "simulate two_qubit_both.json --horizon -inf",
+        "simulate two_qubit_both.json --seed -1",
+        "simulate two_qubit_both.json --samples 10 --frobnicate",
+        "analyze",
+        "frobnicate two_qubit_both.json",
+        "",
+    ],
+)
+def test_usage_errors_exit_1_with_one_line(models_dir, capsys, argv):
+    # argparse's usage errors and a negative seed are input errors: exit 1 with
+    # one stderr line, not argparse's exit 2 and usage text or a traceback
+    argv = [model_path(models_dir, a) if a.endswith(".json") else a for a in argv.split()]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert "usage: qsslab" in capsys.readouterr().out
 
 
 def test_classical_command(models_dir, tmp_path):

@@ -190,3 +190,46 @@ def test_trajectory_records_format_like_the_recursive_formatter():
     for spec in (two_qubit_both(1.0), two_qubit_site1(1.0)):
         for rec in sample_trajectories(build_kernel(spec), perron_qss(spec), 6.0, seed=3, n=500):
             assert dumps(vars(rec)) == _reference_dumps(vars(rec))
+
+
+def test_record_lines_format_like_the_recursive_formatter():
+    from qsslab.trajectory import build_kernel, sample_trajectories
+    from test_trajectory import perron_qss
+
+    for spec in (two_qubit_both(1.0), two_qubit_site1(1.0)):
+        kernel, nu = build_kernel(spec), perron_qss(spec)
+        for horizon in (6.0, 0.3):  # at 0.3 about half the records have no jump
+            records = sample_trajectories(kernel, nu, horizon, seed=3, n=500)
+            assert horizon > 1 or sum(rec.n_jumps == 0 for rec in records) > 100
+            for part in (records, records[7:], records[:modelio.RECORD_GROUP], records[:1]):
+                lines = list(modelio.record_lines(part))
+                assert len(lines) == -(-len(part) // modelio.RECORD_GROUP)
+                assert "".join(lines) == "".join(_reference_dumps(vars(rec)) + "\n" for rec in part)
+
+
+def test_record_lines_reject_non_finite_values_like_dumps():
+    from dataclasses import replace
+
+    from qsslab.trajectory import build_kernel, sample_trajectories
+    from test_trajectory import perron_qss
+
+    spec = two_qubit_both(1.0)
+    records = sample_trajectories(build_kernel(spec), perron_qss(spec), 6.0, seed=3, n=64)
+    rec = next(r for r in records if r.n_jumps >= 2)
+    state = rec.final_state.copy()
+    state[1, 2] = complex(0.0, math.nan)
+    late = state.copy()
+    late[0, 0] = math.inf
+    bad = [
+        replace(rec, final_state=state, final_weight=math.inf),
+        replace(rec, final_weight=-math.inf, jump_times=(math.nan,) + rec.jump_times[1:]),
+        replace(rec, jump_times=rec.jump_times[:1] + (math.inf,) + rec.jump_times[2:]),
+        replace(rec, post_jump_states=(late, state) + rec.post_jump_states[2:]),
+        replace(rec, post_jump_states=(state, late) + rec.post_jump_states[2:]),
+    ]
+    for broken in bad:
+        part = records[:40] + [broken] + records[40:]  # in the second group
+        with pytest.raises(ValueError) as ref:
+            _reference_dumps(vars(broken))
+        with pytest.raises(ValueError, match=f"^{ref.value}$"):
+            "".join(modelio.record_lines(part))

@@ -18,7 +18,6 @@ from qsslab.trajectory import (
     STEP,
     TIME_TOL,
     _bracket,
-    _rng_for,
     build_kernel,
     jump_statistics,
     measure_weight,
@@ -26,6 +25,8 @@ from qsslab.trajectory import (
     sample_trajectories,
     sample_trajectory,
     sector_sum,
+    stream_keys,
+    stream_uniforms,
     truncated_exp_mean,
 )
 from test_structure import raising_model
@@ -86,6 +87,52 @@ def test_sampling_determinism_and_stream_split():
     assert rec_a.jump_times != rec_c.jump_times or rec_a.final_weight != rec_c.final_weight
 
 
+def numpy_stream(seed, stream):
+    """numpy's generator of a sampler stream: the oracle of the sampler's draws."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+    )
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 5, 1234, 2**31 - 1, 2**32 - 1, 2**32 + 7, 2**64 - 1, 2**70 + 3, 2**128, 2**130 + 5,
+     2**200 + 12345],
+)
+def test_stream_uniforms_match_numpy_philox(seed):
+    # oracle: numpy's own SeedSequence, Philox and Generator, built here only
+    for first_stream, n in ((0, 300), (17, 5), (2**31, 2), (2**32 - 3, 3)):
+        keys = stream_keys(seed, first_stream, n)
+        for i in range(n):
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(first_stream + i,))
+            assert np.array_equal(keys[:, i], seq.generate_state(2, np.uint64))
+        refs = [numpy_stream(seed, first_stream + i).uniform(size=24) for i in range(n)]
+        for start, count in ((0, 8), (8, 8), (16, 8), (3, 6), (5, 1), (0, 24)):
+            got = stream_uniforms(keys, start, count)
+            assert got.shape == (n, count)
+            for row, ref in zip(got, refs):
+                assert np.array_equal(row, ref[start:start + count])
+
+
+def test_stream_domain():
+    # SeedSequence takes no negative entropy; a stream >= 2**32 would need a
+    # two-word spawn key
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(entropy=-1, spawn_key=(0,))
+    with pytest.raises(ValueError, match="seed"):
+        stream_keys(-1, 0, 1)
+    for first_stream, n in ((2**32, 1), (2**32 - 1, 2), (-1, 1)):
+        with pytest.raises(ValueError, match="streams"):
+            stream_keys(5, first_stream, n)
+    assert stream_keys(5, 2**32 - 1, 1).shape == (2, 1)
+    kernel = build_kernel(two_qubit_both(1.0))
+    nu = both_sites_qss()
+    with pytest.raises(ValueError, match="seed"):
+        sample_trajectories(kernel, nu, 6.0, seed=-1, n=2)
+    with pytest.raises(ValueError, match="streams"):
+        sample_trajectory(kernel, nu, 6.0, seed=1, stream=2**32)
+
+
 def test_record_invariants():
     for spec in SAMPLER_MODELS[:2]:
         kernel = build_kernel(spec)
@@ -135,7 +182,7 @@ def test_jump_times_invert_the_survival_curve():
         n_jumps = 0
         for rec in sample_trajectories(kernel, nu, 6.0, seed=23, n=150):
             longest = max(longest, rec.n_jumps)
-            rng = _rng_for(23, rec.stream)
+            rng = numpy_stream(23, rec.stream)
             rho, prev = nu, 0.0
             for t, state in zip(rec.jump_times, rec.post_jump_states):
                 total, _ = nojump_survival(kernel, rho, t - prev)
