@@ -75,6 +75,9 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
     absorption = ctx.absorption
     irred = structure_mod.check_irreducible(restr)
     result = _qss_families(ctx, tol_eig, irreducible=irred.verdict or None)
+    for fam in result.families:
+        if not qss_mod.absorbing_implies_positive_rate(absorption, fam.anchor):
+            raise ConsistencyError(f"p0 is absorbing but a family has alpha {fam.alpha:.6e}")
 
     spectrum, _ = restr.gen_schr.eig
     families_json = []
@@ -107,7 +110,6 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
         "structure": {
             "subharmonic": {
                 "algebraic_residual": sub.algebraic_residual,
-                "semigroup_residual": sub.semigroup_residual,
                 "verdict": sub.verdict,
             },
             "absorption": {

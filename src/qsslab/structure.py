@@ -1,12 +1,13 @@
 """Subharmonicity, restricted generators, absorption and irreducibility.
 
 Given a model whose distinguished projection p0 is subharmonic, the state
-evolution compressed to the range of p0-perp is again a semigroup; its
-generator (in both pictures) is built here together with the absorption
-operator A(p0) = lim_t T_t(p0) and an invariant-subspace search used to
-classify the restriction as irreducible or not.  :class:`Analysis` builds
-each of them once per model.  Everything past the generator itself is read
-off the m^2 x m^2 restriction: no d^2 x d^2 matrix is eigendecomposed.
+evolution compressed to the range of p0-perp is again a semigroup.  Its
+generator (in both pictures) is built here from the compressed GKLS data
+(g_hat, jumps_hat), together with the absorption operator
+A(p0) = lim_t T_t(p0) and an irreducibility verdict certified by Burnside's
+theorem.  :class:`Analysis` builds each of them once per model.  None of
+these stages builds a d^2 x d^2 matrix: everything is read off the m x m
+compressed operators and the m^2 x m^2 restriction.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .model import (
 )
 from .operators import adjoint, devectorize, frob, vectorize
 
-SUBHARMONIC_CHECK_TIMES = (0.1, 0.5, 1.0, 5.0)
 ABSORPTION_DOUBLING_CAP = 2.0**40
 ABSORBING_NORM_TOL = 1e-6
 
@@ -43,7 +43,6 @@ class StructureError(RuntimeError):
 @dataclass(frozen=True)
 class SubharmonicReport:
     algebraic_residual: float
-    semigroup_residual: float
     verdict: bool
 
 
@@ -55,7 +54,7 @@ class RestrictedGenerator:
     ``gen_schr`` / ``gen_heis`` are the m^2 x m^2 generator matrices of the
     compressed state / observable evolution, carrying the right and the left
     vectors of one eigensolve; ``g_hat`` and ``jumps_hat`` are the compressed
-    drift and jump operators generating the same semigroup.
+    drift and jump operators that define them.
     """
 
     spec: ModelSpec
@@ -100,8 +99,8 @@ class IrreducibilityReport:
 class Analysis:
     """What ``analyze`` derives from one model, each object built on first use.
 
-    ``schr`` is the d^2 x d^2 Schroedinger generator; the restriction
-    compresses it and the sampler's kernels shift it, but nothing
+    ``schr`` is the d^2 x d^2 Schroedinger generator.  Only ``simulate``'s
+    kernels use it (they shift it); ``analyze`` never builds it, and nothing
     eigendecomposes it.  The stage functions below take an ``Analysis`` or a
     bare ``ModelSpec``, which gets a fresh context.
     """
@@ -143,29 +142,14 @@ def _algebraic_residual(spec: ModelSpec) -> tuple:
 
 
 def check_subharmonic(model) -> SubharmonicReport:
-    """Decide whether p0 is subharmonic, algebraically and dynamically.
+    """Decide whether p0 is subharmonic by the algebraic criterion.
 
-    Algebraic criterion: the range of p0 is invariant under every jump
-    operator and under the drift G.  Dynamical criterion: T_t(p0) >= p0 at a
-    few sample times, read off the restriction as
-    T_t(p0) - p0 = V (1_m - T^*_t(1_m)) V^dag; ``semigroup_residual`` is the
-    smallest eigenvalue (at most 0), or nan when the algebraic criterion
-    already fails and no restriction exists.  The verdict requires both.
+    The range of p0 must be invariant under every jump operator and under
+    the drift G.  For a projection this is equivalent to T_t(p0) >= p0 for
+    all t >= 0, so the verdict needs no evolution.
     """
-    ctx = as_analysis(model)
-    residual, ok = _algebraic_residual(ctx.spec)
-    semigroup_residual = np.nan
-    if ok:
-        heis = ctx.restriction.gen_heis
-        one = np.eye(heis.dim)
-        diff = one - apply_semigroup(heis, SUBHARMONIC_CHECK_TIMES, one)
-        w = np.linalg.eigvalsh(0.5 * (diff + adjoint(diff)))
-        semigroup_residual = min(0.0, float(np.min(w[:, 0])))
-    return SubharmonicReport(
-        algebraic_residual=residual,
-        semigroup_residual=semigroup_residual,
-        verdict=ok and semigroup_residual >= -op.TOL_PSD,
-    )
+    residual, ok = _algebraic_residual(as_analysis(model).spec)
+    return SubharmonicReport(algebraic_residual=residual, verdict=ok)
 
 
 def _perp_isometry(spec: ModelSpec) -> np.ndarray:
@@ -191,14 +175,15 @@ def _perp_isometry(spec: ModelSpec) -> np.ndarray:
 def restrict(model) -> RestrictedGenerator:
     """Build the compressed generator on range(p0_perp) in both pictures.
 
-    Gated on the algebraic criterion alone, since the dynamical one is
-    evaluated on this restriction.  One ``op.eig_general`` solve with left
-    vectors gives ``gen_schr`` its right pairs (w, V_R) and ``gen_heis`` =
-    ``gen_schr^dag`` its pairs (conj(w), V_L); they serve the candidates,
-    the absorption projector and both propagators.
+    Gated on the algebraic subharmonicity criterion.  The restriction is
+    defined by the compressed GKLS data g_hat = V^dag G V and
+    L_hat = V^dag L V: x -> g_hat x + x g_hat^dag + sum_k L_hat x L_hat^dag,
+    at O(m^6) and without the d^2 x d^2 generator.  One ``op.eig_general``
+    solve with left vectors gives ``gen_schr`` its right pairs (w, V_R) and
+    ``gen_heis`` = ``gen_schr^dag`` its pairs (conj(w), V_L); they serve the
+    candidates, the absorption projector and both propagators.
     """
-    ctx = as_analysis(model)
-    spec = ctx.spec
+    spec = as_analysis(model).spec
     residual, ok = _algebraic_residual(spec)
     if not ok:
         raise StructureError(
@@ -207,21 +192,11 @@ def restrict(model) -> RestrictedGenerator:
         )
     v = _perp_isometry(spec)
     m = v.shape[1]
-    compress_mat = sandwich(v.conj().T, v)  # x -> V^dag x V
-    embed_mat = sandwich(v, v.conj().T)  # x -> V x V^dag
-    gen_schr = compress_mat @ ctx.schr.mat @ embed_mat
-
     g_hat = v.conj().T @ spec.effective_drift() @ v
     jumps_hat = tuple(v.conj().T @ l @ v for l in spec.jump_ops)
-    # same semigroup from the compressed GKLS data: G rho + rho G^dag + sum L rho L^dag
-    gkls_form = left_mul(g_hat) + right_mul(adjoint(g_hat))
+    gen_schr = left_mul(g_hat) + right_mul(adjoint(g_hat))
     for l in jumps_hat:
-        gkls_form = gkls_form + sandwich(l, adjoint(l))
-    defect = frob(gen_schr - gkls_form)
-    if defect > op.TOL_EIG * max(1.0, frob(gen_schr)):
-        raise StructureError(
-            f"restricted generator inconsistent with compressed GKLS form: {defect:.3e}"
-        )
+        gen_schr = gen_schr + sandwich(l, adjoint(l))
     w, vl, vr = op.eig_general(gen_schr, left=True)
     return RestrictedGenerator(
         spec=spec,
@@ -246,7 +221,8 @@ def absorption_operator(model) -> AbsorptionReport:
     eigenbasis; an empty kernel (absorbing p0) gives A(p0) = 1 exactly.
     Purely imaginary peripheral eigenvalues are dropped, which realizes the
     Cesaro time average.  The result is cross-validated against direct
-    evaluation of T^*_t(1_m) with time doubling.
+    evaluation of T^*_t(1_m) with time doubling.  ``residual_harmonic`` is
+    ||L^*(A(p0))|| in d x d form, L^*(A) = G^dag A + A G + sum_k L_k^dag A L_k.
     """
     ctx = as_analysis(model)
     spec = ctx.spec
@@ -284,10 +260,11 @@ def absorption_operator(model) -> AbsorptionReport:
         )
     direct_gap = frob(pi_one - prev)
     if direct_gap > 1e-6:
-        raise StructureError(
-            f"spectral and semigroup limits disagree: {direct_gap:.3e}"
-        )
-    residual_harmonic = frob(devectorize(adjoint(ctx.schr.mat) @ vectorize(a_op)))
+        raise StructureError(f"spectral and semigroup limits disagree: {direct_gap:.3e}")
+    g = spec.effective_drift()
+    residual_harmonic = frob(
+        adjoint(g) @ a_op + a_op @ g + sum(adjoint(l) @ a_op @ l for l in spec.jump_ops)
+    )
     is_absorbing = frob(a_op - np.eye(spec.dim)) <= ABSORBING_NORM_TOL
     return AbsorptionReport(
         a_op=a_op,
@@ -305,48 +282,69 @@ def _invariant_closure(ops, seed: np.ndarray, dim: int, tol: float = 1e-10) -> n
     """
     basis = seed.reshape(dim, 1) / np.linalg.norm(seed)
     while True:
-        images = [basis] + [a @ basis for a in ops]
-        stacked = np.hstack(images)
-        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+        u, s, _ = np.linalg.svd(np.hstack([basis] + [a @ basis for a in ops]), full_matrices=False)
         rank = int(np.sum(s > tol * max(1.0, s[0])))
-        new_basis = u[:, :rank]
         if rank == basis.shape[1]:
-            return new_basis
-        basis = new_basis
+            return u[:, :rank]
+        basis = u[:, :rank]
+
+
+def algebra_dimension(ops, tol: float = 1e-10) -> int:
+    """Dimension of the unital algebra generated by the m x m matrices ``ops``.
+
+    The span (matrices as vectors) starts at the identity.  Each round
+    left-multiplies only the directions the last round added by every
+    generator, orthogonalizes the images twice against the current basis,
+    and keeps as new directions the left singular vectors above
+    ``tol * max(1, max ||op||)``, until a round adds nothing.
+    """
+    m = ops[0].shape[0]
+    cut = tol * max(1.0, max(frob(a) for a in ops))
+    basis = np.eye(m, dtype=complex).reshape(m * m, 1) / np.sqrt(m)
+    new = basis.T
+    while len(new) and basis.shape[1] < m * m:
+        images = np.concatenate([a @ new.reshape(-1, m, m) for a in ops]).reshape(-1, m * m).T
+        for _ in range(2):
+            images = images - basis @ (adjoint(basis) @ images)
+        u, s, _ = np.linalg.svd(images, full_matrices=False)
+        new = u[:, s > cut].T
+        basis = np.hstack([basis, new.T])
+    return basis.shape[1]
+
+
+def _witness_search(restr: RestrictedGenerator, n_random_seeds: int) -> Optional[np.ndarray]:
+    """A proper subspace invariant under g_hat and the jumps, or None if none is found.
+
+    Seeds are the eigenvectors of g_hat plus a fixed number of top
+    eigenvectors of random Hermitian combinations of the operators (fixed
+    RNG seed, so the search is reproducible).
+    """
+    ops = [restr.g_hat] + list(restr.jumps_hat)
+    seeds = list(np.linalg.eig(restr.g_hat)[1].T)
+    rng = np.random.default_rng(782133)
+    for _ in range(n_random_seeds):
+        combo = sum((rng.standard_normal() + 1j * rng.standard_normal()) * a for a in ops)
+        seeds.append(np.linalg.eigh(combo + adjoint(combo))[1][:, -1])
+    for seed in seeds:
+        closure = _invariant_closure(ops, seed, restr.m)
+        if closure.shape[1] < restr.m:
+            return closure
+    return None
 
 
 def check_irreducible(restr: RestrictedGenerator, n_random_seeds: int = 8) -> IrreducibilityReport:
-    """Search for a common invariant subspace of g_hat and the jump operators.
+    """Decide whether g_hat and the jump operators have a common invariant subspace.
 
-    Seeds are the eigenvectors of g_hat plus a fixed number of eigenvectors
-    of random Hermitian combinations of the operators (fixed RNG seed, so the
-    search is reproducible).  A proper closure is a witness of reducibility;
-    if no witness is found the restriction is reported irreducible.
+    Burnside's theorem: they have none iff the unital algebra they generate
+    is all of M_m, of dimension m^2, and then the verdict is a certificate.
+    A smaller algebra means the restriction is reducible; the seeded closure
+    search of :func:`_witness_search` then looks for a witness to report.
     """
     m = restr.m
-    ops = [restr.g_hat] + list(restr.jumps_hat)
-    seeds = []
-    _, eigvecs = np.linalg.eig(restr.g_hat)
-    seeds.extend(eigvecs[:, j] for j in range(m))
-    rng = np.random.default_rng(782133)
-    for _ in range(n_random_seeds):
-        combo = np.zeros((m, m), dtype=complex)
-        for a in ops:
-            c = rng.standard_normal() + 1j * rng.standard_normal()
-            combo = combo + c * a
-        herm = combo + adjoint(combo)
-        _, hv = np.linalg.eigh(herm)
-        seeds.append(hv[:, -1])
-    for seed in seeds:
-        if np.linalg.norm(seed) < 1e-12:
-            continue
-        closure = _invariant_closure(ops, seed, m)
-        if closure.shape[1] < m:
-            return IrreducibilityReport(
-                verdict=False,
-                witness=closure,
-                note=f"invariant subspace of dimension {closure.shape[1]} found",
-            )
-    return IrreducibilityReport(
-        verdict=True, witness=None, note="irreducible (no witness found)"
-    )
+    dim = algebra_dimension([restr.g_hat] + list(restr.jumps_hat))
+    if dim == m * m:
+        return IrreducibilityReport(True, None, f"irreducible (algebra dimension {dim} = m^2)")
+    witness = _witness_search(restr, n_random_seeds)
+    note = (f"reducible (algebra dimension {dim} < m^2; no witness found)" if witness is None
+            else f"invariant subspace of dimension {witness.shape[1]} found")
+    return IrreducibilityReport(False, witness, note)

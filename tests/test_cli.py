@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -96,9 +97,9 @@ def test_analyze_deterministic_output(models_dir, tmp_path):
 @pytest.mark.parametrize(
     "model, stream, digest",
     [
-        ("two_qubit_site1.json", "out", "222fb7955f1f2eb06bb103fbed0311530e63671a4f096d6a49a05c87abf77fcd"),
-        ("two_qubit_both.json", "out", "f109c317f49cf6b26703a52edda395df7d325701d5ac3e59e202d2bc19eee083"),
-        (two_qubit_both(0.0), "out", "d9223d2b288348cf9ccff6b946a13032d5ecee5cb5d0e6acb32e402626a4e8c7"),
+        ("two_qubit_site1.json", "out", "741aa07b1c154ecd0f8c477a013b24e876035e63d0db42c2f61d764d3b453675"),
+        ("two_qubit_both.json", "out", "d0a429017b2c23d7ba1d9b25dafbe6b1218055608c4b55b527ae9d680dfa4d83"),
+        (two_qubit_both(0.0), "out", "aa44ab52c7268bc830f3b8449c89d5ef3d02a579da5d040fc4953bf128d72bd6"),
         (two_qubit_site1(0.5), "err", "12e44de94ebd545c1f8c21b274dd080fb00dfa05fe83685b0b7fb15f4a7785e4"),
     ],
     ids=["site1", "both", "both-omega0-face-walk", "site1-omega-half-failure"],
@@ -199,6 +200,25 @@ def test_non_finite_report_value_exits_2_without_traceback(tmp_path, capsys):
     assert err.strip().splitlines() == [
         "theory-consistency failure: residual_defn is inf for the family at alpha 4.000000e+02"
     ]
+    assert not out.exists()
+
+
+def test_absorbing_p0_with_a_non_decaying_family_exits_2(tmp_path, monkeypatch, capsys):
+    # site1 at omega = 0 has a dark state and a family at alpha = 0; an
+    # absorption report that calls p0 absorbing contradicts it
+    absorption_operator = structure.absorption_operator
+    monkeypatch.setattr(
+        structure, "absorption_operator",
+        lambda model: dataclasses.replace(absorption_operator(model), is_absorbing=True),
+    )
+    path, out = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(json.dumps(model_to_doc(two_qubit_site1(0.0))))
+    rc = run(["analyze", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert line.startswith("theory-consistency failure: p0 is absorbing but a family has alpha ")
     assert not out.exists()
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from qsslab import cli, qss, structure
+from propcheck import random_subharmonic_model
+from qsslab import cli, model, qss, structure
 from qsslab import operators as op
 from qsslab.classical import RateMatrix, embed
 from qsslab.model import (
@@ -22,6 +23,7 @@ from qsslab.model import (
 from qsslab.structure import (
     StructureError,
     absorption_operator,
+    algebra_dimension,
     check_irreducible,
     check_subharmonic,
     restrict,
@@ -41,7 +43,6 @@ def test_subharmonic_fixtures():
         report = check_subharmonic(spec)
         assert report.verdict
         assert report.algebraic_residual < 1e-12
-        assert report.semigroup_residual >= -1e-9
 
 
 def test_subharmonic_negative():
@@ -225,6 +226,96 @@ def test_irreducibility_classical_connected_chain():
     report = check_irreducible(restrict(embed(rm)))
     assert report.verdict
     assert report.witness is None
+    assert report.note == "irreducible (algebra dimension 4 = m^2)"
+
+
+def _naive_algebra_dimension(ops) -> int:
+    """Rank of the span of all words in ``ops``, regrown in full every round."""
+    m = ops[0].shape[0]
+    words = [np.eye(m, dtype=complex)]
+    rank = 1
+    while True:
+        words = words + [a @ w for a in ops for w in words]
+        u, s, _ = np.linalg.svd(np.array([w.ravel() for w in words]).T, full_matrices=False)
+        words = [col.reshape(m, m) for col in u[:, s > 1e-9 * s[0]].T]
+        if len(words) == rank:
+            return rank
+        rank = len(words)
+
+
+def _old_closure_verdict(restr) -> bool:
+    """The seeded closure search alone: irreducible iff it finds no witness."""
+    return structure._witness_search(restr, 8) is None
+
+
+def _burnside_cases():
+    omegas = (0.0, 1e-6, 1e-3, 0.015, 0.25, 0.5, 0.5 + 1e-12, 0.75, 1.0)
+    fixtures = [(f"{name}-{w:.13g}", factory(w)) for name, factory in
+                (("site1", two_qubit_site1), ("both", two_qubit_both)) for w in omegas]
+    rng = np.random.default_rng(5150)
+    randoms = [(f"random-{k}", random_subharmonic_model(rng)) for k in range(6)]
+    randoms += [("random-d6", random_subharmonic_model(rng, d=6, rank=3))]
+    return dict(fixtures + randoms)
+
+
+BURNSIDE_CASES = _burnside_cases()
+
+
+@pytest.mark.parametrize("spec", BURNSIDE_CASES.values(), ids=BURNSIDE_CASES.keys())
+def test_burnside_verdict_is_the_algebra_dimension_and_matches_the_closure_search(spec):
+    restr = restrict(spec)
+    ops = [restr.g_hat] + list(restr.jumps_hat)
+    dim = _naive_algebra_dimension(ops)
+    assert algebra_dimension(ops) == dim
+    report = check_irreducible(restr)
+    assert report.verdict == (dim == restr.m**2) == _old_closure_verdict(restr)
+    if report.verdict:
+        assert report.note == f"irreducible (algebra dimension {dim} = m^2)"
+    else:
+        assert report.note == f"invariant subspace of dimension {report.witness.shape[1]} found"
+
+
+def _with_spectator(spec: ModelSpec, k: int = 2) -> ModelSpec:
+    one = np.eye(k)
+    return ModelSpec(dim=spec.dim * k, hamiltonian=np.kron(spec.hamiltonian, one),
+                     jump_ops=tuple(np.kron(l, one) for l in spec.jump_ops), p0=np.kron(spec.p0, one))
+
+
+def test_idle_spectator_makes_an_irreducible_restriction_reducible():
+    rm = RateMatrix(
+        n=3,
+        q=np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]),
+        absorbing_set=(2,),
+    )
+    restr = restrict(_with_spectator(embed(rm)))
+    assert restr.m == 4
+    assert algebra_dimension([restr.g_hat] + list(restr.jumps_hat)) == 4  # M_2 (x) 1_2
+    report = check_irreducible(restr)
+    assert not report.verdict
+    assert report.note == "invariant subspace of dimension 2 found"
+    for a in [restr.g_hat] + list(restr.jumps_hat):  # the witness is invariant
+        image = a @ report.witness
+        assert np.linalg.norm(image - report.witness @ (report.witness.conj().T @ image)) <= 1e-10
+
+
+def test_reducible_restriction_without_a_closure_witness():
+    # on range(p0_perp) = span(e1, e2): L1 = |u><u_perp|, L2 = |u><u| with
+    # u = (e1 + e2)/sqrt(2), so span(u) is invariant (block upper triangular
+    # in the basis u, u_perp) and g_hat = -1/2 is scalar.  The eigenvectors
+    # of g_hat are e1, e2, whose closures are everything, as are those of the
+    # random Hermitian combinations: only the algebra dimension tells.
+    u = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+    u_perp = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+    spec = ModelSpec(dim=3, hamiltonian=np.zeros((3, 3)),
+                     jump_ops=(np.outer(u, u_perp), np.outer(u, u)),
+                     p0=np.diag([1.0, 0.0, 0.0]).astype(complex))
+    restr = restrict(spec)
+    assert np.allclose(restr.g_hat, -0.5 * np.eye(2))
+    assert _old_closure_verdict(restr)  # the search alone would say irreducible
+    report = check_irreducible(restr)
+    assert not report.verdict
+    assert report.witness is None
+    assert report.note == "reducible (algebra dimension 3 < m^2; no witness found)"
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -251,14 +342,19 @@ def _count_sizes(monkeypatch, owner, name, sizes):
 
 def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_path):
     # one m^2 x m^2 solve serves the restriction in both pictures, g_hat
-    # (m x m) seeds the irreducibility search, and no d^2 x d^2 matrix is
-    # eigendecomposed
+    # (m x m) seeds the witness search of the reducible restriction, and no
+    # d^2 x d^2 matrix is built, let alone eigendecomposed
     sizes = Counter()
     _count_sizes(monkeypatch, np.linalg, "eig", sizes)
     _count_sizes(monkeypatch, sla, "eig", sizes)
     subharmonic = _count_calls(monkeypatch, structure, "check_subharmonic")
     eig_general = _count_calls(monkeypatch, op, "eig_general")
     matrix = _count_calls(monkeypatch, op.Propagator, "matrix")
+    full_space = [
+        _count_calls(monkeypatch, model, "gkls_matrix"),
+        _count_calls(monkeypatch, model, "build_generator"),
+        _count_calls(monkeypatch, structure, "build_generator"),
+    ]
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
     m = 3
@@ -268,18 +364,20 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     # every propagator of this model is spectral, so apply_semigroup never
     # forms exp(tL)
     assert matrix == []
+    assert full_space == [[], [], []]
 
 
 def test_each_time_grid_is_one_propagator_call(models_dir, monkeypatch, tmp_path):
-    # analyze: subharmonicity 1, absorption 1 (converged within the first block
-    # of eight doublings), the definition residual of the one reported anchor 1
-    # (the segment ends are reported by nu alone and never certified),
-    # verification 1 + 3 for the repeated cycle.  sweep reads only the decay
-    # rates, so it evolves nothing.
+    # analyze: absorption 1 (converged within the first block of eight
+    # doublings), the definition residual of the one reported anchor 1 (the
+    # segment ends are reported by nu alone and never certified),
+    # verification 1 + 3 for the repeated cycle.  Subharmonicity is algebraic
+    # and evolves nothing, and neither does sweep, which reads only the decay
+    # rates.
     apply = _count_calls(monkeypatch, op.Propagator, "apply")
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
-    assert len(apply) == 7
+    assert len(apply) == 6
     apply.clear()
     assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
     assert len(apply) == 0
