@@ -34,12 +34,5 @@ from .structure import (  # noqa: F401
     check_subharmonic,
     restrict,
 )
-from .trajectory import (  # noqa: F401
-    build_kernel,
-    jump_statistics,
-    measure_weight,
-    nojump_survival,
-    sample_trajectories,
-    sample_trajectory,
-)
+from .trajectory import build_kernel, jump_statistics, sample_trajectories  # noqa: F401
 from .classical import RateMatrix, classical_qsd, crosscheck, embed  # noqa: F401

@@ -89,7 +89,7 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
             "dimension": len(fam.herm_basis),
             "anchor": fam.anchor.nu,
             "residual_eigen": fam.anchor.residual_eigen,
-            "residual_defn": fam.anchor.residual_defn,
+            "residual_defn": report.residual_defn,  # equals the anchor certificate's to the bit
             "verification": {
                 "residual_defn": report.residual_defn,
                 "residual_exp_survival": report.residual_exp_survival,
@@ -196,12 +196,12 @@ def cmd_simulate(args) -> int:
         rho0 = perron[0].anchor.nu
     kernel = traj_mod.build_kernel(ctx)
 
-    records = traj_mod.sample_trajectories(kernel, rho0, args.horizon, args.seed, args.samples)
-    stats = traj_mod.jump_statistics(records, alpha, nu=rho0)
+    batch = traj_mod.sample_trajectories(kernel, rho0, args.horizon, args.seed, args.samples)
+    stats = traj_mod.jump_statistics(batch, alpha, nu=rho0)
     if args.records:
         with open(args.records, "w", encoding="utf-8") as fh:
             # a record's JSON keys are the TrajectoryRecord fields
-            fh.writelines(modelio.record_lines(records))
+            fh.writelines(modelio.record_lines(batch))
     summary = {
         "n_trajectories": stats.n_trajectories,
         "n_observed_jumps": stats.n_observed_jumps,

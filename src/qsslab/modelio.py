@@ -207,39 +207,62 @@ def dumps(obj) -> str:
 
 @functools.cache
 def _record_template(n_jumps: int, shape) -> str:
-    """``%``-format of one trajectory record line, its fields in sorted order."""
+    """``%``-format of the float fields of a trajectory record line, in sorted key
+    order from ``final_state`` to ``post_jump_states``."""
     state = _template(shape)
     return (
-        '{"censored": %s, "final_state": ' + state + ', "final_weight": %.17g, "horizon": %.17g, '
+        '"final_state": ' + state + ', "final_weight": %.17g, "horizon": %.17g, '
         '"jump_times": [' + ", ".join(["%.17g"] * n_jumps) + '], '
-        '"post_jump_states": [' + ", ".join([state] * n_jumps) + '], "seed": %d, "stream": %d}\n'
+        '"post_jump_states": [' + ", ".join([state] * n_jumps) + '], '
     )
 
 
-def record_lines(records):
+def _columns(records):
+    """The columns of :class:`~qsslab.trajectory.TrajectoryBatch` for a sequence of its
+    records, and each record's ``(censored, seed, stream)`` and horizon."""
+    finals = np.array([rec.final_state for rec in records], dtype=complex)
+    posts = np.array([s for rec in records for s in rec.post_jump_states], dtype=complex)
+    return (
+        [(rec.censored, rec.seed, rec.stream) for rec in records],
+        np.array([rec.horizon for rec in records], dtype=float),
+        np.array([len(rec.jump_times) for rec in records], dtype=int),
+        np.array([t for rec in records for t in rec.jump_times], dtype=float),
+        posts.reshape((-1,) + finals.shape[1:]),
+        finals,
+        np.array([rec.final_weight for rec in records], dtype=float),
+    )
+
+
+def record_lines(batch):
     """``dumps(vars(rec)) + "\\n"`` of each trajectory record, one string per group.
 
-    A group's states and floats go through one ``np.array``, one finiteness
-    check and one ``tolist``; each record is then one ``%`` of a template.
+    ``batch`` is a :class:`~qsslab.trajectory.TrajectoryBatch` or a sequence of
+    its records.  A group of ``RECORD_GROUP`` records gathers its floats from the
+    columns in line order, passes one finiteness check and one ``tolist`` and is
+    one ``%`` of the records' templates.  The first non-finite value in record
+    and key order raises the error ``dumps`` gives for it.
     """
-    for g in range(0, len(records), RECORD_GROUP):
-        group = records[g:g + RECORD_GROUP]
-        # np.array, unlike np.stack, lays the states out in C order: [re, im] per entry
-        states = np.array([s for rec in group for s in (rec.final_state, *rec.post_jump_states)])
-        scalars = [x for rec in group for x in (rec.final_weight, rec.horizon, *rec.jump_times)]
-        values = np.concatenate([states.view(np.float64).ravel(), scalars])
-        if not np.isfinite(values).all():
-            for rec in group:
-                dumps(vars(rec))  # raises the error of the first non-finite value
-        values = values.tolist()
-        size = 2 * states[0].size
-        at, sc = 0, len(values) - len(scalars)  # next state value, next scalar
-        lines = []
-        for rec in group:
-            k = len(rec.jump_times)
-            mid, end = at + size, at + size * (k + 1)
-            lines.append(_record_template(k, states.shape[1:]) % (
-                "true" if rec.censored else "false", *values[at:mid], *values[sc:sc + 2 + k],
-                *values[mid:end], rec.seed, rec.stream))
-            at, sc = end, sc + 2 + k
-        yield "".join(lines)
+    if isinstance(batch, (list, tuple)):
+        heads, horizons, counts, times, posts, finals, weights = _columns(batch)
+    else:
+        heads = [(True, batch.seed, batch.first_stream + i) for i in range(len(batch))]
+        horizons = np.full(len(batch), batch.horizon)
+        counts, times, posts = batch.counts, batch.jump_times, batch.post_jump_states
+        finals, weights = batch.final_states, batch.final_weights
+    at = np.concatenate([[0], np.cumsum(counts)]).tolist()  # each record's first jump
+    size = 2 * math.prod(finals.shape[1:])  # floats per state, C-ordered [re, im] pairs
+    finals_f, posts_f = (x.view(np.float64).reshape(len(x), size) for x in (finals, posts))
+    for g in range(0, len(heads), RECORD_GROUP):
+        group = range(g, min(g + RECORD_GROUP, len(heads)))
+        values = np.concatenate([x for i in group for x in (
+            finals_f[i], weights[i:i + 1], horizons[i:i + 1], times[at[i]:at[i + 1]],
+            posts_f[at[i]:at[i + 1]].ravel())])
+        bad = ~np.isfinite(values)
+        if bad.any():
+            _fmt_float(float(values[bad][0]))  # raises its error
+        yield "".join(
+            f'{{"censored": {"true" if heads[i][0] else "false"}, '
+            + _record_template(at[i + 1] - at[i], finals.shape[1:])
+            + f'"seed": {heads[i][1]}, "stream": {heads[i][2]}}}\n'
+            for i in group
+        ) % tuple(values.tolist())

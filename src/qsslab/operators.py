@@ -168,10 +168,14 @@ class Propagator:
             return (self.v * np.exp(t * self.w)) @ self.v_inv
         return sla.expm(t * self.mat)
 
-    def apply(self, t, vec: np.ndarray) -> np.ndarray:
-        """``exp(t*a) @ vec``: one time per row of a batch ``vec``, or times for one ``vec``."""
+    def apply(self, t, vec: np.ndarray, coef=None) -> np.ndarray:
+        """``exp(t*a) @ vec``: one time per row of a batch ``vec``, or times for one ``vec``.
+
+        ``coef``, if given, is ``rowdot(v_inv, vec)`` computed by the caller (spectral path).
+        """
         if self.spectral:
-            return rowdot(self.v, np.exp(np.multiply.outer(t, self.w)) * rowdot(self.v_inv, vec))
+            coef = rowdot(self.v_inv, vec) if coef is None else coef
+            return rowdot(self.v, np.exp(np.multiply.outer(t, self.w)) * coef)
         if np.ndim(t) == 0:
             return self.matrix(t) @ vec
         vec = np.broadcast_to(vec, np.shape(t) + np.shape(vec)[-1:])
@@ -181,16 +185,17 @@ class Propagator:
     def _trace_row(self) -> np.ndarray:
         return vectorize(np.eye(math.isqrt(self.mat.shape[0]))).conj()
 
-    def trace_coords(self, vecs: np.ndarray) -> np.ndarray:
+    def trace_coords(self, vecs: np.ndarray, coef=None) -> np.ndarray:
         """``x`` with ``tr(exp(t*a) vec) = sum(x * trace_rows(t))`` for each row of ``vecs``.
 
-        Spectral: trace-weighted eigencoefficients, zeroed at modulus <= 1e-18.
+        Spectral: trace-weighted eigencoefficients, zeroed at modulus <= 1e-18;
+        ``coef`` as in :meth:`apply`.
         """
         if not self.spectral:
             return np.asarray(vecs, dtype=complex)
-        coef = (self._trace_row @ self.v) * rowdot(self.v_inv, vecs)
-        coef[np.abs(coef) <= 1e-18] = 0.0
-        return coef
+        x = (self._trace_row @ self.v) * (rowdot(self.v_inv, vecs) if coef is None else coef)
+        x[np.abs(x) <= 1e-18] = 0.0
+        return x
 
     def trace_rows(self, times) -> np.ndarray:
         """``exp(t*w)`` per time; the fallback forms ``tr(exp(t*a) .)`` from :meth:`matrix`."""

@@ -2,10 +2,7 @@
 
 Between jumps the (unnormalized) state follows the contraction semigroup
 generated by the full state-evolution generator plus -1/2 {p0_perp, .};
-jumps compress the state to the p0_perp corner and renormalize.  The
-trace-preserving companion semigroup (no-jump generator plus the corner
-map) underlies the normalization of the jump-time measure and is used for
-sector-sum checks.
+jumps compress the state to the p0_perp corner and renormalize.
 
 Sampling is inverse-CDF on the unnormalized trace with censoring at a
 finite horizon: the trace can plateau strictly above zero (the absorbed
@@ -16,7 +13,8 @@ grid brackets the one crossing and safeguarded Newton refines it to within
 ``TIME_TOL``: the curve is at or above the draw ``TIME_TOL`` before the firing
 time and at or below it ``TIME_TOL`` after (both clamped to the segment).
 All trajectories of a batch advance in lockstep, one segment per round, in
-row-wise arithmetic, so a record does not depend on the batch size.
+row-wise arithmetic, so a record does not depend on the batch size.  Every
+jump goes straight into the columns of one :class:`TrajectoryBatch`.
 
 Round r of stream s consumes uniform r of that stream.  Philox is
 counter-based: a uniform is a pure function of (key, counter), so the
@@ -31,13 +29,14 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import operators as op
-from .model import SCHRODINGER, ModelSpec, Superop, left_mul, right_mul, sandwich
-from .operators import devectorize, frob, vectorize
+from .model import SCHRODINGER, Superop, left_mul, right_mul, sandwich
+from .operators import vectorize
 from .structure import as_analysis, check_subharmonic  # noqa: F401 (qssbench tests patch it)
 
 STEP = 0.01           # grid step of the survival curve's bracket search
@@ -52,48 +51,20 @@ class TrajectoryError(RuntimeError):
 
 @dataclass(frozen=True)
 class UnravelingKernel:
-    spec: ModelSpec
     gen_nojump: Superop
-    gen_tilde: Superop
     p0_perp: np.ndarray
-
-    def jump_map(self, rho: np.ndarray) -> np.ndarray:
-        """Unnormalized post-jump compression p0_perp rho p0_perp."""
-        return self.p0_perp @ rho @ self.p0_perp
 
 
 def build_kernel(model) -> UnravelingKernel:
-    """No-jump and trace-preserving companion generators for the model."""
+    """No-jump generator of the model's counting process with detector p0_perp."""
     ctx = as_analysis(model)
     if not ctx.subharmonic.verdict:
         raise TrajectoryError("unraveling kernel requires a subharmonic p0")
-    spec = ctx.spec
-    d, perp = spec.dim, spec.p0_perp
-    schr = ctx.schr.mat
-    nojump = schr - 0.5 * (left_mul(perp) + right_mul(perp))
-    tilde = nojump + sandwich(perp, perp)
-    ident = vectorize(np.eye(d))
-    defect = float(np.linalg.norm(ident.conj() @ tilde))
-    if defect > op.TOL_EIG * max(1.0, frob(tilde)):
-        raise TrajectoryError(
-            f"trace-preserving companion generator fails trace check: {defect:.3e}"
-        )
+    perp = ctx.spec.p0_perp
+    nojump = ctx.schr.mat - 0.5 * (left_mul(perp) + right_mul(perp))
     return UnravelingKernel(
-        spec=spec,
-        gen_nojump=Superop(mat=nojump, picture=SCHRODINGER, dim=d),
-        gen_tilde=Superop(mat=tilde, picture=SCHRODINGER, dim=d),
-        p0_perp=perp,
+        gen_nojump=Superop(mat=nojump, picture=SCHRODINGER, dim=ctx.spec.dim), p0_perp=perp
     )
-
-
-def nojump_survival(kernel: UnravelingKernel, rho0: np.ndarray, t: float):
-    """(tr S_t(rho0), tr(S_t(rho0) p0_perp)) of the no-jump branch."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    sig = devectorize(kernel.gen_nojump.propagator.apply(t, vectorize(rho0)))
-    total = float(np.trace(sig).real)
-    perp = float(np.trace(sig @ kernel.p0_perp).real)
-    return total, perp
 
 
 @dataclass(frozen=True)
@@ -110,6 +81,46 @@ class TrajectoryRecord:
     @property
     def n_jumps(self) -> int:
         return len(self.jump_times)
+
+
+@dataclass(frozen=True)
+class TrajectoryBatch:
+    """The trajectories of streams ``first_stream .. first_stream + n - 1``, as columns.
+
+    Trajectory ``i`` has ``counts[i]`` jumps: rows ``offsets[i] .. offsets[i + 1] - 1``
+    of ``jump_times`` (J,) and ``post_jump_states`` (J, d, d), in time order.  Every
+    trajectory ends censored, at the horizon or in the absorbed branch, in the
+    normalized ``final_states[i]`` with surviving unnormalized weight
+    ``final_weights[i]``.  Indexing and iteration give :class:`TrajectoryRecord`
+    views: a record for an index, a list of records for a slice.
+    """
+
+    seed: int
+    first_stream: int
+    horizon: float
+    counts: np.ndarray
+    jump_times: np.ndarray
+    post_jump_states: np.ndarray
+    final_states: np.ndarray
+    final_weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.counts)])
+
+    def __getitem__(self, index):
+        i = range(len(self))[index]
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return TrajectoryRecord(
+            self.seed, self.first_stream + i, self.horizon, tuple(self.jump_times[a:b].tolist()),
+            tuple(self.post_jump_states[a:b]), self.final_states[i], float(self.final_weights[i]),
+            censored=True,
+        )
 
 
 # numpy's SeedSequence (pool of 4 uint32 words) and Philox4x64-10 constants
@@ -223,8 +234,10 @@ def _segment(prop, table, grid, vecs, u, remaining):
     ``dx``) from one ``trace_rows`` call and shrinks ``[lo, hi]`` by the sign of
     f - u, keeping f(lo) >= u > f(hi); a step that leaves ``[lo, hi]`` bisects
     it.  A row stops at a step <= ``TIME_TOL / 2`` or a bracket <= ``TIME_TOL``.
+    On the spectral path one eigen-transform of ``vecs`` serves ``x`` and ``sig``.
     """
-    x = prop.trace_coords(vecs)
+    coef = op.rowdot(prop.v_inv, vecs) if prop.spectral else None
+    x = prop.trace_coords(vecs, coef)
     dx = x * prop.w if prop.spectral else prop.trace_coords(op.rowdot(prop.mat, vecs))
     at_end = (x * prop.trace_rows(remaining)).sum(-1).real
     fired, k_hit = _bracket(x, at_end, table, grid, u, remaining)
@@ -244,10 +257,15 @@ def _segment(prop, table, grid, vecs, u, remaining):
         done = (newton & (np.abs(step) <= TIME_TOL / 2)) | (hi[active] - lo[active] <= TIME_TOL)
         active = active[~done]
     t = np.where(fired, t, remaining)
-    return fired, t, prop.apply(t, vecs)
+    return fired, t, prop.apply(t, vecs, coef)
 
 
-def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int = 0):
+def _states(vecs: np.ndarray, d: int) -> np.ndarray:
+    """C-ordered ``(k, d, d)`` stack of the column-stacked rows of ``vecs``."""
+    return np.ascontiguousarray(vecs.reshape(-1, d, d).transpose(0, 2, 1))
+
+
+def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int = 0) -> TrajectoryBatch:
     """Waiting-time unravelings of streams ``first_stream .. first_stream + n - 1``.
 
     Per round, each live trajectory draws u ~ U(0,1) from its own stream; its
@@ -257,6 +275,8 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     trajectory whose trace stays above u up to the horizon, or whose jump has
     vanishing weight (the absorbed branch), ends censored with its surviving
     unnormalized weight.  Rows pass every step in chunks of ``CHUNK_ROWS``.
+    Each chunk logs its jumps as arrays; one stable sort by row at the end
+    groups them by trajectory, in time order since rounds are chronological.
     """
     if not 0 < horizon < np.inf:
         raise ValueError("horizon must be positive and finite")
@@ -266,14 +286,14 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     grid = STEP * np.arange(int(np.ceil(horizon / STEP)) + 1)
     table = prop.trace_rows(grid)
     jump = sandwich(kernel.p0_perp, kernel.p0_perp)
-    diag = np.arange(d) * (d + 1)
+    # a strided view of the diagonal sums every row in one order whatever the
+    # number of rows; a fancy-indexed copy is summed differently once it has two
+    diag = slice(None, None, d + 1)
     keys = stream_keys(seed, first_stream, n)
     draws = np.empty((n, DRAWS))
-    vecs = np.tile(vectorize(rho0), (n, 1))
+    vecs = np.tile(vectorize(rho0), (n, 1))  # a trajectory's row ends as its final state
     t_now = np.zeros(n)
-    times = [[] for _ in range(n)]
-    states = [[] for _ in range(n)]
-    ends = [None] * n
+    jump_rows, jump_times, posts = [np.empty(0, int)], [np.empty(0)], [np.empty((0, d * d), complex)]
     alive = np.ones(n, dtype=bool)
     r = 0
     while (live := np.flatnonzero(alive)).size:
@@ -288,26 +308,26 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
             jumped = op.rowdot(jump, sig)
             w = jumped[:, diag].sum(-1).real
             go = fired & (w > 1e-300)
-            for j in np.flatnonzero(~go):  # censored at the horizon, or absorbed
-                end, weight = sig[j].reshape(d, d, order="F"), float(sig[j, diag].sum().real)
-                ends[rows[j]] = (end / weight if weight > 1e-300 else end, weight)
+            vecs[rows[~go]] = sig[~go]  # censored at the horizon, or absorbed
             alive[rows[~go]] = False
             rows, post = rows[go], jumped[go] / w[go, None]
             t_now[rows] += t[go]
             vecs[rows] = post
-            for i, t_i, v in zip(rows, t_now[rows], post):
-                times[i].append(float(t_i))
-                states[i].append(v.reshape(d, d, order="F"))
-    return [
-        TrajectoryRecord(seed, first_stream + i, horizon, tuple(times[i]), tuple(states[i]),
-                         *ends[i], censored=True)
-        for i in range(n)
-    ]
-
-
-def sample_trajectory(kernel, rho0, horizon, seed, stream: int = 0) -> TrajectoryRecord:
-    """One record: the ``n = 1`` case of :func:`sample_trajectories`."""
-    return sample_trajectories(kernel, rho0, horizon, seed, 1, first_stream=stream)[0]
+            jump_rows.append(rows)
+            jump_times.append(t_now[rows])
+            posts.append(post)
+    weights = vecs[:, diag].sum(-1).real
+    kept = weights > 1e-300
+    vecs[kept] /= weights[kept, None]
+    jump_rows = np.concatenate(jump_rows)
+    order = np.argsort(jump_rows, kind="stable")
+    return TrajectoryBatch(
+        seed=seed, first_stream=first_stream, horizon=horizon,
+        counts=np.bincount(jump_rows, minlength=n),
+        jump_times=np.concatenate(jump_times)[order],
+        post_jump_states=_states(np.concatenate(posts)[order], d),
+        final_states=_states(vecs, d), final_weights=weights,
+    )
 
 
 @dataclass(frozen=True)
@@ -318,36 +338,27 @@ class JumpStatistics:
     empirical_mean: float
     ks_statistic: float
     post_jump_max_deviation: float
-    censoring_fraction: float  # fraction of records with no observed jump
+    censoring_fraction: float  # fraction of trajectories with no observed jump
     rate: float
     window: float
 
 
-def truncated_exp_mean(rate: float, window: float) -> float:
-    """Mean of Exp(rate) conditioned on being <= window."""
-    z = 1.0 - np.exp(-rate * window)
-    return 1.0 / rate - window * np.exp(-rate * window) / z
-
-
-def jump_statistics(records, alpha: float, nu: Optional[np.ndarray] = None) -> JumpStatistics:
+def jump_statistics(batch: TrajectoryBatch, alpha: float, nu: Optional[np.ndarray] = None) -> JumpStatistics:
     """Pooled inter-jump statistics against the Exp(1+alpha) law.
 
     The Kolmogorov-Smirnov statistic compares the gaps with the exponential
     law truncated to the censoring window (the horizon), since conditioning
     on observation before the horizon is exactly what the sampler does.
     """
-    counts = np.array([rec.n_jumps for rec in records])
+    counts, times, window = batch.counts, batch.jump_times, batch.horizon
     if not counts.sum():
         raise TrajectoryError("no samples: no jumps observed in the record set")
-    window = max(rec.horizon for rec in records)
-    times = np.concatenate([rec.jump_times for rec in records])
     prev = np.roll(times, 1)
-    prev[(np.cumsum(counts) - counts)[counts > 0]] = 0.0  # first jump of each record
+    prev[batch.offsets[:-1][counts > 0]] = 0.0  # first jump of each trajectory
     gaps_arr = times - prev
     max_dev = 0.0
     if nu is not None:
-        states = np.array([s for rec in records for s in rec.post_jump_states])
-        max_dev = float(np.max(np.linalg.norm(states - nu, axis=(1, 2))))
+        max_dev = float(np.max(np.linalg.norm(batch.post_jump_states - nu, axis=(1, 2))))
     rate = 1.0 + alpha
 
     z = 1.0 - np.exp(-rate * window)
@@ -356,59 +367,13 @@ def jump_statistics(records, alpha: float, nu: Optional[np.ndarray] = None) -> J
     # two-sided Kolmogorov-Smirnov: max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n)
     ks = float(max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n)))
     return JumpStatistics(
-        n_trajectories=len(records),
+        n_trajectories=len(batch),
         n_observed_jumps=len(gaps_arr),
         interjump_samples=tuple(gaps_arr.tolist()),
         empirical_mean=float(np.mean(gaps_arr)),
         ks_statistic=ks,
         post_jump_max_deviation=max_dev,
-        censoring_fraction=int(np.sum(counts == 0)) / len(records),
+        censoring_fraction=int(np.sum(counts == 0)) / len(batch),
         rate=rate,
         window=window,
     )
-
-
-def measure_weight(kernel: UnravelingKernel, jump_times, horizon: float, rho0) -> float:
-    """tr rho_horizon for a fixed jump-time configuration.
-
-    Deterministic composition S_{horizon - t_k} o (corner map) o ... o S_{t_1}
-    applied to rho0; this is the density of the jump-time measure.
-    """
-    times = list(jump_times)
-    if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("jump times must be ordered")
-    if times and (times[0] < 0 or times[-1] > horizon):
-        raise ValueError("jump times must lie in [0, horizon]")
-    prop = kernel.gen_nojump.propagator
-    vec = vectorize(op.as_operator(rho0))
-    prev = 0.0
-    for t in times:
-        vec = prop.apply(t - prev, vec)
-        vec = vectorize(kernel.jump_map(devectorize(vec)))
-        prev = t
-    vec = prop.apply(horizon - prev, vec)
-    return float(np.trace(devectorize(vec)).real)
-
-
-def sector_sum(kernel: UnravelingKernel, rho0, horizon: float) -> float:
-    """0-jump weight plus the integrated >=1-jump weight.
-
-    The first-jump sector is integrated by quadrature; everything after the
-    first jump is summed exactly by continuing with the trace-preserving
-    companion semigroup.  Equals 1 up to quadrature error.
-    """
-    rho0 = op.as_operator(rho0)
-    vec0 = vectorize(rho0)
-    prop = kernel.gen_nojump.propagator
-    tilde = kernel.gen_tilde.propagator
-    zero_jump = float(np.trace(devectorize(prop.apply(horizon, vec0))).real)
-
-    def integrand(t):
-        sig = devectorize(prop.apply(t, vec0))
-        jumped = vectorize(kernel.jump_map(sig))
-        return float(np.trace(devectorize(tilde.apply(horizon - t, jumped))).real)
-
-    import scipy.integrate  # only user; kept off the import path of every command
-
-    tail, _ = scipy.integrate.quad(integrand, 0.0, horizon, epsabs=1e-10, epsrel=1e-10, limit=200)
-    return zero_jump + tail

@@ -21,6 +21,8 @@ from qsslab.qss import extract_qss, real_eigen_candidates
 from qsslab.structure import restrict
 from qsslab.trajectory import build_kernel
 
+from oracles import gen_tilde
+
 
 def _rand_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -76,7 +78,7 @@ def check_tilde_trace(spec, rng):
     kernel = build_kernel(spec)
     rho = random_density(rng, spec.dim)
     t = float(rng.uniform(0.1, 2.0))
-    evolved = apply_semigroup(kernel.gen_tilde, t, rho)
+    evolved = apply_semigroup(gen_tilde(kernel), t, rho)
     return abs(np.trace(evolved).real - 1.0)
 
 

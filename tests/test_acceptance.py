@@ -10,19 +10,13 @@ import os
 import numpy as np
 
 import propcheck
+from oracles import nojump_survival, sector_sum, truncated_exp_mean
 from qsslab import cli
 from qsslab.classical import RateMatrix, crosscheck
 from qsslab.model import two_qubit_both, two_qubit_site1
 from qsslab.qss import extract_qss, perron_structure, real_eigen_candidates, verify_qss
 from qsslab.structure import absorption_operator, check_irreducible, restrict
-from qsslab.trajectory import (
-    build_kernel,
-    jump_statistics,
-    nojump_survival,
-    sample_trajectories,
-    sector_sum,
-    truncated_exp_mean,
-)
+from qsslab.trajectory import build_kernel, jump_statistics, sample_trajectories
 
 SQRT3_4 = np.sqrt(3.0) / 4.0
 

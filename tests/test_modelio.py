@@ -207,6 +207,39 @@ def test_record_lines_format_like_the_recursive_formatter():
                 assert "".join(lines) == "".join(_reference_dumps(vars(rec)) + "\n" for rec in part)
 
 
+def test_batch_record_lines_reject_non_finite_values_like_dumps():
+    # the same errors when the writer reads a batch's columns, as simulate does
+    from dataclasses import replace
+
+    from qsslab.trajectory import build_kernel, sample_trajectories
+    from test_trajectory import perron_qss
+
+    spec = two_qubit_both(1.0)
+    batch = sample_trajectories(build_kernel(spec), perron_qss(spec), 6.0, seed=3, n=64)
+    i = next(i for i in range(40, 64) if batch.counts[i] >= 2)  # in the second group
+    a = int(batch.offsets[i])
+
+    def broken(*edits):
+        columns = {}
+        for name, at, value in edits:
+            columns[name] = columns.get(name, getattr(batch, name).copy())
+            columns[name][at] = value
+        return replace(batch, **columns)
+
+    bad = [
+        broken(("final_states", (i, 1, 2), complex(0.0, math.nan)), ("final_weights", i, math.inf)),
+        broken(("final_weights", i, -math.inf), ("jump_times", a, math.nan)),
+        broken(("jump_times", a + 1, math.inf), ("post_jump_states", (a, 0, 0), math.nan)),
+        broken(("post_jump_states", (a, 0, 0), math.inf), ("post_jump_states", (a + 1, 1, 2), math.nan)),
+        broken(("post_jump_states", (a + 1, 0, 0), complex(0.0, math.nan))),
+    ]
+    for broken_batch in bad:
+        with pytest.raises(ValueError) as ref:
+            _reference_dumps(vars(broken_batch[i]))
+        with pytest.raises(ValueError, match=f"^{ref.value}$"):
+            "".join(modelio.record_lines(broken_batch))
+
+
 def test_record_lines_reject_non_finite_values_like_dumps():
     from dataclasses import replace
 

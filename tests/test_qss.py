@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import propcheck
 from helpers import fast_decay_model
 from qsslab import operators as op
 from qsslab import qss
@@ -116,6 +117,18 @@ def test_verify_qss_residuals_on_fixtures():
                 assert report.ok
                 assert report.max_residual <= 1e-8
                 assert report.alpha_log_crosscheck <= 1e-7
+
+
+def test_verification_gives_the_anchor_definition_residual():
+    # analyze reports verify_qss's residual_defn also as the anchor's: on an
+    # anchor both evolve the same compressed state on VERIFY_TIMES
+    rng = np.random.default_rng(11)
+    specs = [two_qubit_site1(1.0), two_qubit_site1(0.3), two_qubit_both(1.0), two_qubit_both(0.0)]
+    specs += [propcheck.random_subharmonic_model(rng) for _ in range(30)]
+    for spec in specs:
+        _, result = analysis(spec)
+        for fam in result.families:
+            assert verify_qss(spec, fam.anchor).residual_defn == fam.anchor.residual_defn
 
 
 def test_perron_marking():

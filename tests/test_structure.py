@@ -369,15 +369,15 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
 
 def test_each_time_grid_is_one_propagator_call(models_dir, monkeypatch, tmp_path):
     # analyze: absorption 1 (converged within the first block of eight
-    # doublings), the definition residual of the one reported anchor 1 (the
-    # segment ends are reported by nu alone and never certified),
-    # verification 1 + 3 for the repeated cycle.  Subharmonicity is algebraic
-    # and evolves nothing, and neither does sweep, which reads only the decay
-    # rates.
+    # doublings), verification 1 + 3 for the repeated cycle; the verification's
+    # grid also gives the one reported anchor's definition residual (the
+    # segment ends are reported by nu alone and never certified).
+    # Subharmonicity is algebraic and evolves nothing, and neither does sweep,
+    # which reads only the decay rates.
     apply = _count_calls(monkeypatch, op.Propagator, "apply")
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
-    assert len(apply) == 6
+    assert len(apply) == 5
     apply.clear()
     assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
     assert len(apply) == 0
@@ -394,9 +394,10 @@ def test_only_analyze_certifies_and_only_what_it_reports(models_dir, monkeypatch
     assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
     assert cli.main(["simulate", path, "--samples", "20", "--out", str(tmp_path / "s.json")]) == 0
     assert calls == [[], []]
-    # analyze reads them of its one family's anchor, not of the segment ends
+    # analyze reads the eigen residual of its one family's anchor, not of the
+    # segment ends; the definition residual comes from verify_qss
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
-    assert calls == [["_eigen_residual"], ["_defn_residual"]]
+    assert calls == [["_eigen_residual"], []]
 
 
 def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_path):

@@ -7,7 +7,16 @@ import pytest
 import scipy.stats
 
 import propcheck
-from qsslab import operators, trajectory
+from oracles import (
+    gen_tilde,
+    jump_map,
+    measure_weight,
+    nojump_survival,
+    sample_trajectory,
+    sector_sum,
+    truncated_exp_mean,
+)
+from qsslab import modelio, operators, trajectory
 from qsslab.model import two_qubit_both, two_qubit_site1
 from qsslab.operators import vectorize
 from qsslab.structure import restrict
@@ -20,14 +29,9 @@ from qsslab.trajectory import (
     _bracket,
     build_kernel,
     jump_statistics,
-    measure_weight,
-    nojump_survival,
     sample_trajectories,
-    sample_trajectory,
-    sector_sum,
     stream_keys,
     stream_uniforms,
-    truncated_exp_mean,
 )
 from test_structure import raising_model
 
@@ -61,7 +65,7 @@ def test_tilde_generator_preserves_trace():
     for t in (0.3, 1.0, 4.0):
         from qsslab.model import apply_semigroup
 
-        evolved = apply_semigroup(kernel.gen_tilde, t, rho)
+        evolved = apply_semigroup(gen_tilde(kernel), t, rho)
         assert abs(np.trace(evolved).real - 1.0) < 1e-10
 
 
@@ -169,6 +173,21 @@ def test_records_independent_of_batch_size():
         single = sample_trajectory(kernel, nu, 6.0, seed=11, stream=250)
         assert single.jump_times == ref[250].jump_times
         assert single.final_weight == ref[250].final_weight
+
+
+def test_records_independent_of_batch_size_on_random_models():
+    # the fixtures' jump corners hold zeros, which hide the summation order of a
+    # trace; on random models a one-row chunk must still sum like a full one
+    rng = np.random.default_rng(2024)
+    for seed in range(12):
+        spec = propcheck.random_subharmonic_model(rng)
+        rho0 = propcheck.random_density(rng, spec.dim)
+        kernel = build_kernel(spec)
+        lines = "".join(modelio.record_lines(sample_trajectories(kernel, rho0, 3.0, seed, 40)))
+        lines = lines.splitlines(keepends=True)
+        for stream in range(0, 40, 4):
+            single = sample_trajectories(kernel, rho0, 3.0, seed, 1, first_stream=stream)
+            assert "".join(modelio.record_lines(single)) == lines[stream]
 
 
 def test_jump_times_invert_the_survival_curve():
@@ -342,7 +361,7 @@ def test_survival_curve_is_non_increasing_on_the_grid():
         prop = kernel.gen_nojump.propagator
         table = prop.trace_rows(grid)
         for _ in range(5):
-            post = kernel.jump_map(propcheck.random_density(rng, spec.dim))
+            post = jump_map(kernel, propcheck.random_density(rng, spec.dim))
             curve = (prop.trace_coords(vectorize(post / np.trace(post))) * table).sum(-1).real
             assert np.diff(curve).max() <= 64 * np.finfo(float).eps, case
 
@@ -396,9 +415,9 @@ def test_ks_statistic_matches_scipy():
 def test_jump_statistics_requires_jumps():
     kernel = build_kernel(two_qubit_both(1.0))
     nu = both_sites_qss()
-    rec = sample_trajectory(kernel, nu, 1e-4, seed=0)
+    batch = sample_trajectories(kernel, nu, 1e-4, seed=0, n=1)
     with pytest.raises(TrajectoryError, match="no jumps"):
-        jump_statistics([rec], alpha=1.0)
+        jump_statistics(batch, alpha=1.0)
 
 
 def test_truncated_exp_mean_against_quadrature():
