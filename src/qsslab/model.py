@@ -77,13 +77,15 @@ class Superop:
     """A d^2 x d^2 matrix realizing a superoperator under column stacking.
 
     ``eig`` is an optional right eigenpair ``(w, V)`` of ``mat`` solved by the
-    builder; the propagator then reuses it instead of solving again.
+    builder; the propagator then reuses it instead of solving again.  With a
+    ``dual`` (matrix ``adjoint(mat)``) the propagator is the dual's, adjoined.
     """
 
     mat: np.ndarray
     picture: str
     dim: int
     eig: Optional[tuple] = field(default=None, repr=False, compare=False)
+    dual: Optional[Superop] = field(default=None, repr=False, compare=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return devectorize(self.mat @ vectorize(x))
@@ -91,6 +93,8 @@ class Superop:
     @cached_property
     def propagator(self) -> op.Propagator:
         """Serves every exp(t * mat) from one eigendecomposition."""
+        if self.dual is not None:
+            return self.dual.propagator.adjoint()
         return op.Propagator(self.mat, self.eig)
 
 

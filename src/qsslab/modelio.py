@@ -38,26 +38,25 @@ class ModelFile:
     params: dict
 
 
-def _complex_entry(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise ModelFileError(path, f"expected [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
-
-
 def _matrix(value, dim: int, path: str) -> np.ndarray:
+    """A ``dim`` x ``dim`` matrix of ``[re, im]`` pairs (parsed JSON) as complex128, from one
+    conversion; the entries are walked only to name an offending one."""
+    parts = np.array(value, dtype=object)
+    kinds = set(map(type, parts.ravel().tolist()))
+    if parts.shape == (dim, dim, 2) and all(
+        issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds
+    ):
+        return parts.astype(float).view(complex)[..., 0]
     if not isinstance(value, list) or len(value) != dim:
         raise ModelFileError(path, f"expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dim:
             raise ModelFileError(f"{path}[{i}]", f"expected {dim} entries")
         for j, entry in enumerate(row):
-            out[i, j] = _complex_entry(entry, f"{path}[{i}][{j}]")
-    return out
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)):
+                raise ModelFileError(f"{path}[{i}][{j}]", f"expected [re, im] pair, got {entry!r}")
+    raise ModelFileError(path, f"expected a {dim} x {dim} matrix of [re, im] pairs")
 
 
 def parse_model(doc: dict) -> ModelFile:
@@ -217,52 +216,31 @@ def _record_template(n_jumps: int, shape) -> str:
     )
 
 
-def _columns(records):
-    """The columns of :class:`~qsslab.trajectory.TrajectoryBatch` for a sequence of its
-    records, and each record's ``(censored, seed, stream)`` and horizon."""
-    finals = np.array([rec.final_state for rec in records], dtype=complex)
-    posts = np.array([s for rec in records for s in rec.post_jump_states], dtype=complex)
-    return (
-        [(rec.censored, rec.seed, rec.stream) for rec in records],
-        np.array([rec.horizon for rec in records], dtype=float),
-        np.array([len(rec.jump_times) for rec in records], dtype=int),
-        np.array([t for rec in records for t in rec.jump_times], dtype=float),
-        posts.reshape((-1,) + finals.shape[1:]),
-        finals,
-        np.array([rec.final_weight for rec in records], dtype=float),
-    )
-
-
 def record_lines(batch):
     """``dumps(vars(rec)) + "\\n"`` of each trajectory record, one string per group.
 
-    ``batch`` is a :class:`~qsslab.trajectory.TrajectoryBatch` or a sequence of
-    its records.  A group of ``RECORD_GROUP`` records gathers its floats from the
-    columns in line order, passes one finiteness check and one ``tolist`` and is
-    one ``%`` of the records' templates.  The first non-finite value in record
-    and key order raises the error ``dumps`` gives for it.
+    ``batch`` is a :class:`~qsslab.trajectory.TrajectoryBatch`.  A group of
+    ``RECORD_GROUP`` records gathers its floats from the batch's columns in line
+    order, passes one finiteness check and one ``tolist`` and is one ``%`` of
+    the records' templates.  The first non-finite value in record and key
+    order raises the error ``dumps`` gives for it.
     """
-    if isinstance(batch, (list, tuple)):
-        heads, horizons, counts, times, posts, finals, weights = _columns(batch)
-    else:
-        heads = [(True, batch.seed, batch.first_stream + i) for i in range(len(batch))]
-        horizons = np.full(len(batch), batch.horizon)
-        counts, times, posts = batch.counts, batch.jump_times, batch.post_jump_states
-        finals, weights = batch.final_states, batch.final_weights
+    counts, times, posts = batch.counts, batch.jump_times, batch.post_jump_states
+    finals, weights, horizon = batch.final_states, batch.final_weights, [batch.horizon]
     at = np.concatenate([[0], np.cumsum(counts)]).tolist()  # each record's first jump
     size = 2 * math.prod(finals.shape[1:])  # floats per state, C-ordered [re, im] pairs
     finals_f, posts_f = (x.view(np.float64).reshape(len(x), size) for x in (finals, posts))
-    for g in range(0, len(heads), RECORD_GROUP):
-        group = range(g, min(g + RECORD_GROUP, len(heads)))
+    for g in range(0, len(batch), RECORD_GROUP):
+        group = range(g, min(g + RECORD_GROUP, len(batch)))
         values = np.concatenate([x for i in group for x in (
-            finals_f[i], weights[i:i + 1], horizons[i:i + 1], times[at[i]:at[i + 1]],
+            finals_f[i], weights[i:i + 1], horizon, times[at[i]:at[i + 1]],
             posts_f[at[i]:at[i + 1]].ravel())])
         bad = ~np.isfinite(values)
         if bad.any():
             _fmt_float(float(values[bad][0]))  # raises its error
         yield "".join(
-            f'{{"censored": {"true" if heads[i][0] else "false"}, '
+            '{"censored": true, '
             + _record_template(at[i + 1] - at[i], finals.shape[1:])
-            + f'"seed": {heads[i][1]}, "stream": {heads[i][2]}}}\n'
+            + f'"seed": {batch.seed}, "stream": {batch.first_stream + i}}}\n'
             for i in group
         ) % tuple(values.tolist())

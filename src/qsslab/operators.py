@@ -19,7 +19,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
@@ -31,11 +30,7 @@ EXPM_COND_LIMIT = 1e6
 
 
 class EigenSolveError(RuntimeError):
-    """Eigensolver failure; ``partial`` carries whatever was computed."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """An eigensolve that does not converge or check out."""
 
 
 def as_operator(a) -> np.ndarray:
@@ -139,8 +134,8 @@ class Propagator:
     ``a`` is eigendecomposed here.  The inverse, the condition-number gate
     (``EXPM_COND_LIMIT``) and the reconstruction check run once, on either.
     If both gates pass, ``spectral`` is true; otherwise every call falls back
-    to scaling-and-squaring.  ``w``, ``v`` and ``v_inv`` are kept on either
-    path for spectral projections.
+    to scaling-and-squaring (scipy's, imported there only).  ``w``, ``v`` and
+    ``v_inv`` are kept on either path for spectral projections.
     """
 
     def __init__(self, a, eig=None):
@@ -166,7 +161,15 @@ class Propagator:
             raise ValueError("time parameter must be finite")
         if self.spectral:
             return (self.v * np.exp(t * self.w)) @ self.v_inv
-        return sla.expm(t * self.mat)
+        import scipy.linalg  # here only: a command that stays spectral never loads scipy
+        return scipy.linalg.expm(t * self.mat)
+
+    def adjoint(self) -> Propagator:
+        """Propagator of ``adjoint(a)``: pairs (conj(w), V^-dag), inverse V^dag, same gates."""
+        adj = object.__new__(Propagator)
+        adj.mat, adj.spectral, adj.w = adjoint(self.mat), self.spectral, self.w.conj()
+        adj.v, adj.v_inv = (None if x is None else adjoint(x) for x in (self.v_inv, self.v))
+        return adj
 
     def apply(self, t, vec: np.ndarray, coef=None) -> np.ndarray:
         """``exp(t*a) @ vec``: one time per row of a batch ``vec``, or times for one ``vec``.
@@ -217,35 +220,27 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     return Propagator(a).matrix(t)
 
 
-def eig_general(a, tol: float = TOL_EIG, left: bool = False):
-    """All eigenpairs of a general complex matrix.
+def eig_general(a, tol: float = TOL_EIG):
+    """All eigenpairs of a general complex matrix, from one ``np.linalg.eig``.
 
     Returns ``(eigenvalues, eigenvectors)`` with unit-norm right eigenvectors
     as columns, sorted by descending real part (descending imaginary part as
-    tie break, so the output is deterministic).  With ``left`` the same solve
-    also gives ``vl`` with ``vl^dag @ a = w * vl^dag``, and the result is
-    ``(w, vl, vr)``: the columns of ``vl`` are right eigenvectors of
-    ``adjoint(a)`` for ``conj(w)``, so one solve serves a matrix and its
-    adjoint.  Residuals ``||a v - lambda v||`` of every returned vector are
-    checked against ``tol * max(1, ||a||)``.
+    tie break, so the output is deterministic).  Residuals
+    ``||a v - lambda v||`` of every returned vector are checked against
+    ``tol * max(1, ||a||)``.
     """
     a = as_operator(a)
     try:
-        w, *vecs = sla.eig(a, left=left)
-    except (np.linalg.LinAlgError, sla.LinAlgError) as exc:  # pragma: no cover
+        w, v = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
     order = np.lexsort((-w.imag, -w.real))
     w = w[order]
-    for k, v in enumerate(vecs):
-        norms = np.linalg.norm(v, axis=0)
-        norms[norms == 0] = 1.0
-        vecs[k] = (v / norms)[:, order]
+    norms = np.linalg.norm(v, axis=0)
+    norms[norms == 0] = 1.0
+    v = (v / norms)[:, order]
     scale = max(1.0, frob(a))
-    checks = [(a, vecs[-1], w)] + ([(adjoint(a), vecs[0], w.conj())] if left else [])
-    residual = max(np.max(np.linalg.norm(b @ v - v * z, axis=0), initial=0.0) for b, v, z in checks)
+    residual = np.max(np.linalg.norm(a @ v - v * w, axis=0), initial=0.0)
     if residual > tol * scale:
-        raise EigenSolveError(
-            f"eigenpair residual {residual:.3e} exceeds {tol * scale:.3e}",
-            partial=(w, *vecs),
-        )
-    return (w, *vecs)
+        raise EigenSolveError(f"eigenpair residual {residual:.3e} exceeds {tol * scale:.3e}")
+    return w, v

@@ -9,10 +9,11 @@ the family at the spectral abscissa and enforces the existence theorem.
 
 The slice geometry is exact.  One primitive, ``_psd_range``, gives the
 interval {t : x + t d PSD} from the roots of det(a + t b) on the joint range
-of x and d (one generalized eigensolve).  It is the segment of a
-2-dimensional eigenspace; in larger ones a face walk moves along directions
-supported on supp x to the boundary until none is left, which certifies an
-extreme point (Ramana & Goldman, J. Global Optim. 7, 1995).
+of x and d (b's null space deflated, then one eigensolve).  It is the
+segment of a 2-dimensional eigenspace; in larger ones a face walk moves
+along directions supported on supp x to the boundary until none is left,
+which certifies an extreme point (Ramana & Goldman, J. Global Optim. 7,
+1995).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import operators as op
 from .model import apply_semigroup
@@ -206,22 +206,36 @@ def _min_eig(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (h + adjoint(h)))[0])
 
 
+def _pencil_roots(a: np.ndarray, b: np.ndarray):
+    """The finite roots of det(a + t b), Hermitian a and b, or None when no a + t b is PSD:
+    in b's eigenbasis, a's block on null(b) is free of t and must be positive definite
+    (a singular PSD block needs a common null vector of a and b); the roots are then
+    those of its Schur complement s + t diag(beta) on range(b), eigvals(-s / beta)."""
+    beta, q = np.linalg.eigh(b)
+    a = adjoint(q) @ a @ q
+    null = np.abs(beta) <= FACE_TOL * np.abs(beta).max(initial=0.0)
+    try:
+        y = np.linalg.solve(np.linalg.cholesky(a[np.ix_(null, null)]), a[np.ix_(null, ~null)])
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.eigvals((adjoint(y) @ y - a[np.ix_(~null, ~null)]) / beta[~null, None])
+
+
 def _psd_range(x: np.ndarray, d: np.ndarray):
     """{t : x + t d PSD} as ``(lo, hi)``; None when empty.
 
     Compressed to the joint range of x and d (a and b), the boundary points
-    are roots of det(a + t b): the finite eigenvalues of the pencil (a, -b).
-    The inertia of a + t b is constant between consecutive roots, so the
-    PSD set is the gap whose midpoint is PSD, or else a single PSD root.  A
-    gap with PSD interior makes the pencil definite and its roots real, so
-    keeping only real parts adds at most harmless breakpoints.  Bounded for
-    traceless d != 0.
+    are roots of det(a + t b).  The inertia of a + t b is constant between
+    consecutive roots, so the PSD set is the gap whose midpoint is PSD, or
+    else a single PSD root.  A gap with PSD interior makes the pencil
+    definite and its roots real, so keeping only real parts adds at most
+    harmless breakpoints.  Bounded for traceless d != 0.
     """
     u, s, _ = np.linalg.svd(np.hstack([x, d]))
     u = u[:, s > FACE_TOL * s[0]]  # joint range
     a, b = adjoint(u) @ x @ u, adjoint(u) @ d @ u
-    roots = sla.eigvals(a, -b)
-    roots = np.sort(roots[np.isfinite(roots)].real)
+    roots = _pencil_roots(a, b)
+    roots = [] if roots is None else np.sort(roots.real)
     if len(roots) > 1:
         mid_eigs = [_min_eig(a + 0.5 * (r0 + r1) * b) for r0, r1 in zip(roots, roots[1:])]
         k = int(np.argmax(mid_eigs))

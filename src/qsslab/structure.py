@@ -52,9 +52,9 @@ class RestrictedGenerator:
 
     ``isometry`` has the orthonormal basis of range(p0_perp) as columns;
     ``gen_schr`` / ``gen_heis`` are the m^2 x m^2 generator matrices of the
-    compressed state / observable evolution, carrying the right and the left
-    vectors of one eigensolve; ``g_hat`` and ``jumps_hat`` are the compressed
-    drift and jump operators that define them.
+    compressed state / observable evolution, from one eigensolve of
+    ``gen_schr``; ``g_hat`` and ``jumps_hat`` are the compressed drift and
+    jump operators that define them.
     """
 
     spec: ModelSpec
@@ -178,10 +178,10 @@ def restrict(model) -> RestrictedGenerator:
     Gated on the algebraic subharmonicity criterion.  The restriction is
     defined by the compressed GKLS data g_hat = V^dag G V and
     L_hat = V^dag L V: x -> g_hat x + x g_hat^dag + sum_k L_hat x L_hat^dag,
-    at O(m^6) and without the d^2 x d^2 generator.  One ``op.eig_general``
-    solve with left vectors gives ``gen_schr`` its right pairs (w, V_R) and
-    ``gen_heis`` = ``gen_schr^dag`` its pairs (conj(w), V_L); they serve the
-    candidates, the absorption projector and both propagators.
+    at O(m^6) and without the d^2 x d^2 generator.  One right eigensolve
+    ``op.eig_general`` gives ``gen_schr`` its pairs (w, V); ``gen_heis`` =
+    ``gen_schr^dag`` takes the adjoint of its propagator (eigenvectors
+    V^-dag, inverse V^dag).  They serve every later stage.
     """
     spec = as_analysis(model).spec
     residual, ok = _algebraic_residual(spec)
@@ -197,13 +197,13 @@ def restrict(model) -> RestrictedGenerator:
     gen_schr = left_mul(g_hat) + right_mul(adjoint(g_hat))
     for l in jumps_hat:
         gen_schr = gen_schr + sandwich(l, adjoint(l))
-    w, vl, vr = op.eig_general(gen_schr, left=True)
+    schr = Superop(mat=gen_schr, picture=SCHRODINGER, dim=m, eig=op.eig_general(gen_schr))
     return RestrictedGenerator(
         spec=spec,
         m=m,
         isometry=v,
-        gen_schr=Superop(mat=gen_schr, picture=SCHRODINGER, dim=m, eig=(w, vr)),
-        gen_heis=Superop(mat=adjoint(gen_schr), picture=HEISENBERG, dim=m, eig=(w.conj(), vl)),
+        gen_schr=schr,
+        gen_heis=Superop(mat=adjoint(gen_schr), picture=HEISENBERG, dim=m, dual=schr),
         g_hat=g_hat,
         jumps_hat=jumps_hat,
     )
@@ -214,14 +214,14 @@ def absorption_operator(model) -> AbsorptionReport:
 
     For subharmonic p0, 0 <= T_t(p0_perp) <= p0_perp forces
     T_t(p0_perp) = V T^*_t(1_m) V^dag, so A(p0) = 1 - V P(1_m) V^dag with P
-    the spectral projector of the restricted Heisenberg generator H onto its
-    kernel, P = V_k (U_k^dag V_k)^-1 U_k^dag.  V_k and U_k are H's right and
-    left eigenvectors with |w| <= 1e-9 * scale, from the restriction's one
-    solve.  Unlike V^-1, this needs no inverse of a possibly ill-conditioned
-    eigenbasis; an empty kernel (absorbing p0) gives A(p0) = 1 exactly.
-    Purely imaginary peripheral eigenvalues are dropped, which realizes the
-    Cesaro time average.  The result is cross-validated against direct
-    evaluation of T^*_t(1_m) with time doubling.  ``residual_harmonic`` is
+    the spectral projector of the restricted Heisenberg generator onto its
+    kernel, the adjoint of gen_schr's V_R[:, k] V_R^-1[k, :] for the
+    eigenvalues k with |w| <= 1e-9 * scale: P(1_m) =
+    V_R^-1[k, :]^dag (V_R[:, k]^dag vec 1_m), no solve.  An empty kernel
+    (absorbing p0) gives A(p0) = 1 exactly; a non-empty one with singular
+    V_R raises ``EigenSolveError``.  Dropping purely imaginary peripheral
+    eigenvalues realizes the Cesaro time average.  Time doubling of
+    T^*_t(1_m) cross-validates the result.  ``residual_harmonic`` is
     ||L^*(A(p0))|| in d x d form, L^*(A) = G^dag A + A G + sum_k L_k^dag A L_k.
     """
     ctx = as_analysis(model)
@@ -230,14 +230,14 @@ def absorption_operator(model) -> AbsorptionReport:
         raise StructureError("absorption operator requires a subharmonic p0")
     restr = ctx.restriction
     heis, one = restr.gen_heis, np.eye(restr.m)
-    (w, v), u = heis.eig, restr.gen_schr.eig[1]
-    keep = np.abs(w) <= 1e-9 * max(1.0, frob(heis.mat))
-    v_k, u_k_adj = v[:, keep], adjoint(u[:, keep])
-    try:
-        coef = np.linalg.solve(u_k_adj @ v_k, u_k_adj @ vectorize(one))
-    except np.linalg.LinAlgError as exc:
-        raise op.EigenSolveError(f"kernel projector of the Heisenberg generator: {exc}") from exc
-    pi_one = devectorize(v_k @ coef)
+    schr = restr.gen_schr.propagator
+    keep = np.abs(schr.w) <= 1e-9 * max(1.0, frob(heis.mat))
+    pi_one = np.zeros_like(one, dtype=complex)
+    if keep.any():
+        if schr.v_inv is None:
+            raise op.EigenSolveError("Heisenberg kernel projector: singular eigenbasis")
+        coef = adjoint(schr.v[:, keep]) @ vectorize(one)
+        pi_one = devectorize(adjoint(schr.v_inv[keep]) @ coef)
     pi_one = 0.5 * (pi_one + adjoint(pi_one))
     a_op = np.eye(spec.dim) - restr.embed(pi_one)
 
@@ -315,17 +315,21 @@ def algebra_dimension(ops, tol: float = 1e-10) -> int:
 def _witness_search(restr: RestrictedGenerator, n_random_seeds: int) -> Optional[np.ndarray]:
     """A proper subspace invariant under g_hat and the jumps, or None if none is found.
 
-    Seeds are the eigenvectors of g_hat plus a fixed number of top
+    Seeds are the eigenvectors of g_hat, then a fixed number of top
     eigenvectors of random Hermitian combinations of the operators (fixed
-    RNG seed, so the search is reproducible).
+    RNG seed, so the search is reproducible), drawn only when the
+    eigenvectors give no proper closure.
     """
     ops = [restr.g_hat] + list(restr.jumps_hat)
-    seeds = list(np.linalg.eig(restr.g_hat)[1].T)
-    rng = np.random.default_rng(782133)
-    for _ in range(n_random_seeds):
-        combo = sum((rng.standard_normal() + 1j * rng.standard_normal()) * a for a in ops)
-        seeds.append(np.linalg.eigh(combo + adjoint(combo))[1][:, -1])
-    for seed in seeds:
+
+    def seeds():
+        yield from np.linalg.eig(restr.g_hat)[1].T
+        rng = np.random.default_rng(782133)
+        for _ in range(n_random_seeds):
+            combo = sum((rng.standard_normal() + 1j * rng.standard_normal()) * a for a in ops)
+            yield np.linalg.eigh(combo + adjoint(combo))[1][:, -1]
+
+    for seed in seeds():
         closure = _invariant_closure(ops, seed, restr.m)
         if closure.shape[1] < restr.m:
             return closure

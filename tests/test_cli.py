@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,9 +99,9 @@ def test_analyze_deterministic_output(models_dir, tmp_path):
 @pytest.mark.parametrize(
     "model, stream, digest",
     [
-        ("two_qubit_site1.json", "out", "741aa07b1c154ecd0f8c477a013b24e876035e63d0db42c2f61d764d3b453675"),
-        ("two_qubit_both.json", "out", "d0a429017b2c23d7ba1d9b25dafbe6b1218055608c4b55b527ae9d680dfa4d83"),
-        (two_qubit_both(0.0), "out", "aa44ab52c7268bc830f3b8449c89d5ef3d02a579da5d040fc4953bf128d72bd6"),
+        ("two_qubit_site1.json", "out", "ce342f928d818e12edb592847f42327d5a83580b89168b68a85ca5459ca97cbb"),
+        ("two_qubit_both.json", "out", "eeececd58b4fff6a5e47ca2ab4084815bb3ea9165aadac5923a2b107c340f646"),
+        (two_qubit_both(0.0), "out", "507a11cc9f9c6da9524c87094f7dcc8350752ae9a57d959ed287fb245c8e471e"),
         (two_qubit_site1(0.5), "err", "12e44de94ebd545c1f8c21b274dd080fb00dfa05fe83685b0b7fb15f4a7785e4"),
     ],
     ids=["site1", "both", "both-omega0-face-walk", "site1-omega-half-failure"],
@@ -115,6 +117,33 @@ def test_analyze_output_is_pinned(models_dir, tmp_path, capsys, model, stream, d
     assert run(["analyze", str(path)]) == (0 if stream == "out" else 2)
     text = getattr(capsys.readouterr(), stream)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_commands_leave_scipy_unloaded(models_dir):
+    # every command on the shipped models stays on the spectral path, so one
+    # fresh process running them all imports numpy only: scipy serves just
+    # the scaling-and-squaring fallback
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    quantum = [model_path(models_dir, f"two_qubit_{name}.json") for name in ("site1", "both")]
+    classical = [model_path(models_dir, f"classical_{name}_state.json") for name in ("two", "three")]
+    argvs = [
+        argv + ["--out", os.devnull]
+        for path in quantum
+        for argv in (
+            ["analyze", path],
+            ["sweep", path, "--range", "0:1:5"],
+            ["simulate", path, "--samples", "100", "--records", os.devnull],
+        )
+    ] + [["classical", path, "--out", os.devnull] for path in classical]
+    probe = (
+        "import sys\n"
+        "from qsslab import cli\n"
+        f"print([cli.main(argv) for argv in {argvs!r}])\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [str([0] * len(argvs)), "[]"]
 
 
 def test_parser_is_reused_across_commands(models_dir, capsys):
@@ -179,7 +208,7 @@ def test_analyze_small_omega_converges(omega, tmp_path):
 
 
 def test_numerical_failures_exit_2_without_traceback(models_dir, monkeypatch, capsys):
-    def failing_eig_general(a, tol=op.TOL_EIG, left=False):
+    def failing_eig_general(a, tol=op.TOL_EIG):
         raise op.EigenSolveError("eigensolver did not converge: injected")
 
     monkeypatch.setattr(op, "eig_general", failing_eig_general)
@@ -274,11 +303,11 @@ def test_simulate_output_is_pinned(models_dir, tmp_path, capsys):
          "6d5414097327a3ff5f413d2b4a72b903ce527ef3a38627a119b57ff27d1954ab",
          "6d858fc5c41f7b23f2da0d873e7a32c16b34df2f25504bcd26cf76906513dbc4"),
         ("two_qubit_site1.json", "6",
-         "2364d4220d3d9e0a688a3e1f3b90cf62e5bdc18bbb59e97e3cf9c158f4e3f99c",
-         "d9b72f21760575e1d4e86c156841de46f2541f53198aa79a076d62f63acbf518"),
+         "506b646a67484ee74534751d49ee4dbb499062554601abbe29eaf36177afff38",
+         "2b199c928a6bd2074ce93c7fa4ca51bebb457cf811f665b761d5918f6efd3d7d"),
         ("two_qubit_site1.json", "0.3",
-         "bfae31fd4f013f0d1312c15c4f563d317bb365809326eb1b7d4e3372dc8d2b26",
-         "f4a077039a214c09c6c68dee4092b0af4efdd2d16c887b1fadae3ae0e3493fa1"),
+         "700c834551afde62b6ec4afcaf8e3cb0265195b2ea1dcccafda6ec969f88e4da",
+         "1b58ac734ab064314622c6bbd7fbb6be2fcf9c8008b859026d12fee2d451c2fb"),
     ]
     for model, horizon, summary, lines in cases:
         rc = run(

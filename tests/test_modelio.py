@@ -70,6 +70,36 @@ def test_parse_rejects_with_field_paths():
         parse_model({"schema_version": "1", "label": "empty"})
 
 
+def test_matrix_is_one_conversion_with_the_bits_of_each_pair():
+    rng = np.random.default_rng(12)
+    for dim in (1, 3, 12):
+        doc = matrix_to_json(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        doc[0][0] = [3, -0.0]  # ints convert like floats; the sign of zero stays
+        got = modelio._matrix(doc, dim, "m")
+        want = np.array([[complex(re, im) for re, im in row] for row in doc])
+        assert got.shape == (dim, dim) and got.dtype == complex
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda m: m[1][2].__setitem__(0, True), r"m\[1\]\[2\]: expected \[re, im\] pair"),
+        (lambda m: m[2][0].__setitem__(1, "1"), r"m\[2\]\[0\]: expected \[re, im\] pair"),
+        (lambda m: m[0][1].__setitem__(1, None), r"m\[0\]\[1\]: expected \[re, im\] pair"),
+        (lambda m: m[0][1].__setitem__(1, [1.0]), r"m\[0\]\[1\]: expected \[re, im\] pair"),
+        (lambda m: m[2][2].append(0.0), r"m\[2\]\[2\]: expected \[re, im\] pair"),
+        (lambda m: m[1].pop(), r"m\[1\]: expected 3 entries"),
+        (lambda m: m.pop(), r"^m: expected 3 rows"),
+    ],
+)
+def test_matrix_names_the_offending_entry(edit, where):
+    doc = matrix_to_json(np.arange(9.0).reshape(3, 3) * (1 + 1j))
+    edit(doc)
+    with pytest.raises(ModelFileError, match=where):
+        modelio._matrix(doc, 3, "m")
+
+
 def test_parse_classical_block_errors():
     doc = {
         "schema_version": "1",
@@ -199,12 +229,12 @@ def test_record_lines_format_like_the_recursive_formatter():
     for spec in (two_qubit_both(1.0), two_qubit_site1(1.0)):
         kernel, nu = build_kernel(spec), perron_qss(spec)
         for horizon in (6.0, 0.3):  # at 0.3 about half the records have no jump
-            records = sample_trajectories(kernel, nu, horizon, seed=3, n=500)
-            assert horizon > 1 or sum(rec.n_jumps == 0 for rec in records) > 100
-            for part in (records, records[7:], records[:modelio.RECORD_GROUP], records[:1]):
-                lines = list(modelio.record_lines(part))
-                assert len(lines) == -(-len(part) // modelio.RECORD_GROUP)
-                assert "".join(lines) == "".join(_reference_dumps(vars(rec)) + "\n" for rec in part)
+            for first, n in ((0, 500), (7, 493), (0, modelio.RECORD_GROUP), (0, 1)):
+                batch = sample_trajectories(kernel, nu, horizon, seed=3, n=n, first_stream=first)
+                assert horizon > 1 or n < 500 or sum(batch.counts == 0) > 100
+                lines = list(modelio.record_lines(batch))
+                assert len(lines) == -(-n // modelio.RECORD_GROUP)
+                assert "".join(lines) == "".join(_reference_dumps(vars(rec)) + "\n" for rec in batch)
 
 
 def test_batch_record_lines_reject_non_finite_values_like_dumps():
@@ -238,31 +268,3 @@ def test_batch_record_lines_reject_non_finite_values_like_dumps():
             _reference_dumps(vars(broken_batch[i]))
         with pytest.raises(ValueError, match=f"^{ref.value}$"):
             "".join(modelio.record_lines(broken_batch))
-
-
-def test_record_lines_reject_non_finite_values_like_dumps():
-    from dataclasses import replace
-
-    from qsslab.trajectory import build_kernel, sample_trajectories
-    from test_trajectory import perron_qss
-
-    spec = two_qubit_both(1.0)
-    records = sample_trajectories(build_kernel(spec), perron_qss(spec), 6.0, seed=3, n=64)
-    rec = next(r for r in records if r.n_jumps >= 2)
-    state = rec.final_state.copy()
-    state[1, 2] = complex(0.0, math.nan)
-    late = state.copy()
-    late[0, 0] = math.inf
-    bad = [
-        replace(rec, final_state=state, final_weight=math.inf),
-        replace(rec, final_weight=-math.inf, jump_times=(math.nan,) + rec.jump_times[1:]),
-        replace(rec, jump_times=rec.jump_times[:1] + (math.inf,) + rec.jump_times[2:]),
-        replace(rec, post_jump_states=(late, state) + rec.post_jump_states[2:]),
-        replace(rec, post_jump_states=(state, late) + rec.post_jump_states[2:]),
-    ]
-    for broken in bad:
-        part = records[:40] + [broken] + records[40:]  # in the second group
-        with pytest.raises(ValueError) as ref:
-            _reference_dumps(vars(broken))
-        with pytest.raises(ValueError, match=f"^{ref.value}$"):
-            "".join(modelio.record_lines(part))

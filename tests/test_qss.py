@@ -12,6 +12,7 @@ from qsslab.qss import (
     ExtractionResult,
     QssCertificate,
     QssTheoryError,
+    _pencil_roots,
     _psd_range,
     absorbing_implies_positive_rate,
     extract_qss,
@@ -273,6 +274,75 @@ def test_psd_range_when_min_norm_point_is_not_psd():
     swap_12 = np.zeros((3, 3), dtype=complex)
     swap_12[0, 1] = swap_12[1, 0] = 1.0
     assert _psd_range(nu0, swap_12) is None
+
+
+def _pencil(rng, n, rank, null_sign=1.0):
+    """Random Hermitian a and b with rank(b) = rank; a's block on null(b) is
+    definite with sign ``null_sign``."""
+    h = propcheck._rand_hermitian(rng, n)
+    q, _ = np.linalg.qr(propcheck._rand_complex(rng, (n, n)))
+    beta = rng.uniform(0.2, 2.0, rank) * rng.choice([-1.0, 1.0], rank)
+    b = (q[:, :rank] * beta) @ adjoint(q[:, :rank])
+    null = q[:, rank:] @ adjoint(q[:, rank:])
+    return h + null_sign * (np.linalg.norm(h, 2) + 1.0) * null, b
+
+
+def test_pencil_roots_match_the_generalized_eigenvalues():
+    # oracle: scipy's QZ eigenvalues of (a, -b), whose finite ones are the
+    # roots of det(a + t b); b of every rank, down to b = 0 (no roots)
+    rng = np.random.default_rng(41)
+    for n in range(1, 7):
+        for rank in range(n + 1):
+            a, b = _pencil(rng, n, rank)
+            ref = sla.eigvals(a, -b)
+            ref = list(ref[np.abs(ref) < 1e8])  # QZ leaves null(b) at inf or near it
+            roots = _pencil_roots(a, b)
+            assert len(roots) == len(ref) == rank
+            for r in roots:
+                k = int(np.argmin(np.abs(np.array(ref) - r)))
+                assert abs(ref.pop(k) - r) <= 1e-8 * max(1.0, abs(r)), (n, rank)
+            if rank < n:  # a negative definite on null(b): no a + t b is PSD
+                assert _pencil_roots(*_pencil(rng, n, rank, null_sign=-1.0)) is None
+
+
+def _psd_range_with_qz(x, d):
+    """``_psd_range`` as it was on the finite roots of scipy's generalized eigensolve."""
+    u, s, _ = np.linalg.svd(np.hstack([x, d]))
+    u = u[:, s > qss.FACE_TOL * s[0]]
+    a, b = adjoint(u) @ x @ u, adjoint(u) @ d @ u
+    roots = sla.eigvals(a, -b)
+    roots = np.sort(roots[np.isfinite(roots)].real)
+    if len(roots) > 1:
+        mid_eigs = [qss._min_eig(a + 0.5 * (r0 + r1) * b) for r0, r1 in zip(roots, roots[1:])]
+        k = int(np.argmax(mid_eigs))
+        if mid_eigs[k] >= -op.TOL_PSD:
+            return roots[k], roots[k + 1]
+    return next(((r, r) for r in roots if qss._min_eig(a + r * b) >= -op.TOL_PSD), None)
+
+
+def test_psd_range_matches_the_generalized_eigensolve():
+    # trace-one x and traceless d, each of random rank, so that b is often
+    # singular on the joint range; x is shifted down so some slices are empty
+    rng = np.random.default_rng(43)
+    seen = {"empty": 0, "interval": 0, "singular d": 0}
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        g = propcheck._rand_complex(rng, (n, int(rng.integers(1, n + 1))))
+        x = g @ adjoint(g)
+        x = x / np.trace(x).real - rng.uniform(0.0, 0.3) * np.eye(n) / n
+        g = propcheck._rand_complex(rng, (n, int(rng.integers(2, n + 1))))
+        c = rng.uniform(0.5, 2.0, g.shape[1])
+        weights = np.sum(np.abs(g) ** 2, axis=0)
+        c[-1] = -(c[:-1] @ weights[:-1]) / weights[-1]  # traceless
+        d = (g * c) @ adjoint(g)
+        got, want = _psd_range(x, d), _psd_range_with_qz(x, d)
+        seen["empty"] += got is None
+        seen["interval"] += got is not None
+        seen["singular d"] += g.shape[1] < n
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
+    assert min(seen.values()) >= 30
 
 
 @pytest.mark.parametrize(

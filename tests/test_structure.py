@@ -154,8 +154,8 @@ def test_absorption_site1_uncoupled_dark_state():
 
 @pytest.mark.parametrize("omega", [0.5 - 1e-6, 0.5, 0.5 + 1e-6])
 def test_absorption_at_the_branch_collision_matches_the_long_time_limit(omega):
-    # the Heisenberg eigenbasis is singular to working precision at omega = 1/2,
-    # so only the left/right kernel projector gets the limit right there
+    # the eigenbasis has condition number ~4e10 at omega = 1/2; the kernel
+    # projector from the kernel rows of V^-1 still gets the limit right there
     spec = two_qubit_site1(omega)
     heis = build_generator(spec, HEISENBERG).mat
     limit = op.devectorize(sla.expm(400.0 * heis) @ op.vectorize(spec.p0))
@@ -207,6 +207,45 @@ def test_analysis_propagators_match_independent_generators(spec):
             assert np.linalg.norm(gen.propagator.apply(t, vec) - want_vec) <= 1e-12 * np.linalg.norm(
                 want_vec
             )
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("family", [two_qubit_site1, two_qubit_both])
+def test_heisenberg_propagator_is_the_adjoint_of_a_fresh_solve(family, omega):
+    # gen_heis adjoins gen_schr's decomposition; Propagator(adjoint(S)) solves
+    # S^dag afresh.  At the site-1 branch collision both take the fallback.
+    restr = restrict(family(omega))
+    got, fresh = restr.gen_heis.propagator, op.Propagator(op.adjoint(restr.gen_schr.mat))
+    assert got.spectral == fresh.spectral == (family(omega).label != two_qubit_site1(0.5).label)
+    assert np.array_equal(got.mat, fresh.mat)
+    assert np.array_equal(got.w, restr.gen_schr.eig[0].conj())
+    if got.spectral:
+        scale = op.frob(got.mat)
+        assert op.frob(got.mat @ got.v - got.v * got.w) <= 1e-12 * scale
+        assert op.frob(got.v_inv @ got.v - np.eye(len(got.w))) <= 1e-12
+    vec = op.vectorize(np.eye(restr.m))
+    times = np.array([0.0, 0.1, 1.0, 10.0])
+    want = fresh.apply(times, vec)
+    assert np.linalg.norm(got.apply(times, vec) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_kernel_projector_needs_an_invertible_eigenbasis_only_for_a_kernel(monkeypatch):
+    # a singular V (one eigenvector zeroed) leaves no kernel projector when
+    # the kernel is non-empty (site 1 uncoupled: the dark state); an absorbing
+    # p0 has an empty kernel and still gets A(p0) = 1 exactly
+    solve = op.eig_general
+
+    def singular_eig(a, tol=op.TOL_EIG):
+        w, v = solve(a, tol)
+        v = v.copy()
+        v[:, 1] = 0.0
+        return w, v
+
+    monkeypatch.setattr(op, "eig_general", singular_eig)
+    with pytest.raises(op.EigenSolveError, match="singular eigenbasis"):
+        absorption_operator(two_qubit_site1(0.0))
+    report = absorption_operator(two_qubit_both(1.0))
+    assert np.array_equal(report.a_op, np.eye(4))
 
 
 def test_irreducibility_fixtures_are_reducible():

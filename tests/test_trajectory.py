@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -386,17 +383,6 @@ def test_jump_statistics_small_run():
     assert abs(stats.empirical_mean - target) < 0.1
     assert stats.ks_statistic < 0.1
     assert 0.3 < stats.censoring_fraction < 0.7
-
-
-def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = (
-        "import sys, qsslab.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate'))))"
-    )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
 
 
 def test_ks_statistic_matches_scipy():
