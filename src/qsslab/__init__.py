@@ -7,7 +7,6 @@ from .model import (  # noqa: F401
     Superop,
     apply_semigroup,
     build_generator,
-    duality_check,
     two_qubit_both,
     two_qubit_site1,
 )

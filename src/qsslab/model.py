@@ -174,15 +174,6 @@ def apply_semigroup(gen: Superop, t, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> float:
-    """| tr(x T_t(y)) - tr(T_t*(x) y) | for the model's two pictures."""
-    heis = build_generator(spec, HEISENBERG)
-    schr = build_generator(spec, SCHRODINGER)
-    lhs = complex(np.trace(op.as_operator(x) @ apply_semigroup(heis, t, y)))
-    rhs = complex(np.trace(apply_semigroup(schr, t, x) @ op.as_operator(y)))
-    return abs(lhs - rhs)
-
-
 # ---------------------------------------------------------------------------
 # Two-qubit fixtures: one decaying site, or decay on both sites.
 # ---------------------------------------------------------------------------

@@ -174,7 +174,8 @@ class Propagator:
     def apply(self, t, vec: np.ndarray, coef=None) -> np.ndarray:
         """``exp(t*a) @ vec``: one time per row of a batch ``vec``, or times for one ``vec``.
 
-        ``coef``, if given, is ``rowdot(v_inv, vec)`` computed by the caller (spectral path).
+        Spectral: ``V (exp(t*w) * (V^-1 vec))``, two :func:`rowdot` matvecs per row;
+        ``coef``, if given, is ``rowdot(v_inv, vec)`` computed by the caller.
         """
         if self.spectral:
             coef = rowdot(self.v_inv, vec) if coef is None else coef
@@ -210,9 +211,10 @@ class Propagator:
 
 
 def rowdot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x[b]`` for each row ``b`` as a broadcast row-wise sum: a row's result
-    depends on that row only, bit for bit, unlike a BLAS product over the batch."""
-    return (a * x[..., None, :]).sum(-1)
+    """``a @ x[b]`` for each row ``b``: ``matmul`` runs one BLAS gemv per row, of one
+    shape and layout, so a row's bits depend on that row only.  ``a`` is made
+    C-contiguous, since an F-ordered one runs gemv transposed, with other bits."""
+    return np.matmul(np.ascontiguousarray(a), x[..., None])[..., 0]
 
 
 def expm(a, t: float = 1.0) -> np.ndarray:
@@ -224,8 +226,9 @@ def eig_general(a, tol: float = TOL_EIG):
     """All eigenpairs of a general complex matrix, from one ``np.linalg.eig``.
 
     Returns ``(eigenvalues, eigenvectors)`` with unit-norm right eigenvectors
-    as columns, sorted by descending real part (descending imaginary part as
-    tie break, so the output is deterministic).  Residuals
+    as columns, sorted by descending real part; real parts within
+    ``1e-12 * max(1, ||a||)`` of the next tie, and a run of ties is sorted by
+    descending imaginary part, so roundoff does not order a conjugate pair.  Residuals
     ``||a v - lambda v||`` of every returned vector are checked against
     ``tol * max(1, ||a||)``.
     """
@@ -234,12 +237,14 @@ def eig_general(a, tol: float = TOL_EIG):
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
-    order = np.lexsort((-w.imag, -w.real))
+    scale = max(1.0, frob(a))
+    order = np.argsort(-w.real, kind="stable")
+    run = np.cumsum(np.diff(w.real[order], prepend=np.inf) < -1e-12 * scale)
+    order = order[np.lexsort((-w.imag[order], run))]
     w = w[order]
     norms = np.linalg.norm(v, axis=0)
     norms[norms == 0] = 1.0
     v = (v / norms)[:, order]
-    scale = max(1.0, frob(a))
     residual = np.max(np.linalg.norm(a @ v - v * w, axis=0), initial=0.0)
     if residual > tol * scale:
         raise EigenSolveError(f"eigenpair residual {residual:.3e} exceeds {tol * scale:.3e}")

@@ -8,8 +8,8 @@ Sampling is inverse-CDF on the unnormalized trace with censoring at a
 finite horizon: the trace can plateau strictly above zero (the absorbed
 branch), so an unconditional next-jump draw would not terminate.  The
 survival curve tr S_t(rho) is non-increasing (d/dt = -tr(p0_perp S_t(rho)) <= 0):
-a jump fires iff it ends below the draw, a binary search over the ``STEP``
-grid brackets the one crossing and safeguarded Newton refines it to within
+a jump fires iff it ends below the draw, a binary search over a time grid
+brackets the one crossing and safeguarded Newton refines it to within
 ``TIME_TOL``: the curve is at or above the draw ``TIME_TOL`` before the firing
 time and at or below it ``TIME_TOL`` after (both clamped to the segment).
 All trajectories of a batch advance in lockstep, one segment per round, in
@@ -39,9 +39,10 @@ from .model import SCHRODINGER, Superop, left_mul, right_mul, sandwich
 from .operators import vectorize
 from .structure import as_analysis, check_subharmonic  # noqa: F401 (qssbench tests patch it)
 
-STEP = 0.01           # grid step of the survival curve's bracket search
+STEP = 0.01           # finest grid step of the survival curve's bracket search
+GRID_INTERVALS = 2**16  # most grid steps per horizon: a longer horizon takes wider ones
 TIME_TOL = 1e-10      # a firing time lies within this of the crossing
-CHUNK_ROWS = 128      # trajectories per chunk of every batched sampler step
+CHUNK_ENTRIES = 2**15  # most rows x d^2 entries per chunk of every batched sampler step
 DRAWS = 8             # uniforms drawn from a stream at a time
 
 
@@ -208,11 +209,11 @@ def stream_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
 
 
 def _bracket(x, at_end, table, grid, u, remaining):
-    """``(fired, k_hit)``: the first grid index ``k <= ceil(remaining / STEP)`` with
+    """``(fired, k_hit)``: the first grid index ``k <= ceil(remaining / grid[1])`` with
     survival below ``u`` (``-1`` where none), by binary search on the monotone
     curve; grid points past ``remaining`` take ``at_end``, its value there."""
     fired = at_end < u
-    k_hit = np.where(fired, np.ceil(remaining / STEP).astype(int), -1)
+    k_hit = np.where(fired, np.ceil(remaining / grid[1]).astype(int), -1)
     lo = np.full(len(u), -1)  # the last index known at or above u
     active = np.flatnonzero(k_hit - lo > 1)
     while active.size:
@@ -274,7 +275,9 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     safeguarded Newton to within ``TIME_TOL`` (see :func:`_segment`).  A
     trajectory whose trace stays above u up to the horizon, or whose jump has
     vanishing weight (the absorbed branch), ends censored with its surviving
-    unnormalized weight.  Rows pass every step in chunks of ``CHUNK_ROWS``.
+    unnormalized weight.  The grid step is ``STEP``, or ``horizon / GRID_INTERVALS``
+    if wider.  Rows pass every step in chunks of at most ``CHUNK_ENTRIES`` entries
+    (rows x d^2), each row transformed by its own matvec (:func:`operators.rowdot`).
     Each chunk logs its jumps as arrays; one stable sort by row at the end
     groups them by trajectory, in time order since rounds are chronological.
     """
@@ -282,8 +285,10 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
         raise ValueError("horizon must be positive and finite")
     rho0 = op.as_operator(rho0)
     d = rho0.shape[0]
+    chunk = max(1, CHUNK_ENTRIES // (d * d))
     prop = kernel.gen_nojump.propagator
-    grid = STEP * np.arange(int(np.ceil(horizon / STEP)) + 1)
+    step = max(STEP, horizon / GRID_INTERVALS)
+    grid = step * np.arange(int(np.ceil(horizon / step)) + 1)
     table = prop.trace_rows(grid)
     jump = sandwich(kernel.p0_perp, kernel.p0_perp)
     # a strided view of the diagonal sums every row in one order whatever the
@@ -301,9 +306,9 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
             draws[live] = stream_uniforms(keys[:, live], r, DRAWS)
         u = draws[live, r % DRAWS]
         r += 1
-        for c in range(0, live.size, CHUNK_ROWS):
-            rows = live[c:c + CHUNK_ROWS]
-            fired, t, sig = _segment(prop, table, grid, vecs[rows], u[c:c + CHUNK_ROWS],
+        for c in range(0, live.size, chunk):
+            rows = live[c:c + chunk]
+            fired, t, sig = _segment(prop, table, grid, vecs[rows], u[c:c + chunk],
                                      horizon - t_now[rows])
             jumped = op.rowdot(jump, sig)
             w = jumped[:, diag].sum(-1).real

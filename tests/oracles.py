@@ -1,4 +1,5 @@
-"""Reference computations of the jump-time measure, for the sampler's tests.
+"""Reference computations for the tests: the duality pairing of the two
+pictures, and the jump-time measure of the sampler.
 
 The trace-preserving companion semigroup (no-jump generator plus the corner
 map) normalizes the jump-time measure: the sector sum of a horizon is 1.
@@ -10,9 +11,26 @@ import numpy as np
 import scipy.integrate
 
 from qsslab import operators as op
-from qsslab.model import SCHRODINGER, Superop, sandwich
+from qsslab.model import (
+    HEISENBERG,
+    SCHRODINGER,
+    ModelSpec,
+    Superop,
+    apply_semigroup,
+    build_generator,
+    sandwich,
+)
 from qsslab.operators import devectorize, frob, vectorize
 from qsslab.trajectory import UnravelingKernel, sample_trajectories
+
+
+def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> float:
+    """| tr(x T_t(y)) - tr(T_t*(x) y) | for the model's two pictures."""
+    heis = build_generator(spec, HEISENBERG)
+    schr = build_generator(spec, SCHRODINGER)
+    lhs = complex(np.trace(op.as_operator(x) @ apply_semigroup(heis, t, y)))
+    rhs = complex(np.trace(apply_semigroup(schr, t, x) @ op.as_operator(y)))
+    return abs(lhs - rhs)
 
 
 def jump_map(kernel: UnravelingKernel, rho: np.ndarray) -> np.ndarray:

@@ -15,13 +15,12 @@ from qsslab.model import (
     ModelSpec,
     apply_semigroup,
     build_generator,
-    duality_check,
 )
 from qsslab.qss import extract_qss, real_eigen_candidates
 from qsslab.structure import restrict
 from qsslab.trajectory import build_kernel
 
-from oracles import gen_tilde
+from oracles import duality_check, gen_tilde
 
 
 def _rand_complex(rng, shape):

@@ -99,8 +99,8 @@ def test_analyze_deterministic_output(models_dir, tmp_path):
 @pytest.mark.parametrize(
     "model, stream, digest",
     [
-        ("two_qubit_site1.json", "out", "ce342f928d818e12edb592847f42327d5a83580b89168b68a85ca5459ca97cbb"),
-        ("two_qubit_both.json", "out", "eeececd58b4fff6a5e47ca2ab4084815bb3ea9165aadac5923a2b107c340f646"),
+        ("two_qubit_site1.json", "out", "48ed96587959015fab460a342f377c083c70776978773aa82ed55d091cf7c982"),
+        ("two_qubit_both.json", "out", "d23a6bc222db5939c4d666d1822ee7bf75e59bf16094f553c39660a4aee45fa0"),
         (two_qubit_both(0.0), "out", "507a11cc9f9c6da9524c87094f7dcc8350752ae9a57d959ed287fb245c8e471e"),
         (two_qubit_site1(0.5), "err", "12e44de94ebd545c1f8c21b274dd080fb00dfa05fe83685b0b7fb15f4a7785e4"),
     ],
@@ -293,6 +293,18 @@ def test_simulate_small_run(models_dir, tmp_path):
     assert rec["seed"] == 42 and rec["horizon"] == 6
 
 
+def test_simulate_long_horizon_widens_the_grid(models_dir, capsys):
+    # a 0.01 grid to 1e6 would tabulate 10^8 exponential rows (23.8 GiB at
+    # d = 4); the grid keeps 2^16 steps and Newton still refines each jump
+    rc = run(["simulate", model_path(models_dir, "two_qubit_both.json"),
+              "--samples", "20", "--horizon", "1e6"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["provenance"]["horizon"] == 1e6 and doc["n_trajectories"] == 20
+    numbers = [v for v in doc.values() if isinstance(v, (int, float))]
+    assert doc["n_observed_jumps"] > 0 and np.isfinite(numbers).all()
+
+
 def test_simulate_output_is_pinned(models_dir, tmp_path, capsys):
     # the summary and every record byte for byte: the bracket, the draw order
     # and the Newton refinement of each jump time may not move a bit.  At
@@ -300,14 +312,14 @@ def test_simulate_output_is_pinned(models_dir, tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     cases = [
         ("two_qubit_both.json", "10",
-         "6d5414097327a3ff5f413d2b4a72b903ce527ef3a38627a119b57ff27d1954ab",
-         "6d858fc5c41f7b23f2da0d873e7a32c16b34df2f25504bcd26cf76906513dbc4"),
+         "bd1f77968599edec63e76b263bbbc8cdc660ef5f6aa0b3fe73d08331f70b4d9d",
+         "c35f9aadc1a9f2ca3c27ec0f9c27060f8ceda368db1e5c52d9223f89e7b12919"),
         ("two_qubit_site1.json", "6",
-         "506b646a67484ee74534751d49ee4dbb499062554601abbe29eaf36177afff38",
-         "2b199c928a6bd2074ce93c7fa4ca51bebb457cf811f665b761d5918f6efd3d7d"),
+         "54b51d935ab5c6349a2f008c50fd60e3273f20d823bd4c360bdd8db5a8da5dce",
+         "0a08ae02c88c1cfaf71fa55b896228c8880a206cbb6218628e32570b0ff0b916"),
         ("two_qubit_site1.json", "0.3",
-         "700c834551afde62b6ec4afcaf8e3cb0265195b2ea1dcccafda6ec969f88e4da",
-         "1b58ac734ab064314622c6bbd7fbb6be2fcf9c8008b859026d12fee2d451c2fb"),
+         "453ef7d81d1e9f9521b8abae3af6df00b98824776f94843501934eb9f23c20fb",
+         "2df05fc688c07579e67f92f3eb00187b6b8ad98a0c6f1544b1d552f5e52b8184"),
     ]
     for model, horizon, summary, lines in cases:
         rc = run(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import choi_matrix
+from oracles import duality_check
 from qsslab import operators as op
 from qsslab.model import (
     HEISENBERG,
@@ -9,7 +10,6 @@ from qsslab.model import (
     ModelSpec,
     apply_semigroup,
     build_generator,
-    duality_check,
     gkls_matrix,
     left_mul,
     right_mul,

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import propcheck
 from qsslab import operators as op
 from qsslab.model import gkls_matrix, two_qubit_site1
+from qsslab.structure import restrict
 from qsslab.trajectory import build_kernel
 
 
@@ -147,6 +149,61 @@ def test_eig_general_sorted_and_accurate():
                 1.0, np.linalg.norm(a)
             )
             assert np.linalg.norm(v[:, j]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eig_general_order_is_a_property_of_the_matrix():
+    # real parts within roundoff tie, so a conjugate pair is listed + first
+    # whichever member the solve gave the larger real part; a permuted copy
+    # of a dense restriction lists the same eigenvalues in the same order
+    rng = np.random.default_rng(81)
+    pairs = 0
+    for _ in range(6):
+        a = restrict(propcheck.random_subharmonic_model(rng, d=8, rank=3)).gen_schr.mat
+        p = np.eye(len(a))[rng.permutation(len(a))]
+        w, _ = op.eig_general(a)
+        w_perm, _ = op.eig_general(p @ a @ p.T)
+        assert np.max(np.abs(w - w_perm)) <= 1e-12 * max(1.0, np.linalg.norm(a))
+        tied = np.abs(np.diff(w.real)) <= 1e-12 * max(1.0, np.linalg.norm(a))
+        assert np.all(np.diff(w.imag)[tied] <= 0)
+        pairs += np.sum(tied & (np.abs(w[1:] - w[:-1].conj()) <= 1e-12))
+    assert pairs >= 10
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_rowdot_is_the_matrix_vector_product():
+    rng = np.random.default_rng(12)
+    for n in (1, 4, 9, 16, 36, 144):
+        a, x = _complex(rng, n, n), _complex(rng, 50, n)
+        got = op.rowdot(a, x)
+        for b in range(50):
+            ref = a @ x[b]
+            assert np.linalg.norm(got[b] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [4, 9, 16, 36])
+def test_rowdot_rows_are_independent_bit_for_bit(n):
+    # each row is one gemv of one shape and layout: the same bits for the row
+    # alone, in any subset of rows, from a strided or offset buffer, and for
+    # an F-ordered copy of the matrix, which rowdot makes C-contiguous
+    rng = np.random.default_rng(n)
+    a, x = _complex(rng, n, n), _complex(rng, 300, n)
+    full = op.rowdot(a, x)
+    for _ in range(5):
+        rows = rng.permutation(300)[: rng.integers(1, 300)]
+        assert np.array_equal(op.rowdot(a, x[rows]), full[rows])
+    for b in range(0, 300, 23):
+        assert np.array_equal(op.rowdot(a, x[b]), full[b])
+    strided = np.zeros((300, 2 * n), complex)
+    strided[:, ::2] = x
+    assert np.array_equal(op.rowdot(a, strided[:, ::2]), full)
+    offset = np.zeros(300 * n + 1, complex)[1:].reshape(300, n)
+    offset[:] = x
+    assert np.array_equal(op.rowdot(a, offset), full)
+    assert np.array_equal(op.rowdot(np.asfortranarray(a), x), full)
+    assert np.array_equal(op.rowdot(a, np.asfortranarray(x)), full)
 
 
 def test_eig_general_known_spectrum():

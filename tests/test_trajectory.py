@@ -187,6 +187,21 @@ def test_records_independent_of_batch_size_on_random_models():
             assert "".join(modelio.record_lines(single)) == lines[stream]
 
 
+def test_records_independent_of_the_chunk_size(monkeypatch):
+    # a chunk holds at most CHUNK_ENTRIES = rows x d^2 entries; cut down to 7
+    # rows, a round of 60 live trajectories takes 9 chunks, the last of 4 rows
+    rng = np.random.default_rng(515)
+    for _ in range(3):
+        spec = propcheck.random_subharmonic_model(rng, d=3)
+        rho0 = propcheck.random_density(rng, spec.dim)
+        kernel = build_kernel(spec)
+        whole = list(modelio.record_lines(sample_trajectories(kernel, rho0, 3.0, 9, 60)))
+        with monkeypatch.context() as m:
+            m.setattr(trajectory, "CHUNK_ENTRIES", 7 * spec.dim**2)
+            chunked = list(modelio.record_lines(sample_trajectories(kernel, rho0, 3.0, 9, 60)))
+        assert chunked == whole and "".join(whole).count("\n") == 60
+
+
 def test_jump_times_invert_the_survival_curve():
     # oracle independent of the scan and bisection: redraw each stream's
     # uniforms one by one; the no-jump survival over each gap equals its draw,
