@@ -14,7 +14,6 @@ from .operators import (  # noqa: F401
     adjoint,
     devectorize,
     eig_general,
-    expm,
     psd_check,
     vectorize,
 )

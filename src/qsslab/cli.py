@@ -89,7 +89,7 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
             "dimension": len(fam.herm_basis),
             "anchor": fam.anchor.nu,
             "residual_eigen": fam.anchor.residual_eigen,
-            "residual_defn": report.residual_defn,  # equals the anchor certificate's to the bit
+            "residual_defn": report.residual_defn,
             "verification": {
                 "residual_defn": report.residual_defn,
                 "residual_exp_survival": report.residual_exp_survival,

@@ -16,7 +16,6 @@ Default tolerances (all overridable per call):
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -135,11 +134,13 @@ class Propagator:
     (``EXPM_COND_LIMIT``) and the reconstruction check run once, on either.
     If both gates pass, ``spectral`` is true; otherwise every call falls back
     to scaling-and-squaring (scipy's, imported there only).  ``w``, ``v`` and
-    ``v_inv`` are kept on either path for spectral projections.
+    ``v_inv`` are kept on either path for spectral projections.  ``trace_row``
+    is the functional that :meth:`trace_coords` and :meth:`trace_rows` read.
     """
 
-    def __init__(self, a, eig=None):
+    def __init__(self, a, eig=None, trace_row=None):
         self.mat = a = as_operator(a)
+        self.trace_row = trace_row
         self.w = self.v = self.v_inv = None
         self.spectral = False
         try:
@@ -168,6 +169,7 @@ class Propagator:
         """Propagator of ``adjoint(a)``: pairs (conj(w), V^-dag), inverse V^dag, same gates."""
         adj = object.__new__(Propagator)
         adj.mat, adj.spectral, adj.w = adjoint(self.mat), self.spectral, self.w.conj()
+        adj.trace_row = None
         adj.v, adj.v_inv = (None if x is None else adjoint(x) for x in (self.v_inv, self.v))
         return adj
 
@@ -185,28 +187,24 @@ class Propagator:
         vec = np.broadcast_to(vec, np.shape(t) + np.shape(vec)[-1:])
         return np.reshape([self.matrix(s) @ x for s, x in zip(t, vec)], vec.shape)
 
-    @cached_property
-    def _trace_row(self) -> np.ndarray:
-        return vectorize(np.eye(math.isqrt(self.mat.shape[0]))).conj()
-
     def trace_coords(self, vecs: np.ndarray, coef=None) -> np.ndarray:
-        """``x`` with ``tr(exp(t*a) vec) = sum(x * trace_rows(t))`` for each row of ``vecs``.
+        """``x`` with ``trace_row @ exp(t*a) vec = sum(x * trace_rows(t))``, per row of ``vecs``.
 
         Spectral: trace-weighted eigencoefficients, zeroed at modulus <= 1e-18;
         ``coef`` as in :meth:`apply`.
         """
         if not self.spectral:
             return np.asarray(vecs, dtype=complex)
-        x = (self._trace_row @ self.v) * (rowdot(self.v_inv, vecs) if coef is None else coef)
+        x = (self.trace_row @ self.v) * (rowdot(self.v_inv, vecs) if coef is None else coef)
         x[np.abs(x) <= 1e-18] = 0.0
         return x
 
     def trace_rows(self, times) -> np.ndarray:
-        """``exp(t*w)`` per time; the fallback forms ``tr(exp(t*a) .)`` from :meth:`matrix`."""
+        """``exp(t*w)`` per time; the fallback forms ``trace_row @ exp(t*a)`` by :meth:`matrix`."""
         times = np.asarray(times, dtype=float)
         if self.spectral:
             return np.exp(times[..., None] * self.w)
-        rows = [self._trace_row @ self.matrix(t) for t in times.ravel()]
+        rows = [self.trace_row @ self.matrix(t) for t in times.ravel()]
         return np.reshape(rows, times.shape + self.mat.shape[:1])
 
 
@@ -215,11 +213,6 @@ def rowdot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     shape and layout, so a row's bits depend on that row only.  ``a`` is made
     C-contiguous, since an F-ordered one runs gemv transposed, with other bits."""
     return np.matmul(np.ascontiguousarray(a), x[..., None])[..., 0]
-
-
-def expm(a, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential ``exp(t*a)``; see :class:`Propagator`."""
-    return Propagator(a).matrix(t)
 
 
 def eig_general(a, tol: float = TOL_EIG):

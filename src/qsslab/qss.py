@@ -61,8 +61,8 @@ class CandidateSet:
 class QssCertificate:
     """One quasi-stationary state (full-space density) and its certificate.
 
-    ``residual_eigen`` and ``residual_defn`` are computed on first read, from
-    the ``restr`` and ``rho_hat`` the state was built from.
+    ``residual_eigen`` is computed on first read, from the ``restr`` and
+    ``rho_hat`` the state was built from; :func:`verify_qss` checks the rest.
     """
 
     alpha: float
@@ -74,10 +74,6 @@ class QssCertificate:
     @cached_property
     def residual_eigen(self) -> float:
         return _eigen_residual(self.restr, self.alpha, self.rho_hat)
-
-    @cached_property
-    def residual_defn(self) -> float:
-        return _defn_residual(self.restr, self.rho_hat)
 
 
 @dataclass(frozen=True)
@@ -185,17 +181,6 @@ def real_eigen_candidates(
 
 def _eigen_residual(restr: RestrictedGenerator, alpha: float, rho_hat: np.ndarray) -> float:
     return frob(restr.apply_gen(rho_hat) + alpha * rho_hat)
-
-
-def _defn_residual(restr: RestrictedGenerator, rho_hat: np.ndarray) -> float:
-    """max_t || T^_t(nu)/tr(T^_t(nu)) - nu || over the sample grid."""
-    worst = 0.0
-    for evolved in restr.evolve(VERIFY_TIMES, rho_hat):
-        tr = np.trace(evolved).real
-        if tr <= 0:
-            return np.inf
-        worst = max(worst, frob(evolved / tr - rho_hat))
-    return worst
 
 
 def _certificate(restr: RestrictedGenerator, alpha: float, rho_hat: np.ndarray) -> QssCertificate:

@@ -25,7 +25,6 @@ from .model import (
     ModelSpec,
     Superop,
     apply_semigroup,
-    build_generator,
     left_mul,
     right_mul,
     sandwich,
@@ -76,9 +75,6 @@ class RestrictedGenerator:
     def apply_gen(self, rho_hat: np.ndarray) -> np.ndarray:
         return devectorize(self.gen_schr.mat @ vectorize(rho_hat))
 
-    def evolve(self, t, rho_hat: np.ndarray) -> np.ndarray:
-        return apply_semigroup(self.gen_schr, t, rho_hat)
-
 
 @dataclass(frozen=True)
 class AbsorptionReport:
@@ -99,17 +95,11 @@ class IrreducibilityReport:
 class Analysis:
     """What ``analyze`` derives from one model, each object built on first use.
 
-    ``schr`` is the d^2 x d^2 Schroedinger generator.  Only ``simulate``'s
-    kernels use it (they shift it); ``analyze`` never builds it, and nothing
-    eigendecomposes it.  The stage functions below take an ``Analysis`` or a
-    bare ``ModelSpec``, which gets a fresh context.
+    The stage functions below take an ``Analysis`` or a bare ``ModelSpec``,
+    which gets a fresh context.
     """
 
     spec: ModelSpec
-
-    @cached_property
-    def schr(self) -> Superop:
-        return build_generator(self.spec, SCHRODINGER)
 
     @cached_property
     def subharmonic(self) -> SubharmonicReport:

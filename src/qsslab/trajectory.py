@@ -1,13 +1,15 @@
-"""Counting-process unraveling with detector p0_perp.
+"""Counting-process unraveling with detector p0_perp, sampled on the restriction.
 
-Between jumps the (unnormalized) state follows the contraction semigroup
-generated by the full state-evolution generator plus -1/2 {p0_perp, .};
-jumps compress the state to the p0_perp corner and renormalize.
+Between jumps the (unnormalized) state follows the full generator plus
+-1/2 {p0_perp, .}; jumps compress it to the p0_perp corner and renormalize.
+Since range(p0) is invariant, the m x m corner rho^ evolves on its own, by
+e^{-t} T^_t: a trajectory is the row (vec rho^, q), q the trace outside the
+corner, and the full state is formed only for the final states.
 
-Sampling is inverse-CDF on the unnormalized trace with censoring at a
-finite horizon: the trace can plateau strictly above zero (the absorbed
+Sampling is inverse-CDF on the unnormalized trace tr rho^ + q with censoring
+at a finite horizon: the trace can plateau strictly above zero (the absorbed
 branch), so an unconditional next-jump draw would not terminate.  The
-survival curve tr S_t(rho) is non-increasing (d/dt = -tr(p0_perp S_t(rho)) <= 0):
+survival curve is non-increasing (d/dt = -tr rho^ <= 0):
 a jump fires iff it ends below the draw, a binary search over a time grid
 brackets the one crossing and safeguarded Newton refines it to within
 ``TIME_TOL``: the curve is at or above the draw ``TIME_TOL`` before the firing
@@ -35,14 +37,14 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op
-from .model import SCHRODINGER, Superop, left_mul, right_mul, sandwich
-from .operators import vectorize
+from .model import build_generator, left_mul, right_mul, sandwich
+from .operators import adjoint, vectorize
 from .structure import as_analysis, check_subharmonic  # noqa: F401 (qssbench tests patch it)
 
 STEP = 0.01           # finest grid step of the survival curve's bracket search
 GRID_INTERVALS = 2**16  # most grid steps per horizon: a longer horizon takes wider ones
 TIME_TOL = 1e-10      # a firing time lies within this of the crossing
-CHUNK_ENTRIES = 2**15  # most rows x d^2 entries per chunk of every batched sampler step
+CHUNK_ENTRIES = 2**15  # most rows x (m^2 + 1) entries per chunk of every batched sampler step
 DRAWS = 8             # uniforms drawn from a stream at a time
 
 
@@ -52,20 +54,39 @@ class TrajectoryError(RuntimeError):
 
 @dataclass(frozen=True)
 class UnravelingKernel:
-    gen_nojump: Superop
-    p0_perp: np.ndarray
+    """``loop``: exp(tA) on rows (vec V^dag rho V, tr p0 rho) with trace row
+    (vec 1_m, 1), all the sampling loop runs on; ``nojump``: the d^2 x d^2
+    no-jump propagator, for the final states; ``isometry``: the restriction's V."""
+
+    loop: op.Propagator
+    nojump: op.Propagator
+    isometry: np.ndarray
+    p0: np.ndarray
+
+    def row(self, rho: np.ndarray) -> np.ndarray:
+        """The loop's row (vec V^dag rho V, tr p0 rho) of a d x d state."""
+        v = self.isometry
+        return np.append(vectorize(v.conj().T @ rho @ v), np.trace(self.p0 @ rho))
 
 
 def build_kernel(model) -> UnravelingKernel:
-    """No-jump generator of the model's counting process with detector p0_perp."""
+    """The unraveling's propagators.  A = [[S^ - 1, 0], [-vec(1_m)^T S^, 0]] takes
+    its pairs from the restriction's S^ v = w v, no eigensolve: (w - 1,
+    (v, -w tr v / (w - 1))) and (0, e_last).  ``nojump`` solves its own."""
     ctx = as_analysis(model)
     if not ctx.subharmonic.verdict:
         raise TrajectoryError("unraveling kernel requires a subharmonic p0")
-    perp = ctx.spec.p0_perp
-    nojump = ctx.schr.mat - 0.5 * (left_mul(perp) + right_mul(perp))
-    return UnravelingKernel(
-        gen_nojump=Superop(mat=nojump, picture=SCHRODINGER, dim=ctx.spec.dim), p0_perp=perp
-    )
+    restr, spec = ctx.restriction, ctx.spec
+    (w, v), s_hat, n = restr.gen_schr.eig, restr.gen_schr.mat, restr.m**2
+    one = vectorize(np.eye(restr.m))
+    a = np.zeros((n + 1, n + 1), dtype=complex)
+    a[:n, :n], a[n, :n] = s_hat - np.eye(n), -one @ s_hat
+    vecs = np.zeros_like(a)
+    vecs[:n, :n], vecs[n, :n], vecs[n, n] = v, -w * (one @ v) / (w - 1), 1.0
+    loop = op.Propagator(a, eig=(np.append(w - 1, 0.0), vecs), trace_row=np.append(one, 1.0))
+    perp = spec.p0_perp
+    nojump = build_generator(spec).mat - 0.5 * (left_mul(perp) + right_mul(perp))
+    return UnravelingKernel(loop, op.Propagator(nojump), restr.isometry, spec.p0)
 
 
 @dataclass(frozen=True)
@@ -227,10 +248,10 @@ def _bracket(x, at_end, table, grid, u, remaining):
 
 
 def _segment(prop, table, grid, vecs, u, remaining):
-    """Advance rows to the first ``t <= remaining`` with ``tr(S_t(rho)) = u``.
+    """Advance rows to the first ``t <= remaining`` where their survival trace is ``u``.
 
     Returns ``(fired, t, sig)``: whether a row fired, its firing time
-    (``remaining`` if not) and ``vec(S_t(rho))``.  Safeguarded Newton on the
+    (``remaining`` if not) and the row advanced to it.  Safeguarded Newton on the
     grid bracket, from its midpoint: each round takes f and f' (coordinates
     ``dx``) from one ``trace_rows`` call and shrinks ``[lo, hi]`` by the sign of
     f - u, keeping f(lo) >= u > f(hi); a step that leaves ``[lo, hi]`` bisects
@@ -270,35 +291,41 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     """Waiting-time unravelings of streams ``first_stream .. first_stream + n - 1``.
 
     Per round, each live trajectory draws u ~ U(0,1) from its own stream; its
-    jump fires at the first t with tr(S_t(rho)) = u, bracketed by binary search
-    on the grid of a table of the survival curve's exponentials, then refined by
-    safeguarded Newton to within ``TIME_TOL`` (see :func:`_segment`).  A
+    jump fires at the first t where its row's survival trace is u, bracketed by
+    binary search on the grid of a table of the survival curve's exponentials,
+    then refined by safeguarded Newton to within ``TIME_TOL`` (see
+    :func:`_segment`).  A jump leaves the row (corner / tr corner, 0).  A
     trajectory whose trace stays above u up to the horizon, or whose jump has
-    vanishing weight (the absorbed branch), ends censored with its surviving
-    unnormalized weight.  The grid step is ``STEP``, or ``horizon / GRID_INTERVALS``
-    if wider.  Rows pass every step in chunks of at most ``CHUNK_ENTRIES`` entries
-    (rows x d^2), each row transformed by its own matvec (:func:`operators.rowdot`).
-    Each chunk logs its jumps as arrays; one stable sort by row at the end
-    groups them by trajectory, in time order since rounds are chronological.
+    vanishing weight (the absorbed branch), ends censored.  The grid step is
+    ``STEP``, or ``horizon / GRID_INTERVALS`` if wider.  Rows pass every step in
+    chunks of at most ``CHUNK_ENTRIES`` entries (rows x (m^2 + 1)), each row
+    transformed by its own matvec (:func:`operators.rowdot`).  Each chunk logs
+    its jumps as arrays; one stable sort by row at the end groups them by
+    trajectory, in time order since rounds are chronological.  The corners are
+    then embedded as V X V^dag, and one batched ``kernel.nojump`` apply takes
+    each trajectory's last post-jump state (or ``rho0``) over its last segment
+    to its final state and surviving unnormalized weight.
     """
     if not 0 < horizon < np.inf:
         raise ValueError("horizon must be positive and finite")
     rho0 = op.as_operator(rho0)
-    d = rho0.shape[0]
-    chunk = max(1, CHUNK_ENTRIES // (d * d))
-    prop = kernel.gen_nojump.propagator
+    d, v = rho0.shape[0], kernel.isometry
+    m = v.shape[1]
+    mm = m * m
+    chunk = max(1, CHUNK_ENTRIES // (mm + 1))
+    prop = kernel.loop
     step = max(STEP, horizon / GRID_INTERVALS)
     grid = step * np.arange(int(np.ceil(horizon / step)) + 1)
     table = prop.trace_rows(grid)
-    jump = sandwich(kernel.p0_perp, kernel.p0_perp)
-    # a strided view of the diagonal sums every row in one order whatever the
-    # number of rows; a fancy-indexed copy is summed differently once it has two
-    diag = slice(None, None, d + 1)
+    # a strided view of the corner's diagonal sums every row in one order whatever
+    # the number of rows; a fancy-indexed copy is summed differently once it has two
+    diag = slice(None, mm, m + 1)
     keys = stream_keys(seed, first_stream, n)
     draws = np.empty((n, DRAWS))
-    vecs = np.tile(vectorize(rho0), (n, 1))  # a trajectory's row ends as its final state
+    vecs = np.tile(kernel.row(rho0), (n, 1))
     t_now = np.zeros(n)
-    jump_rows, jump_times, posts = [np.empty(0, int)], [np.empty(0)], [np.empty((0, d * d), complex)]
+    last = np.zeros(n)  # the length of each trajectory's last segment
+    jump_rows, jump_times, posts = [np.empty(0, int)], [np.empty(0)], [np.empty((0, mm), complex)]
     alive = np.ones(n, dtype=bool)
     r = 0
     while (live := np.flatnonzero(alive)).size:
@@ -310,28 +337,30 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
             rows = live[c:c + chunk]
             fired, t, sig = _segment(prop, table, grid, vecs[rows], u[c:c + chunk],
                                      horizon - t_now[rows])
-            jumped = op.rowdot(jump, sig)
-            w = jumped[:, diag].sum(-1).real
+            w = sig[:, diag].sum(-1).real
             go = fired & (w > 1e-300)
-            vecs[rows[~go]] = sig[~go]  # censored at the horizon, or absorbed
-            alive[rows[~go]] = False
-            rows, post = rows[go], jumped[go] / w[go, None]
+            alive[rows[~go]] = False  # censored at the horizon, or absorbed
+            last[rows[~go]] = t[~go]
+            rows, post = rows[go], sig[go, :mm] / w[go, None]
             t_now[rows] += t[go]
-            vecs[rows] = post
+            vecs[rows, :mm], vecs[rows, mm] = post, 0.0
             jump_rows.append(rows)
             jump_times.append(t_now[rows])
             posts.append(post)
-    weights = vecs[:, diag].sum(-1).real
-    kept = weights > 1e-300
-    vecs[kept] /= weights[kept, None]
     jump_rows = np.concatenate(jump_rows)
     order = np.argsort(jump_rows, kind="stable")
+    counts = np.bincount(jump_rows, minlength=n)
+    posts = op.rowdot(sandwich(v, adjoint(v)), np.concatenate(posts)[order])  # vec(V X V^dag)
+    starts = np.tile(vectorize(rho0), (n, 1))
+    starts[counts > 0] = posts[np.cumsum(counts)[counts > 0] - 1]
+    finals = kernel.nojump.apply(last, starts)
+    weights = finals[:, ::d + 1].sum(-1).real
+    kept = weights > 1e-300
+    finals[kept] /= weights[kept, None]
     return TrajectoryBatch(
-        seed=seed, first_stream=first_stream, horizon=horizon,
-        counts=np.bincount(jump_rows, minlength=n),
-        jump_times=np.concatenate(jump_times)[order],
-        post_jump_states=_states(np.concatenate(posts)[order], d),
-        final_states=_states(vecs, d), final_weights=weights,
+        seed=seed, first_stream=first_stream, horizon=horizon, counts=counts,
+        jump_times=np.concatenate(jump_times)[order], post_jump_states=_states(posts, d),
+        final_states=_states(finals, d), final_weights=weights,
     )
 
 

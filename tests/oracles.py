@@ -3,8 +3,9 @@ pictures, and the jump-time measure of the sampler.
 
 The trace-preserving companion semigroup (no-jump generator plus the corner
 map) normalizes the jump-time measure: the sector sum of a horizon is 1.
-These oracles compose propagators one jump at a time, independent of the
-batched sampler in :mod:`qsslab.trajectory`.
+These oracles build the d^2 x d^2 no-jump generator from the model and compose
+its propagators one jump at a time, independent of the batched sampler in
+:mod:`qsslab.trajectory`, which runs on the restriction.
 """
 
 import numpy as np
@@ -18,10 +19,12 @@ from qsslab.model import (
     Superop,
     apply_semigroup,
     build_generator,
+    left_mul,
+    right_mul,
     sandwich,
 )
 from qsslab.operators import devectorize, frob, vectorize
-from qsslab.trajectory import UnravelingKernel, sample_trajectories
+from qsslab.trajectory import sample_trajectories
 
 
 def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> float:
@@ -33,15 +36,22 @@ def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> fl
     return abs(lhs - rhs)
 
 
-def jump_map(kernel: UnravelingKernel, rho: np.ndarray) -> np.ndarray:
+def nojump_generator(spec: ModelSpec) -> Superop:
+    """The d^2 x d^2 no-jump generator L - 1/2 {p0_perp, .}, built from the model."""
+    perp = spec.p0_perp
+    mat = build_generator(spec, SCHRODINGER).mat - 0.5 * (left_mul(perp) + right_mul(perp))
+    return Superop(mat=mat, picture=SCHRODINGER, dim=spec.dim)
+
+
+def jump_map(spec: ModelSpec, rho: np.ndarray) -> np.ndarray:
     """Unnormalized post-jump compression p0_perp rho p0_perp."""
-    return kernel.p0_perp @ rho @ kernel.p0_perp
+    return spec.p0_perp @ rho @ spec.p0_perp
 
 
-def gen_tilde(kernel: UnravelingKernel) -> Superop:
+def gen_tilde(spec: ModelSpec) -> Superop:
     """The trace-preserving companion generator: no-jump generator plus the corner map."""
-    perp = kernel.p0_perp
-    tilde = kernel.gen_nojump.mat + sandwich(perp, perp)
+    perp = spec.p0_perp
+    tilde = nojump_generator(spec).mat + sandwich(perp, perp)
     d = perp.shape[0]
     defect = float(np.linalg.norm(vectorize(np.eye(d)).conj() @ tilde))
     assert defect <= op.TOL_EIG * max(1.0, frob(tilde)), (
@@ -50,13 +60,13 @@ def gen_tilde(kernel: UnravelingKernel) -> Superop:
     return Superop(mat=tilde, picture=SCHRODINGER, dim=d)
 
 
-def nojump_survival(kernel: UnravelingKernel, rho0: np.ndarray, t: float):
+def nojump_survival(spec: ModelSpec, rho0: np.ndarray, t: float):
     """(tr S_t(rho0), tr(S_t(rho0) p0_perp)) of the no-jump branch."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    sig = devectorize(kernel.gen_nojump.propagator.apply(t, vectorize(rho0)))
+    sig = devectorize(nojump_generator(spec).propagator.apply(t, vectorize(rho0)))
     total = float(np.trace(sig).real)
-    perp = float(np.trace(sig @ kernel.p0_perp).real)
+    perp = float(np.trace(sig @ spec.p0_perp).real)
     return total, perp
 
 
@@ -71,7 +81,7 @@ def truncated_exp_mean(rate: float, window: float) -> float:
     return 1.0 / rate - window * np.exp(-rate * window) / z
 
 
-def measure_weight(kernel: UnravelingKernel, jump_times, horizon: float, rho0) -> float:
+def measure_weight(spec: ModelSpec, jump_times, horizon: float, rho0) -> float:
     """tr rho_horizon for a fixed jump-time configuration.
 
     Deterministic composition S_{horizon - t_k} o (corner map) o ... o S_{t_1}
@@ -82,18 +92,18 @@ def measure_weight(kernel: UnravelingKernel, jump_times, horizon: float, rho0) -
         raise ValueError("jump times must be ordered")
     if times and (times[0] < 0 or times[-1] > horizon):
         raise ValueError("jump times must lie in [0, horizon]")
-    prop = kernel.gen_nojump.propagator
+    prop = nojump_generator(spec).propagator
     vec = vectorize(op.as_operator(rho0))
     prev = 0.0
     for t in times:
         vec = prop.apply(t - prev, vec)
-        vec = vectorize(jump_map(kernel, devectorize(vec)))
+        vec = vectorize(jump_map(spec, devectorize(vec)))
         prev = t
     vec = prop.apply(horizon - prev, vec)
     return float(np.trace(devectorize(vec)).real)
 
 
-def sector_sum(kernel: UnravelingKernel, rho0, horizon: float) -> float:
+def sector_sum(spec: ModelSpec, rho0, horizon: float) -> float:
     """0-jump weight plus the integrated >=1-jump weight.
 
     The first-jump sector is integrated by quadrature; everything after the
@@ -102,13 +112,13 @@ def sector_sum(kernel: UnravelingKernel, rho0, horizon: float) -> float:
     """
     rho0 = op.as_operator(rho0)
     vec0 = vectorize(rho0)
-    prop = kernel.gen_nojump.propagator
-    tilde = gen_tilde(kernel).propagator
+    prop = nojump_generator(spec).propagator
+    tilde = gen_tilde(spec).propagator
     zero_jump = float(np.trace(devectorize(prop.apply(horizon, vec0))).real)
 
     def integrand(t):
         sig = devectorize(prop.apply(t, vec0))
-        jumped = vectorize(jump_map(kernel, sig))
+        jumped = vectorize(jump_map(spec, sig))
         return float(np.trace(devectorize(tilde.apply(horizon - t, jumped))).real)
 
     tail, _ = scipy.integrate.quad(integrand, 0.0, horizon, epsabs=1e-10, epsrel=1e-10, limit=200)

@@ -18,7 +18,6 @@ from qsslab.model import (
 )
 from qsslab.qss import extract_qss, real_eigen_candidates
 from qsslab.structure import restrict
-from qsslab.trajectory import build_kernel
 
 from oracles import duality_check, gen_tilde
 
@@ -74,10 +73,9 @@ def check_density_preservation(spec, rng):
 
 
 def check_tilde_trace(spec, rng):
-    kernel = build_kernel(spec)
     rho = random_density(rng, spec.dim)
     t = float(rng.uniform(0.1, 2.0))
-    evolved = apply_semigroup(gen_tilde(kernel), t, rho)
+    evolved = apply_semigroup(gen_tilde(spec), t, rho)
     return abs(np.trace(evolved).real - 1.0)
 
 
@@ -89,7 +87,7 @@ def check_restrict_embed(spec, rng):
     full = apply_semigroup(gen, t, restr.embed(rho_hat))
     perp = spec.p0_perp
     corner = perp @ full @ perp
-    hat = restr.embed(restr.evolve(t, rho_hat))
+    hat = restr.embed(apply_semigroup(restr.gen_schr, t, rho_hat))
     return float(np.linalg.norm(corner - hat))
 
 

@@ -146,7 +146,7 @@ def test_criterion_6_trajectory_suite():
 
     worst = 0.0
     for t in np.linspace(0.0, 6.0, 61):
-        _, perp = nojump_survival(kernel, nu, t)
+        _, perp = nojump_survival(spec, nu, t)
         worst = max(worst, abs(perp - np.exp(-2.0 * t)))
     checks.append(("survival identity exp(-2t) within 1e-8", worst < 1e-8))
 
@@ -175,7 +175,7 @@ def test_criterion_6_trajectory_suite():
     )
 
     checks.append(("sector-sum normalization within 1e-6",
-                   abs(sector_sum(kernel, nu, horizon) - 1.0) <= 1e-6))
+                   abs(sector_sum(spec, nu, horizon) - 1.0) <= 1e-6))
     _verdict(6, "trajectory suite, N=10^4, seed 42, horizon 6", checks)
 
 

@@ -294,7 +294,7 @@ def test_simulate_small_run(models_dir, tmp_path):
 
 
 def test_simulate_long_horizon_widens_the_grid(models_dir, capsys):
-    # a 0.01 grid to 1e6 would tabulate 10^8 exponential rows (23.8 GiB at
+    # a 0.01 grid to 1e6 would tabulate 10^8 exponential rows (14.9 GiB at
     # d = 4); the grid keeps 2^16 steps and Newton still refines each jump
     rc = run(["simulate", model_path(models_dir, "two_qubit_both.json"),
               "--samples", "20", "--horizon", "1e6"])
@@ -312,14 +312,14 @@ def test_simulate_output_is_pinned(models_dir, tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     cases = [
         ("two_qubit_both.json", "10",
-         "bd1f77968599edec63e76b263bbbc8cdc660ef5f6aa0b3fe73d08331f70b4d9d",
-         "c35f9aadc1a9f2ca3c27ec0f9c27060f8ceda368db1e5c52d9223f89e7b12919"),
+         "0128cda0246fd3d2eaed2da2b8f7854e43fa0034c01329edec01654b0ff5a9c6",
+         "4d3f3d055055813e24eda03f99aec852681b4d6b53477747f11fe9cf7d8e0aec"),
         ("two_qubit_site1.json", "6",
-         "54b51d935ab5c6349a2f008c50fd60e3273f20d823bd4c360bdd8db5a8da5dce",
-         "0a08ae02c88c1cfaf71fa55b896228c8880a206cbb6218628e32570b0ff0b916"),
+         "4f3b597771be3695a67b421164bd1b26413941fe9a717df96d45ee8900bdd3a8",
+         "e9a67ac077241c870bbf82e32a68ca462b6216a61f5f4447a51e758c95b2f13b"),
         ("two_qubit_site1.json", "0.3",
-         "453ef7d81d1e9f9521b8abae3af6df00b98824776f94843501934eb9f23c20fb",
-         "2df05fc688c07579e67f92f3eb00187b6b8ad98a0c6f1544b1d552f5e52b8184"),
+         "b43122e9fee18136eb98038ca7b8056e00c3758fff06662f016cfaa1e7b77c79",
+         "74483e1ac475f2cb37d8e1677ea7dba03ef5f3cfda483e5e1e0216bbf112ecb3"),
     ]
     for model, horizon, summary, lines in cases:
         rc = run(

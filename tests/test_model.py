@@ -154,7 +154,7 @@ def test_choi_positivity_on_fixtures():
     for spec in (two_qubit_site1(1.0), two_qubit_both(1.0)):
         gen = build_generator(spec, SCHRODINGER)
         for t in (0.1, 1.0):
-            c = choi_matrix(op.expm(gen.mat, t))
+            c = choi_matrix(op.Propagator(gen.mat).matrix(t))
             ok, min_eig = op.psd_check(0.5 * (c + c.conj().T), tol=1e-8)
             assert ok, f"Choi not PSD at t={t}: min eig {min_eig}"
 

@@ -89,21 +89,20 @@ def test_expm_matches_scipy():
         d = rng.integers(2, 6)
         a = random_complex(rng, d)
         t = float(rng.uniform(0.1, 2.0))
-        assert np.linalg.norm(op.expm(a, t) - sla.expm(t * a)) < 1e-9 * np.linalg.norm(
-            sla.expm(t * a)
-        )
+        ref = sla.expm(t * a)
+        assert np.linalg.norm(op.Propagator(a).matrix(t) - ref) < 1e-9 * np.linalg.norm(ref)
 
 
 def test_expm_defective_fallback():
     # Jordan block: eigendecomposition is useless, must fall back
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    out = op.expm(a, 2.0)
+    out = op.Propagator(a).matrix(2.0)
     assert np.allclose(out, np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_expm_rejects_bad_time():
     with pytest.raises(ValueError):
-        op.expm(np.eye(2), np.inf)
+        op.Propagator(np.eye(2)).matrix(np.inf)
 
 
 def test_propagator_matches_scipy_on_random_generator():
@@ -123,17 +122,19 @@ def test_propagator_matches_scipy_on_random_generator():
 
 
 def test_propagator_falls_back_on_defective_nojump_generator():
-    # the no-jump generator of the site-1 fixture at the branch collision
-    # has a near-defective eigenbasis (condition number ~2e10)
-    prop = build_kernel(two_qubit_site1(0.5)).gen_nojump.propagator
-    assert not prop.spectral
-    vec = op.vectorize(np.diag([0.0, 0.5, 0.5, 0.0]))
+    # the sampler's (m^2 + 1) no-jump generator of the site-1 fixture at the
+    # branch collision inherits the restriction's near-defective eigenbasis
+    kernel = build_kernel(two_qubit_site1(0.5))
+    prop = kernel.loop
+    assert not prop.spectral and prop.mat.shape == (10, 10)
+    vec = kernel.row(np.diag([0.0, 0.5, 0.5, 0.0]))
     times = np.array([0.0, 0.7, 3.0])
     for t in times:
         ref = sla.expm(t * prop.mat)
         assert np.array_equal(prop.matrix(t), ref)
     curve = (prop.trace_coords(vec) * prop.trace_rows(times)).sum(-1).real
-    expected = [np.trace(op.devectorize(sla.expm(t * prop.mat) @ vec)).real for t in times]
+    trace_row = np.append(op.vectorize(np.eye(3)), 1.0)
+    expected = [(trace_row @ sla.expm(t * prop.mat) @ vec).real for t in times]
     assert np.allclose(curve, expected, atol=1e-12)
 
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from propcheck import random_subharmonic_model
-from qsslab import cli, model, qss, structure
+from qsslab import cli, model, qss, structure, trajectory
 from qsslab import operators as op
 from qsslab.classical import RateMatrix, embed
 from qsslab.model import (
@@ -382,7 +382,8 @@ def _count_sizes(monkeypatch, owner, name, sizes):
 def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_path):
     # one m^2 x m^2 solve serves the restriction in both pictures, g_hat
     # (m x m) seeds the witness search of the reducible restriction, and no
-    # d^2 x d^2 matrix is built, let alone eigendecomposed
+    # d^2 x d^2 matrix is built (only simulate's kernel builds one), let alone
+    # eigendecomposed
     sizes = Counter()
     _count_sizes(monkeypatch, np.linalg, "eig", sizes)
     _count_sizes(monkeypatch, sla, "eig", sizes)
@@ -392,7 +393,7 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     full_space = [
         _count_calls(monkeypatch, model, "gkls_matrix"),
         _count_calls(monkeypatch, model, "build_generator"),
-        _count_calls(monkeypatch, structure, "build_generator"),
+        _count_calls(monkeypatch, trajectory, "build_generator"),
     ]
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
@@ -427,16 +428,16 @@ def test_only_analyze_certifies_and_only_what_it_reports(models_dir, monkeypatch
     # decay rates and simulate only the Perron anchor's nu
     calls = [
         _count_calls(monkeypatch, qss, "_eigen_residual"),
-        _count_calls(monkeypatch, qss, "_defn_residual"),
+        _count_calls(monkeypatch, qss, "verify_qss"),
     ]
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
     assert cli.main(["simulate", path, "--samples", "20", "--out", str(tmp_path / "s.json")]) == 0
     assert calls == [[], []]
     # analyze reads the eigen residual of its one family's anchor, not of the
-    # segment ends; the definition residual comes from verify_qss
+    # segment ends; the definition residual comes from its one verify_qss
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
-    assert calls == [["_eigen_residual"], []]
+    assert calls == [["_eigen_residual"], ["verify_qss"]]
 
 
 def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 import propcheck
@@ -8,6 +9,7 @@ from oracles import (
     gen_tilde,
     jump_map,
     measure_weight,
+    nojump_generator,
     nojump_survival,
     sample_trajectory,
     sector_sum,
@@ -15,8 +17,8 @@ from oracles import (
 )
 from qsslab import modelio, operators, trajectory
 from qsslab.model import two_qubit_both, two_qubit_site1
-from qsslab.operators import vectorize
-from qsslab.structure import restrict
+from qsslab.operators import frob, vectorize
+from qsslab.structure import Analysis, restrict
 from qsslab.qss import extract_qss, perron_structure, real_eigen_candidates
 from qsslab.trajectory import (
     TrajectoryError,
@@ -54,7 +56,7 @@ def test_build_kernel_requires_subharmonic():
 
 
 def test_tilde_generator_preserves_trace():
-    kernel = build_kernel(two_qubit_both(1.0))
+    spec = two_qubit_both(1.0)
     rng = np.random.default_rng(7)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = a @ a.conj().T
@@ -62,19 +64,19 @@ def test_tilde_generator_preserves_trace():
     for t in (0.3, 1.0, 4.0):
         from qsslab.model import apply_semigroup
 
-        evolved = apply_semigroup(gen_tilde(kernel), t, rho)
+        evolved = apply_semigroup(gen_tilde(spec), t, rho)
         assert abs(np.trace(evolved).real - 1.0) < 1e-10
 
 
 def test_nojump_survival_exponential_identity():
     # from the QSS, the detector-weighted survival is exactly exp(-(1+alpha) t)
-    kernel = build_kernel(two_qubit_both(1.0))
+    spec = two_qubit_both(1.0)
     nu = both_sites_qss()
     for t in np.linspace(0.0, 6.0, 61):
-        _, perp = nojump_survival(kernel, nu, t)
+        _, perp = nojump_survival(spec, nu, t)
         assert abs(perp - np.exp(-2.0 * t)) < 1e-8
     with pytest.raises(ValueError):
-        nojump_survival(kernel, nu, -1.0)
+        nojump_survival(spec, nu, -1.0)
 
 
 def test_sampling_determinism_and_stream_split():
@@ -188,8 +190,8 @@ def test_records_independent_of_batch_size_on_random_models():
 
 
 def test_records_independent_of_the_chunk_size(monkeypatch):
-    # a chunk holds at most CHUNK_ENTRIES = rows x d^2 entries; cut down to 7
-    # rows, a round of 60 live trajectories takes 9 chunks, the last of 4 rows
+    # a chunk holds at most CHUNK_ENTRIES = rows x (m^2 + 1) entries; cut down to
+    # 7 rows, a round of 60 live trajectories takes 9 chunks, the last of 4 rows
     rng = np.random.default_rng(515)
     for _ in range(3):
         spec = propcheck.random_subharmonic_model(rng, d=3)
@@ -197,7 +199,7 @@ def test_records_independent_of_the_chunk_size(monkeypatch):
         kernel = build_kernel(spec)
         whole = list(modelio.record_lines(sample_trajectories(kernel, rho0, 3.0, 9, 60)))
         with monkeypatch.context() as m:
-            m.setattr(trajectory, "CHUNK_ENTRIES", 7 * spec.dim**2)
+            m.setattr(trajectory, "CHUNK_ENTRIES", 7 * (kernel.isometry.shape[1]**2 + 1))
             chunked = list(modelio.record_lines(sample_trajectories(kernel, rho0, 3.0, 9, 60)))
         assert chunked == whole and "".join(whole).count("\n") == 60
 
@@ -205,25 +207,114 @@ def test_records_independent_of_the_chunk_size(monkeypatch):
 def test_jump_times_invert_the_survival_curve():
     # oracle independent of the scan and bisection: redraw each stream's
     # uniforms one by one; the no-jump survival over each gap equals its draw,
-    # and the survival up to the horizon stays at or above the last draw
+    # and the survival up to the horizon stays at or above the last draw.  The
+    # mixed starts of random models carry trace outside the corner, which a
+    # jump must clear
     longest = 0
-    for spec in SAMPLER_MODELS[:2]:
+    cases = [(spec, perron_qss(spec), 150) for spec in SAMPLER_MODELS[:2]]
+    rng = np.random.default_rng(206)
+    for _ in range(3):
+        spec = propcheck.random_subharmonic_model(rng, d=4)
+        cases.append((spec, propcheck.random_density(rng, spec.dim), 400))
+    for spec, nu, n in cases:
         kernel = build_kernel(spec)
-        nu = perron_qss(spec)
         n_jumps = 0
-        for rec in sample_trajectories(kernel, nu, 6.0, seed=23, n=150):
+        for rec in sample_trajectories(kernel, nu, 6.0, seed=23, n=n):
             longest = max(longest, rec.n_jumps)
             rng = numpy_stream(23, rec.stream)
             rho, prev = nu, 0.0
             for t, state in zip(rec.jump_times, rec.post_jump_states):
-                total, _ = nojump_survival(kernel, rho, t - prev)
+                total, _ = nojump_survival(spec, rho, t - prev)
                 assert abs(total - rng.uniform()) < 1e-8
                 rho, prev = state, t
                 n_jumps += 1
-            total, _ = nojump_survival(kernel, rho, rec.horizon - prev)
+            total, _ = nojump_survival(spec, rho, rec.horizon - prev)
             assert total >= rng.uniform()
         assert n_jumps > 100
     assert longest >= DRAWS  # some stream needs more than one block of draws
+
+
+def test_kernel_eigenpairs_come_from_the_restriction(monkeypatch):
+    # A = [[S^ - 1, 0], [-vec(1)^T S^, 0]] has the pairs (w - 1, (v, -w tr v / (w - 1)))
+    # of S^ and (0, e_last); only the d^2 x d^2 final-state propagator solves
+    rng = np.random.default_rng(303)
+    specs = [*SAMPLER_MODELS, *(propcheck.random_subharmonic_model(rng, d=d) for d in (3, 4, 6, 8))]
+    for spec in specs:
+        ctx = Analysis(spec)
+        ctx.restriction
+        sizes = []
+        eig = np.linalg.eig
+
+        def counting_eig(a):
+            sizes.append(len(a))
+            return eig(a)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eig", counting_eig)
+            kernel = build_kernel(ctx)
+        assert sizes == [spec.dim**2]
+        loop = kernel.loop
+        assert loop.spectral and loop.mat.shape == (ctx.restriction.m**2 + 1,) * 2
+        assert frob(loop.mat @ loop.v - loop.v * loop.w) <= 1e-12 * max(1.0, frob(loop.mat))
+
+
+def test_sampling_loop_runs_on_the_restriction(monkeypatch):
+    # every matrix the loop hands to rowdot is (m^2 + 1)-sized; after the last
+    # segment one d^2-sized apply gives the final states
+    rng = np.random.default_rng(304)
+    cases = [(spec, perron_qss(spec)) for spec in SAMPLER_MODELS[:2]]
+    for d in (3, 5, 7):
+        spec = propcheck.random_subharmonic_model(rng, d=d)
+        cases.append((spec, propcheck.random_density(rng, d)))
+    rowdot, apply, segment = operators.rowdot, operators.Propagator.apply, trajectory._segment
+    for spec, rho0 in cases:
+        kernel = build_kernel(spec)
+        n = kernel.isometry.shape[1]**2 + 1
+        events = []
+
+        def logging_rowdot(a, x):
+            events.append(("rowdot", a.shape))
+            return rowdot(a, x)
+
+        def logging_apply(prop, *args, **kwargs):
+            events.append(("apply", len(prop.mat)))
+            return apply(prop, *args, **kwargs)
+
+        def logging_segment(*args):
+            events.append(("segment", None))
+            return segment(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(operators, "rowdot", logging_rowdot)
+            m.setattr(operators.Propagator, "apply", logging_apply)
+            m.setattr(trajectory, "_segment", logging_segment)
+            sample_trajectories(kernel, rho0, 3.0, 5, 200)
+        last = max(i for i, (kind, _) in enumerate(events) if kind == "segment")
+        assert all(size == (n, n) for kind, size in events[:last] if kind == "rowdot")
+        assert all(size == n for kind, size in events[:last] if kind == "apply")
+        assert [size for kind, size in events[last:] if kind == "apply"] == [n, spec.dim**2]
+
+
+def test_zero_jump_final_states_match_the_spec_built_oracle():
+    # a trajectory without a jump ends in S_h(rho0) / tr, with weight tr S_h(rho0),
+    # which the loop's survival trace gives too: the no-jump generator built from
+    # the model, exponentiated by scipy
+    rng = np.random.default_rng(305)
+    for _ in range(8):
+        spec = propcheck.random_subharmonic_model(rng, d=int(rng.integers(3, 7)))
+        rho0 = propcheck.random_density(rng, spec.dim)  # p0 mass and p0/p0_perp coherences
+        kernel = build_kernel(spec)
+        batch = sample_trajectories(kernel, rho0, 1.0, 7, 200)
+        evolved = scipy.linalg.expm(nojump_generator(spec).mat) @ vectorize(rho0)
+        weight = np.trace(evolved.reshape(spec.dim, spec.dim)).real
+        state = evolved.reshape(spec.dim, spec.dim).T / weight
+        # the loop's survival trace of the start row, (vec 1_m, 1) after exp(A)
+        x = kernel.loop.trace_coords(kernel.row(rho0))
+        assert abs((x * kernel.loop.trace_rows(1.0)).sum().real - weight) <= 1e-12
+        none = batch.counts == 0
+        assert none.sum() >= 10
+        assert np.abs(batch.final_weights[none] - weight).max() <= 1e-12
+        assert np.abs(batch.final_states[none] - state).max() <= 1e-12
 
 
 def test_fallback_propagator_samples_like_the_spectral_one(monkeypatch):
@@ -232,7 +323,7 @@ def test_fallback_propagator_samples_like_the_spectral_one(monkeypatch):
     spectral = sample_trajectories(build_kernel(spec), nu, 6.0, seed=5, n=30)
     monkeypatch.setattr(operators, "EXPM_COND_LIMIT", 0.0)
     kernel = build_kernel(spec)
-    assert not kernel.gen_nojump.propagator.spectral
+    assert not kernel.loop.spectral
     fallback = sample_trajectories(kernel, nu, 6.0, seed=5, n=30)
     assert sum(r.n_jumps for r in spectral) > 10
     for a, b in zip(spectral, fallback):
@@ -280,11 +371,11 @@ def test_bracket_matches_the_linear_scan(monkeypatch):
             m.setattr(trajectory, "_segment", capture)
             sample_trajectories(kernel, perron_qss(spec), 6.0, seed=42, n=10_000)
             m.setattr(operators, "EXPM_COND_LIMIT", 0.0)
-            fallback = build_kernel(spec).gen_nojump.propagator
+            fallback = build_kernel(spec).loop
         assert not fallback.spectral
         grid = segments[0][0]
         vecs, u, remaining = (np.concatenate(parts) for parts in list(zip(*segments))[1:])
-        for prop in (kernel.gen_nojump.propagator, fallback):
+        for prop in (kernel.loop, fallback):
             x = prop.trace_coords(vecs)
             times, at = np.unique(remaining, return_inverse=True)
             at_end = (x * prop.trace_rows(times)[at]).sum(-1).real
@@ -303,7 +394,7 @@ def _segment_calls(monkeypatch, kernel, rho0, n):
     """Every ``_segment`` call of ``n`` streams (horizon 6, seed 42), pooled:
     ``(vecs, u, remaining, fired, t)`` and the number of times its Newton
     rounds evaluated, i.e. every ``trace_rows`` time after the first call."""
-    prop = kernel.gen_nojump.propagator
+    prop = kernel.loop
     segment, trace_rows = trajectory._segment, prop.trace_rows
     calls, evaluations = [], []
 
@@ -342,7 +433,7 @@ def test_jump_times_lie_within_time_tol_of_the_crossing(monkeypatch):
             if fallback:
                 m.setattr(operators, "EXPM_COND_LIMIT", 0.0)
             kernel = build_kernel(spec)
-            prop = kernel.gen_nojump.propagator
+            prop = kernel.loop
             assert prop.spectral is not fallback
             (vecs, u, remaining, fired, t), _ = _segment_calls(m, kernel, rho0, n)
         x = prop.trace_coords(vecs[fired])
@@ -370,11 +461,11 @@ def test_survival_curve_is_non_increasing_on_the_grid():
     grid = STEP * np.arange(3001)
     for case, spec in enumerate(specs):
         kernel = build_kernel(spec)
-        prop = kernel.gen_nojump.propagator
+        prop = kernel.loop
         table = prop.trace_rows(grid)
         for _ in range(5):
-            post = jump_map(kernel, propcheck.random_density(rng, spec.dim))
-            curve = (prop.trace_coords(vectorize(post / np.trace(post))) * table).sum(-1).real
+            post = jump_map(spec, propcheck.random_density(rng, spec.dim))
+            curve = (prop.trace_coords(kernel.row(post / np.trace(post))) * table).sum(-1).real
             assert np.diff(curve).max() <= 64 * np.finfo(float).eps, case
 
 
@@ -433,14 +524,14 @@ def test_truncated_exp_mean_against_quadrature():
 
 
 def test_measure_weight_matches_survival():
-    kernel = build_kernel(two_qubit_both(1.0))
+    spec = two_qubit_both(1.0)
     nu = both_sites_qss()
-    total, _ = nojump_survival(kernel, nu, 2.5)
-    assert abs(measure_weight(kernel, (), 2.5, nu) - total) < 1e-12
+    total, _ = nojump_survival(spec, nu, 2.5)
+    assert abs(measure_weight(spec, (), 2.5, nu) - total) < 1e-12
     with pytest.raises(ValueError, match="ordered"):
-        measure_weight(kernel, (1.0, 0.5), 2.5, nu)
+        measure_weight(spec, (1.0, 0.5), 2.5, nu)
     with pytest.raises(ValueError):
-        measure_weight(kernel, (3.0,), 2.5, nu)
+        measure_weight(spec, (3.0,), 2.5, nu)
 
 
 def test_sector_sum_normalization():
@@ -449,8 +540,7 @@ def test_sector_sum_normalization():
         (two_qubit_both(1.0), nu),
         (two_qubit_site1(1.0), np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)),
     ):
-        kernel = build_kernel(spec)
-        assert abs(sector_sum(kernel, rho0, 2.0) - 1.0) < 1e-6
+        assert abs(sector_sum(spec, rho0, 2.0) - 1.0) < 1e-6
 
 
 def test_sampler_input_validation():
