@@ -126,7 +126,7 @@ class CrosscheckReport:
     ok: bool
 
 
-def crosscheck(rm: RateMatrix, tol: float = 1e-9) -> CrosscheckReport:
+def crosscheck(rm: RateMatrix) -> CrosscheckReport:
     """Classical QSD vs the quantum pipeline on the embedded model.
 
     The diagonal embedding of the QSD must reappear as a QSS with the same
@@ -150,7 +150,7 @@ def crosscheck(rm: RateMatrix, tol: float = 1e-9) -> CrosscheckReport:
             best_gap, best_alpha, best_res = gap, fam.alpha, res
         else:
             extras.append(fam)
-    ok = best_gap <= tol and best_res <= tol
+    ok = best_gap <= 1e-9 and best_res <= 1e-9
     return CrosscheckReport(
         qsd=qsd,
         matched_alpha=best_alpha,

@@ -68,7 +68,7 @@ def _qss_families(ctx, tol_eig, irreducible=None):
     return qss_mod.perron_structure(restr, qss_mod.extract_qss(cands), irreducible=irreducible)
 
 
-def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
+def _analysis_bundle(ctx, tol_eig):
     """Run the full structural + spectral pipeline on one model context."""
     restr = _restriction(ctx)
     sub = ctx.subharmonic
@@ -79,7 +79,7 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
         if not qss_mod.absorbing_implies_positive_rate(absorption, fam.anchor):
             raise ConsistencyError(f"p0 is absorbing but a family has alpha {fam.alpha:.6e}")
 
-    spectrum, _ = restr.gen_schr.eig
+    spectrum, _ = restr.eig
     families_json = []
     for fam in result.families:
         report = qss_mod.verify_qss(ctx, fam.anchor)
@@ -128,8 +128,6 @@ def _analysis_bundle(ctx, tol_eig, tol_psd, seed=None):
         "provenance": {
             "artifact_version": __version__,
             "tol_eig": tol_eig,
-            "tol_psd": tol_psd,
-            "seed": seed,
         },
     }
     return bundle
@@ -148,7 +146,7 @@ def cmd_analyze(args) -> int:
     if mf.spec is None:
         raise InputError("model file has no quantum model block")
     ctx = structure_mod.Analysis(mf.spec)
-    bundle = _analysis_bundle(ctx, args.tol_eig, args.tol_psd, seed=args.seed)
+    bundle = _analysis_bundle(ctx, args.tol_eig)
     for fam in bundle["qss_families"]:  # e.g. T_t(nu) underflowing to 0 on the verify grid
         verification = {f"verification.{k}": v for k, v in fam["verification"].items()}
         for name, value in {**fam, **verification}.items():
@@ -310,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("model", help="path to a model JSON file")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--tol-eig", type=float, default=op.TOL_EIG)
-    common.add_argument("--tol-psd", type=float, default=op.TOL_PSD)
-    common.add_argument("--seed", type=int, default=0)
+    spectral = argparse.ArgumentParser(add_help=False, parents=[common])
+    spectral.add_argument("--tol-eig", type=float, default=op.TOL_EIG)
 
-    p = sub.add_parser("analyze", parents=[common], help="structure + QSS report")
+    p = sub.add_parser("analyze", parents=[spectral], help="structure + QSS report")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("simulate", parents=[common], help="trajectory suite")
+    p = sub.add_parser("simulate", parents=[spectral], help="trajectory suite")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--horizon", type=float, default=6.0)
     p.add_argument("--start", choices=["qss", "file"], default="qss")
@@ -338,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for flag in ("tol_eig", "tol_psd"):
-            if not 0 < getattr(args, flag) < np.inf:
-                raise InputError(f"--{flag.replace('_', '-')} must be positive and finite")
+        if not 0 < getattr(args, "tol_eig", 1.0) < np.inf:  # analyze and simulate only
+            raise InputError("--tol-eig must be positive and finite")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,25 +1,20 @@
 """GKLS models and their generators as explicit superoperator matrices.
 
 The vectorization convention for the whole package is fixed here: column
-stacking, so that ``vec(A X B) = kron(B.T, A) vec(X)``.  The Schroedinger
-(state-evolution) matrix is the primary object; the Heisenberg matrix is its
+stacking, so that ``vec(A X B) = kron(B.T, A) vec(X)``.  A generator is the
+Schroedinger (state-evolution) matrix; the Heisenberg evolution is its
 conjugate transpose, which realizes the trace pairing
-``tr(x T_t(y)) = tr(T_t*(x) y)``.
+``tr(x T_t(y)) = tr(T_t*(x) y)``, and is served by ``Propagator.adjoint``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from . import operators as op
-from .operators import adjoint, devectorize, frob, vectorize
-
-SCHRODINGER = "schrodinger"
-HEISENBERG = "heisenberg"
+from .operators import adjoint, frob, vectorize
 
 
 @dataclass(frozen=True)
@@ -72,32 +67,6 @@ class ModelSpec:
         return g
 
 
-@dataclass(frozen=True)
-class Superop:
-    """A d^2 x d^2 matrix realizing a superoperator under column stacking.
-
-    ``eig`` is an optional right eigenpair ``(w, V)`` of ``mat`` solved by the
-    builder; the propagator then reuses it instead of solving again.  With a
-    ``dual`` (matrix ``adjoint(mat)``) the propagator is the dual's, adjoined.
-    """
-
-    mat: np.ndarray
-    picture: str
-    dim: int
-    eig: Optional[tuple] = field(default=None, repr=False, compare=False)
-    dual: Optional[Superop] = field(default=None, repr=False, compare=False)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return devectorize(self.mat @ vectorize(x))
-
-    @cached_property
-    def propagator(self) -> op.Propagator:
-        """Serves every exp(t * mat) from one eigendecomposition."""
-        if self.dual is not None:
-            return self.dual.propagator.adjoint()
-        return op.Propagator(self.mat, self.eig)
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron(a, b)`` of two matrices as one broadcast product, entry for entry."""
     (n, m), (p, q) = a.shape, b.shape
@@ -105,25 +74,24 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def left_mul(a: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of x -> a x."""
+    """Column-stacking matrix of x -> a x."""
     return _kron(np.eye(a.shape[0]), a)
 
 
 def right_mul(b: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of x -> x b."""
+    """Column-stacking matrix of x -> x b."""
     return _kron(b.T, np.eye(b.shape[0]))
 
 
 def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of x -> a x b."""
+    """Column-stacking matrix of x -> a x b."""
     return _kron(b.T, a)
 
 
-def gkls_matrix(hamiltonian, jump_ops, picture: str = SCHRODINGER) -> np.ndarray:
+def gkls_matrix(hamiltonian, jump_ops) -> np.ndarray:
     """Raw GKLS generator matrix without ModelSpec validation.
 
-    Schroedinger picture: L*(rho) = -i[H, rho] + sum_l (L rho L^dag
-    - 1/2 {L^dag L, rho}).  The Heisenberg matrix is the conjugate transpose.
+    L*(rho) = -i[H, rho] + sum_l (L rho L^dag - 1/2 {L^dag L, rho}).
     """
     h = np.asarray(hamiltonian, dtype=complex)
     m = -1j * (left_mul(h) - right_mul(h))
@@ -131,32 +99,23 @@ def gkls_matrix(hamiltonian, jump_ops, picture: str = SCHRODINGER) -> np.ndarray
         l = np.asarray(l, dtype=complex)
         k = adjoint(l) @ l
         m = m + sandwich(l, adjoint(l)) - 0.5 * (left_mul(k) + right_mul(k))
-    if picture == SCHRODINGER:
-        return m
-    if picture == HEISENBERG:
-        return adjoint(m)
-    raise ValueError(f"unknown picture {picture!r}")
+    return m
 
 
-def build_generator(spec: ModelSpec, picture: str = SCHRODINGER) -> Superop:
-    """GKLS generator of ``spec`` as a Superop, with picture invariant checked."""
-    m = gkls_matrix(spec.hamiltonian, spec.jump_ops, picture)
-    ident = vectorize(np.eye(spec.dim))
-    scale = max(1.0, frob(m))
-    if picture == SCHRODINGER:
-        defect = np.linalg.norm(ident.conj() @ m)
-    else:
-        defect = np.linalg.norm(m @ ident)
-    if defect > op.TOL_EIG * scale:
-        raise RuntimeError(f"generator violates picture invariant: defect {defect:.3e}")
-    return Superop(mat=m, picture=picture, dim=spec.dim)
+def build_generator(spec: ModelSpec) -> np.ndarray:
+    """The d^2 x d^2 GKLS generator matrix of ``spec``, checked trace-preserving."""
+    m = gkls_matrix(spec.hamiltonian, spec.jump_ops)
+    defect = np.linalg.norm(vectorize(np.eye(spec.dim)).conj() @ m)
+    if defect > op.TOL_EIG * max(1.0, frob(m)):
+        raise RuntimeError(f"generator is not trace-preserving: defect {defect:.3e}")
+    return m
 
 
-def apply_semigroup(gen: Superop, t, x: np.ndarray) -> np.ndarray:
-    """exp(t * gen) applied to the operator x.  Semigroup only: t >= 0.
+def apply_semigroup(prop: op.Propagator, t, x: np.ndarray) -> np.ndarray:
+    """exp(t * prop.mat) applied to the operator x.  Semigroup only: t >= 0.
 
     On the spectral path ``Propagator.apply`` maps x into the generator's
-    eigenbasis and back, O(d^4); exp(t * gen) is not formed.  A 1-D sequence
+    eigenbasis and back, O(d^4); the exponential is not formed.  A 1-D sequence
     of times gives a (k, d, d) stack from one ``Propagator.apply`` call, each
     slice bit for bit the scalar call's.
     """
@@ -167,7 +126,7 @@ def apply_semigroup(gen: Superop, t, x: np.ndarray) -> np.ndarray:
     zero = times == 0
     if zero.all():
         return np.broadcast_to(x, times.shape + x.shape).copy()
-    rows = gen.propagator.apply(times, x.reshape(-1, order="F"))  # vectorize(x), validated once
+    rows = prop.apply(times, x.reshape(-1, order="F"))  # vectorize(x), validated once
     # C-ordered slices, as devectorize returns: norms sum in memory order
     out = rows.reshape(times.shape + x.shape).swapaxes(-1, -2).copy()
     out[zero] = x

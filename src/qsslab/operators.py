@@ -5,7 +5,7 @@ are the only place where hermiticity / positivity predicates, eigensolves and
 matrix exponentials are implemented; the rest of the package goes through
 these functions so that tolerances are applied consistently.
 
-Default tolerances (all overridable per call):
+Default tolerances (overridable where a function takes ``tol``):
 
 * ``TOL_HERM``  - hermiticity and projection defects
 * ``TOL_TRACE`` - trace normalization of densities
@@ -215,7 +215,7 @@ def rowdot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(np.ascontiguousarray(a), x[..., None])[..., 0]
 
 
-def eig_general(a, tol: float = TOL_EIG):
+def eig_general(a):
     """All eigenpairs of a general complex matrix, from one ``np.linalg.eig``.
 
     Returns ``(eigenvalues, eigenvectors)`` with unit-norm right eigenvectors
@@ -223,7 +223,7 @@ def eig_general(a, tol: float = TOL_EIG):
     ``1e-12 * max(1, ||a||)`` of the next tie, and a run of ties is sorted by
     descending imaginary part, so roundoff does not order a conjugate pair.  Residuals
     ``||a v - lambda v||`` of every returned vector are checked against
-    ``tol * max(1, ||a||)``.
+    ``TOL_EIG * max(1, ||a||)``.
     """
     a = as_operator(a)
     try:
@@ -239,6 +239,6 @@ def eig_general(a, tol: float = TOL_EIG):
     norms[norms == 0] = 1.0
     v = (v / norms)[:, order]
     residual = np.max(np.linalg.norm(a @ v - v * w, axis=0), initial=0.0)
-    if residual > tol * scale:
-        raise EigenSolveError(f"eigenpair residual {residual:.3e} exceeds {tol * scale:.3e}")
+    if residual > TOL_EIG * scale:
+        raise EigenSolveError(f"eigenpair residual {residual:.3e} exceeds {TOL_EIG * scale:.3e}")
     return w, v

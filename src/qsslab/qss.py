@@ -27,11 +27,10 @@ import numpy as np
 
 from . import operators as op
 from .model import apply_semigroup
-from .operators import adjoint, devectorize, frob
+from .operators import adjoint, devectorize, frob, vectorize
 from .structure import AbsorptionReport, RestrictedGenerator, as_analysis
 
 CLUSTER_TOL = 1e-8
-DEFAULT_REAL_TOL = op.TOL_EIG
 VERIFY_TIMES = (0.1, 0.5, 1.0, 2.0)
 MULT_GRID = (0.3, 0.7, 1.1)
 REPEATED_TIMES = (0.3, 0.7, 1.1)
@@ -107,7 +106,7 @@ class ExtractionResult:
     rejected: tuple
 
 
-def _hermitian_basis(vectors: np.ndarray, tol: float = 1e-8):
+def _hermitian_basis(vectors: np.ndarray):
     """Orthonormal Hermitian basis of the span of devectorized eigenvectors.
 
     Uses {v + v^dag, i(v - v^dag)} followed by an SVD orthonormalization in
@@ -122,7 +121,7 @@ def _hermitian_basis(vectors: np.ndarray, tol: float = 1e-8):
     # whose Hermitian part vanishes
     real_stacked = np.vstack([stacked.real, stacked.imag])
     u, s, _ = np.linalg.svd(real_stacked, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
+    rank = int(np.sum(s > 1e-8 * max(1.0, s[0])))
     half = stacked.shape[0]
     basis = []
     for j in range(rank):
@@ -132,20 +131,16 @@ def _hermitian_basis(vectors: np.ndarray, tol: float = 1e-8):
     return tuple(basis)
 
 
-def real_eigen_candidates(
-    restr: RestrictedGenerator,
-    real_tol: float = DEFAULT_REAL_TOL,
-    cluster_tol: float = CLUSTER_TOL,
-) -> CandidateSet:
+def real_eigen_candidates(restr: RestrictedGenerator, real_tol: float = op.TOL_EIG) -> CandidateSet:
     """Real, non-positive eigenvalues of the restricted predual generator.
 
-    Eigenvalues within ``cluster_tol`` of each other are merged into one
+    Eigenvalues within ``CLUSTER_TOL`` of each other are merged into one
     eigenspace.  Clusters whose geometric multiplicity falls short of the
     algebraic one are flagged defective; only genuine eigenvectors enter the
     Hermitian basis.
     """
-    w, v = restr.gen_schr.eig
-    scale = max(1.0, frob(restr.gen_schr.mat))
+    w, v = restr.eig
+    scale = max(1.0, frob(restr.gen))
     real_mask = (np.abs(w.imag) <= real_tol * scale) & (w.real <= real_tol * scale)
     idx = np.where(real_mask)[0]
     used = np.zeros(len(w), dtype=bool)
@@ -153,7 +148,7 @@ def real_eigen_candidates(
     for i in idx:
         if used[i]:
             continue
-        cluster = [j for j in idx if not used[j] and abs(w[j] - w[i]) <= cluster_tol * scale]
+        cluster = [j for j in idx if not used[j] and abs(w[j] - w[i]) <= CLUSTER_TOL * scale]
         for j in cluster:
             used[j] = True
         vecs = v[:, cluster]
@@ -180,7 +175,7 @@ def real_eigen_candidates(
 
 
 def _eigen_residual(restr: RestrictedGenerator, alpha: float, rho_hat: np.ndarray) -> float:
-    return frob(restr.apply_gen(rho_hat) + alpha * rho_hat)
+    return frob(devectorize(restr.gen @ vectorize(rho_hat)) + alpha * rho_hat)
 
 
 def _certificate(restr: RestrictedGenerator, alpha: float, rho_hat: np.ndarray) -> QssCertificate:
@@ -354,7 +349,7 @@ def perron_structure(
     spectrum.  Under irreducibility the Perron family must be a single
     strictly positive state and the only family.
     """
-    w, _ = restr.gen_schr.eig
+    w, _ = restr.eig
     abscissa = float(np.max(w.real))
     perron_alpha = -abscissa
     marked = []
@@ -403,44 +398,49 @@ class VerificationReport:
         )
 
 
-def verify_qss(model, cert: QssCertificate, tol: float = 1e-8) -> VerificationReport:
+def verify_qss(model, cert: QssCertificate) -> VerificationReport:
     """Check a certificate against the equivalent characterizations.
 
     (a) the conditioned evolution returns nu; (b) tr(T_t*(nu) p0_perp) =
     exp(-alpha t); (c) multiplicativity f(t+s) = f(t) f(s); (d) invariance
     under n=3 repeated measure-and-condition cycles.  The decay rate is also
     cross-checked against -log f(1).  All four read only the p0_perp corner
-    of T_t(nu), which is the restricted evolution of compress(nu).
+    of T_t(nu), which is the restricted evolution of compress(nu).  Each time
+    t runs as t / k, k = 2^floor(log2 alpha) for alpha >= 2 and 1 otherwise:
+    alpha t / k < 2 t, so f does not underflow and leaked roundoff on slower
+    modes grows by at most e^{2t}; for alpha < 2 the grids are the same bits.
     """
     restr = as_analysis(model).restriction
-    schr, nu = restr.gen_schr, restr.compress(cert.nu)
+    prop, nu = restr.propagator, restr.compress(cert.nu)
     alpha = cert.alpha
+    k = 2.0 ** math.floor(math.log2(alpha)) if alpha >= 2 else 1.0
+    grid, mult, repeated = ([t / k for t in ts] for ts in (VERIFY_TIMES, MULT_GRID, REPEATED_TIMES))
 
     # f(t) = tr T^_t(nu) on every grid, from one evolution
-    times = VERIFY_TIMES + MULT_GRID + tuple(t + s for t in MULT_GRID for s in MULT_GRID) + (1.0,)
-    evolved = apply_semigroup(schr, times, nu)
+    times = grid + mult + [t + s for t in mult for s in mult] + [1.0 / k]
+    evolved = apply_semigroup(prop, times, nu)
     f = {t: float(np.trace(x).real) for t, x in zip(times, evolved)}
 
     residual_defn = 0.0
     residual_exp = 0.0
-    for t, x in zip(VERIFY_TIMES, evolved):
+    for t, x in zip(grid, evolved):
         residual_defn = max(residual_defn, frob(x / f[t] - nu) if f[t] > 0 else np.inf)
         residual_exp = max(residual_exp, abs(f[t] - np.exp(-alpha * t)))
 
     residual_mult = 0.0
-    for t in MULT_GRID:
-        for s in MULT_GRID:
+    for t in mult:
+        for s in mult:
             residual_mult = max(residual_mult, abs(f[t + s] - f[t] * f[s]))
 
     rho = nu
-    for t in REPEATED_TIMES:
-        rho = apply_semigroup(schr, t, rho)
+    for t in repeated:
+        rho = apply_semigroup(prop, t, rho)
     tr = float(np.trace(rho).real)
     residual_repeated = frob(rho / tr - nu) if tr > 0 else np.inf
 
-    alpha_log = abs(alpha + np.log(f[1.0])) if f[1.0] > 0 else np.inf
+    alpha_log = abs(alpha / k + np.log(f[1.0 / k])) if f[1.0 / k] > 0 else np.inf
     ok = (
-        max(residual_defn, residual_exp, residual_mult, residual_repeated) <= tol
+        max(residual_defn, residual_exp, residual_mult, residual_repeated) <= 1e-8
         and alpha_log <= 1e-7
     )
     return VerificationReport(

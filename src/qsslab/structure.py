@@ -2,8 +2,8 @@
 
 Given a model whose distinguished projection p0 is subharmonic, the state
 evolution compressed to the range of p0-perp is again a semigroup.  Its
-generator (in both pictures) is built here from the compressed GKLS data
-(g_hat, jumps_hat), together with the absorption operator
+generator, its eigenpairs and a lazy propagator are built here from the
+compressed GKLS data (g_hat, jumps_hat), together with the absorption operator
 A(p0) = lim_t T_t(p0) and an irreducibility verdict certified by Burnside's
 theorem.  :class:`Analysis` builds each of them once per model.  None of
 these stages builds a d^2 x d^2 matrix: everything is read off the m x m
@@ -19,20 +19,12 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op
-from .model import (
-    HEISENBERG,
-    SCHRODINGER,
-    ModelSpec,
-    Superop,
-    apply_semigroup,
-    left_mul,
-    right_mul,
-    sandwich,
-)
+from .model import ModelSpec, apply_semigroup, left_mul, right_mul, sandwich
 from .operators import adjoint, devectorize, frob, vectorize
 
 ABSORPTION_DOUBLING_CAP = 2.0**40
 ABSORBING_NORM_TOL = 1e-6
+CLOSURE_TOL = 1e-10  # relative rank cut of invariant closures and algebra spans
 
 
 class StructureError(RuntimeError):
@@ -50,19 +42,24 @@ class RestrictedGenerator:
     """Compression of the semigroup to the range of p0-perp.
 
     ``isometry`` has the orthonormal basis of range(p0_perp) as columns;
-    ``gen_schr`` / ``gen_heis`` are the m^2 x m^2 generator matrices of the
-    compressed state / observable evolution, from one eigensolve of
-    ``gen_schr``; ``g_hat`` and ``jumps_hat`` are the compressed drift and
-    jump operators that define them.
+    ``gen`` is the m^2 x m^2 generator matrix of the compressed state
+    evolution and ``eig`` its eigenpairs ``op.eig_general(gen)``;
+    ``g_hat`` and ``jumps_hat`` are the compressed drift and jump operators
+    that define it.  The observable evolution is ``propagator.adjoint()``.
     """
 
     spec: ModelSpec
     m: int
     isometry: np.ndarray
-    gen_schr: Superop
-    gen_heis: Superop
+    gen: np.ndarray
+    eig: tuple
     g_hat: np.ndarray
     jumps_hat: tuple
+
+    @cached_property
+    def propagator(self) -> op.Propagator:
+        """Serves every exp(t * gen) from ``eig``; built on first use."""
+        return op.Propagator(self.gen, self.eig)
 
     def compress(self, x: np.ndarray) -> np.ndarray:
         v = self.isometry
@@ -71,9 +68,6 @@ class RestrictedGenerator:
     def embed(self, x: np.ndarray) -> np.ndarray:
         v = self.isometry
         return v @ np.asarray(x, dtype=complex) @ v.conj().T
-
-    def apply_gen(self, rho_hat: np.ndarray) -> np.ndarray:
-        return devectorize(self.gen_schr.mat @ vectorize(rho_hat))
 
 
 @dataclass(frozen=True)
@@ -163,15 +157,15 @@ def _perp_isometry(spec: ModelSpec) -> np.ndarray:
 
 
 def restrict(model) -> RestrictedGenerator:
-    """Build the compressed generator on range(p0_perp) in both pictures.
+    """Build the compressed generator on range(p0_perp).
 
     Gated on the algebraic subharmonicity criterion.  The restriction is
     defined by the compressed GKLS data g_hat = V^dag G V and
     L_hat = V^dag L V: x -> g_hat x + x g_hat^dag + sum_k L_hat x L_hat^dag,
     at O(m^6) and without the d^2 x d^2 generator.  One right eigensolve
-    ``op.eig_general`` gives ``gen_schr`` its pairs (w, V); ``gen_heis`` =
-    ``gen_schr^dag`` takes the adjoint of its propagator (eigenvectors
-    V^-dag, inverse V^dag).  They serve every later stage.
+    ``op.eig_general`` gives ``gen`` its pairs (w, V), which serve every
+    later stage; the Heisenberg evolution adjoins the propagator built from
+    them (eigenvectors V^-dag, inverse V^dag), with no second solve.
     """
     spec = as_analysis(model).spec
     residual, ok = _algebraic_residual(spec)
@@ -184,16 +178,15 @@ def restrict(model) -> RestrictedGenerator:
     m = v.shape[1]
     g_hat = v.conj().T @ spec.effective_drift() @ v
     jumps_hat = tuple(v.conj().T @ l @ v for l in spec.jump_ops)
-    gen_schr = left_mul(g_hat) + right_mul(adjoint(g_hat))
+    gen = left_mul(g_hat) + right_mul(adjoint(g_hat))
     for l in jumps_hat:
-        gen_schr = gen_schr + sandwich(l, adjoint(l))
-    schr = Superop(mat=gen_schr, picture=SCHRODINGER, dim=m, eig=op.eig_general(gen_schr))
+        gen = gen + sandwich(l, adjoint(l))
     return RestrictedGenerator(
         spec=spec,
         m=m,
         isometry=v,
-        gen_schr=schr,
-        gen_heis=Superop(mat=adjoint(gen_schr), picture=HEISENBERG, dim=m, dual=schr),
+        gen=gen,
+        eig=op.eig_general(gen),
         g_hat=g_hat,
         jumps_hat=jumps_hat,
     )
@@ -205,7 +198,7 @@ def absorption_operator(model) -> AbsorptionReport:
     For subharmonic p0, 0 <= T_t(p0_perp) <= p0_perp forces
     T_t(p0_perp) = V T^*_t(1_m) V^dag, so A(p0) = 1 - V P(1_m) V^dag with P
     the spectral projector of the restricted Heisenberg generator onto its
-    kernel, the adjoint of gen_schr's V_R[:, k] V_R^-1[k, :] for the
+    kernel, the adjoint of gen's V_R[:, k] V_R^-1[k, :] for the
     eigenvalues k with |w| <= 1e-9 * scale: P(1_m) =
     V_R^-1[k, :]^dag (V_R[:, k]^dag vec 1_m), no solve.  An empty kernel
     (absorbing p0) gives A(p0) = 1 exactly; a non-empty one with singular
@@ -219,21 +212,21 @@ def absorption_operator(model) -> AbsorptionReport:
     if not ctx.subharmonic.verdict:
         raise StructureError("absorption operator requires a subharmonic p0")
     restr = ctx.restriction
-    heis, one = restr.gen_heis, np.eye(restr.m)
-    schr = restr.gen_schr.propagator
-    keep = np.abs(schr.w) <= 1e-9 * max(1.0, frob(heis.mat))
+    prop, one = restr.propagator, np.eye(restr.m)
+    keep = np.abs(prop.w) <= 1e-9 * max(1.0, frob(restr.gen))
     pi_one = np.zeros_like(one, dtype=complex)
     if keep.any():
-        if schr.v_inv is None:
+        if prop.v_inv is None:
             raise op.EigenSolveError("Heisenberg kernel projector: singular eigenbasis")
-        coef = adjoint(schr.v[:, keep]) @ vectorize(one)
-        pi_one = devectorize(adjoint(schr.v_inv[keep]) @ coef)
+        coef = adjoint(prop.v[:, keep]) @ vectorize(one)
+        pi_one = devectorize(adjoint(prop.v_inv[keep]) @ coef)
     pi_one = 0.5 * (pi_one + adjoint(pi_one))
     a_op = np.eye(spec.dim) - restr.embed(pi_one)
 
     # T^*_t(1_m) at t = 1, 2, 4, ..., 2 * cap, eight times per call: on the
     # expm fallback each time costs a scaling-and-squaring, so stop early
     times = 2.0 ** np.arange(int(np.log2(ABSORPTION_DOUBLING_CAP)) + 2)
+    heis = prop.adjoint()
     evolved = (
         pair for k in range(0, len(times), 8)
         for pair in zip(times[k:k + 8], apply_semigroup(heis, times[k:k + 8], one))
@@ -264,7 +257,7 @@ def absorption_operator(model) -> AbsorptionReport:
     )
 
 
-def _invariant_closure(ops, seed: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
+def _invariant_closure(ops, seed: np.ndarray, dim: int) -> np.ndarray:
     """Smallest subspace containing ``seed`` invariant under all ``ops``.
 
     Grown by repeated application and re-orthonormalization until the
@@ -273,23 +266,23 @@ def _invariant_closure(ops, seed: np.ndarray, dim: int, tol: float = 1e-10) -> n
     basis = seed.reshape(dim, 1) / np.linalg.norm(seed)
     while True:
         u, s, _ = np.linalg.svd(np.hstack([basis] + [a @ basis for a in ops]), full_matrices=False)
-        rank = int(np.sum(s > tol * max(1.0, s[0])))
+        rank = int(np.sum(s > CLOSURE_TOL * max(1.0, s[0])))
         if rank == basis.shape[1]:
             return u[:, :rank]
         basis = u[:, :rank]
 
 
-def algebra_dimension(ops, tol: float = 1e-10) -> int:
+def algebra_dimension(ops) -> int:
     """Dimension of the unital algebra generated by the m x m matrices ``ops``.
 
     The span (matrices as vectors) starts at the identity.  Each round
     left-multiplies only the directions the last round added by every
     generator, orthogonalizes the images twice against the current basis,
     and keeps as new directions the left singular vectors above
-    ``tol * max(1, max ||op||)``, until a round adds nothing.
+    ``CLOSURE_TOL * max(1, max ||op||)``, until a round adds nothing.
     """
     m = ops[0].shape[0]
-    cut = tol * max(1.0, max(frob(a) for a in ops))
+    cut = CLOSURE_TOL * max(1.0, max(frob(a) for a in ops))
     basis = np.eye(m, dtype=complex).reshape(m * m, 1) / np.sqrt(m)
     new = basis.T
     while len(new) and basis.shape[1] < m * m:
@@ -302,20 +295,20 @@ def algebra_dimension(ops, tol: float = 1e-10) -> int:
     return basis.shape[1]
 
 
-def _witness_search(restr: RestrictedGenerator, n_random_seeds: int) -> Optional[np.ndarray]:
+def _witness_search(restr: RestrictedGenerator) -> Optional[np.ndarray]:
     """A proper subspace invariant under g_hat and the jumps, or None if none is found.
 
-    Seeds are the eigenvectors of g_hat, then a fixed number of top
-    eigenvectors of random Hermitian combinations of the operators (fixed
-    RNG seed, so the search is reproducible), drawn only when the
-    eigenvectors give no proper closure.
+    Seeds are the eigenvectors of g_hat, then the top eigenvectors of eight
+    random Hermitian combinations of the operators (fixed RNG seed, so the
+    search is reproducible), drawn only when the eigenvectors give no proper
+    closure.
     """
     ops = [restr.g_hat] + list(restr.jumps_hat)
 
     def seeds():
         yield from np.linalg.eig(restr.g_hat)[1].T
         rng = np.random.default_rng(782133)
-        for _ in range(n_random_seeds):
+        for _ in range(8):
             combo = sum((rng.standard_normal() + 1j * rng.standard_normal()) * a for a in ops)
             yield np.linalg.eigh(combo + adjoint(combo))[1][:, -1]
 
@@ -326,7 +319,7 @@ def _witness_search(restr: RestrictedGenerator, n_random_seeds: int) -> Optional
     return None
 
 
-def check_irreducible(restr: RestrictedGenerator, n_random_seeds: int = 8) -> IrreducibilityReport:
+def check_irreducible(restr: RestrictedGenerator) -> IrreducibilityReport:
     """Decide whether g_hat and the jump operators have a common invariant subspace.
 
     Burnside's theorem: they have none iff the unital algebra they generate
@@ -338,7 +331,7 @@ def check_irreducible(restr: RestrictedGenerator, n_random_seeds: int = 8) -> Ir
     dim = algebra_dimension([restr.g_hat] + list(restr.jumps_hat))
     if dim == m * m:
         return IrreducibilityReport(True, None, f"irreducible (algebra dimension {dim} = m^2)")
-    witness = _witness_search(restr, n_random_seeds)
+    witness = _witness_search(restr)
     note = (f"reducible (algebra dimension {dim} < m^2; no witness found)" if witness is None
             else f"invariant subspace of dimension {witness.shape[1]} found")
     return IrreducibilityReport(False, witness, note)

@@ -77,7 +77,7 @@ def build_kernel(model) -> UnravelingKernel:
     if not ctx.subharmonic.verdict:
         raise TrajectoryError("unraveling kernel requires a subharmonic p0")
     restr, spec = ctx.restriction, ctx.spec
-    (w, v), s_hat, n = restr.gen_schr.eig, restr.gen_schr.mat, restr.m**2
+    (w, v), s_hat, n = restr.eig, restr.gen, restr.m**2
     one = vectorize(np.eye(restr.m))
     a = np.zeros((n + 1, n + 1), dtype=complex)
     a[:n, :n], a[n, :n] = s_hat - np.eye(n), -one @ s_hat
@@ -85,7 +85,7 @@ def build_kernel(model) -> UnravelingKernel:
     vecs[:n, :n], vecs[n, :n], vecs[n, n] = v, -w * (one @ v) / (w - 1), 1.0
     loop = op.Propagator(a, eig=(np.append(w - 1, 0.0), vecs), trace_row=np.append(one, 1.0))
     perp = spec.p0_perp
-    nojump = build_generator(spec).mat - 0.5 * (left_mul(perp) + right_mul(perp))
+    nojump = build_generator(spec) - 0.5 * (left_mul(perp) + right_mul(perp))
     return UnravelingKernel(loop, op.Propagator(nojump), restr.isometry, spec.p0)
 
 

@@ -1,5 +1,5 @@
 """Test-only helpers: the Choi matrix of a superoperator, a ModelSpec as a model-file document,
-and a model that decays too fast to verify."""
+and fast-decaying models."""
 
 import numpy as np
 
@@ -42,9 +42,11 @@ def model_to_doc(spec: ModelSpec, family: str = None, params: dict = None) -> di
     return doc
 
 
-def fast_decay_model() -> ModelSpec:
-    """``two_qubit_both`` at omega = 1 with both jump operators x20: alpha = 400, and
-    T_t(nu) = exp(-400 t) nu underflows to 0 at t = 2 of the verification grid."""
-    spec = two_qubit_both(1.0)
+def fast_decay_model(family=two_qubit_both, factor: float = 20) -> ModelSpec:
+    """``family`` at omega = 1 with every jump operator x ``factor``.  For ``two_qubit_both``
+    x20, alpha = 400: on the unscaled verification grid T_t(nu) = exp(-400 t) nu would
+    underflow to 0 at t = 2."""
+    spec = family(1.0)
     return ModelSpec(dim=4, hamiltonian=spec.hamiltonian, p0=spec.p0,
-                     jump_ops=tuple(20 * l for l in spec.jump_ops), label="two_qubit_both x20")
+                     jump_ops=tuple(factor * l for l in spec.jump_ops),
+                     label=f"{spec.label} x{factor:g}")

@@ -1,5 +1,5 @@
-"""Reference computations for the tests: the duality pairing of the two
-pictures, and the jump-time measure of the sampler.
+"""Reference computations for the tests: the duality pairing of the state and
+observable evolutions, and the jump-time measure of the sampler.
 
 The trace-preserving companion semigroup (no-jump generator plus the corner
 map) normalizes the jump-time measure: the sector sum of a horizon is 1.
@@ -13,34 +13,30 @@ import scipy.integrate
 
 from qsslab import operators as op
 from qsslab.model import (
-    HEISENBERG,
-    SCHRODINGER,
     ModelSpec,
-    Superop,
     apply_semigroup,
     build_generator,
     left_mul,
     right_mul,
     sandwich,
 )
-from qsslab.operators import devectorize, frob, vectorize
+from qsslab.operators import adjoint, devectorize, frob, vectorize
 from qsslab.trajectory import sample_trajectories
 
 
 def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> float:
-    """| tr(x T_t(y)) - tr(T_t*(x) y) | for the model's two pictures."""
-    heis = build_generator(spec, HEISENBERG)
-    schr = build_generator(spec, SCHRODINGER)
+    """| tr(x T_t(y)) - tr(T_t*(x) y) |, each side from its own eigendecomposition."""
+    gen = build_generator(spec)
+    heis, schr = op.Propagator(adjoint(gen)), op.Propagator(gen)
     lhs = complex(np.trace(op.as_operator(x) @ apply_semigroup(heis, t, y)))
     rhs = complex(np.trace(apply_semigroup(schr, t, x) @ op.as_operator(y)))
     return abs(lhs - rhs)
 
 
-def nojump_generator(spec: ModelSpec) -> Superop:
+def nojump_generator(spec: ModelSpec) -> np.ndarray:
     """The d^2 x d^2 no-jump generator L - 1/2 {p0_perp, .}, built from the model."""
     perp = spec.p0_perp
-    mat = build_generator(spec, SCHRODINGER).mat - 0.5 * (left_mul(perp) + right_mul(perp))
-    return Superop(mat=mat, picture=SCHRODINGER, dim=spec.dim)
+    return build_generator(spec) - 0.5 * (left_mul(perp) + right_mul(perp))
 
 
 def jump_map(spec: ModelSpec, rho: np.ndarray) -> np.ndarray:
@@ -48,23 +44,23 @@ def jump_map(spec: ModelSpec, rho: np.ndarray) -> np.ndarray:
     return spec.p0_perp @ rho @ spec.p0_perp
 
 
-def gen_tilde(spec: ModelSpec) -> Superop:
+def gen_tilde(spec: ModelSpec) -> np.ndarray:
     """The trace-preserving companion generator: no-jump generator plus the corner map."""
     perp = spec.p0_perp
-    tilde = nojump_generator(spec).mat + sandwich(perp, perp)
+    tilde = nojump_generator(spec) + sandwich(perp, perp)
     d = perp.shape[0]
     defect = float(np.linalg.norm(vectorize(np.eye(d)).conj() @ tilde))
     assert defect <= op.TOL_EIG * max(1.0, frob(tilde)), (
         f"trace-preserving companion generator fails trace check: {defect:.3e}"
     )
-    return Superop(mat=tilde, picture=SCHRODINGER, dim=d)
+    return tilde
 
 
 def nojump_survival(spec: ModelSpec, rho0: np.ndarray, t: float):
     """(tr S_t(rho0), tr(S_t(rho0) p0_perp)) of the no-jump branch."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    sig = devectorize(nojump_generator(spec).propagator.apply(t, vectorize(rho0)))
+    sig = devectorize(op.Propagator(nojump_generator(spec)).apply(t, vectorize(rho0)))
     total = float(np.trace(sig).real)
     perp = float(np.trace(sig @ spec.p0_perp).real)
     return total, perp
@@ -92,7 +88,7 @@ def measure_weight(spec: ModelSpec, jump_times, horizon: float, rho0) -> float:
         raise ValueError("jump times must be ordered")
     if times and (times[0] < 0 or times[-1] > horizon):
         raise ValueError("jump times must lie in [0, horizon]")
-    prop = nojump_generator(spec).propagator
+    prop = op.Propagator(nojump_generator(spec))
     vec = vectorize(op.as_operator(rho0))
     prev = 0.0
     for t in times:
@@ -112,8 +108,8 @@ def sector_sum(spec: ModelSpec, rho0, horizon: float) -> float:
     """
     rho0 = op.as_operator(rho0)
     vec0 = vectorize(rho0)
-    prop = nojump_generator(spec).propagator
-    tilde = gen_tilde(spec).propagator
+    prop = op.Propagator(nojump_generator(spec))
+    tilde = op.Propagator(gen_tilde(spec))
     zero_jump = float(np.trace(devectorize(prop.apply(horizon, vec0))).real)
 
     def integrand(t):

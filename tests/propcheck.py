@@ -10,12 +10,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from qsslab import operators as op
-from qsslab.model import (
-    SCHRODINGER,
-    ModelSpec,
-    apply_semigroup,
-    build_generator,
-)
+from qsslab.model import ModelSpec, apply_semigroup, build_generator
 from qsslab.qss import extract_qss, real_eigen_candidates
 from qsslab.structure import restrict
 
@@ -66,16 +61,16 @@ def check_duality(spec, rng):
 
 
 def check_density_preservation(spec, rng):
-    gen = build_generator(spec, SCHRODINGER)
+    prop = op.Propagator(build_generator(spec))
     rho = random_density(rng, spec.dim)
     t = float(rng.uniform(0.1, 1.5))
-    op.validate_density(apply_semigroup(gen, t, rho), tol_psd=1e-9, tol_trace=1e-10)
+    op.validate_density(apply_semigroup(prop, t, rho), tol_psd=1e-9, tol_trace=1e-10)
 
 
 def check_tilde_trace(spec, rng):
     rho = random_density(rng, spec.dim)
     t = float(rng.uniform(0.1, 2.0))
-    evolved = apply_semigroup(gen_tilde(spec), t, rho)
+    evolved = apply_semigroup(op.Propagator(gen_tilde(spec)), t, rho)
     return abs(np.trace(evolved).real - 1.0)
 
 
@@ -83,11 +78,10 @@ def check_restrict_embed(spec, rng):
     restr = restrict(spec)
     rho_hat = _rand_hermitian(rng, restr.m)
     t = float(rng.uniform(0.1, 1.5))
-    gen = build_generator(spec, SCHRODINGER)
-    full = apply_semigroup(gen, t, restr.embed(rho_hat))
+    full = apply_semigroup(op.Propagator(build_generator(spec)), t, restr.embed(rho_hat))
     perp = spec.p0_perp
     corner = perp @ full @ perp
-    hat = restr.embed(apply_semigroup(restr.gen_schr, t, rho_hat))
+    hat = restr.embed(apply_semigroup(restr.propagator, t, rho_hat))
     return float(np.linalg.norm(corner - hat))
 
 
@@ -153,8 +147,7 @@ def grid_oracle_case(seed, grid_n=21, t=0.8, residual_cut=1e-4):
     """
     rng = np.random.default_rng(seed)
     spec = random_subharmonic_model(rng, d=3, rank=1)
-    gen = build_generator(spec, SCHRODINGER)
-    propagator = sla.expm(t * gen.mat)
+    propagator = sla.expm(t * build_generator(spec))
     perp = spec.p0_perp
 
     restr = restrict(spec)

@@ -131,7 +131,7 @@ def test_criterion_5_absorbing_iff_positive_rate():
     dark = absorption_operator(two_qubit_site1(0.0))
     checks.append(("uncoupled one-site model not absorbing", not dark.is_absorbing))
     restr = restrict(two_qubit_site1(0.0))
-    w = np.linalg.eigvals(restr.gen_schr.mat)
+    w = np.linalg.eigvals(restr.gen)
     checks.append(("alpha = 0 eigenvalue present", float(np.min(np.abs(w))) < 1e-9))
     _verdict(5, "absorbing complement forces a positive decay rate", checks)
 

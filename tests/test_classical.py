@@ -10,7 +10,8 @@ from qsslab.classical import (
     crosscheck,
     embed,
 )
-from qsslab.model import SCHRODINGER, apply_semigroup, build_generator
+from qsslab import operators as op
+from qsslab.model import apply_semigroup, build_generator
 from qsslab.qss import QssCertificate, QssFamily
 
 
@@ -75,12 +76,12 @@ def test_embed_matches_classical_dynamics():
         n = int(rng.integers(2, 5))
         rm = random_absorbing_chain(rng, n)
         spec = embed(rm)
-        gen = build_generator(spec, SCHRODINGER)
+        prop = op.Propagator(build_generator(spec))
         p = rng.uniform(0.1, 1.0, size=n)
         p /= p.sum()
         rho = np.diag(p).astype(complex)
         t = float(rng.uniform(0.2, 2.0))
-        evolved = apply_semigroup(gen, t, rho)
+        evolved = apply_semigroup(prop, t, rho)
         classical = p @ sla.expm(t * rm.q)
         assert np.linalg.norm(np.diag(evolved).real - classical) < 1e-10
         # diagonal densities stay diagonal under the embedding

@@ -99,9 +99,9 @@ def test_analyze_deterministic_output(models_dir, tmp_path):
 @pytest.mark.parametrize(
     "model, stream, digest",
     [
-        ("two_qubit_site1.json", "out", "48ed96587959015fab460a342f377c083c70776978773aa82ed55d091cf7c982"),
-        ("two_qubit_both.json", "out", "d23a6bc222db5939c4d666d1822ee7bf75e59bf16094f553c39660a4aee45fa0"),
-        (two_qubit_both(0.0), "out", "507a11cc9f9c6da9524c87094f7dcc8350752ae9a57d959ed287fb245c8e471e"),
+        ("two_qubit_site1.json", "out", "ee623610b138633200466d9725a320d952f361511ad8726e6ec6ccd391e20f7c"),
+        ("two_qubit_both.json", "out", "5fbc4cb5828970b78ce9b39ca69a6cd20c47bddad53e6469bed9965268a81979"),
+        (two_qubit_both(0.0), "out", "1c8b7966801dfbf968b110b1eb2820af8e6b3deb9e2bae0b48c92047bd647937"),
         (two_qubit_site1(0.5), "err", "12e44de94ebd545c1f8c21b274dd080fb00dfa05fe83685b0b7fb15f4a7785e4"),
     ],
     ids=["site1", "both", "both-omega0-face-walk", "site1-omega-half-failure"],
@@ -219,7 +219,9 @@ def test_numerical_failures_exit_2_without_traceback(models_dir, monkeypatch, ca
     assert err.strip().splitlines() == ["numerical failure: eigensolver did not converge: injected"]
 
 
-def test_non_finite_report_value_exits_2_without_traceback(tmp_path, capsys):
+def test_non_finite_report_value_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
+    # an evolution that underflows to 0 makes the definition residual inf
+    monkeypatch.setattr(qss, "apply_semigroup", lambda prop, t, x: np.zeros(np.shape(t) + np.shape(x)))
     path, out = tmp_path / "model.json", tmp_path / "report.json"
     path.write_text(json.dumps(model_to_doc(fast_decay_model())))
     rc = run(["analyze", str(path), "--out", str(out)])
@@ -230,6 +232,20 @@ def test_non_finite_report_value_exits_2_without_traceback(tmp_path, capsys):
         "theory-consistency failure: residual_defn is inf for the family at alpha 4.000000e+02"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("factor", [20, 40])
+@pytest.mark.parametrize("family", [two_qubit_site1, two_qubit_both])
+def test_fast_decaying_models_verify(tmp_path, family, factor):
+    # alpha up to ~1600 is verified on its own time scale: nothing underflows,
+    # and roundoff on the slower modes grows by at most e^{2t}
+    path, out = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(json.dumps(model_to_doc(fast_decay_model(family, factor))))
+    assert run(["analyze", str(path), "--out", str(out)]) == 0
+    families = json.loads(out.read_text())["qss_families"]
+    assert max(f["alpha"] for f in families) >= 370
+    for fam in families:
+        assert fam["verification"]["ok"] and fam["residual_defn"] <= 1e-13, fam["alpha"]
 
 
 def test_absorbing_p0_with_a_non_decaying_family_exits_2(tmp_path, monkeypatch, capsys):
@@ -373,8 +389,6 @@ def test_simulate_input_errors(models_dir, capsys):
         "sweep two_qubit_site1.json --range 1:inf:3",
         "analyze two_qubit_site1.json --tol-eig nan",
         "analyze two_qubit_site1.json --tol-eig 0",
-        "simulate two_qubit_both.json --tol-psd inf",
-        "classical classical_two_state.json --tol-psd=-1e-9",
     ],
 )
 def test_non_finite_arguments_are_input_errors(models_dir, capsys, argv):
@@ -391,6 +405,10 @@ def test_non_finite_arguments_are_input_errors(models_dir, capsys, argv):
     "argv",
     [
         "analyze two_qubit_site1.json --tol-eig x",
+        "analyze two_qubit_site1.json --tol-psd 1e-9",
+        "analyze two_qubit_site1.json --seed 1",
+        "sweep two_qubit_site1.json --range 0:1:3 --seed 1",
+        "classical classical_two_state.json --tol-eig 1e-9",
         "simulate two_qubit_both.json --horizon -inf",
         "simulate two_qubit_both.json --seed -1",
         "simulate two_qubit_both.json --samples 10 --frobnicate",
@@ -434,7 +452,7 @@ def test_classical_missing_block(models_dir, capsys):
 
 def test_classical_consistency_exit_code(models_dir, monkeypatch):
     # exit code 2 is reserved for theory-consistency failures
-    def fake_crosscheck(rm, tol=1e-9):
+    def fake_crosscheck(rm):
         qsd = ClassicalQsd(density=np.array([1.0]), alpha=1.0, unique=True)
         return CrosscheckReport(
             qsd=qsd, matched_alpha=np.nan, match_residual=np.inf,

@@ -5,12 +5,9 @@ from helpers import choi_matrix
 from oracles import duality_check
 from qsslab import operators as op
 from qsslab.model import (
-    HEISENBERG,
-    SCHRODINGER,
     ModelSpec,
     apply_semigroup,
     build_generator,
-    gkls_matrix,
     left_mul,
     right_mul,
     sandwich,
@@ -78,14 +75,12 @@ def test_generator_trace_and_unitality():
     for _ in range(10):
         d = int(rng.integers(2, 5))
         spec = random_model(rng, d)
-        schr = build_generator(spec, SCHRODINGER)
-        heis = build_generator(spec, HEISENBERG)
+        schr = build_generator(spec)
+        heis = schr.conj().T
         ident = op.vectorize(np.eye(d))
-        # trace preservation (Schrodinger) and unitality (Heisenberg)
-        assert np.linalg.norm(ident.conj() @ schr.mat) < 1e-10 * max(1, np.linalg.norm(schr.mat))
-        assert np.linalg.norm(heis.mat @ ident) < 1e-10 * max(1, np.linalg.norm(heis.mat))
-        # the two pictures are mutual adjoints
-        assert np.allclose(heis.mat, schr.mat.conj().T)
+        # trace preservation (Schrodinger) and unitality (its adjoint, Heisenberg)
+        assert np.linalg.norm(ident.conj() @ schr) < 1e-10 * max(1, np.linalg.norm(schr))
+        assert np.linalg.norm(heis @ ident) < 1e-10 * max(1, np.linalg.norm(heis))
 
 
 def test_duality_pairing():
@@ -100,18 +95,18 @@ def test_duality_pairing():
 
 def test_apply_semigroup_contract():
     spec = two_qubit_site1(1.0)
-    gen = build_generator(spec, SCHRODINGER)
+    prop = op.Propagator(build_generator(spec))
     rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-    assert np.allclose(apply_semigroup(gen, 0.0, rho), rho)
+    assert np.allclose(apply_semigroup(prop, 0.0, rho), rho)
     with pytest.raises(ValueError):
-        apply_semigroup(gen, -0.1, rho)
+        apply_semigroup(prop, -0.1, rho)
     # semigroup law
     t, s = 0.4, 0.9
-    lhs = apply_semigroup(gen, t + s, rho)
-    rhs = apply_semigroup(gen, t, apply_semigroup(gen, s, rho))
+    lhs = apply_semigroup(prop, t + s, rho)
+    rhs = apply_semigroup(prop, t, apply_semigroup(prop, s, rho))
     assert np.linalg.norm(lhs - rhs) < 1e-10
     # density preservation
-    evolved = apply_semigroup(gen, 1.3, rho)
+    evolved = apply_semigroup(prop, 1.3, rho)
     op.validate_density(evolved)
 
 
@@ -122,26 +117,26 @@ def test_batched_apply_semigroup_matches_scalar_calls(monkeypatch, cond_limit):
     monkeypatch.setattr(op, "EXPM_COND_LIMIT", cond_limit)
     rng = np.random.default_rng(11)
     for spec in (two_qubit_site1(1.0), two_qubit_both(1.0)):
-        gen = build_generator(spec, SCHRODINGER)
-        assert gen.propagator.spectral == (cond_limit > 0)
+        prop = op.Propagator(build_generator(spec))
+        assert prop.spectral == (cond_limit > 0)
         x = random_hermitian(rng, 4)
         times = (0.0, 0.1, 0.5, 1.0, 2.0, 0.0, 2.0**20)
-        stack = apply_semigroup(gen, times, x)
+        stack = apply_semigroup(prop, times, x)
         assert stack.shape == (len(times), 4, 4)
         for t, got in zip(times, stack):
             # byte equality also sees signed zeros; C order as devectorize gives
             assert got.flags.c_contiguous
-            assert got.tobytes() == apply_semigroup(gen, t, x).tobytes()
+            assert got.tobytes() == apply_semigroup(prop, t, x).tobytes()
         assert stack[0].tobytes() == x.tobytes()
-        assert apply_semigroup(gen, [], x).shape == (0, 4, 4)
+        assert apply_semigroup(prop, [], x).shape == (0, 4, 4)
         for bad in ((0.5, -0.1), (1.0, np.inf), (np.nan,)):
             with pytest.raises(ValueError):
-                apply_semigroup(gen, bad, x)
+                apply_semigroup(prop, bad, x)
 
 
 def test_fallback_propagator_applies_one_vector_at_many_times():
     # the branch collision omega = 1/2 is defective: scaling-and-squaring
-    prop = build_generator(two_qubit_site1(0.5), SCHRODINGER).propagator
+    prop = op.Propagator(build_generator(two_qubit_site1(0.5)))
     assert not prop.spectral
     vec = np.arange(16, dtype=complex)
     rows = prop.apply(np.array([1.0, 2.0]), vec)
@@ -152,9 +147,9 @@ def test_fallback_propagator_applies_one_vector_at_many_times():
 
 def test_choi_positivity_on_fixtures():
     for spec in (two_qubit_site1(1.0), two_qubit_both(1.0)):
-        gen = build_generator(spec, SCHRODINGER)
+        gen = build_generator(spec)
         for t in (0.1, 1.0):
-            c = choi_matrix(op.Propagator(gen.mat).matrix(t))
+            c = choi_matrix(op.Propagator(gen).matrix(t))
             ok, min_eig = op.psd_check(0.5 * (c + c.conj().T), tol=1e-8)
             assert ok, f"Choi not PSD at t={t}: min eig {min_eig}"
 
@@ -184,13 +179,13 @@ def test_fixture_generator_against_hand_oracle(both):
     rng = np.random.default_rng(43)
     omega = 0.7
     spec = two_qubit_both(omega) if both else two_qubit_site1(omega)
-    gen = build_generator(spec, SCHRODINGER)
+    gen = build_generator(spec)
     act = _perp_index_oracle(omega, both)
     for _ in range(10):
         rho_hat = random_hermitian(rng, 3)
         rho = np.zeros((4, 4), dtype=complex)
         rho[1:, 1:] = rho_hat
-        image = op.devectorize(gen.mat @ op.vectorize(rho))
+        image = op.devectorize(gen @ op.vectorize(rho))
         assert np.linalg.norm(image[1:, 1:] - act(rho_hat)) < 1e-12
 
 
@@ -201,8 +196,3 @@ def test_fixture_shapes_and_labels():
     spec = two_qubit_both(1.0)
     assert len(spec.jump_ops) == 2
     assert np.allclose(spec.p0, np.diag([1.0, 0, 0, 0]))
-
-
-def test_gkls_matrix_rejects_unknown_picture():
-    with pytest.raises(ValueError):
-        gkls_matrix(np.zeros((2, 2)), (), picture="interaction")

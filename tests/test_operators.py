@@ -159,7 +159,7 @@ def test_eig_general_order_is_a_property_of_the_matrix():
     rng = np.random.default_rng(81)
     pairs = 0
     for _ in range(6):
-        a = restrict(propcheck.random_subharmonic_model(rng, d=8, rank=3)).gen_schr.mat
+        a = restrict(propcheck.random_subharmonic_model(rng, d=8, rank=3)).gen
         p = np.eye(len(a))[rng.permutation(len(a))]
         w, _ = op.eig_general(a)
         w_perm, _ = op.eig_general(p @ a @ p.T)

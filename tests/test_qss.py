@@ -149,7 +149,7 @@ def test_perron_existence_failure_raises():
     with pytest.raises(QssTheoryError, match="existence") as exc:
         perron_structure(restr, empty)
     assert "\n" not in str(exc.value)  # printed as a one-line CLI error
-    spectrum = np.array2string(np.sort_complex(restr.gen_schr.eig[0]), max_line_width=np.inf)
+    spectrum = np.array2string(np.sort_complex(restr.eig[0]), max_line_width=np.inf)
     assert str(exc.value) == f"Perron existence failed: no QSS family found; spectrum {spectrum}"
 
 
@@ -399,9 +399,9 @@ def test_hermitian_basis_matches_per_column_reference(monkeypatch):
     fixture_inputs = []
     stacked = qss._hermitian_basis
 
-    def recording(vectors, tol=1e-8):
+    def recording(vectors):
         fixture_inputs.append(vectors)
-        return stacked(vectors, tol)
+        return stacked(vectors)
 
     monkeypatch.setattr(qss, "_hermitian_basis", recording)
     for factory in (two_qubit_site1, two_qubit_both):
@@ -430,11 +430,12 @@ def test_hermitian_basis_matches_per_column_reference(monkeypatch):
         assert len(got) == len(ref) and all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
-def test_verify_flags_an_evolution_that_underflows():
+def test_verify_flags_an_evolution_that_underflows(monkeypatch):
     spec = fast_decay_model()
     restr, result = analysis(spec)
     anchor = perron_structure(restr, result).families[0].anchor
     assert anchor.alpha == pytest.approx(400.0)
+    monkeypatch.setattr(qss, "apply_semigroup", lambda prop, t, x: np.zeros(np.shape(t) + np.shape(x)))
     report = verify_qss(spec, anchor)
     assert not report.ok
-    assert report.residual_defn == np.inf
+    assert report.residual_defn == report.residual_repeated == report.alpha_log_crosscheck == np.inf

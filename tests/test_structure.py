@@ -11,10 +11,7 @@ from qsslab import cli, model, qss, structure, trajectory
 from qsslab import operators as op
 from qsslab.classical import RateMatrix, embed
 from qsslab.model import (
-    HEISENBERG,
-    SCHRODINGER,
     ModelSpec,
-    Superop,
     apply_semigroup,
     build_generator,
     two_qubit_both,
@@ -79,7 +76,7 @@ def test_restricted_operators_match_hand_forms():
 
 
 def _sorted_spectrum(restr):
-    w, _ = op.eig_general(restr.gen_schr.mat)
+    w, _ = op.eig_general(restr.gen)
     return sorted((round(z.real, 8), round(z.imag, 8)) for z in w)
 
 
@@ -123,7 +120,7 @@ def test_restriction_subunital():
         restr = restrict(spec)
         ident = np.eye(restr.m, dtype=complex)
         for t in (0.5, 1.0, 2.0):
-            evolved = apply_semigroup(restr.gen_heis, t, ident)
+            evolved = apply_semigroup(restr.propagator.adjoint(), t, ident)
             diff = ident - evolved
             w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
             assert w[0] >= -1e-9
@@ -148,7 +145,7 @@ def test_absorption_site1_uncoupled_dark_state():
     assert not report.is_absorbing
     assert np.allclose(report.a_op, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-8)
     restr = restrict(two_qubit_site1(0.0))
-    w, _ = op.eig_general(restr.gen_schr.mat)
+    w, _ = op.eig_general(restr.gen)
     assert np.min(np.abs(w)) < 1e-9  # alpha = 0 eigenvalue present
 
 
@@ -157,7 +154,7 @@ def test_absorption_at_the_branch_collision_matches_the_long_time_limit(omega):
     # the eigenbasis has condition number ~4e10 at omega = 1/2; the kernel
     # projector from the kernel rows of V^-1 still gets the limit right there
     spec = two_qubit_site1(omega)
-    heis = build_generator(spec, HEISENBERG).mat
+    heis = op.adjoint(build_generator(spec))
     limit = op.devectorize(sla.expm(400.0 * heis) @ op.vectorize(spec.p0))
     report = absorption_operator(spec)
     assert np.max(np.abs(report.a_op - limit)) <= 1e-9
@@ -170,7 +167,7 @@ def test_absorption_with_a_multidimensional_heisenberg_kernel():
     jump[0, 2] = 1.0
     spec = ModelSpec(dim=3, hamiltonian=np.zeros((3, 3)), jump_ops=(jump,),
                      p0=np.diag([1.0, 0.0, 0.0]).astype(complex))
-    heis = build_generator(spec, HEISENBERG).mat
+    heis = op.adjoint(build_generator(spec))
     w = np.linalg.eigvals(heis)
     assert np.sum(np.abs(w) <= 1e-9 * max(1.0, op.frob(heis))) >= 2
     report = structure.Analysis(spec).absorption
@@ -194,31 +191,31 @@ def test_analysis_propagators_match_independent_generators(spec):
     restr = structure.Analysis(spec).restriction
     v, one = restr.isometry, np.eye(restr.m)
     compress, embed = np.kron(v.T, v.conj().T), np.kron(v.conj(), v)
-    for picture, gen in ((HEISENBERG, restr.gen_heis), (SCHRODINGER, restr.gen_schr)):
-        ref = Superop(mat=compress @ build_generator(spec, picture).mat @ embed, picture=picture, dim=restr.m)
-        assert np.array_equal(gen.mat, ref.mat)
-        assert gen.propagator.spectral
-        vec = op.vectorize(one if picture == HEISENBERG else one / restr.m)
+    full = build_generator(spec)
+    for heisenberg in (True, False):
+        ref = op.Propagator(compress @ (op.adjoint(full) if heisenberg else full) @ embed)
+        prop = restr.propagator.adjoint() if heisenberg else restr.propagator
+        assert np.array_equal(prop.mat, ref.mat)
+        assert prop.spectral
+        vec = op.vectorize(one if heisenberg else one / restr.m)
         for t in (0.1, 1.0, 10.0):
-            want = ref.propagator.matrix(t)
-            got = gen.propagator.matrix(t)
+            want = ref.matrix(t)
+            got = prop.matrix(t)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             want_vec = want @ vec
-            assert np.linalg.norm(gen.propagator.apply(t, vec) - want_vec) <= 1e-12 * np.linalg.norm(
-                want_vec
-            )
+            assert np.linalg.norm(prop.apply(t, vec) - want_vec) <= 1e-12 * np.linalg.norm(want_vec)
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.3, 0.5, 1.0])
 @pytest.mark.parametrize("family", [two_qubit_site1, two_qubit_both])
 def test_heisenberg_propagator_is_the_adjoint_of_a_fresh_solve(family, omega):
-    # gen_heis adjoins gen_schr's decomposition; Propagator(adjoint(S)) solves
-    # S^dag afresh.  At the site-1 branch collision both take the fallback.
+    # propagator.adjoint() adjoins the decomposition of S; Propagator(adjoint(S))
+    # solves S^dag afresh.  At the site-1 branch collision both take the fallback.
     restr = restrict(family(omega))
-    got, fresh = restr.gen_heis.propagator, op.Propagator(op.adjoint(restr.gen_schr.mat))
+    got, fresh = restr.propagator.adjoint(), op.Propagator(op.adjoint(restr.gen))
     assert got.spectral == fresh.spectral == (family(omega).label != two_qubit_site1(0.5).label)
     assert np.array_equal(got.mat, fresh.mat)
-    assert np.array_equal(got.w, restr.gen_schr.eig[0].conj())
+    assert np.array_equal(got.w, restr.eig[0].conj())
     if got.spectral:
         scale = op.frob(got.mat)
         assert op.frob(got.mat @ got.v - got.v * got.w) <= 1e-12 * scale
@@ -235,8 +232,8 @@ def test_kernel_projector_needs_an_invertible_eigenbasis_only_for_a_kernel(monke
     # p0 has an empty kernel and still gets A(p0) = 1 exactly
     solve = op.eig_general
 
-    def singular_eig(a, tol=op.TOL_EIG):
-        w, v = solve(a, tol)
+    def singular_eig(a):
+        w, v = solve(a)
         v = v.copy()
         v[:, 1] = 0.0
         return w, v
@@ -284,7 +281,7 @@ def _naive_algebra_dimension(ops) -> int:
 
 def _old_closure_verdict(restr) -> bool:
     """The seeded closure search alone: irreducible iff it finds no witness."""
-    return structure._witness_search(restr, 8) is None
+    return structure._witness_search(restr) is None
 
 
 def _burnside_cases():
@@ -380,7 +377,7 @@ def _count_sizes(monkeypatch, owner, name, sizes):
 
 
 def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_path):
-    # one m^2 x m^2 solve serves the restriction in both pictures, g_hat
+    # one m^2 x m^2 solve serves the restriction and its adjoint, g_hat
     # (m x m) seeds the witness search of the reducible restriction, and no
     # d^2 x d^2 matrix is built (only simulate's kernel builds one), let alone
     # eigendecomposed
@@ -447,6 +444,32 @@ def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_pat
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["sweep", path, "--range", "0.1:1.0:4", "--out", str(tmp_path / "s.csv")]) == 0
     assert sizes == {3 * 3: 4}
+
+
+def test_each_command_builds_only_the_propagators_it_evolves_with(models_dir, monkeypatch, tmp_path):
+    # the restriction's propagator is built on first use: analyze builds it
+    # once (m^2), simulate builds its loop (m^2 + 1) and no-jump (d^2)
+    # propagators only, and sweep (through the defective omega = 1/2, where
+    # a propagator would take the expm fallback) and classical build none
+    sizes = Counter()
+    init = op.Propagator.__init__
+
+    def counting(self, a, *args, **kwargs):
+        sizes[np.shape(a)[0]] += 1
+        init(self, a, *args, **kwargs)
+
+    monkeypatch.setattr(op.Propagator, "__init__", counting)
+    site1 = os.path.join(models_dir, "two_qubit_site1.json")
+    d, m = 4, 3
+    for argv, want in (
+        (["analyze", site1], {m * m: 1}),
+        (["simulate", site1, "--samples", "20"], {m * m + 1: 1, d * d: 1}),
+        (["sweep", site1, "--range", "0:1:5"], {}),
+        (["classical", os.path.join(models_dir, "classical_two_state.json")], {}),
+    ):
+        sizes.clear()
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert sizes == want, argv[0]
 
 
 def test_simulate_solves_only_the_nojump_generator_in_full(models_dir, monkeypatch, tmp_path):

@@ -64,7 +64,7 @@ def test_tilde_generator_preserves_trace():
     for t in (0.3, 1.0, 4.0):
         from qsslab.model import apply_semigroup
 
-        evolved = apply_semigroup(gen_tilde(spec), t, rho)
+        evolved = apply_semigroup(operators.Propagator(gen_tilde(spec)), t, rho)
         assert abs(np.trace(evolved).real - 1.0) < 1e-10
 
 
@@ -305,7 +305,7 @@ def test_zero_jump_final_states_match_the_spec_built_oracle():
         rho0 = propcheck.random_density(rng, spec.dim)  # p0 mass and p0/p0_perp coherences
         kernel = build_kernel(spec)
         batch = sample_trajectories(kernel, rho0, 1.0, 7, 200)
-        evolved = scipy.linalg.expm(nojump_generator(spec).mat) @ vectorize(rho0)
+        evolved = scipy.linalg.expm(nojump_generator(spec)) @ vectorize(rho0)
         weight = np.trace(evolved.reshape(spec.dim, spec.dim)).real
         state = evolved.reshape(spec.dim, spec.dim).T / weight
         # the loop's survival trace of the start row, (vec 1_m, 1) after exp(A)
