@@ -3,7 +3,9 @@
 Everything operates on plain numpy ``complex128`` arrays.  The helpers here
 are the only place where hermiticity / positivity predicates, eigensolves and
 matrix exponentials are implemented; the rest of the package goes through
-these functions so that tolerances are applied consistently.
+these functions so that tolerances are applied consistently.  numpy is the
+only dependency: :func:`expm` is a numpy scaling-and-squaring, so no command
+loads scipy.
 
 Default tolerances (overridable where a function takes ``tol``):
 
@@ -26,6 +28,17 @@ TOL_EIG = 1e-9
 
 # switch to scaling-and-squaring when the eigenvector basis is worse than this
 EXPM_COND_LIMIT = 1e6
+# most matrix entries per chunk of a stacked expm: its temporaries stay in cache
+EXPM_CHUNK_ENTRIES = 2**13
+
+# degree-13 Pade coefficients b_0 .. b_13 of exp, and the largest 1-norm they
+# serve unscaled to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+THETA_13 = 5.371920351148152
 
 
 class EigenSolveError(RuntimeError):
@@ -126,16 +139,63 @@ def devectorize(v) -> np.ndarray:
     return v.reshape(d, d, order="F").copy()
 
 
+def expm(a) -> np.ndarray:
+    """Exponential of a square matrix, or of each matrix of a ``(..., n, n)`` stack.
+
+    Degree-13 Pade after scaling by 2^-s, then s squarings, with s the least
+    power that brings the matrix's 1-norm to ``THETA_13``.  s is chosen per
+    matrix, each product and solve is one BLAS or LAPACK call per matrix and
+    the rest is elementwise, so a matrix's bits do not depend on the rest of
+    the stack.  A stack runs in chunks of at most ``EXPM_CHUNK_ENTRIES`` entries.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    n = a.shape[-1]
+    flat = a.reshape((math.prod(a.shape[:-2]), n, n))
+    out = np.empty_like(flat)
+    step = max(1, EXPM_CHUNK_ENTRIES // max(1, n * n))
+    for c in range(0, len(flat), step):
+        out[c:c + step] = _pade13(flat[c:c + step])
+    return out.reshape(a.shape)
+
+
+def _pade13(a: np.ndarray) -> np.ndarray:
+    """:func:`expm` of each matrix of a ``(k, n, n)`` stack."""
+    b = PADE13
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    mant, s = np.frexp(np.maximum(norm / THETA_13, 1.0))
+    s -= mant == 0.5  # s = ceil(log2(norm / THETA_13)), at least 0
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        rows = np.flatnonzero(s > k)
+        x = r[rows]
+        r[rows] = x @ x
+    return r
+
+
 class Propagator:
     """``exp(t*a)`` for many ``t`` from one eigendecomposition ``a = V diag(w) V^-1``.
 
     ``eig`` is an eigenpair ``(w, V)`` of ``a`` solved elsewhere; without it
     ``a`` is eigendecomposed here.  The inverse, the condition-number gate
     (``EXPM_COND_LIMIT``) and the reconstruction check run once, on either.
-    If both gates pass, ``spectral`` is true; otherwise every call falls back
-    to scaling-and-squaring (scipy's, imported there only).  ``w``, ``v`` and
-    ``v_inv`` are kept on either path for spectral projections.  ``trace_row``
-    is the functional that :meth:`trace_coords` and :meth:`trace_rows` read.
+    If both gates pass, ``spectral`` is true; otherwise :meth:`apply` and
+    :meth:`trace_rows` fall back to :func:`expm` of ``t*a``, one stacked call
+    per chunk of at most ``EXPM_CHUNK_ENTRIES`` entries of their times.  ``w``,
+    ``v`` and ``v_inv`` are kept on either path for spectral projections.
+    ``trace_row`` is the functional that :meth:`trace_coords` and
+    :meth:`trace_rows` read.
     """
 
     def __init__(self, a, eig=None, trace_row=None):
@@ -157,14 +217,6 @@ class Propagator:
             and frob((self.v * self.w) @ self.v_inv - a) <= 1e-12 * max(1.0, frob(a))
         )
 
-    def matrix(self, t: float) -> np.ndarray:
-        if not np.isfinite(t):
-            raise ValueError("time parameter must be finite")
-        if self.spectral:
-            return (self.v * np.exp(t * self.w)) @ self.v_inv
-        import scipy.linalg  # here only: a command that stays spectral never loads scipy
-        return scipy.linalg.expm(t * self.mat)
-
     def adjoint(self) -> Propagator:
         """Propagator of ``adjoint(a)``: pairs (conj(w), V^-dag), inverse V^dag, same gates."""
         adj = object.__new__(Propagator)
@@ -178,14 +230,19 @@ class Propagator:
 
         Spectral: ``V (exp(t*w) * (V^-1 vec))``, two :func:`rowdot` matvecs per row;
         ``coef``, if given, is ``rowdot(v_inv, vec)`` computed by the caller.
+        Fallback: one :func:`rowdot` matvec of ``expm(t*a)`` per row.
         """
         if self.spectral:
             coef = rowdot(self.v_inv, vec) if coef is None else coef
             return rowdot(self.v, np.exp(np.multiply.outer(t, self.w)) * coef)
-        if np.ndim(t) == 0:
-            return self.matrix(t) @ vec
-        vec = np.broadcast_to(vec, np.shape(t) + np.shape(vec)[-1:])
-        return np.reshape([self.matrix(s) @ x for s, x in zip(t, vec)], vec.shape)
+        times = np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(times.shape, np.shape(vec)[:-1]) + np.shape(vec)[-1:]
+        times = np.broadcast_to(times, shape[:-1]).reshape(-1)
+        vecs = np.broadcast_to(vec, shape).reshape(-1, shape[-1])
+        out = np.empty(vecs.shape, dtype=complex)
+        for rows, e in self._exponentials(times):
+            out[rows] = rowdot(e, vecs[rows])
+        return out.reshape(shape)
 
     def trace_coords(self, vecs: np.ndarray, coef=None) -> np.ndarray:
         """``x`` with ``trace_row @ exp(t*a) vec = sum(x * trace_rows(t))``, per row of ``vecs``.
@@ -200,12 +257,23 @@ class Propagator:
         return x
 
     def trace_rows(self, times) -> np.ndarray:
-        """``exp(t*w)`` per time; the fallback forms ``trace_row @ exp(t*a)`` by :meth:`matrix`."""
+        """``exp(t*w)`` per time; the fallback forms ``trace_row @ expm(t*a)``."""
         times = np.asarray(times, dtype=float)
         if self.spectral:
             return np.exp(times[..., None] * self.w)
-        rows = [self.trace_row @ self.matrix(t) for t in times.ravel()]
-        return np.reshape(rows, times.shape + self.mat.shape[:1])
+        out = np.empty((times.size, len(self.mat)), dtype=complex)
+        for rows, e in self._exponentials(times.reshape(-1)):
+            out[rows] = self.trace_row @ e
+        return out.reshape(times.shape + out.shape[1:])
+
+    def _exponentials(self, times: np.ndarray):
+        """``(rows, expm(t*a) for t in times[rows])``, ``EXPM_CHUNK_ENTRIES`` entries at a time."""
+        if not np.isfinite(times).all():
+            raise ValueError("time parameter must be finite")
+        step = max(1, EXPM_CHUNK_ENTRIES // max(1, self.mat.size))
+        for c in range(0, times.size, step):
+            rows = slice(c, c + step)
+            yield rows, expm(times[rows, None, None] * self.mat)
 
 
 def rowdot(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -119,10 +119,13 @@ def test_analyze_output_is_pinned(models_dir, tmp_path, capsys, model, stream, d
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_commands_leave_scipy_unloaded(models_dir):
-    # every command on the shipped models stays on the spectral path, so one
-    # fresh process running them all imports numpy only: scipy serves just
-    # the scaling-and-squaring fallback
+def test_commands_leave_scipy_unloaded(models_dir, tmp_path):
+    # one fresh process running every command imports numpy only, on the
+    # spectral path of the shipped models and on the expm fallback alike: the
+    # defective site-1 restriction at omega = 1/2 evolves by operators.expm
+    # in its absorption check before its Perron failure (exit 2)
+    defective = tmp_path / "site1_half.json"
+    defective.write_text(json.dumps(model_to_doc(two_qubit_site1(0.5))))
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     quantum = [model_path(models_dir, f"two_qubit_{name}.json") for name in ("site1", "both")]
@@ -136,6 +139,7 @@ def test_commands_leave_scipy_unloaded(models_dir):
             ["simulate", path, "--samples", "100", "--records", os.devnull],
         )
     ] + [["classical", path, "--out", os.devnull] for path in classical]
+    argvs.append(["analyze", str(defective), "--out", os.devnull])
     probe = (
         "import sys\n"
         "from qsslab import cli\n"
@@ -143,7 +147,7 @@ def test_commands_leave_scipy_unloaded(models_dir):
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == [str([0] * len(argvs)), "[]"]
+    assert out.stdout.splitlines() == [str([0] * (len(argvs) - 1) + [2]), "[]"]
 
 
 def test_parser_is_reused_across_commands(models_dir, capsys):

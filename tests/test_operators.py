@@ -90,19 +90,107 @@ def test_expm_matches_scipy():
         a = random_complex(rng, d)
         t = float(rng.uniform(0.1, 2.0))
         ref = sla.expm(t * a)
-        assert np.linalg.norm(op.Propagator(a).matrix(t) - ref) < 1e-9 * np.linalg.norm(ref)
+        assert np.linalg.norm(op.Propagator(a).apply(t, np.eye(d)).T - ref) < 1e-9 * np.linalg.norm(ref)
 
 
 def test_expm_defective_fallback():
     # Jordan block: eigendecomposition is useless, must fall back
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    out = op.Propagator(a).matrix(2.0)
-    assert np.allclose(out, np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert not op.Propagator(a).spectral
+    exact = np.array([[1.0, 2.0], [0.0, 1.0]])
+    assert np.allclose(op.expm(2.0 * a), exact)
+    assert np.allclose(op.Propagator(a).apply(2.0, np.eye(2)).T, exact)
 
 
 def test_expm_rejects_bad_time():
+    # directly, and through the fallback of a propagator, which is handed times
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    prop = op.Propagator(a)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            op.expm(bad * np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            prop.apply(bad, np.ones(2))
+        with pytest.raises(ValueError):
+            prop.trace_rows([1.0, bad])
+
+
+def _stable(rng, n, norm):
+    """A random complex n x n matrix of 1-norm ``norm`` whose spectral abscissa is 0."""
+    a = random_complex(rng, n)
+    a -= np.linalg.eigvals(a).real.max() * np.eye(n)
+    return a * (norm / np.linalg.norm(a, 1))
+
+
+def test_expm_matches_scipy_over_norms():
+    # two backward-stable exponentials differ by O(eps * ||a||_1) relative: the
+    # exponential's own condition number grows with the norm.  A spectral
+    # abscissa of 0 keeps exp(a) finite at 1-norms up to 1e4
+    rng = np.random.default_rng(19)
+    for log_norm in np.linspace(-3.0, 4.0, 36):
+        a = _stable(rng, int(rng.integers(3, 37)), 10.0**log_norm)
+        ref = sla.expm(a)
+        bound = 1e-15 * max(1.0, np.linalg.norm(a, 1)) * np.linalg.norm(ref)
+        assert np.linalg.norm(op.expm(a) - ref) <= bound
+
+
+def test_expm_matches_scipy_on_the_defective_restriction():
+    # the site-1 restriction at the branch collision has a Jordan block of
+    # size 3; it and its adjoint decay to 0 by t = 2^41
+    gen = restrict(two_qubit_site1(0.5)).gen
+    times = 2.0 ** np.arange(-4, 42)
+    for a in (gen, op.adjoint(gen)):
+        got = op.expm(times[:, None, None] * a)
+        for t, e in zip(times, got):
+            assert np.max(np.abs(e - sla.expm(t * a))) <= 1e-15
+
+
+def _mixed_stack(rng):
+    """Matrices of 1-norms 1e-3 .. 1e4 and a zero one: their scaling powers differ."""
+    stack = [_stable(rng, 6, 10.0**e) for e in np.linspace(-3.0, 4.0, 29)]
+    return np.array(stack + [np.zeros((6, 6))])
+
+
+def test_expm_stack_matches_each_matrix_alone():
+    rng = np.random.default_rng(8)
+    stack = _mixed_stack(rng)
+    got = op.expm(stack)
+    for a, e in zip(stack, got):
+        assert np.array_equal(op.expm(a), e)
+    nested = op.expm(stack[:28].reshape(4, 7, 6, 6))
+    assert np.array_equal(nested.reshape(28, 6, 6), got[:28])
+    assert op.expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_expm_chunks_do_not_move_a_bit(monkeypatch):
+    # 30 matrices of 36 entries in chunks of 4, the last of 2; 601 times of the
+    # sampler's fallback propagator in chunks of 7, the last of 6
+    rng = np.random.default_rng(9)
+    stack = _mixed_stack(rng)
+    whole = op.expm(stack)
+    prop = build_kernel(two_qubit_site1(0.5)).loop
+    times = np.linspace(0.0, 6.0, 601)
+    vecs = _complex(rng, 601, len(prop.mat))
+    rows, applied = prop.trace_rows(times), prop.apply(times, vecs)
+    with monkeypatch.context() as m:
+        m.setattr(op, "EXPM_CHUNK_ENTRIES", 4 * 36)
+        assert np.array_equal(op.expm(stack), whole)
+        m.setattr(op, "EXPM_CHUNK_ENTRIES", 7 * prop.mat.size)
+        assert np.array_equal(prop.trace_rows(times), rows)
+        assert np.array_equal(prop.apply(times, vecs), applied)
+
+
+def test_expm_rejects_non_finite_input():
+    # one bad entry anywhere in a stack, and a matrix that is not square
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        a = np.zeros((3, 4, 4), dtype=complex)
+        a[2, 1, 3] = bad
+        with pytest.raises(ValueError):
+            op.expm(a)
+        with pytest.raises(ValueError):
+            op.expm(a[2])
     with pytest.raises(ValueError):
-        op.Propagator(np.eye(2)).matrix(np.inf)
+        op.expm(np.zeros((2, 3)))
 
 
 def test_propagator_matches_scipy_on_random_generator():
@@ -117,7 +205,7 @@ def test_propagator_matches_scipy_on_random_generator():
     vec = op.vectorize(np.eye(d) / d)
     for t in (0.1, 1.0, 10.0):
         ref = sla.expm(t * a)
-        assert np.linalg.norm(prop.matrix(t) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(prop.apply(t, np.eye(d * d)).T - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.linalg.norm(prop.apply(t, vec) - ref @ vec) <= 1e-12 * np.linalg.norm(ref @ vec)
 
 
@@ -131,7 +219,8 @@ def test_propagator_falls_back_on_defective_nojump_generator():
     times = np.array([0.0, 0.7, 3.0])
     for t in times:
         ref = sla.expm(t * prop.mat)
-        assert np.array_equal(prop.matrix(t), ref)
+        assert np.linalg.norm(op.expm(t * prop.mat) - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert np.array_equal(prop.apply(times, vec), [op.expm(t * prop.mat) @ vec for t in times])
     curve = (prop.trace_coords(vec) * prop.trace_rows(times)).sum(-1).real
     trace_row = np.append(op.vectorize(np.eye(3)), 1.0)
     expected = [(trace_row @ sla.expm(t * prop.mat) @ vec).real for t in times]

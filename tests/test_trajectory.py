@@ -189,6 +189,20 @@ def test_records_independent_of_batch_size_on_random_models():
             assert "".join(modelio.record_lines(single)) == lines[stream]
 
 
+def test_fallback_records_independent_of_batch_size():
+    # at the branch collision both propagators take the expm fallback: each
+    # row's exponential is its own matrix of one stacked call, so a record
+    # does not depend on the batch it was sampled in
+    kernel = build_kernel(two_qubit_site1(0.5))
+    assert not kernel.loop.spectral and not kernel.nojump.spectral
+    rho0 = np.diag([0.0, 0.5, 0.5, 0.0])
+    few = sample_trajectories(kernel, rho0, 6.0, 3, 40)
+    many = sample_trajectories(kernel, rho0, 6.0, 3, 300)
+    lines = "".join(modelio.record_lines(many)).splitlines(keepends=True)
+    assert "".join(modelio.record_lines(few)) == "".join(lines[:40])
+    assert few.counts.sum() > 40
+
+
 def test_records_independent_of_the_chunk_size(monkeypatch):
     # a chunk holds at most CHUNK_ENTRIES = rows x (m^2 + 1) entries; cut down to
     # 7 rows, a round of 60 live trajectories takes 9 chunks, the last of 4 rows
