@@ -3,7 +3,13 @@
 Model files are JSON, schema_version "1".  Complex entries are [re, im]
 pairs; matrices are row-major nested arrays of such pairs.  Parsing errors
 carry the JSON path of the offending field.  Report serialization is byte
-deterministic: keys sorted, floats rendered with 17 significant digits.
+deterministic: keys sorted, floats rendered with 17 significant digits, the
+text of ``'%.17g'``.  ``dumps`` writes reports with ``'%.17g'`` itself.
+``record_lines`` writes trajectory records in chunks of a fixed number of
+floats through ``_format17``, which computes the same 17 digits exactly as
+integers (a double-double product) and writes them with integer formatting;
+the few values where that is not certain (ties, the ends of its range) fall
+back to ``'%.17g'``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .classical import RateMatrix
 from .model import FIXTURE_FAMILIES, ModelSpec
 
 SCHEMA_VERSION = "1"
-RECORD_GROUP = 32  # trajectory records per array conversion of record_lines
 
 
 class ModelFileError(ValueError):
@@ -145,11 +150,6 @@ def load_model(path) -> ModelFile:
     return parse_model(doc)
 
 
-def matrix_to_json(mat: np.ndarray):
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
-
-
 # ---------------------------------------------------------------------------
 # Deterministic JSON emission
 # ---------------------------------------------------------------------------
@@ -195,7 +195,7 @@ def dumps(obj) -> str:
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            # the text of dumps(matrix_to_json(obj)), from one format call
+            # the text of dumps of its nested lists of [re, im] pairs, from one format call
             parts = np.stack([obj.real, obj.imag], -1).ravel()
             if not np.isfinite(parts).all():
                 _fmt_float(float(parts[~np.isfinite(parts)][0]))  # raises its error
@@ -204,43 +204,183 @@ def dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+# The 17-digit kernel of record_lines.  A float x with 1e-270 <= |x| <= 1e270 has
+# decimal exponent e = floor(log10 |x|), and P = |x| 10^(16 - e) lies in [10^16, 10^17).
+_E_LO, _E_HI = -270, 270
+_KEYS = (_E_HI - _E_LO + 1) * 2 * 10 * 17 * 2  # by e, sign, lead digit, width, padding
+_SPLIT = 2.0**27 + 1  # Veltkamp's constant for doubles
+
+
+class _Pieces:
+    """The kernel's ``%``-format pieces by key (see :func:`_piece`), each made on
+    first use: ``table[slot[key]]``, slot 0 until made."""
+
+    def __init__(self):
+        self.slot = np.zeros(_KEYS + 2, np.int32)
+        self.table = np.array([None], dtype=object)
+
+    def __getitem__(self, key: np.ndarray) -> np.ndarray:
+        new = np.unique(key[self.slot[key] == 0])
+        if new.size:
+            self.slot[new] = len(self.table) + np.arange(new.size)
+            made = np.empty(new.size, dtype=object)
+            made[:] = [_piece(k) for k in new.tolist()]
+            self.table = np.concatenate([self.table, made])
+        return self.table[self.slot[key]]
+
+
 @functools.cache
-def _record_template(n_jumps: int, shape) -> str:
-    """``%``-format of the float fields of a trajectory record line, in sorted key
-    order from ``final_state`` to ``post_jump_states``."""
-    state = _template(shape)
-    return (
-        '"final_state": ' + state + ', "final_weight": %.17g, "horizon": %.17g, '
-        '"jump_times": [' + ", ".join(["%.17g"] * n_jumps) + '], '
-        '"post_jump_states": [' + ", ".join([state] * n_jumps) + '], '
-    )
+def _kernel_tables():
+    """The kernel's constants, made on first use: ``hi`` and ``lo`` with hi + lo =
+    10^(16 - e) to about 2^-106 relative for e in [_E_LO, _E_HI], each rounded
+    once from exact integers (``int / int`` rounds correctly); 10^k as int64 for
+    k = 0 .. 17; and the pieces."""
+    hi, lo = [], []
+    for e in range(_E_LO, _E_HI + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        h_num, h_den = (num / den).as_integer_ratio()
+        hi.append(h_num / h_den)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    return np.array(hi), np.array(lo), 10 ** np.arange(18, dtype=np.int64), _Pieces()
+
+
+def _piece(key: int) -> str:
+    """The ``%``-format of key ((((e - _E_LO) 2 + sign) 10 + lead) 17 + width) 2 +
+    padded: the sign, the lead digit (``%d`` for the integer part if 1 <= e <= 16),
+    the point and ``width`` more digits (``%d``, or ``%0Nd`` if ``padded``), and,
+    outside -4 <= e <= 16 where ``%.17g`` writes fixed point, the exponent.  The
+    keys ``_KEYS`` and ``_KEYS + 1`` give the text of 0.0 and -0.0."""
+    if key >= _KEYS:
+        return format(-0.0 if key > _KEYS else 0.0, ".17g")
+    rest, padded = divmod(key, 2)
+    rest, width = divmod(rest, 17)
+    rest, lead = divmod(rest, 10)
+    e, neg = divmod(rest, 2)
+    e += _E_LO
+    digits = f"%0{width}d" if padded else "%d" if width else ""
+    point = "." if width else ""
+    if -4 <= e < 0:
+        text = f"0.{'0' * (-e - 1)}{lead}{digits}"
+    else:
+        text = ("%d" if 1 <= e <= 16 else str(lead)) + point + digits
+    return "-" * neg + text + ("" if -4 <= e <= 16 else f"e{e:+03d}")
+
+
+def _halves(x):
+    """Veltkamp's split of x into a high half of 26 bits and the exact rest."""
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
+
+
+def _format17(values: np.ndarray, after) -> str:
+    """``"".join(_fmt_float(x) + a for x, a in zip(values, after))``, the floats'
+    digits computed exactly as integers; ``after`` is a sequence of strings
+    without ``%``.
+
+    For 1e-270 <= |x| <= 1e270, P = |x| 10^(16 - e) is the sum of Dekker's exact
+    TwoProduct of |x| and hi (Numer. Math. 18, 1971), whose rounded head ``prod``
+    is an integer, and a rest (its error term plus |x| lo) off by about 1e-15.  So
+    D = prod + rint(rest) is P correctly rounded, ``%.17g``'s 17 digits, unless
+    the rest's fraction is within 1e-9 of 1/2 (a tie, such as 1e14 + 0.125) or
+    D lies within 64 of 10^16 or 10^17 (where log10 may be off by one or the
+    rounding carries).  With its trailing zeros stripped, D is written by ``%d``
+    and ``%0Nd`` inside a piece that holds the sign, the lead digit, the point
+    and the exponent; one piece per key, made once.  Zeros take the pieces of
+    0.0 and -0.0, and every other value (ties, the ends of the range and
+    non-finite values, which raise) takes :func:`_fmt_float` itself.
+    """
+    hi_e, lo_e, pow10, pieces = _kernel_tables()
+    mag = np.abs(values)
+    fast = (mag >= 1e-270) & (mag <= 1e270)  # false for zeros and non-finite values
+    mag = np.where(fast, mag, 1.0)
+    e = np.floor(np.log10(mag)).astype(np.int64).clip(_E_LO, _E_HI)
+    hi, lo = hi_e[e - _E_LO], lo_e[e - _E_LO]
+    prod = mag * hi
+    (xh, xl), (hh, hl) = _halves(mag), _halves(hi)
+    rest = (((xh * hh - prod) + xh * hl) + xl * hh) + xl * hl + mag * lo
+    digits = prod.astype(np.int64) + np.rint(rest).astype(np.int64)
+    fast &= (np.abs(rest - np.floor(rest) - 0.5) > 1e-9) & (digits > 10**16 + 64) & (digits < 10**17 - 64)
+    z, ends0 = np.zeros_like(digits), np.flatnonzero(fast & (digits // 10 * 10 == digits))
+    tail = digits[ends0]
+    for k in (16, 8, 4, 2, 1):  # count D's trailing zeros where it has one
+        cut = tail // pow10[k]
+        zeros = cut * pow10[k] == tail
+        tail, z[ends0] = np.where(zeros, cut, tail), z[ends0] + k * zeros
+    whole = (e >= 1) & (e <= 16)  # an integer part of two digits or more: one more argument
+    z = np.minimum(z, np.where(whole, 16 - e, 16))  # zeros of the integer part stay
+    width = 16 - z - np.where(whole, e, 0)  # digits after the point
+    kept, scale = digits // pow10[z], pow10[width]
+    head = kept // scale  # the integer part: the lead digit unless `whole`
+    frac = kept - head * scale
+    padded = (frac * 10 < scale) & (width > 0)  # a zero after the point or the lead
+    neg = np.signbit(values)
+    key = ((((e - _E_LO) * 2 + neg) * 10 + np.where(whole, 0, head)) * 17 + width) * 2 + padded
+    text = pieces[np.where(fast, key, _KEYS + neg)]
+    slow = np.flatnonzero(~fast & (values != 0))
+    text[slow] = [_fmt_float(x) for x in values[slow].tolist()]
+    args = np.stack([head, frac], 1)[np.stack([fast & whole, fast & (width > 0)], 1)]
+    out = np.empty(2 * len(values), dtype=object)
+    out[0::2], out[1::2] = text, after
+    return "".join(out.tolist()) % tuple(args.tolist())
+
+
+RECORD_CHUNK_ENTRIES = 2**12  # most floats per chunk of record_lines: one kernel run each
 
 
 def record_lines(batch):
-    """``dumps(vars(rec)) + "\\n"`` of each trajectory record, one string per group.
+    """``dumps(vars(rec)) + "\\n"`` of each trajectory record, joined and cut into chunks.
 
-    ``batch`` is a :class:`~qsslab.trajectory.TrajectoryBatch`.  A group of
-    ``RECORD_GROUP`` records gathers its floats from the batch's columns in line
-    order, passes one finiteness check and one ``tolist`` and is one ``%`` of
-    the records' templates.  The first non-finite value in record and key
+    ``batch`` is a :class:`~qsslab.trajectory.TrajectoryBatch`.  The floats of a
+    line come in five runs, each a slice of one column: the final state, the
+    final weight, the horizon, the jump times and the post-jump states.  The
+    floats of all lines, in line order, are cut into chunks of at most
+    ``RECORD_CHUNK_ENTRIES``, whatever the records' lengths, so memory is bounded
+    by the chunk, not by the longest record.  A chunk copies the slices of the
+    columns it reads into one source and gathers its floats from it by one
+    index array; one :func:`_format17` writes them, each followed by its text:
+    a separator of the state template split at its placeholders, the next
+    key, or its record's end.  The first non-finite value in record and key
     order raises the error ``dumps`` gives for it.
     """
-    counts, times, posts = batch.counts, batch.jump_times, batch.post_jump_states
-    finals, weights, horizon = batch.final_states, batch.final_weights, [batch.horizon]
-    at = np.concatenate([[0], np.cumsum(counts)]).tolist()  # each record's first jump
-    size = 2 * math.prod(finals.shape[1:])  # floats per state, C-ordered [re, im] pairs
-    finals_f, posts_f = (x.view(np.float64).reshape(len(x), size) for x in (finals, posts))
-    for g in range(0, len(batch), RECORD_GROUP):
-        group = range(g, min(g + RECORD_GROUP, len(batch)))
-        values = np.concatenate([x for i in group for x in (
-            finals_f[i], weights[i:i + 1], horizon, times[at[i]:at[i + 1]],
-            posts_f[at[i]:at[i + 1]].ravel())])
-        bad = ~np.isfinite(values)
-        if bad.any():
-            _fmt_float(float(values[bad][0]))  # raises its error
-        yield "".join(
-            '{"censored": true, '
-            + _record_template(at[i + 1] - at[i], finals.shape[1:])
-            + f'"seed": {batch.seed}, "stream": {batch.first_stream + i}}}\n'
-            for i in group
-        ) % tuple(values.tolist())
+    counts, at, n = batch.counts, batch.offsets, len(batch)
+    finals, seed, first = batch.final_states, batch.seed, batch.first_stream
+    seps = _template(finals.shape[1:]).split("%.17g")
+    size = len(seps) - 1  # floats per state, C-ordered [re, im] pairs
+    columns = (finals.view(np.float64).reshape(-1), batch.final_weights, np.array([batch.horizon]),
+               batch.jump_times, batch.post_jump_states.view(np.float64).reshape(-1))
+    run_len = np.stack([np.full(n, size), np.ones(n, int), np.ones(n, int), counts, size * counts], 1)
+    run_src = np.stack([size * np.arange(n), np.arange(n), np.zeros(n, int), at[:-1], size * at[:-1]], 1)
+    run_end = np.cumsum(run_len).reshape(n, 5)
+    run_start = run_end - run_len
+    # the text after a float, by run and place in a state; run ends are set apart
+    follow = np.array([seps[1:-1] + [seps[-1] + ', "final_weight": '], [', "horizon": '] * size,
+                       [', "jump_times": ['] * size, [", "] * size,
+                       seps[1:-1] + [seps[-1] + ", " + seps[0]]], dtype=object)
+    opening = '{"censored": true, "final_state": ' + seps[0]
+    total = int(run_end[-1, -1])
+    for lo in range(0, total, RECORD_CHUNK_ENTRIES):
+        hi = min(lo + RECORD_CHUNK_ENTRIES, total)
+        r0, r1 = np.searchsorted(run_end[:, -1], [lo, hi - 1], "right")  # the records it touches
+        recs = np.arange(r0, r1 + 1)
+        start, end = np.clip(run_start[recs], lo, hi), np.clip(run_end[recs], lo, hi)
+        src, lens = run_src[recs] + start - run_start[recs], end - start  # the runs' parts in the chunk
+        parts, shift, offset = [], np.zeros(5, int), 0
+        for c, column in enumerate(columns):  # source indices grow along each column's runs
+            used = np.flatnonzero(lens[:, c])
+            a, b = (src[used[0], c], src[used[-1], c] + lens[used[-1], c]) if used.size else (0, 0)
+            parts.append(column[a:b])
+            shift[c], offset = offset - a, offset + b - a
+        flat = np.repeat((src - start).ravel(), lens.ravel()) + np.arange(lo, hi)  # index in its column
+        kind = np.repeat(np.tile(np.arange(5), len(recs)), lens.ravel())
+        values = np.concatenate(parts)[flat + shift[kind]]
+        after = follow[kind, flat % size]
+        times_end = run_end[recs, 3]
+        after[times_end[(counts[recs] > 0) & (times_end > lo) & (times_end <= hi)] - 1 - lo] = (
+            '], "post_jump_states": [' + seps[0])
+        done = recs[run_end[recs, 4] <= hi]
+        after[run_end[done, 4] - 1 - lo] = [
+            (seps[-1] + "]" if counts[i] else ', "jump_times": [], "post_jump_states": []')
+            + f', "seed": {seed}, "stream": {first + i}}}\n' + (opening if i + 1 < n else "")
+            for i in done.tolist()]
+        yield (opening if lo == 0 else "") + _format17(values, after)

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op
-from .model import build_generator, left_mul, right_mul, sandwich
+from .model import ModelSpec, build_generator, left_mul, right_mul, sandwich
 from .operators import adjoint, vectorize
 from .structure import as_analysis, check_subharmonic  # noqa: F401 (qssbench tests patch it)
 
@@ -55,18 +55,23 @@ class TrajectoryError(RuntimeError):
 @dataclass(frozen=True)
 class UnravelingKernel:
     """``loop``: exp(tA) on rows (vec V^dag rho V, tr p0 rho) with trace row
-    (vec 1_m, 1), all the sampling loop runs on; ``nojump``: the d^2 x d^2
-    no-jump propagator, for the final states; ``isometry``: the restriction's V."""
+    (vec 1_m, 1), all the sampling loop runs on; ``isometry``: the restriction's V;
+    ``nojump``: the d^2 x d^2 no-jump propagator of ``spec``, built on first read
+    (only the final states need it)."""
 
     loop: op.Propagator
-    nojump: op.Propagator
     isometry: np.ndarray
-    p0: np.ndarray
+    spec: ModelSpec
+
+    @cached_property
+    def nojump(self) -> op.Propagator:
+        perp = self.spec.p0_perp
+        return op.Propagator(build_generator(self.spec) - 0.5 * (left_mul(perp) + right_mul(perp)))
 
     def row(self, rho: np.ndarray) -> np.ndarray:
         """The loop's row (vec V^dag rho V, tr p0 rho) of a d x d state."""
         v = self.isometry
-        return np.append(vectorize(v.conj().T @ rho @ v), np.trace(self.p0 @ rho))
+        return np.append(vectorize(v.conj().T @ rho @ v), np.trace(self.spec.p0 @ rho))
 
 
 def build_kernel(model) -> UnravelingKernel:
@@ -76,7 +81,7 @@ def build_kernel(model) -> UnravelingKernel:
     ctx = as_analysis(model)
     if not ctx.subharmonic.verdict:
         raise TrajectoryError("unraveling kernel requires a subharmonic p0")
-    restr, spec = ctx.restriction, ctx.spec
+    restr = ctx.restriction
     (w, v), s_hat, n = restr.eig, restr.gen, restr.m**2
     one = vectorize(np.eye(restr.m))
     a = np.zeros((n + 1, n + 1), dtype=complex)
@@ -84,9 +89,7 @@ def build_kernel(model) -> UnravelingKernel:
     vecs = np.zeros_like(a)
     vecs[:n, :n], vecs[n, :n], vecs[n, n] = v, -w * (one @ v) / (w - 1), 1.0
     loop = op.Propagator(a, eig=(np.append(w - 1, 0.0), vecs), trace_row=np.append(one, 1.0))
-    perp = spec.p0_perp
-    nojump = build_generator(spec) - 0.5 * (left_mul(perp) + right_mul(perp))
-    return UnravelingKernel(loop, op.Propagator(nojump), restr.isometry, spec.p0)
+    return UnravelingKernel(loop, restr.isometry, ctx.spec)
 
 
 @dataclass(frozen=True)
@@ -111,10 +114,13 @@ class TrajectoryBatch:
 
     Trajectory ``i`` has ``counts[i]`` jumps: rows ``offsets[i] .. offsets[i + 1] - 1``
     of ``jump_times`` (J,) and ``post_jump_states`` (J, d, d), in time order.  Every
-    trajectory ends censored, at the horizon or in the absorbed branch, in the
-    normalized ``final_states[i]`` with surviving unnormalized weight
-    ``final_weights[i]``.  Indexing and iteration give :class:`TrajectoryRecord`
-    views: a record for an index, a list of records for a slice.
+    trajectory ends censored, at the horizon or in the absorbed branch, after a
+    last segment of length ``last[i]`` from its last post-jump state (``start``,
+    the vectorized rho0, if none).  Its normalized ``final_states[i]`` and
+    surviving unnormalized weight ``final_weights[i]`` are formed on first read,
+    by one batched ``kernel.nojump`` apply.  Indexing and iteration give
+    :class:`TrajectoryRecord` views: a record for an index, a list of records
+    for a slice.
     """
 
     seed: int
@@ -123,8 +129,9 @@ class TrajectoryBatch:
     counts: np.ndarray
     jump_times: np.ndarray
     post_jump_states: np.ndarray
-    final_states: np.ndarray
-    final_weights: np.ndarray
+    last: np.ndarray
+    start: np.ndarray
+    kernel: UnravelingKernel
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -132,6 +139,27 @@ class TrajectoryBatch:
     @cached_property
     def offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.counts)])
+
+    @cached_property
+    def _finals(self):
+        d = self.post_jump_states.shape[1]
+        starts = np.tile(self.start, (len(self), 1))
+        jumped = self.counts > 0
+        ends = self.post_jump_states[self.offsets[1:][jumped] - 1]
+        starts[jumped] = ends.transpose(0, 2, 1).reshape(-1, d * d)  # vec: column-stacked
+        finals = self.kernel.nojump.apply(self.last, starts)
+        weights = finals[:, ::d + 1].sum(-1).real
+        kept = weights > 1e-300
+        finals[kept] /= weights[kept, None]
+        return _states(finals, d), weights
+
+    @property
+    def final_states(self) -> np.ndarray:
+        return self._finals[0]
+
+    @property
+    def final_weights(self) -> np.ndarray:
+        return self._finals[1]
 
     def __getitem__(self, index):
         i = range(len(self))[index]
@@ -302,9 +330,8 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     transformed by its own matvec (:func:`operators.rowdot`).  Each chunk logs
     its jumps as arrays; one stable sort by row at the end groups them by
     trajectory, in time order since rounds are chronological.  The corners are
-    then embedded as V X V^dag, and one batched ``kernel.nojump`` apply takes
-    each trajectory's last post-jump state (or ``rho0``) over its last segment
-    to its final state and surviving unnormalized weight.
+    then embedded as V X V^dag.  The batch forms the final states from the
+    lengths of the last segments on first read (:class:`TrajectoryBatch`).
     """
     if not 0 < horizon < np.inf:
         raise ValueError("horizon must be positive and finite")
@@ -351,16 +378,10 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     order = np.argsort(jump_rows, kind="stable")
     counts = np.bincount(jump_rows, minlength=n)
     posts = op.rowdot(sandwich(v, adjoint(v)), np.concatenate(posts)[order])  # vec(V X V^dag)
-    starts = np.tile(vectorize(rho0), (n, 1))
-    starts[counts > 0] = posts[np.cumsum(counts)[counts > 0] - 1]
-    finals = kernel.nojump.apply(last, starts)
-    weights = finals[:, ::d + 1].sum(-1).real
-    kept = weights > 1e-300
-    finals[kept] /= weights[kept, None]
     return TrajectoryBatch(
         seed=seed, first_stream=first_stream, horizon=horizon, counts=counts,
         jump_times=np.concatenate(jump_times)[order], post_jump_states=_states(posts, d),
-        final_states=_states(finals, d), final_weights=weights,
+        last=last, start=vectorize(rho0), kernel=kernel,
     )
 
 

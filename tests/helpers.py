@@ -1,10 +1,10 @@
-"""Test-only helpers: the Choi matrix of a superoperator, a ModelSpec as a model-file document,
-and fast-decaying models."""
+"""Test-only helpers: the Choi matrix of a superoperator, a matrix or a ModelSpec as a
+model-file document, and fast-decaying models."""
 
 import numpy as np
 
 from qsslab.model import ModelSpec, two_qubit_both
-from qsslab.modelio import SCHEMA_VERSION, matrix_to_json
+from qsslab.modelio import SCHEMA_VERSION
 from qsslab.operators import devectorize, vectorize
 
 
@@ -24,6 +24,12 @@ def choi_matrix(superop_mat: np.ndarray) -> np.ndarray:
             block = devectorize(superop_mat @ vectorize(e))
             c[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
     return c
+
+
+def matrix_to_json(mat: np.ndarray):
+    """A matrix as model files write it: row-major nested ``[re, im]`` pairs."""
+    mat = np.asarray(mat, dtype=complex)
+    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
 def model_to_doc(spec: ModelSpec, family: str = None, params: dict = None) -> dict:

@@ -1,13 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import model_to_doc
+from helpers import matrix_to_json, model_to_doc
 from qsslab import modelio
 from qsslab.model import two_qubit_both, two_qubit_site1
-from qsslab.modelio import ModelFileError, dumps, matrix_to_json, parse_model
+from qsslab.modelio import ModelFileError, dumps, parse_model
 
 
 def minimal_doc():
@@ -229,15 +230,16 @@ def test_record_lines_format_like_the_recursive_formatter():
     for spec in (two_qubit_both(1.0), two_qubit_site1(1.0)):
         kernel, nu = build_kernel(spec), perron_qss(spec)
         for horizon in (6.0, 0.3):  # at 0.3 about half the records have no jump
-            for first, n in ((0, 500), (7, 493), (0, modelio.RECORD_GROUP), (0, 1)):
+            for first, n in ((0, 500), (7, 493), (0, 32), (0, 1)):
                 batch = sample_trajectories(kernel, nu, horizon, seed=3, n=n, first_stream=first)
                 assert horizon > 1 or n < 500 or sum(batch.counts == 0) > 100
                 lines = list(modelio.record_lines(batch))
-                assert len(lines) == -(-n // modelio.RECORD_GROUP)
+                floats = 34 * n + 33 * int(batch.counts.sum())  # 32 per state
+                assert len(lines) == -(-floats // modelio.RECORD_CHUNK_ENTRIES)
                 assert "".join(lines) == "".join(_reference_dumps(vars(rec)) + "\n" for rec in batch)
 
 
-def test_batch_record_lines_reject_non_finite_values_like_dumps():
+def test_batch_record_lines_reject_non_finite_values_like_dumps(monkeypatch):
     # the same errors when the writer reads a batch's columns, as simulate does
     from dataclasses import replace
 
@@ -246,7 +248,8 @@ def test_batch_record_lines_reject_non_finite_values_like_dumps():
 
     spec = two_qubit_both(1.0)
     batch = sample_trajectories(build_kernel(spec), perron_qss(spec), 6.0, seed=3, n=64)
-    i = next(i for i in range(40, 64) if batch.counts[i] >= 2)  # in the second group
+    monkeypatch.setattr(modelio, "RECORD_CHUNK_ENTRIES", 500)
+    i = next(i for i in range(40, 64) if batch.counts[i] >= 2)  # past the first chunk
     a = int(batch.offsets[i])
 
     def broken(*edits):
@@ -254,7 +257,10 @@ def test_batch_record_lines_reject_non_finite_values_like_dumps():
         for name, at, value in edits:
             columns[name] = columns.get(name, getattr(batch, name).copy())
             columns[name][at] = value
-        return replace(batch, **columns)
+        finals = (columns.pop("final_states", batch.final_states), columns.pop("final_weights", batch.final_weights))
+        fake = replace(batch, **columns)
+        vars(fake)["_finals"] = finals  # the final states a batch forms on first read
+        return fake
 
     bad = [
         broken(("final_states", (i, 1, 2), complex(0.0, math.nan)), ("final_weights", i, math.inf)),
@@ -268,3 +274,95 @@ def test_batch_record_lines_reject_non_finite_values_like_dumps():
             _reference_dumps(vars(broken_batch[i]))
         with pytest.raises(ValueError, match=f"^{ref.value}$"):
             "".join(modelio.record_lines(broken_batch))
+
+
+def _percent_g(values):
+    """Each float's ``'%.17g'`` text from ``_format17``, and from ``%`` itself."""
+    values = np.asarray(values, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the kernel's arithmetic
+        got = modelio._format17(values, ["\n"] * len(values)).split("\n")[:-1]
+    return got, ["%.17g" % x for x in values.tolist()]
+
+
+def _first_mismatch(values):
+    got, want = _percent_g(values)
+    return next(((x, g, w) for x, g, w in zip(np.asarray(values).tolist(), got, want) if g != w), None)
+
+
+def test_format17_is_percent_g_on_random_bits_and_every_decade():
+    # 10^6 values: finite float64 bit patterns over the whole range, and normal
+    # values of either sign at every decade from 1e-40 to 1e20
+    rng = np.random.default_rng(20)
+    for _ in range(5):
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+        assert _first_mismatch(bits[np.isfinite(bits)]) is None
+    for k in range(-40, 21):
+        decade = rng.uniform(1.0, 10.0, 8200) * 10.0**k * rng.choice([-1.0, 1.0], 8200)
+        assert _first_mismatch(decade) is None, k
+
+
+def test_format17_is_percent_g_on_edge_cases():
+    tiny = np.finfo(float).tiny
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    edges = np.concatenate([
+        [0.0, 5e-324, 3 * 5e-324, 1e-310, tiny - 5e-324, tiny, np.finfo(float).max],
+        [1e-270, 1e270], np.nextafter([1e-270, 1e270], 0), np.nextafter([1e-270, 1e270], np.inf),
+        powers, np.nextafter(powers, 0),
+        [9.999999999999999e16, 1e17, 0.0001, 9.9999999999999995e-05],
+        [1e14 + 0.125, 1e14 + 0.375],  # ties: round half to even
+        [0.5, 6.0, 100.0, 1e16, 123.0, 10.5, 1.25e-3],  # digits that end in zeros
+    ])
+    values = np.concatenate([edges, -edges])
+    got, want = _percent_g(values)
+    assert got == want
+    assert got[list(values).index(1e14 + 0.125)] == "100000000000000.12"
+    assert [got[list(values).index(x)] for x in (0.5, 6.0, 100.0)] == ["0.5", "6", "100"]
+    assert (got[0], got[len(edges)]) == ("0", "-0")
+
+
+def test_format17_falls_back_on_ties_and_the_ends_of_its_range(monkeypatch):
+    slow = []
+
+    def recording(x):
+        slow.append(x)
+        return format(x, ".17g")
+
+    monkeypatch.setattr(modelio, "_fmt_float", recording)
+    # two ties, three values outside [1e-270, 1e270] and one whose product lies
+    # within 64 of 10^17
+    fallback = [1e14 + 0.125, -(1e14 + 0.375), 1e-271, -1e271, 5e-324, 9.999999999999999e16]
+    exact = [0.0, -0.0, 1.5, -6.0, 2e-270, -3e269, 0.3, 123.456, 1.2345678901234567e-21]
+    values = np.array(fallback + exact)
+    assert _percent_g(values)[0] == ["%.17g" % x for x in values.tolist()]
+    assert slow == fallback
+
+
+def test_record_lines_cut_records_longer_than_a_chunk(monkeypatch):
+    # a 3-level model whose alpha is about 0: trajectories never stop jumping, so
+    # a record of d = 3 (18 floats per state) at horizon 100 holds thousands of
+    # floats; every chunk stays within the budget wherever its ends fall
+    from qsslab.model import ModelSpec
+    from qsslab.trajectory import build_kernel, sample_trajectories
+
+    h = np.zeros((3, 3), dtype=complex)
+    h[1, 2] = h[2, 1] = 0.3
+    jump = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    spec = ModelSpec(dim=3, hamiltonian=h, jump_ops=(jump,), p0=np.diag([1.0, 0, 0]).astype(complex))
+    batch = sample_trajectories(build_kernel(spec), np.diag([0.0, 1.0, 0.0]), 100.0, seed=1, n=4)
+    want = [_reference_dumps(vars(rec)) + "\n" for rec in batch]
+    assert 20 + 19 * batch.counts.min() > 700  # floats per record: longer than a chunk of 700
+    sizes = []
+    kernel = modelio._format17
+
+    def spying(values, after):
+        sizes.append(len(values))
+        return kernel(values, after)
+
+    monkeypatch.setattr(modelio, "_format17", spying)
+    for budget in (19, 700, modelio.RECORD_CHUNK_ENTRIES):
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(modelio, "RECORD_CHUNK_ENTRIES", budget)
+            assert "".join(modelio.record_lines(batch)).splitlines(keepends=True) == want
+        assert max(sizes) <= budget and sum(sizes) == 4 * 20 + 19 * batch.counts.sum()

@@ -448,9 +448,10 @@ def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_pat
 
 def test_each_command_builds_only_the_propagators_it_evolves_with(models_dir, monkeypatch, tmp_path):
     # the restriction's propagator is built on first use: analyze builds it
-    # once (m^2), simulate builds its loop (m^2 + 1) and no-jump (d^2)
-    # propagators only, and sweep (through the defective omega = 1/2, where
-    # a propagator would take the expm fallback) and classical build none
+    # once (m^2), simulate its loop propagator (m^2 + 1) and, for the final
+    # states of --records only, the no-jump one (d^2), and sweep (through the
+    # defective omega = 1/2, where a propagator would take the expm fallback)
+    # and classical build none
     sizes = Counter()
     init = op.Propagator.__init__
 
@@ -463,7 +464,9 @@ def test_each_command_builds_only_the_propagators_it_evolves_with(models_dir, mo
     d, m = 4, 3
     for argv, want in (
         (["analyze", site1], {m * m: 1}),
-        (["simulate", site1, "--samples", "20"], {m * m + 1: 1, d * d: 1}),
+        (["simulate", site1, "--samples", "20"], {m * m + 1: 1}),
+        (["simulate", site1, "--samples", "20", "--records", str(tmp_path / "r.jsonl")],
+         {m * m + 1: 1, d * d: 1}),
         (["sweep", site1, "--range", "0:1:5"], {}),
         (["classical", os.path.join(models_dir, "classical_two_state.json")], {}),
     ):
@@ -477,10 +480,13 @@ def test_simulate_solves_only_the_nojump_generator_in_full(models_dir, monkeypat
     _count_sizes(monkeypatch, np.linalg, "eig", sizes)
     _count_sizes(monkeypatch, sla, "eig", sizes)
     path = os.path.join(models_dir, "two_qubit_site1.json")
-    rc = cli.main(["simulate", path, "--samples", "20", "--out", str(tmp_path / "s.json")])
-    assert rc == 0
+    argv = ["simulate", path, "--samples", "20", "--out", str(tmp_path / "s.json")]
     d, m = 4, 3
-    assert sizes == {d * d: 1, m * m: 1}
+    assert cli.main(argv) == 0
+    assert sizes == {m * m: 1}
+    sizes.clear()
+    assert cli.main(argv + ["--records", str(tmp_path / "r.jsonl")]) == 0
+    assert sizes == {d * d: 1, m * m: 1}  # the final states of the records
 
 
 def test_simulate_checks_subharmonicity_once(models_dir, monkeypatch, tmp_path):

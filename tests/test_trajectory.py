@@ -250,7 +250,8 @@ def test_jump_times_invert_the_survival_curve():
 
 def test_kernel_eigenpairs_come_from_the_restriction(monkeypatch):
     # A = [[S^ - 1, 0], [-vec(1)^T S^, 0]] has the pairs (w - 1, (v, -w tr v / (w - 1)))
-    # of S^ and (0, e_last); only the d^2 x d^2 final-state propagator solves
+    # of S^ and (0, e_last); only the d^2 x d^2 final-state propagator solves,
+    # when it is first read
     rng = np.random.default_rng(303)
     specs = [*SAMPLER_MODELS, *(propcheck.random_subharmonic_model(rng, d=d) for d in (3, 4, 6, 8))]
     for spec in specs:
@@ -266,6 +267,8 @@ def test_kernel_eigenpairs_come_from_the_restriction(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eig", counting_eig)
             kernel = build_kernel(ctx)
+            assert sizes == []
+            kernel.nojump
         assert sizes == [spec.dim**2]
         loop = kernel.loop
         assert loop.spectral and loop.mat.shape == (ctx.restriction.m**2 + 1,) * 2
@@ -274,7 +277,7 @@ def test_kernel_eigenpairs_come_from_the_restriction(monkeypatch):
 
 def test_sampling_loop_runs_on_the_restriction(monkeypatch):
     # every matrix the loop hands to rowdot is (m^2 + 1)-sized; after the last
-    # segment one d^2-sized apply gives the final states
+    # segment, reading the final states makes one d^2-sized apply
     rng = np.random.default_rng(304)
     cases = [(spec, perron_qss(spec)) for spec in SAMPLER_MODELS[:2]]
     for d in (3, 5, 7):
@@ -302,7 +305,7 @@ def test_sampling_loop_runs_on_the_restriction(monkeypatch):
             m.setattr(operators, "rowdot", logging_rowdot)
             m.setattr(operators.Propagator, "apply", logging_apply)
             m.setattr(trajectory, "_segment", logging_segment)
-            sample_trajectories(kernel, rho0, 3.0, 5, 200)
+            sample_trajectories(kernel, rho0, 3.0, 5, 200).final_states
         last = max(i for i, (kind, _) in enumerate(events) if kind == "segment")
         assert all(size == (n, n) for kind, size in events[:last] if kind == "rowdot")
         assert all(size == n for kind, size in events[:last] if kind == "apply")
