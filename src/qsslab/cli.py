@@ -61,20 +61,20 @@ def _restriction(ctx):
     return ctx.restriction
 
 
-def _qss_families(ctx, tol_eig, irreducible=None):
+def _qss_families(ctx, irreducible=None):
     """Candidates, extraction and Perron marking: all that ``simulate`` needs."""
     restr = _restriction(ctx)
-    cands = qss_mod.real_eigen_candidates(restr, real_tol=tol_eig)
+    cands = qss_mod.real_eigen_candidates(restr)
     return qss_mod.perron_structure(restr, qss_mod.extract_qss(cands), irreducible=irreducible)
 
 
-def _analysis_bundle(ctx, tol_eig):
+def _analysis_bundle(ctx):
     """Run the full structural + spectral pipeline on one model context."""
     restr = _restriction(ctx)
     sub = ctx.subharmonic
     absorption = ctx.absorption
     irred = structure_mod.check_irreducible(restr)
-    result = _qss_families(ctx, tol_eig, irreducible=irred.verdict or None)
+    result = _qss_families(ctx, irreducible=irred.verdict or None)
     for fam in result.families:
         if not qss_mod.absorbing_implies_positive_rate(absorption, fam.anchor):
             raise ConsistencyError(f"p0 is absorbing but a family has alpha {fam.alpha:.6e}")
@@ -115,7 +115,7 @@ def _analysis_bundle(ctx, tol_eig):
             "absorption": {
                 "is_absorbing": absorption.is_absorbing,
                 "residual_harmonic": absorption.residual_harmonic,
-                "convergence_gap": absorption.convergence_gap,
+                "kernel_margin": absorption.kernel_margin,
                 "a_op": absorption.a_op,
             },
             "irreducible": {"verdict": irred.verdict, "note": irred.note},
@@ -125,10 +125,7 @@ def _analysis_bundle(ctx, tol_eig):
         "rejected_candidates": [
             {"alpha": r.alpha, "reason": r.reason} for r in result.rejected
         ],
-        "provenance": {
-            "artifact_version": __version__,
-            "tol_eig": tol_eig,
-        },
+        "provenance": {"artifact_version": __version__},
     }
     return bundle
 
@@ -146,8 +143,8 @@ def cmd_analyze(args) -> int:
     if mf.spec is None:
         raise InputError("model file has no quantum model block")
     ctx = structure_mod.Analysis(mf.spec)
-    bundle = _analysis_bundle(ctx, args.tol_eig)
-    for fam in bundle["qss_families"]:  # e.g. T_t(nu) underflowing to 0 on the verify grid
+    bundle = _analysis_bundle(ctx)
+    for fam in bundle["qss_families"]:  # e.g. a residual that is not finite
         verification = {f"verification.{k}": v for k, v in fam["verification"].items()}
         for name, value in {**fam, **verification}.items():
             if isinstance(value, float) and not np.isfinite(value):
@@ -185,7 +182,7 @@ def cmd_simulate(args) -> int:
         except (ModelFileError, ValueError) as exc:
             raise InputError(f"invalid start density: {exc}") from exc
     ctx = structure_mod.Analysis(spec)
-    result = _qss_families(ctx, args.tol_eig)
+    result = _qss_families(ctx)
     perron = [f for f in result.families if f.anchor.is_perron]
     if not perron:
         raise ConsistencyError("no Perron QSS available")
@@ -308,13 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("model", help="path to a model JSON file")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    spectral = argparse.ArgumentParser(add_help=False, parents=[common])
-    spectral.add_argument("--tol-eig", type=float, default=op.TOL_EIG)
 
-    p = sub.add_parser("analyze", parents=[spectral], help="structure + QSS report")
+    p = sub.add_parser("analyze", parents=[common], help="structure + QSS report")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("simulate", parents=[spectral], help="trajectory suite")
+    p = sub.add_parser("simulate", parents=[common], help="trajectory suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--horizon", type=float, default=6.0)
@@ -336,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if not 0 < getattr(args, "tol_eig", 1.0) < np.inf:  # analyze and simulate only
-            raise InputError("--tol-eig must be positive and finite")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ The vectorization convention for the whole package is fixed here: column
 stacking, so that ``vec(A X B) = kron(B.T, A) vec(X)``.  A generator is the
 Schroedinger (state-evolution) matrix; the Heisenberg evolution is its
 conjugate transpose, which realizes the trace pairing
-``tr(x T_t(y)) = tr(T_t*(x) y)``, and is served by ``Propagator.adjoint``.
+``tr(x T_t(y)) = tr(T_t*(x) y)``.
 """
 
 from __future__ import annotations

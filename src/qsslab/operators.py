@@ -192,8 +192,7 @@ class Propagator:
     (``EXPM_COND_LIMIT``) and the reconstruction check run once, on either.
     If both gates pass, ``spectral`` is true; otherwise :meth:`apply` and
     :meth:`trace_rows` fall back to :func:`expm` of ``t*a``, one stacked call
-    per chunk of at most ``EXPM_CHUNK_ENTRIES`` entries of their times.  ``w``,
-    ``v`` and ``v_inv`` are kept on either path for spectral projections.
+    per chunk of at most ``EXPM_CHUNK_ENTRIES`` entries of their times.
     ``trace_row`` is the functional that :meth:`trace_coords` and
     :meth:`trace_rows` read.
     """
@@ -216,14 +215,6 @@ class Propagator:
             and cond < EXPM_COND_LIMIT
             and frob((self.v * self.w) @ self.v_inv - a) <= 1e-12 * max(1.0, frob(a))
         )
-
-    def adjoint(self) -> Propagator:
-        """Propagator of ``adjoint(a)``: pairs (conj(w), V^-dag), inverse V^dag, same gates."""
-        adj = object.__new__(Propagator)
-        adj.mat, adj.spectral, adj.w = adjoint(self.mat), self.spectral, self.w.conj()
-        adj.trace_row = None
-        adj.v, adj.v_inv = (None if x is None else adjoint(x) for x in (self.v_inv, self.v))
-        return adj
 
     def apply(self, t, vec: np.ndarray, coef=None) -> np.ndarray:
         """``exp(t*a) @ vec``: one time per row of a batch ``vec``, or times for one ``vec``.

@@ -26,14 +26,11 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op
-from .model import apply_semigroup
-from .operators import adjoint, devectorize, frob, vectorize
+from .operators import adjoint, devectorize, frob
 from .structure import AbsorptionReport, RestrictedGenerator, as_analysis
 
 CLUSTER_TOL = 1e-8
-VERIFY_TIMES = (0.1, 0.5, 1.0, 2.0)
-MULT_GRID = (0.3, 0.7, 1.1)
-REPEATED_TIMES = (0.3, 0.7, 1.1)
+VERIFY_HORIZON = 2.2  # verification bounds hold for t in [0, VERIFY_HORIZON / k]
 EXTREME_POINTS_NOTE = "endpoints: 4 extreme points reached by face walks; the family has others"
 FACE_TOL = 1e-10  # relative rank cut of supports and joint ranges in the PSD-slice geometry
 
@@ -60,8 +57,8 @@ class CandidateSet:
 class QssCertificate:
     """One quasi-stationary state (full-space density) and its certificate.
 
-    ``residual_eigen`` is computed on first read, from the ``restr`` and
-    ``rho_hat`` the state was built from; :func:`verify_qss` checks the rest.
+    ``residual`` is computed on first read, from the ``restr`` and ``rho_hat``
+    the state was built from; ``residual_eigen`` and :func:`verify_qss` read it.
     """
 
     alpha: float
@@ -71,8 +68,12 @@ class QssCertificate:
     rho_hat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @cached_property
+    def residual(self) -> tuple:
+        return _residual(self.restr, self.alpha, self.rho_hat)
+
+    @property
     def residual_eigen(self) -> float:
-        return _eigen_residual(self.restr, self.alpha, self.rho_hat)
+        return frob(self.residual[0])
 
 
 @dataclass(frozen=True)
@@ -174,8 +175,24 @@ def real_eigen_candidates(restr: RestrictedGenerator, real_tol: float = op.TOL_E
     return CandidateSet(restr=restr, candidates=tuple(candidates))
 
 
-def _eigen_residual(restr: RestrictedGenerator, alpha: float, rho_hat: np.ndarray) -> float:
-    return frob(devectorize(restr.gen @ vectorize(rho_hat)) + alpha * rho_hat)
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u) for unit roundoff u = 2^-53: n roundings."""
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
+
+
+def _residual(restr: RestrictedGenerator, alpha: float, x: np.ndarray) -> tuple:
+    """``(r, err)``: r = g x + x g^dag + sum_k L_k x L_k^dag + alpha x on the m x m data
+    (g_hat, jumps_hat) that define the restriction, and an entrywise bound on its rounding:
+    gamma_{2n} times the computed moduli expression A, n = 2m + K + 7, since a complex
+    inner product of length m is off by gamma_{m+2} |a||b| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sections 3.5-3.6)."""
+    g, jumps, ax = restr.g_hat, restr.jumps_hat, np.abs(x)
+    r = g @ x + x @ adjoint(g) + alpha * x
+    a = np.abs(g) @ ax + ax @ np.abs(g).T + abs(alpha) * ax
+    for l in jumps:
+        r = r + (l @ x) @ adjoint(l)
+        a = a + (np.abs(l) @ ax) @ np.abs(l).T
+    return r, _gamma(2 * (2 * len(x) + len(jumps) + 7)) * a
 
 
 def _certificate(restr: RestrictedGenerator, alpha: float, rho_hat: np.ndarray) -> QssCertificate:
@@ -275,6 +292,15 @@ def _extreme_points(nu0: np.ndarray, basis, traces: np.ndarray):
     return anchor, tuple(_walk_to_extreme(anchor, dirs, s * p) for p in prefs for s in (1.0, -1.0))
 
 
+def _leads_negative(sigma: np.ndarray) -> bool:
+    """Whether the leading component of the Hermitian ``sigma`` is negative: of the real
+    and imaginary parts of its upper triangle, entry by entry in row-major order, the
+    first whose modulus is within a relative 1e-8 of the largest."""
+    upper = sigma[np.triu_indices(len(sigma))]
+    parts = np.column_stack([upper.real, upper.imag]).ravel()
+    return bool(parts[np.argmax(np.abs(parts) >= (1.0 - 1e-8) * np.abs(parts).max())] < 0)
+
+
 def _psd_slice(cand: RealEigenCandidate):
     """Anchor, endpoint states, interval and notes of a candidate's QSS set.
 
@@ -300,7 +326,12 @@ def _psd_slice(cand: RealEigenCandidate):
         if interval is None:
             return "empty PSD slice"
         lo, hi = interval
-        return nu0 + 0.5 * (lo + hi) * sigma, (nu0 + lo * sigma, nu0 + hi * sigma), interval, notes
+        anchor = nu0 + 0.5 * (lo + hi) * sigma
+        # the segment's direction is fixed up to sign by the family: report the
+        # interval and the ends along the direction whose leading component is positive
+        if _leads_negative(sigma):
+            sigma, lo, hi = -sigma, -hi, -lo
+        return anchor, (nu0 + lo * sigma, nu0 + hi * sigma), (lo, hi), notes
     found = _extreme_points(nu0, basis, traces)
     if found is None:
         return "no PSD state on the chords through the minimum-norm element (heuristic search)"
@@ -399,57 +430,64 @@ class VerificationReport:
 
 
 def verify_qss(model, cert: QssCertificate) -> VerificationReport:
-    """Check a certificate against the equivalent characterizations.
+    """Certify a QSS by the equivalent characterizations, from one residual.
 
-    (a) the conditioned evolution returns nu; (b) tr(T_t*(nu) p0_perp) =
-    exp(-alpha t); (c) multiplicativity f(t+s) = f(t) f(s); (d) invariance
-    under n=3 repeated measure-and-condition cycles.  The decay rate is also
-    cross-checked against -log f(1).  All four read only the p0_perp corner
-    of T_t(nu), which is the restricted evolution of compress(nu).  Each time
-    t runs as t / k, k = 2^floor(log2 alpha) for alpha >= 2 and 1 otherwise:
-    alpha t / k < 2 t, so f does not underflow and leaked roundoff on slower
-    modes grows by at most e^{2t}; for alpha < 2 the grids are the same bits.
+    On the p0_perp corner T_t(nu) is the restricted evolution T^_t of nu^ =
+    compress(nu); f(t) = tr T^_t(nu^).  Each value bounds its quantity for all t in
+    [0, T], T = 2.2 / k, k = 2^floor(log2 alpha) for alpha >= 2 and 1 otherwise:
+    ``residual_defn`` sup ||T^_t(nu^) / f(t) - nu^||_F, ``residual_exp_survival``
+    sup |f(t) - e^{-alpha t}|, ``residual_mult`` sup |f(t+s) - f(t) f(s)| (t + s <= T),
+    ``residual_repeated`` the definition's bound, since measure-and-condition cycles
+    compose to T^_{t+s}, and ``alpha_log_crosscheck`` sup |alpha t + log f(t)|.
+
+    Proof.  With r = S^(nu^) + alpha nu^, Duhamel's formula gives X_t := e^{alpha t}
+    T^_t(nu^) - nu^ = int_0^t e^{alpha s} T^_s(r) ds.  T^_s is CP for any stored
+    (g_hat, L_hat), and d/ds tr T^_s(y) <= lam tr T^_s(y) for y >= 0, lam the top
+    eigenvalue of M = g + g^dag + sum_k L_k^dag L_k (<= 0 up to rounding), so
+    T^*_s(1) <= e^{lam+ s} 1 and T^_s changes trace norms by at most e^{lam+ s}
+    (Russo-Dye; Perez-Garcia, Wolf, Petz & Ruskai, J. Math. Phys. 47, 2006).  For
+    rho >= ||r||_1 and c = max(0, alpha + lam+), ||X_t||_1 <= rho (e^{ct} - 1) / c =: E_t
+    <= rho t e^{ct}, increasing in t; so eps_t = e^{-alpha t} E_t <= rho t e^{lam+ t}
+    bounds ||T^_t(nu^) - e^{-alpha t} nu^||_1 for alpha >= 0.  Let E = E_T, delta >=
+    |tr nu^ - 1|, N = ||nu^||_F, g(t) = e^{alpha t} f(t) = tr nu^ + tr X_t, so
+    |g - 1| <= a = E + delta.  Then T^_t(nu^) / f - nu^ = (nu^ (1 - g) + X_t) / g gives
+    the definition bound (E (1 + N) + delta N) / (1 - delta - E), i.e. 2 eps /
+    (e^{-alpha t} - eps) plus the delta term; |f - e^{-alpha t}| = e^{-alpha t} |g - 1|
+    <= e^{-alpha T} E + delta max(1, e^{-alpha T}); f(t+s) - f(t) f(s) =
+    e^{-alpha (t+s)} (g(t+s) - g(t) g(s)) is at most max(1, e^{-alpha T}) (3a + a^2);
+    and |alpha t + log f(t)| = |log g| <= -log(1 - a).  A non-positive denominator
+    gives inf.
+
+    Rounding: rho is the entrywise 1-norm of the computed r plus the bound of
+    :func:`_residual`; lam+ adds to the computed top eigenvalue of M the gamma bound of
+    M's products, M's asymmetry and LAPACK's backward error, taken as gamma_{4m}
+    ||M||_F; the factor 1 + gamma_{m^2+64} covers the evaluation of the bounds.
+    ``ok`` gates the four residuals at 1e-8 and the rate at 1e-7.
     """
-    restr = as_analysis(model).restriction
-    prop, nu = restr.propagator, restr.compress(cert.nu)
-    alpha = cert.alpha
+    if cert.restr is None:  # a certificate built by hand: certify its nu on the model
+        restr = as_analysis(model).restriction
+        cert = replace(cert, restr=restr, rho_hat=restr.compress(cert.nu))
+    (r, err), g, jumps = cert.residual, cert.restr.g_hat, cert.restr.jumps_hat
+    x, alpha, m = cert.rho_hat, cert.alpha, len(cert.rho_hat)
+    mat = g + adjoint(g) + sum((adjoint(l) @ l for l in jumps), np.zeros_like(g))
+    moduli = 2.0 * np.abs(g) + sum((np.abs(l).T @ np.abs(l) for l in jumps), np.zeros((m, m)))
+    lam = float(np.linalg.eigvalsh(mat)[-1]) + _gamma(2 * (m + len(jumps) + 4)) * frob(moduli)
+    lam += frob(mat - adjoint(mat)) + _gamma(4 * m + 1) * frob(mat)
     k = 2.0 ** math.floor(math.log2(alpha)) if alpha >= 2 else 1.0
-    grid, mult, repeated = ([t / k for t in ts] for ts in (VERIFY_TIMES, MULT_GRID, REPEATED_TIMES))
-
-    # f(t) = tr T^_t(nu) on every grid, from one evolution
-    times = grid + mult + [t + s for t in mult for s in mult] + [1.0 / k]
-    evolved = apply_semigroup(prop, times, nu)
-    f = {t: float(np.trace(x).real) for t, x in zip(times, evolved)}
-
-    residual_defn = 0.0
-    residual_exp = 0.0
-    for t, x in zip(grid, evolved):
-        residual_defn = max(residual_defn, frob(x / f[t] - nu) if f[t] > 0 else np.inf)
-        residual_exp = max(residual_exp, abs(f[t] - np.exp(-alpha * t)))
-
-    residual_mult = 0.0
-    for t in mult:
-        for s in mult:
-            residual_mult = max(residual_mult, abs(f[t + s] - f[t] * f[s]))
-
-    rho = nu
-    for t in repeated:
-        rho = apply_semigroup(prop, t, rho)
-    tr = float(np.trace(rho).real)
-    residual_repeated = frob(rho / tr - nu) if tr > 0 else np.inf
-
-    alpha_log = abs(alpha / k + np.log(f[1.0 / k])) if f[1.0 / k] > 0 else np.inf
-    ok = (
-        max(residual_defn, residual_exp, residual_mult, residual_repeated) <= 1e-8
-        and alpha_log <= 1e-7
-    )
+    horizon, c = VERIFY_HORIZON / k, max(0.0, alpha + max(lam, 0.0))
+    e = float(np.abs(r).sum() + err.sum()) * (math.expm1(c * horizon) / c if c > 0 else horizon)
+    diag = np.diag(x).real
+    delta = abs(float(diag.sum()) - 1.0) + _gamma(m) * float(np.abs(diag).sum())
+    norm, decay, a = frob(x), math.exp(-alpha * horizon), e + delta
+    up = 1.0 + _gamma(m * m + 64)
+    defn = up * (e * (1 + norm) + delta * norm) / (1 - delta - e) if delta + e < 1 else math.inf
+    survival = up * (decay * e + delta * max(1.0, decay))
+    mult = up * max(1.0, decay) * (3 * a + a * a)
+    rate = -up * math.log1p(-a) if a < 1 else math.inf
     return VerificationReport(
-        residual_defn=residual_defn,
-        residual_exp_survival=residual_exp,
-        residual_mult=residual_mult,
-        residual_repeated=residual_repeated,
-        alpha_log_crosscheck=alpha_log,
-        ok=ok,
+        residual_defn=defn, residual_exp_survival=survival, residual_mult=mult,
+        residual_repeated=defn, alpha_log_crosscheck=rate,
+        ok=max(defn, survival, mult) <= 1e-8 and rate <= 1e-7,
     )
 
 

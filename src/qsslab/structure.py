@@ -2,7 +2,7 @@
 
 Given a model whose distinguished projection p0 is subharmonic, the state
 evolution compressed to the range of p0-perp is again a semigroup.  Its
-generator, its eigenpairs and a lazy propagator are built here from the
+generator and its eigenpairs are built here from the
 compressed GKLS data (g_hat, jumps_hat), together with the absorption operator
 A(p0) = lim_t T_t(p0) and an irreducibility verdict certified by Burnside's
 theorem.  :class:`Analysis` builds each of them once per model.  None of
@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op
-from .model import ModelSpec, apply_semigroup, left_mul, right_mul, sandwich
+from .model import ModelSpec, left_mul, right_mul, sandwich
 from .operators import adjoint, devectorize, frob, vectorize
 
-ABSORPTION_DOUBLING_CAP = 2.0**40
 ABSORBING_NORM_TOL = 1e-6
+KERNEL_CUT = 1e-9  # relative cut of the restriction's kernel eigenvalues
 CLOSURE_TOL = 1e-10  # relative rank cut of invariant closures and algebra spans
 
 
@@ -45,7 +45,7 @@ class RestrictedGenerator:
     ``gen`` is the m^2 x m^2 generator matrix of the compressed state
     evolution and ``eig`` its eigenpairs ``op.eig_general(gen)``;
     ``g_hat`` and ``jumps_hat`` are the compressed drift and jump operators
-    that define it.  The observable evolution is ``propagator.adjoint()``.
+    that define it.
     """
 
     spec: ModelSpec
@@ -55,11 +55,6 @@ class RestrictedGenerator:
     eig: tuple
     g_hat: np.ndarray
     jumps_hat: tuple
-
-    @cached_property
-    def propagator(self) -> op.Propagator:
-        """Serves every exp(t * gen) from ``eig``; built on first use."""
-        return op.Propagator(self.gen, self.eig)
 
     def compress(self, x: np.ndarray) -> np.ndarray:
         v = self.isometry
@@ -75,7 +70,7 @@ class AbsorptionReport:
     a_op: np.ndarray
     is_absorbing: bool
     residual_harmonic: float
-    convergence_gap: float
+    kernel_margin: float
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,7 @@ def restrict(model) -> RestrictedGenerator:
     L_hat = V^dag L V: x -> g_hat x + x g_hat^dag + sum_k L_hat x L_hat^dag,
     at O(m^6) and without the d^2 x d^2 generator.  One right eigensolve
     ``op.eig_general`` gives ``gen`` its pairs (w, V), which serve every
-    later stage; the Heisenberg evolution adjoins the propagator built from
-    them (eigenvectors V^-dag, inverse V^dag), with no second solve.
+    later stage.
     """
     spec = as_analysis(model).spec
     residual, ok = _algebraic_residual(spec)
@@ -198,52 +192,38 @@ def absorption_operator(model) -> AbsorptionReport:
     For subharmonic p0, 0 <= T_t(p0_perp) <= p0_perp forces
     T_t(p0_perp) = V T^*_t(1_m) V^dag, so A(p0) = 1 - V P(1_m) V^dag with P
     the spectral projector of the restricted Heisenberg generator onto its
-    kernel, the adjoint of gen's V_R[:, k] V_R^-1[k, :] for the
-    eigenvalues k with |w| <= 1e-9 * scale: P(1_m) =
-    V_R^-1[k, :]^dag (V_R[:, k]^dag vec 1_m), no solve.  An empty kernel
-    (absorbing p0) gives A(p0) = 1 exactly; a non-empty one with singular
-    V_R raises ``EigenSolveError``.  Dropping purely imaginary peripheral
-    eigenvalues realizes the Cesaro time average.  Time doubling of
-    T^*_t(1_m) cross-validates the result.  ``residual_harmonic`` is
-    ||L^*(A(p0))|| in d x d form, L^*(A) = G^dag A + A G + sum_k L_k^dag A L_k.
+    kernel, the adjoint of gen's V_R[:, k] V_R^-1[k, :] for the eigenvalues k
+    with |w| <= cut = ``KERNEL_CUT`` * max(1, ||gen||): P(1_m) =
+    V_R^-1[k, :]^dag (V_R[:, k]^dag vec 1_m).  Only ``restr.eig`` is read and
+    nothing is evolved.  An empty kernel (absorbing p0) gives A(p0) = 1
+    exactly; a non-empty one with singular V_R raises ``EigenSolveError``.
+    Dropping purely imaginary peripheral eigenvalues realizes the Cesaro time
+    average.  ``residual_harmonic`` is ||L^*(A(p0))|| in d x d form,
+    L^*(A) = G^dag A + A G + sum_k L_k^dag A L_k.  ``kernel_margin`` is how far
+    the nearest |w| outside the kernel lies beyond the cut or, when every
+    eigenvalue is inside, how far the largest |w| lies below it.
     """
     ctx = as_analysis(model)
     spec = ctx.spec
     if not ctx.subharmonic.verdict:
         raise StructureError("absorption operator requires a subharmonic p0")
     restr = ctx.restriction
-    prop, one = restr.propagator, np.eye(restr.m)
-    keep = np.abs(prop.w) <= 1e-9 * max(1.0, frob(restr.gen))
+    (w, v), one = restr.eig, np.eye(restr.m)
+    modulus = np.abs(w)
+    cut = KERNEL_CUT * max(1.0, frob(restr.gen))
+    keep = modulus <= cut
     pi_one = np.zeros_like(one, dtype=complex)
     if keep.any():
-        if prop.v_inv is None:
-            raise op.EigenSolveError("Heisenberg kernel projector: singular eigenbasis")
-        coef = adjoint(prop.v[:, keep]) @ vectorize(one)
-        pi_one = devectorize(adjoint(prop.v_inv[keep]) @ coef)
+        try:
+            v_inv = np.linalg.inv(v)
+        except np.linalg.LinAlgError:
+            raise op.EigenSolveError("Heisenberg kernel projector: singular eigenbasis") from None
+        coef = adjoint(v[:, keep]) @ vectorize(one)
+        pi_one = devectorize(adjoint(v_inv[keep]) @ coef)
     pi_one = 0.5 * (pi_one + adjoint(pi_one))
     a_op = np.eye(spec.dim) - restr.embed(pi_one)
-
-    # T^*_t(1_m) at t = 1, 2, 4, ..., 2 * cap, eight times per call: on the
-    # expm fallback each time costs a scaling-and-squaring, so stop early
-    times = 2.0 ** np.arange(int(np.log2(ABSORPTION_DOUBLING_CAP)) + 2)
-    heis = prop.adjoint()
-    evolved = (
-        pair for k in range(0, len(times), 8)
-        for pair in zip(times[k:k + 8], apply_semigroup(heis, times[k:k + 8], one))
-    )
-    (_, prev), gap = next(evolved), np.inf
-    for t, cur in evolved:
-        gap = frob(cur - prev)
-        prev = cur
-        if gap <= 1e-8:
-            break
-    else:
-        raise StructureError(
-            f"T_t(p0) did not converge: gap {gap:.3e} at t={t:g} (cap {ABSORPTION_DOUBLING_CAP:g})"
-        )
-    direct_gap = frob(pi_one - prev)
-    if direct_gap > 1e-6:
-        raise StructureError(f"spectral and semigroup limits disagree: {direct_gap:.3e}")
+    outside = modulus[~keep]
+    margin = outside.min() - cut if outside.size else cut - modulus.max()
     g = spec.effective_drift()
     residual_harmonic = frob(
         adjoint(g) @ a_op + a_op @ g + sum(adjoint(l) @ a_op @ l for l in spec.jump_ops)
@@ -253,7 +233,7 @@ def absorption_operator(model) -> AbsorptionReport:
         a_op=a_op,
         is_absorbing=is_absorbing,
         residual_harmonic=residual_harmonic,
-        convergence_gap=gap,
+        kernel_margin=float(margin),
     )
 
 

@@ -389,13 +389,11 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
 class JumpStatistics:
     n_trajectories: int
     n_observed_jumps: int
-    interjump_samples: tuple
     empirical_mean: float
     ks_statistic: float
     post_jump_max_deviation: float
     censoring_fraction: float  # fraction of trajectories with no observed jump
     rate: float
-    window: float
 
 
 def jump_statistics(batch: TrajectoryBatch, alpha: float, nu: Optional[np.ndarray] = None) -> JumpStatistics:
@@ -424,11 +422,9 @@ def jump_statistics(batch: TrajectoryBatch, alpha: float, nu: Optional[np.ndarra
     return JumpStatistics(
         n_trajectories=len(batch),
         n_observed_jumps=len(gaps_arr),
-        interjump_samples=tuple(gaps_arr.tolist()),
         empirical_mean=float(np.mean(gaps_arr)),
         ks_statistic=ks,
         post_jump_max_deviation=max_dev,
         censoring_fraction=int(np.sum(counts == 0)) / len(batch),
         rate=rate,
-        window=window,
     )

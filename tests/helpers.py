@@ -1,5 +1,5 @@
 """Test-only helpers: the Choi matrix of a superoperator, a matrix or a ModelSpec as a
-model-file document, and fast-decaying models."""
+model-file document, fast-decaying models and a line-by-line text comparison."""
 
 import numpy as np
 
@@ -48,10 +48,25 @@ def model_to_doc(spec: ModelSpec, family: str = None, params: dict = None) -> di
     return doc
 
 
+def assert_same_lines(got: str, want: str):
+    """Assert that two texts are equal, naming the first line that differs.
+
+    ``assert got == want`` on megabyte record texts lets pytest diff them line by
+    line with intraline hints, which takes minutes when they differ."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for k, (a, b) in enumerate(zip(got_lines, want_lines)):
+        if a != b:
+            i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            cut = slice(max(0, i - 80), i + 80)
+            raise AssertionError(f"line {k + 1} differs at character {i}:\n got  {a[cut]!r}\n want {b[cut]!r}")
+    if len(got_lines) != len(want_lines):
+        raise AssertionError(f"{len(got_lines)} lines, expected {len(want_lines)}")
+
+
 def fast_decay_model(family=two_qubit_both, factor: float = 20) -> ModelSpec:
     """``family`` at omega = 1 with every jump operator x ``factor``.  For ``two_qubit_both``
-    x20, alpha = 400: on the unscaled verification grid T_t(nu) = exp(-400 t) nu would
-    underflow to 0 at t = 2."""
+    x20, alpha = 400: T_t(nu) = exp(-400 t) nu underflows to 0 by t = 2, so verification
+    runs on the time scale k = 256."""
     spec = family(1.0)
     return ModelSpec(dim=4, hamiltonian=spec.hamiltonian, p0=spec.p0,
                      jump_ops=tuple(factor * l for l in spec.jump_ops),

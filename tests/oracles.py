@@ -1,5 +1,10 @@
 """Reference computations for the tests: the duality pairing of the state and
-observable evolutions, and the jump-time measure of the sampler.
+observable evolutions, the verification residuals on time grids, and the
+jump-time measure of the sampler.
+
+``grid_verification`` evolves a QSS over fixed time grids on a fresh propagator of
+the restriction; every bound that ``verify_qss`` certifies must dominate these
+evolved residuals.
 
 The trace-preserving companion semigroup (no-jump generator plus the corner
 map) normalizes the jump-time measure: the sector sum of a horizon is 1.
@@ -31,6 +36,42 @@ def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> fl
     lhs = complex(np.trace(op.as_operator(x) @ apply_semigroup(heis, t, y)))
     rhs = complex(np.trace(apply_semigroup(schr, t, x) @ op.as_operator(y)))
     return abs(lhs - rhs)
+
+
+VERIFY_TIMES = (0.1, 0.5, 1.0, 2.0)
+MULT_GRID = (0.3, 0.7, 1.1)
+REPEATED_TIMES = (0.3, 0.7, 1.1)
+
+
+def time_scale(alpha: float) -> float:
+    """k = 2^floor(log2 alpha) for alpha >= 2 and 1 otherwise: every grid time t runs as t / k."""
+    return 2.0 ** np.floor(np.log2(alpha)) if alpha >= 2 else 1.0
+
+
+def grid_verification(restr, cert) -> dict:
+    """The verification residuals of ``cert`` evolved on the grids, keyed like ``VerificationReport``.
+
+    f(t) = tr T^_t(nu^) with T^_t from a fresh propagator of the restriction: the
+    definition and survival residuals on ``VERIFY_TIMES``, multiplicativity over
+    ``MULT_GRID`` pairs, three measure-and-condition cycles at ``REPEATED_TIMES``
+    and the rate against -log f(1), each time t run as t / k.
+    """
+    prop, nu = op.Propagator(restr.gen, restr.eig), restr.compress(cert.nu)
+    alpha, k = cert.alpha, time_scale(cert.alpha)
+    grid, mult = [t / k for t in VERIFY_TIMES], [t / k for t in MULT_GRID]
+    times = grid + mult + [t + s for t in mult for s in mult] + [1.0 / k]
+    evolved = apply_semigroup(prop, times, nu)
+    f = {t: float(np.trace(x).real) for t, x in zip(times, evolved)}
+    rho = nu
+    for t in REPEATED_TIMES:
+        rho = apply_semigroup(prop, t / k, rho)
+    return {
+        "residual_defn": max(frob(x / f[t] - nu) for t, x in zip(grid, evolved)),
+        "residual_exp_survival": max(abs(f[t] - np.exp(-alpha * t)) for t in grid),
+        "residual_mult": max(abs(f[t + s] - f[t] * f[s]) for t in mult for s in mult),
+        "residual_repeated": frob(rho / np.trace(rho).real - nu),
+        "alpha_log_crosscheck": abs(alpha / k + np.log(f[1.0 / k])),
+    }
 
 
 def nojump_generator(spec: ModelSpec) -> np.ndarray:
@@ -69,6 +110,13 @@ def nojump_survival(spec: ModelSpec, rho0: np.ndarray, t: float):
 def sample_trajectory(kernel, rho0, horizon, seed, stream: int = 0):
     """One record: the ``n = 1`` case of :func:`qsslab.trajectory.sample_trajectories`."""
     return sample_trajectories(kernel, rho0, horizon, seed, 1, first_stream=stream)[0]
+
+
+def interjump_gaps(batch) -> np.ndarray:
+    """The gaps between consecutive jumps of each trajectory, the first from t = 0,
+    read off the batch's columns."""
+    runs = np.split(batch.jump_times, batch.offsets[1:-1])
+    return np.concatenate([np.diff(times, prepend=0.0) for times in runs])
 
 
 def truncated_exp_mean(rate: float, window: float) -> float:

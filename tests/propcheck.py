@@ -81,7 +81,7 @@ def check_restrict_embed(spec, rng):
     full = apply_semigroup(op.Propagator(build_generator(spec)), t, restr.embed(rho_hat))
     perp = spec.p0_perp
     corner = perp @ full @ perp
-    hat = restr.embed(apply_semigroup(restr.propagator, t, rho_hat))
+    hat = restr.embed(apply_semigroup(op.Propagator(restr.gen, restr.eig), t, rho_hat))
     return float(np.linalg.norm(corner - hat))
 
 

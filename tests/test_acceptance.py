@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 import propcheck
-from oracles import nojump_survival, sector_sum, truncated_exp_mean
+from oracles import interjump_gaps, nojump_survival, sector_sum, truncated_exp_mean
 from qsslab import cli
 from qsslab.classical import RateMatrix, crosscheck
 from qsslab.model import two_qubit_both, two_qubit_site1
@@ -158,7 +158,7 @@ def test_criterion_6_trajectory_suite():
     checks.append(("post-jump states equal nu within 1e-7",
                    stats.post_jump_max_deviation <= 1e-7))
 
-    gaps = np.array(stats.interjump_samples)
+    gaps = interjump_gaps(records)
     target_mean = truncated_exp_mean(2.0, horizon)
     stderr = float(np.std(gaps, ddof=1) / np.sqrt(len(gaps)))
     checks.append(

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import matrix_to_json, model_to_doc
+from helpers import assert_same_lines, matrix_to_json, model_to_doc
 from qsslab import modelio
 from qsslab.model import two_qubit_both, two_qubit_site1
 from qsslab.modelio import ModelFileError, dumps, parse_model
@@ -236,7 +236,7 @@ def test_record_lines_format_like_the_recursive_formatter():
                 lines = list(modelio.record_lines(batch))
                 floats = 34 * n + 33 * int(batch.counts.sum())  # 32 per state
                 assert len(lines) == -(-floats // modelio.RECORD_CHUNK_ENTRIES)
-                assert "".join(lines) == "".join(_reference_dumps(vars(rec)) + "\n" for rec in batch)
+                assert_same_lines("".join(lines), "".join(_reference_dumps(vars(rec)) + "\n" for rec in batch))
 
 
 def test_batch_record_lines_reject_non_finite_values_like_dumps(monkeypatch):
@@ -364,5 +364,5 @@ def test_record_lines_cut_records_longer_than_a_chunk(monkeypatch):
         sizes.clear()
         with monkeypatch.context() as m:
             m.setattr(modelio, "RECORD_CHUNK_ENTRIES", budget)
-            assert "".join(modelio.record_lines(batch)).splitlines(keepends=True) == want
+            assert_same_lines("".join(modelio.record_lines(batch)), "".join(want))
         assert max(sizes) <= budget and sum(sizes) == 4 * 20 + 19 * batch.counts.sum()

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import propcheck
 from helpers import fast_decay_model
+from oracles import grid_verification
 from qsslab import operators as op
 from qsslab import qss
 from qsslab.model import ModelSpec, two_qubit_both, two_qubit_site1
@@ -369,7 +372,7 @@ def test_lazy_residuals_equal_direct_calls():
                 for c in (fam.anchor,) + fam.endpoints:
                     assert c.restr is restr
                     assert np.array_equal(restr.embed(c.rho_hat), c.nu)
-                    assert c.residual_eigen == qss._eigen_residual(restr, c.alpha, c.rho_hat)
+                    assert c.residual_eigen == frob(qss._residual(restr, c.alpha, c.rho_hat)[0])
                     assert max(c.residual_eigen, verify_qss(restr.spec, c).residual_defn) < 1e-9
     assert dims == {1, 2, 4}
 
@@ -430,12 +433,66 @@ def test_hermitian_basis_matches_per_column_reference(monkeypatch):
         assert len(got) == len(ref) and all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
-def test_verify_flags_an_evolution_that_underflows(monkeypatch):
+def _fast_anchor():
     spec = fast_decay_model()
     restr, result = analysis(spec)
     anchor = perron_structure(restr, result).families[0].anchor
     assert anchor.alpha == pytest.approx(400.0)
-    monkeypatch.setattr(qss, "apply_semigroup", lambda prop, t, x: np.zeros(np.shape(t) + np.shape(x)))
+    return spec, anchor
+
+
+@pytest.mark.parametrize("shift, finite", [(1e-6, True), (np.nan, False), (np.inf, False)])
+def test_verify_flags_a_residual_over_the_gate(monkeypatch, shift, finite):
+    # a residual over the gate, or not finite, fails the certificate; a bound
+    # whose denominator is not positive is inf rather than nan
+    spec, anchor = _fast_anchor()
+    assert verify_qss(spec, anchor).ok
+    residual = qss._residual
+    monkeypatch.setattr(qss, "_residual", lambda *args: (residual(*args)[0] + shift, residual(*args)[1]))
+    _, anchor = _fast_anchor()
     report = verify_qss(spec, anchor)
     assert not report.ok
-    assert report.residual_defn == report.residual_repeated == report.alpha_log_crosscheck == np.inf
+    assert report.residual_defn == report.residual_repeated
+    values = [getattr(report, key) for key in ("residual_defn", "residual_exp_survival",
+                                               "residual_mult", "alpha_log_crosscheck")]
+    assert np.isfinite(values).all() == finite
+    assert finite or report.residual_defn == report.alpha_log_crosscheck == np.inf
+
+
+def test_verify_a_hand_built_certificate_on_the_model():
+    # without the restriction it was built from, a certificate's nu is
+    # compressed onto the model's restriction: the same bounds to the bit here
+    spec, anchor = _fast_anchor()
+    bare = QssCertificate(alpha=anchor.alpha, nu=anchor.nu)
+    assert verify_qss(spec, bare) == verify_qss(spec, anchor)
+
+
+def _domination_cases():
+    rng = np.random.default_rng(20261019)
+    specs = [f(w) for f in (two_qubit_site1, two_qubit_both) for w in (0.0, 0.3, 0.7, 1.0)]
+    specs += [fast_decay_model(f, k) for f in (two_qubit_site1, two_qubit_both) for k in (20, 40)]
+    specs += [propcheck.random_subharmonic_model(rng) for _ in range(32)]
+    return specs + [propcheck.random_subharmonic_model(rng, d=6, rank=3) for _ in range(3)]
+
+
+def test_certified_bounds_dominate_the_evolved_grid_residuals():
+    # each reported bound holds for all t in [0, 2.2 / k], so it must dominate
+    # the residuals that the oracle evolves on the grids inside that range: on
+    # the QSSs, and on anchors moved by 1e-6 off their eigenspace, whose
+    # residuals are far above roundoff, so the bounds are nearly tight there
+    rng = np.random.default_rng(7)
+    checked = 0
+    for spec in _domination_cases():
+        restr, result = analysis(spec)
+        for fam in result.families:
+            kick = propcheck._rand_hermitian(rng, restr.m)
+            moved = QssCertificate(fam.alpha, fam.anchor.nu, restr=restr,
+                                   rho_hat=fam.anchor.rho_hat + 1e-6 * (kick - np.trace(kick) * np.eye(restr.m) / restr.m))
+            for cert in (fam.anchor,) + fam.endpoints + (moved,):
+                report = verify_qss(spec, cert)
+                assert report.ok or cert is moved, spec.label
+                oracle = grid_verification(restr, replace(cert, nu=restr.embed(cert.rho_hat)))
+                for key, evolved in oracle.items():
+                    assert evolved <= getattr(report, key), (spec.label, fam.alpha, key)
+                checked += 1
+    assert checked >= 100

@@ -1,3 +1,4 @@
+import json
 import os
 
 from collections import Counter
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from helpers import model_to_doc
 from propcheck import random_subharmonic_model
 from qsslab import cli, model, qss, structure, trajectory
 from qsslab import operators as op
@@ -120,7 +122,7 @@ def test_restriction_subunital():
         restr = restrict(spec)
         ident = np.eye(restr.m, dtype=complex)
         for t in (0.5, 1.0, 2.0):
-            evolved = apply_semigroup(restr.propagator.adjoint(), t, ident)
+            evolved = apply_semigroup(op.Propagator(op.adjoint(restr.gen)), t, ident)
             diff = ident - evolved
             w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
             assert w[0] >= -1e-9
@@ -131,7 +133,24 @@ def test_absorption_both_sites_is_absorbing():
     assert report.is_absorbing
     assert np.linalg.norm(report.a_op - np.eye(4)) < 1e-6
     assert report.residual_harmonic < 1e-8
-    assert report.convergence_gap <= 1e-8
+    restr = restrict(two_qubit_both(1.0))
+    cut = structure.KERNEL_CUT * op.frob(restr.gen)
+    assert report.kernel_margin == np.min(np.abs(restr.eig[0])) - cut  # every |w| is outside
+    assert report.kernel_margin > 0.99
+
+
+def test_kernel_margin_when_every_eigenvalue_is_in_the_kernel():
+    # H = 0 and no jump: the restriction is 0, its kernel holds the whole
+    # spectrum and the margin is the cut's distance to the largest |w|, 0
+    spec = ModelSpec(dim=3, hamiltonian=np.zeros((3, 3)), jump_ops=(),
+                     p0=np.diag([1.0, 0.0, 0.0]).astype(complex))
+    report = absorption_operator(spec)
+    assert report.kernel_margin == structure.KERNEL_CUT
+    assert np.array_equal(report.a_op, spec.p0) and not report.is_absorbing
+    # the dark state: kernel eigenvalue 0 (inside), the nearest outside is 1/2
+    report = absorption_operator(two_qubit_site1(0.0))
+    scale = op.frob(restrict(two_qubit_site1(0.0)).gen)
+    assert abs(report.kernel_margin - (0.5 - structure.KERNEL_CUT * scale)) <= 1e-12
 
 
 def test_absorption_site1_coupled_is_absorbing():
@@ -194,7 +213,7 @@ def test_analysis_propagators_match_independent_generators(spec):
     full = build_generator(spec)
     for heisenberg in (True, False):
         ref = op.Propagator(compress @ (op.adjoint(full) if heisenberg else full) @ embed)
-        prop = restr.propagator.adjoint() if heisenberg else restr.propagator
+        prop = op.Propagator(op.adjoint(restr.gen)) if heisenberg else op.Propagator(restr.gen, restr.eig)
         assert np.array_equal(prop.mat, ref.mat)
         assert prop.spectral
         vec = op.vectorize(one if heisenberg else one / restr.m)
@@ -208,22 +227,19 @@ def test_analysis_propagators_match_independent_generators(spec):
 
 @pytest.mark.parametrize("omega", [0.0, 0.3, 0.5, 1.0])
 @pytest.mark.parametrize("family", [two_qubit_site1, two_qubit_both])
-def test_heisenberg_propagator_is_the_adjoint_of_a_fresh_solve(family, omega):
-    # propagator.adjoint() adjoins the decomposition of S; Propagator(adjoint(S))
-    # solves S^dag afresh.  At the site-1 branch collision both take the fallback.
+def test_heisenberg_propagator_is_dual_to_the_restriction(family, omega):
+    # Propagator(adjoint(S)) solves S^dag afresh; the restriction's pairs serve S.
+    # tr(x^dag T_t(y)) = tr(T*_t(x)^dag y) with x = 1_m.  At the site-1 branch
+    # collision both take the fallback.
     restr = restrict(family(omega))
-    got, fresh = restr.propagator.adjoint(), op.Propagator(op.adjoint(restr.gen))
-    assert got.spectral == fresh.spectral == (family(omega).label != two_qubit_site1(0.5).label)
-    assert np.array_equal(got.mat, fresh.mat)
-    assert np.array_equal(got.w, restr.eig[0].conj())
-    if got.spectral:
-        scale = op.frob(got.mat)
-        assert op.frob(got.mat @ got.v - got.v * got.w) <= 1e-12 * scale
-        assert op.frob(got.v_inv @ got.v - np.eye(len(got.w))) <= 1e-12
-    vec = op.vectorize(np.eye(restr.m))
-    times = np.array([0.0, 0.1, 1.0, 10.0])
-    want = fresh.apply(times, vec)
-    assert np.linalg.norm(got.apply(times, vec) - want) <= 1e-12 * np.linalg.norm(want)
+    schr, heis = op.Propagator(restr.gen, restr.eig), op.Propagator(op.adjoint(restr.gen))
+    assert schr.spectral == heis.spectral == (family(omega).label != two_qubit_site1(0.5).label)
+    assert np.array_equal(schr.w, restr.eig[0])
+    rng = np.random.default_rng(3)
+    one, y = op.vectorize(np.eye(restr.m)), rng.standard_normal(restr.m**2)
+    for t in (0.0, 0.1, 1.0, 10.0):
+        lhs, rhs = np.vdot(one, schr.apply(t, y)), np.vdot(heis.apply(t, one), y)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_kernel_projector_needs_an_invertible_eigenbasis_only_for_a_kernel(monkeypatch):
@@ -377,7 +393,7 @@ def _count_sizes(monkeypatch, owner, name, sizes):
 
 
 def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_path):
-    # one m^2 x m^2 solve serves the restriction and its adjoint, g_hat
+    # one m^2 x m^2 solve serves the restriction and its kernel, g_hat
     # (m x m) seeds the witness search of the reducible restriction, and no
     # d^2 x d^2 matrix is built (only simulate's kernel builds one), let alone
     # eigendecomposed
@@ -398,24 +414,24 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     assert sizes == {m * m: 1, m: 1}
     assert len(subharmonic) == 1
     assert len(eig_general) == 1
-    # every propagator of this model is spectral, so apply_semigroup never
-    # forms exp(tL)
+    # analyze evolves nothing, so it forms no exp(tL)
     assert expm == []
     assert full_space == [[], [], []]
 
 
-def test_each_time_grid_is_one_propagator_call(models_dir, monkeypatch, tmp_path):
-    # analyze: absorption 1 (converged within the first block of eight
-    # doublings), verification 1 + 3 for the repeated cycle; the verification's
-    # grid also gives the one reported anchor's definition residual (the
-    # segment ends are reported by nu alone and never certified).
-    # Subharmonicity is algebraic and evolves nothing, and neither does sweep,
-    # which reads only the decay rates.
+def test_analyze_and_sweep_evolve_nothing(models_dir, monkeypatch, tmp_path):
+    # analyze: subharmonicity is algebraic, absorption reads the restriction's
+    # kernel and verification one residual, also at the defective omega = 1/2
+    # (exit 2 on its Perron failure); sweep reads only the decay rates
     apply = _count_calls(monkeypatch, op.Propagator, "apply")
+    semigroup = _count_calls(monkeypatch, model, "apply_semigroup")
+    expm = _count_calls(monkeypatch, op, "expm")
+    half = tmp_path / "site1_half.json"
+    half.write_text(json.dumps(model_to_doc(two_qubit_site1(0.5))))
     path = os.path.join(models_dir, "two_qubit_site1.json")
-    assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
-    assert len(apply) == 5
-    apply.clear()
+    for argv, code in (([path], 0), ([os.path.join(models_dir, "two_qubit_both.json")], 0), ([str(half)], 2)):
+        assert cli.main(["analyze", *argv, "--out", str(tmp_path / "report.json")]) == code
+    assert apply == semigroup == expm == []
     assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
     assert len(apply) == 0
 
@@ -424,17 +440,17 @@ def test_only_analyze_certifies_and_only_what_it_reports(models_dir, monkeypatch
     # certificate residuals are computed on first read: sweep reads only the
     # decay rates and simulate only the Perron anchor's nu
     calls = [
-        _count_calls(monkeypatch, qss, "_eigen_residual"),
+        _count_calls(monkeypatch, qss, "_residual"),
         _count_calls(monkeypatch, qss, "verify_qss"),
     ]
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
     assert cli.main(["simulate", path, "--samples", "20", "--out", str(tmp_path / "s.json")]) == 0
     assert calls == [[], []]
-    # analyze reads the eigen residual of its one family's anchor, not of the
-    # segment ends; the definition residual comes from its one verify_qss
+    # analyze computes the residual of its one family's anchor once, not of the
+    # segment ends: its eigen residual and its one verify_qss share it
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
-    assert calls == [["_eigen_residual"], ["verify_qss"]]
+    assert calls == [["_residual"], ["verify_qss"]]
 
 
 def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_path):
@@ -447,11 +463,10 @@ def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_pat
 
 
 def test_each_command_builds_only_the_propagators_it_evolves_with(models_dir, monkeypatch, tmp_path):
-    # the restriction's propagator is built on first use: analyze builds it
-    # once (m^2), simulate its loop propagator (m^2 + 1) and, for the final
-    # states of --records only, the no-jump one (d^2), and sweep (through the
-    # defective omega = 1/2, where a propagator would take the expm fallback)
-    # and classical build none
+    # analyze evolves nothing and builds none; simulate builds its loop
+    # propagator (m^2 + 1) and, for the final states of --records only, the
+    # no-jump one (d^2); sweep (through the defective omega = 1/2, where a
+    # propagator would take the expm fallback) and classical build none
     sizes = Counter()
     init = op.Propagator.__init__
 
@@ -463,7 +478,7 @@ def test_each_command_builds_only_the_propagators_it_evolves_with(models_dir, mo
     site1 = os.path.join(models_dir, "two_qubit_site1.json")
     d, m = 4, 3
     for argv, want in (
-        (["analyze", site1], {m * m: 1}),
+        (["analyze", site1], {}),
         (["simulate", site1, "--samples", "20"], {m * m + 1: 1}),
         (["simulate", site1, "--samples", "20", "--records", str(tmp_path / "r.jsonl")],
          {m * m + 1: 1, d * d: 1}),
