@@ -75,9 +75,9 @@ class ClassicalQsd:
 def classical_qsd(rm: RateMatrix) -> ClassicalQsd:
     """Left Perron eigenvector of the sub-rate matrix on the survivors."""
     sub = rm.sub_rate_matrix()
-    w, v = op.eig_general(sub.T.astype(complex))
+    w, v = op.eig_general(sub.T)
     top = w[0].real
-    close = [j for j in range(len(w)) if abs(w[j].real - top) <= 1e-10 and abs(w[j].imag) <= 1e-10]
+    close = [j for j in range(len(w)) if abs(w[j].real - top) <= 1e-10 and w[j].imag == 0]
     densities = []
     for j in close:
         vec = v[:, j].real

@@ -266,20 +266,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in values:
         restr = structure_mod.restrict(factory(float(value)))
-        # loose realness tolerance: branches collide at the bifurcation and
-        # a defective pair splits at the sqrt(eps) level
-        cands = qss_mod.real_eigen_candidates(restr, real_tol=1e-6)
-        result = qss_mod.extract_qss(cands)
+        result = qss_mod.extract_qss(qss_mod.real_eigen_candidates(restr))
         alphas = sorted(f.alpha for f in result.families)
-        # merge branches closer than the defective-splitting resolution, so
-        # the collision point reports a single (double-root) branch
-        merged = []
-        for a in alphas:
-            if merged and a - merged[-1][-1] <= 1e-5:
-                merged[-1].append(a)
-            else:
-                merged.append([a])
-        alphas = [float(np.mean(group)) for group in merged]
         rows.append((float(value), alphas))
     width = max(len(alphas) for _, alphas in rows)
     header = [args.param] + [f"alpha_{k + 1}" for k in range(width)]

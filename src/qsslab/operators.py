@@ -45,9 +45,9 @@ class EigenSolveError(RuntimeError):
     """An eigensolve that does not converge or check out."""
 
 
-def as_operator(a) -> np.ndarray:
-    """Validate a square, finite complex matrix and return it as complex128."""
-    a = np.asarray(a, dtype=complex)
+def as_operator(a, dtype=complex) -> np.ndarray:
+    """Validate a square, finite matrix and return it as ``dtype``, complex128 by default."""
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -275,21 +275,23 @@ def rowdot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def eig_general(a):
-    """All eigenpairs of a general complex matrix, from one ``np.linalg.eig``.
+    """All eigenpairs of a general real or complex matrix, from one ``np.linalg.eig``.
 
-    Returns ``(eigenvalues, eigenvectors)`` with unit-norm right eigenvectors
-    as columns, sorted by descending real part; real parts within
+    A real matrix goes to LAPACK ``dgeev``: real eigenvalues come out with
+    imaginary part exactly 0, complex ones in exact conjugate pairs.  Returns
+    the eigenvalues as complex128 and unit-norm right eigenvectors as
+    columns, sorted by descending real part; real parts within
     ``1e-12 * max(1, ||a||)`` of the next tie, and a run of ties is sorted by
-    descending imaginary part, so roundoff does not order a conjugate pair.  Residuals
-    ``||a v - lambda v||`` of every returned vector are checked against
-    ``TOL_EIG * max(1, ||a||)``.
+    descending imaginary part, so roundoff does not order eigenvalues that
+    share a real part.  Residuals ``||a v - lambda v||`` of every returned
+    vector are checked against ``TOL_EIG * max(1, ||a||)``.
     """
-    a = as_operator(a)
+    a = as_operator(a, float if np.isrealobj(a) else complex)
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
-    scale = max(1.0, frob(a))
+    w, scale = w.astype(complex), max(1.0, frob(a))
     order = np.argsort(-w.real, kind="stable")
     run = np.cumsum(np.diff(w.real[order], prepend=np.inf) < -1e-12 * scale)
     order = order[np.lexsort((-w.imag[order], run))]

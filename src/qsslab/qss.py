@@ -1,8 +1,8 @@
 """Quasi-stationary states from the spectrum of the restricted generator.
 
-Pipeline: the real eigenvalues of the compressed state-evolution generator
-give candidate decay rates alpha; each real eigenspace is closed under the
-adjoint map and carries a Hermitian basis; the trace-one PSD slice of that
+Pipeline: the real eigenvalue clusters of the compressed state-evolution
+generator give candidate decay rates alpha; each real eigenspace is a real
+null space in a Hermitian frame, hence Hermitian; the trace-one PSD slice of that
 eigenspace (a point, a segment, or a higher-dimensional family) is the set
 of quasi-stationary states at rate alpha.  Perron-Frobenius structure marks
 the family at the spectral abscissa and enforces the existence theorem.
@@ -29,7 +29,6 @@ from . import operators as op
 from .operators import adjoint, devectorize, frob
 from .structure import AbsorptionReport, RestrictedGenerator, as_analysis
 
-CLUSTER_TOL = 1e-8
 VERIFY_HORIZON = 2.2  # verification bounds hold for t in [0, VERIFY_HORIZON / k]
 EXTREME_POINTS_NOTE = "endpoints: 4 extreme points reached by face walks; the family has others"
 FACE_TOL = 1e-10  # relative rank cut of supports and joint ranges in the PSD-slice geometry
@@ -43,8 +42,7 @@ class QssTheoryError(RuntimeError):
 class RealEigenCandidate:
     alpha: float
     herm_basis: tuple  # restricted m x m Hermitian matrices, orthonormal in HS
-    defective: bool = False
-    warning: str = ""
+    warning: str = ""  # why the basis is smaller than the cluster, if it is
 
 
 @dataclass(frozen=True)
@@ -107,71 +105,20 @@ class ExtractionResult:
     rejected: tuple
 
 
-def _hermitian_basis(vectors: np.ndarray):
-    """Orthonormal Hermitian basis of the span of devectorized eigenvectors.
+def real_eigen_candidates(restr: RestrictedGenerator) -> CandidateSet:
+    """One candidate per real cluster of the restriction's spectrum (``restr.real_clusters``).
 
-    Uses {v + v^dag, i(v - v^dag)} followed by an SVD orthonormalization in
-    the Hilbert-Schmidt inner product.
+    Its rate is minus the cluster mean, and its Hermitian basis is the real null
+    space of ``real_gen - mean`` mapped through the Hermitian frame.  A cluster
+    with fewer null vectors than members is defective, and its warning says so:
+    only genuine eigenvectors enter the basis.
     """
-    m = math.isqrt(vectors.shape[0])
-    v = vectors.T.reshape(-1, m, m).swapaxes(-1, -2)  # devectorized columns
-    pairs = np.stack([0.5 * (v + adjoint(v)), 0.5j * (v - adjoint(v))], axis=1)
-    # columns H(v_0), A(v_0), H(v_1), ..., each vectorized by column stacking
-    stacked = pairs.swapaxes(-1, -2).reshape(2 * len(v), m * m).T
-    # orthonormalize over the *real* span: complex SVD could return i*B,
-    # whose Hermitian part vanishes
-    real_stacked = np.vstack([stacked.real, stacked.imag])
-    u, s, _ = np.linalg.svd(real_stacked, full_matrices=False)
-    rank = int(np.sum(s > 1e-8 * max(1.0, s[0])))
-    half = stacked.shape[0]
-    basis = []
-    for j in range(rank):
-        b = devectorize(u[:half, j] + 1j * u[half:, j])
-        b = 0.5 * (b + adjoint(b))
-        basis.append(b / frob(b))
-    return tuple(basis)
-
-
-def real_eigen_candidates(restr: RestrictedGenerator, real_tol: float = op.TOL_EIG) -> CandidateSet:
-    """Real, non-positive eigenvalues of the restricted predual generator.
-
-    Eigenvalues within ``CLUSTER_TOL`` of each other are merged into one
-    eigenspace.  Clusters whose geometric multiplicity falls short of the
-    algebraic one are flagged defective; only genuine eigenvectors enter the
-    Hermitian basis.
-    """
-    w, v = restr.eig
-    scale = max(1.0, frob(restr.gen))
-    real_mask = (np.abs(w.imag) <= real_tol * scale) & (w.real <= real_tol * scale)
-    idx = np.where(real_mask)[0]
-    used = np.zeros(len(w), dtype=bool)
     candidates = []
-    for i in idx:
-        if used[i]:
-            continue
-        cluster = [j for j in idx if not used[j] and abs(w[j] - w[i]) <= CLUSTER_TOL * scale]
-        for j in cluster:
-            used[j] = True
-        vecs = v[:, cluster]
-        u, s, _ = np.linalg.svd(vecs, full_matrices=False)
-        geom = int(np.sum(s > 1e-8 * max(1.0, s[0])))
-        defective = geom < len(cluster)
-        basis = _hermitian_basis(u[:, :geom])
-        alpha = float(-np.mean([w[j].real for j in cluster]))
-        candidates.append(
-            RealEigenCandidate(
-                alpha=alpha,
-                herm_basis=basis,
-                defective=defective,
-                warning=(
-                    f"defective eigenvalue: algebraic {len(cluster)}, geometric {geom}; "
-                    "generalized eigenvectors excluded"
-                    if defective
-                    else ""
-                ),
-            )
-        )
-    candidates.sort(key=lambda c: c.alpha)
+    for c in restr.real_clusters:
+        alg, geom = len(c.members), c.coords.shape[1]
+        basis = tuple(devectorize(x) for x in (restr.frame @ c.coords).T)
+        warning = f"defective eigenvalue: algebraic {alg}, geometric {geom}; generalized eigenvectors excluded"
+        candidates.append(RealEigenCandidate(-c.mean, basis, warning if geom < alg else ""))
     return CandidateSet(restr=restr, candidates=tuple(candidates))
 
 
@@ -307,7 +254,7 @@ def _psd_slice(cand: RealEigenCandidate):
     Returns the rejection reason (a str) instead when no state is found.
     """
     basis, notes = cand.herm_basis, (cand.warning,) if cand.warning else ()
-    if cand.defective and not basis:
+    if not basis:
         return cand.warning
     traces = np.array([np.trace(b).real for b in basis])
     if len(basis) == 1:
@@ -376,27 +323,22 @@ def perron_structure(
     """Mark the Perron family and enforce existence/uniqueness guarantees.
 
     Existence (finite dimension, subharmonic p0) requires a nonempty family
-    at the negated spectral abscissa; violation raises, carrying the full
+    at the negated spectral abscissa, which is a real eigenvalue (Evans &
+    Hoegh-Krohn, J. London Math. Soc. 1978): the mean of the top real cluster
+    of ``restr.real_clusters``.  A violation raises, carrying the full
     spectrum.  Under irreducibility the Perron family must be a single
     strictly positive state and the only family.
     """
-    w, _ = restr.eig
-    abscissa = float(np.max(w.real))
-    perron_alpha = -abscissa
+    abscissa = restr.real_clusters[0].mean if restr.real_clusters else np.nan
     marked = []
-    found_perron = False
     for fam in result.families:
-        is_perron = abs(fam.alpha - perron_alpha) <= 1e-7
-        found_perron = found_perron or is_perron
-        anchor = replace(fam.anchor, is_perron=is_perron)
+        is_perron = fam.alpha == -abscissa
         endpoints = tuple(replace(c, is_perron=is_perron) for c in fam.endpoints)
-        marked.append(replace(fam, anchor=anchor, endpoints=endpoints))
-    if not found_perron:
-        reason = "no QSS family found"
-        if marked:
-            reason = f"no family at spectral abscissa {abscissa:.6e}"
+        marked.append(replace(fam, anchor=replace(fam.anchor, is_perron=is_perron), endpoints=endpoints))
+    if not any(fam.anchor.is_perron for fam in marked):
+        reason = f"no family at spectral abscissa {abscissa:.6e}" if marked else "no QSS family found"
         # one line: the message is printed as the CLI's one-line error
-        spectrum = np.array2string(np.sort_complex(w), max_line_width=np.inf)
+        spectrum = np.array2string(np.sort_complex(restr.eig[0]), max_line_width=np.inf)
         raise QssTheoryError(f"Perron existence failed: {reason}; spectrum {spectrum}")
     if irreducible:
         if len(marked) != 1 or marked[0].param_interval is not None:

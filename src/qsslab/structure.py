@@ -12,9 +12,10 @@ compressed operators and the m^2 x m^2 restriction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import cache, cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,21 +38,33 @@ class SubharmonicReport:
     verdict: bool
 
 
+class EigenCluster(NamedTuple):
+    """Eigenvalues (``members`` of ``eig[0]``) that are one real eigenvalue up to rounding."""
+
+    members: np.ndarray
+    mean: float  # of the members' real parts: accurate to rounding, being a trace
+    coords: np.ndarray  # orthonormal columns: the real null space of real_gen - mean
+
+
 @dataclass(frozen=True)
 class RestrictedGenerator:
     """Compression of the semigroup to the range of p0-perp.
 
     ``isometry`` has the orthonormal basis of range(p0_perp) as columns;
     ``gen`` is the m^2 x m^2 generator matrix of the compressed state
-    evolution and ``eig`` its eigenpairs ``op.eig_general(gen)``;
-    ``g_hat`` and ``jumps_hat`` are the compressed drift and jump operators
-    that define it.
+    evolution and ``real_gen`` the real frame^dag gen frame in the unitary
+    :func:`hermitian_frame`, with eigenpairs ``real_eig = (w, V_R)``; ``eig``
+    is ``(w, frame @ V_R)``, the pairs of ``gen``.  ``g_hat`` and ``jumps_hat``
+    are the compressed drift and jump operators that define it.
     """
 
     spec: ModelSpec
     m: int
     isometry: np.ndarray
     gen: np.ndarray
+    frame: np.ndarray
+    real_gen: np.ndarray
+    real_eig: tuple
     eig: tuple
     g_hat: np.ndarray
     jumps_hat: tuple
@@ -63,6 +76,47 @@ class RestrictedGenerator:
     def embed(self, x: np.ndarray) -> np.ndarray:
         v = self.isometry
         return v @ np.asarray(x, dtype=complex) @ v.conj().T
+
+    @cached_property
+    def real_clusters(self) -> tuple:
+        """The real eigenvalues up to rounding, as :class:`EigenCluster` s by descending mean.
+
+        With delta = sqrt(n) eps ||R||_F (n = m^2, R = ``real_gen``), two
+        eigenvalues join when closer than 2 delta, or when their midpoint z has
+        sigma_min(R - z) <= delta, so that z is an eigenvalue of a matrix within
+        delta of R.  Only pairs with no other eigenvalue in the disk on their
+        segment are tested, and only pairs closer than 2 delta cond_F(V_R): the
+        delta-pseudospectrum lies within delta cond(V_R) of the spectrum
+        (Bauer-Fike).  The joined groups closed under conjugation are the real
+        clusters.  A singleton's null space is its real eigenvector; a larger
+        cluster keeps at most one singular vector of R - mean per member, those
+        up to twice its radius plus sqrt(delta ||R - mean||), the scale an
+        ill-conditioned eigenvector can lift rounding to.
+        """
+        (w, v), r, n = self.real_eig, self.real_gen, len(self.real_gen)
+        level = math.sqrt(n) * np.finfo(float).eps * frob(r)
+        d2 = np.abs(w[:, None] - w) ** 2
+        i, j = np.nonzero(np.triu(~(d2 > (2 * level * np.linalg.cond(v, "fro")) ** 2), 1))
+        join = d2[i, j] <= 4 * level**2
+        test = ~join & (d2[i] + d2[j] >= d2[i, j][:, None]).all(axis=1)
+        if test.any():
+            z = 0.5 * (w[i[test]] + w[j[test]])
+            z = z.real + 1j * np.abs(z.imag)  # one value for a pair and its conjugate
+            join[test] = np.linalg.svd(r - z[:, None, None] * np.eye(n), compute_uv=False)[:, -1] <= level
+        label = np.arange(n)
+        for a, b in zip(i[join], j[join]):
+            label[label == label[b]] = label[a]
+        order = np.argsort(label, kind="stable")
+        clusters = []
+        for idx in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+            if len(idx) == 1 and w[idx[0]].imag == 0:
+                clusters.append(EigenCluster(idx, w[idx[0]].real, v[:, idx].real))
+            elif len(idx) > 1 and np.isin(w[idx].conj(), w[idx]).any():
+                mean = float(w[idx].real.mean())
+                _, s, vt = np.linalg.svd(r - mean * np.eye(n))
+                cut = 2 * np.abs(w[idx] - mean).max() + math.sqrt(level * s[0])
+                clusters.append(EigenCluster(idx, mean, vt[n - min(len(idx), int(np.sum(s <= cut))):].T))
+        return tuple(sorted(clusters, key=lambda c: -c.mean))
 
 
 @dataclass(frozen=True)
@@ -151,15 +205,32 @@ def _perp_isometry(spec: ModelSpec) -> np.ndarray:
     return vecs[:, w > 0.5]
 
 
+@cache  # read-only, shared by every restriction of size m
+def hermitian_frame(m: int) -> np.ndarray:
+    """The unitary whose columns are vec of the Hermitian basis E_jj, (E_jk + E_kj) / sqrt(2),
+    i (E_jk - E_kj) / sqrt(2) (j < k) of M_m: frame^dag S frame is real for a Hermiticity-
+    preserving S, and ``devectorize(frame @ x)`` is Hermitian for a real x."""
+    j, k = np.triu_indices(m, 1)
+    upper, lower, cols = j + k * m, k + j * m, m + np.arange(len(j))  # vec positions of (j, k), (k, j)
+    frame = np.zeros((m * m, m * m), dtype=complex)
+    frame[np.arange(m) * (m + 1), np.arange(m)] = 1.0
+    frame[upper, cols] = frame[lower, cols] = 2**-0.5
+    frame[upper, cols + len(j)], frame[lower, cols + len(j)] = 1j * 2**-0.5, -1j * 2**-0.5
+    frame.flags.writeable = False
+    return frame
+
+
 def restrict(model) -> RestrictedGenerator:
     """Build the compressed generator on range(p0_perp).
 
     Gated on the algebraic subharmonicity criterion.  The restriction is
     defined by the compressed GKLS data g_hat = V^dag G V and
     L_hat = V^dag L V: x -> g_hat x + x g_hat^dag + sum_k L_hat x L_hat^dag,
-    at O(m^6) and without the d^2 x d^2 generator.  One right eigensolve
-    ``op.eig_general`` gives ``gen`` its pairs (w, V), which serve every
-    later stage.
+    at O(m^6) and without the d^2 x d^2 generator.  It maps Hermitian matrices
+    to Hermitian matrices, so in :func:`hermitian_frame` it is the real matrix
+    R; its imaginary part there is rounding and is dropped.  One real
+    eigensolve ``op.eig_general(R)`` gives the pairs (w, frame @ V_R) of
+    ``gen``, which serve every later stage.
     """
     spec = as_analysis(model).spec
     residual, ok = _algebraic_residual(spec)
@@ -175,15 +246,10 @@ def restrict(model) -> RestrictedGenerator:
     gen = left_mul(g_hat) + right_mul(adjoint(g_hat))
     for l in jumps_hat:
         gen = gen + sandwich(l, adjoint(l))
-    return RestrictedGenerator(
-        spec=spec,
-        m=m,
-        isometry=v,
-        gen=gen,
-        eig=op.eig_general(gen),
-        g_hat=g_hat,
-        jumps_hat=jumps_hat,
-    )
+    frame = hermitian_frame(m)
+    real_gen = (adjoint(frame) @ gen @ frame).real
+    w, v_real = op.eig_general(real_gen)
+    return RestrictedGenerator(spec, m, v, gen, frame, real_gen, (w, v_real), (w, frame @ v_real), g_hat, jumps_hat)
 
 
 def absorption_operator(model) -> AbsorptionReport:

@@ -1,5 +1,6 @@
 """Test-only helpers: the Choi matrix of a superoperator, a matrix or a ModelSpec as a
-model-file document, fast-decaying models and a line-by-line text comparison."""
+model-file document, fast-decaying, rotated and spectator models and a line-by-line
+text comparison."""
 
 import numpy as np
 
@@ -71,3 +72,22 @@ def fast_decay_model(family=two_qubit_both, factor: float = 20) -> ModelSpec:
     return ModelSpec(dim=4, hamiltonian=spec.hamiltonian, p0=spec.p0,
                      jump_ops=tuple(factor * l for l in spec.jump_ops),
                      label=f"{spec.label} x{factor:g}")
+
+
+def rotated(spec: ModelSpec, seed: int) -> ModelSpec:
+    """``spec`` with H, every L and p0 conjugated by a random unitary: p0 is not diagonal."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((spec.dim,) * 2) + 1j * rng.standard_normal((spec.dim,) * 2))
+
+    def conj(x):
+        return u @ x @ u.conj().T
+
+    return ModelSpec(dim=spec.dim, hamiltonian=conj(spec.hamiltonian),
+                     jump_ops=tuple(conj(l) for l in spec.jump_ops), p0=conj(spec.p0))
+
+
+def with_spectator(spec: ModelSpec, k: int = 2) -> ModelSpec:
+    """``spec`` on X (x) C^k, every operator tensored with 1_k: an idle spectator."""
+    one = np.eye(k)
+    return ModelSpec(dim=spec.dim * k, hamiltonian=np.kron(spec.hamiltonian, one),
+                     jump_ops=tuple(np.kron(l, one) for l in spec.jump_ops), p0=np.kron(spec.p0, one))

@@ -262,7 +262,7 @@ def test_criterion_9_bifurcation_sweep(tmp_path, models_dir):
             checks.append(("discriminant zero at collision", abs(disc) <= 1e-9))
             checks.append(
                 ("merged double root at omega=1/2",
-                 len(alphas) == 1 and abs(alphas[0] - 0.5) < 1e-4)
+                 len(alphas) == 1 and abs(alphas[0] - 0.5) < 1e-7)
             )
         else:
             checks.append(

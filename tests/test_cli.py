@@ -99,16 +99,15 @@ def test_analyze_deterministic_output(models_dir, tmp_path):
 @pytest.mark.parametrize(
     "model, stream, digest",
     [
-        ("two_qubit_site1.json", "out", "812d9d334cb386c0b59e1c48a7bab8d89811eaa68569e483842c47174c12fbf3"),
-        ("two_qubit_both.json", "out", "0f9f76854f3a74a341c5fde6885ef5ea0a0520d0219ceed4b801f5f6fc343762"),
-        (two_qubit_both(0.0), "out", "832ff01754b5d5904951615d3ddee0cc2faa9198af4da4bace6890b4649d52b7"),
-        (two_qubit_site1(0.5), "err", "12e44de94ebd545c1f8c21b274dd080fb00dfa05fe83685b0b7fb15f4a7785e4"),
+        ("two_qubit_site1.json", "out", "edeae08d2af62f6af7dc49a6370c33776af0668d560196ae38dabceaf2e4fb7b"),
+        ("two_qubit_both.json", "out", "e1e770a6f72a987080c1cb3511a41bc1ef427acf3d4fd135bb3629123a704f52"),
+        (two_qubit_both(0.0), "out", "9606d43e87148b9c3db5fde9bd92c8d9c7151f4ca74d7113a8679018e4ece0ed"),
+        (two_qubit_site1(0.5), "out", "cecefa731d5f2580f64a62b6fa47d620eea690200f06dccd8b0ed3276883def2"),
     ],
-    ids=["site1", "both", "both-omega0-face-walk", "site1-omega-half-failure"],
+    ids=["site1", "both", "both-omega0-face-walk", "site1-omega-half"],
 )
 def test_analyze_output_is_pinned(models_dir, tmp_path, capsys, model, stream, digest):
-    # the report byte for byte, and at omega = 1/2 the one-line Perron failure
-    # with its spectrum
+    # the report byte for byte, also at the defective omega = 1/2
     if isinstance(model, str):
         path = model_path(models_dir, model)
     else:
@@ -137,7 +136,7 @@ def test_segment_order_is_a_property_of_the_family(tmp_path, monkeypatch, capsys
     # direction whose leading component is positive, whatever sign the
     # eigenbasis gave it.  LAPACK returning the eigenpairs in reverse order (tied
     # ones included) or with every other eigenvector negated leaves each report
-    # byte for byte.  A negated Hermitian basis vector negates the direction the
+    # byte for byte.  A negated real null vector negates the direction the
     # interval is solved on: the order stays, the values move by rounding only.
     base = _reports(tmp_path, capsys)
     segments = [f for text in base for f in json.loads(text)["qss_families"] if "param_interval" in f]
@@ -158,10 +157,10 @@ def test_segment_order_is_a_property_of_the_family(tmp_path, monkeypatch, capsys
     with monkeypatch.context() as m:
         m.setattr(op, "eig_general", perturbed)
         assert _reports(tmp_path, capsys) == base
-    basis = qss._hermitian_basis
+    clusters = structure.RestrictedGenerator.real_clusters.func
     with monkeypatch.context() as m:
-        m.setattr(qss, "_hermitian_basis", lambda vectors: tuple(
-            -b if k == 0 else b for k, b in enumerate(basis(vectors))))
+        m.setattr(structure.RestrictedGenerator, "real_clusters", property(lambda restr: tuple(
+            c._replace(coords=np.hstack([-c.coords[:, :1], c.coords[:, 1:]])) for c in clusters(restr))))
         flipped = _reports(tmp_path, capsys)
     for got, want in zip(flipped, base):
         for fam, ref in zip(json.loads(got)["qss_families"], json.loads(want)["qss_families"]):
@@ -174,8 +173,7 @@ def test_commands_leave_scipy_unloaded(models_dir, tmp_path):
     # one fresh process running every command imports numpy only, on the
     # spectral path of the shipped models and on the expm fallback alike: at
     # omega = 0.49999 both of simulate's propagators fail the condition gate and
-    # evolve by operators.expm, and analyze at omega = 1/2, which evolves
-    # nothing, ends on its Perron failure (exit 2)
+    # evolve by operators.expm, and analyze at omega = 1/2 evolves nothing
     defective = tmp_path / "site1_half.json"
     defective.write_text(json.dumps(model_to_doc(two_qubit_site1(0.5))))
     near = tmp_path / "site1_near_half.json"
@@ -202,7 +200,7 @@ def test_commands_leave_scipy_unloaded(models_dir, tmp_path):
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == [str([0] * (len(argvs) - 1) + [2]), "[]"]
+    assert out.stdout.splitlines() == [str([0] * len(argvs)), "[]"]
 
 
 def test_parser_is_reused_across_commands(models_dir, capsys):
@@ -403,14 +401,14 @@ def test_simulate_output_is_pinned(models_dir, tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     cases = [
         ("two_qubit_both.json", "10",
-         "0128cda0246fd3d2eaed2da2b8f7854e43fa0034c01329edec01654b0ff5a9c6",
-         "4d3f3d055055813e24eda03f99aec852681b4d6b53477747f11fe9cf7d8e0aec"),
+         "e5b614e5db7fdf76be35c45d2c6f3fd7b8a4d7a5b788d2edfd1b8d47483265a5",
+         "40958ef20d98825f09d7634da1423c768d385609e4135e55bdb0bd4efef9bb7d"),
         ("two_qubit_site1.json", "6",
-         "4f3b597771be3695a67b421164bd1b26413941fe9a717df96d45ee8900bdd3a8",
-         "e9a67ac077241c870bbf82e32a68ca462b6216a61f5f4447a51e758c95b2f13b"),
+         "b00db771e9ed502dcd70fe4a76b39907e05ddbfbf4bcd55f05d8400b48cdf6dd",
+         "da9e08af2d0961de075bc9ce7d0be3b024f58760235027910ce5356bf38c66d5"),
         ("two_qubit_site1.json", "0.3",
-         "b43122e9fee18136eb98038ca7b8056e00c3758fff06662f016cfaa1e7b77c79",
-         "74483e1ac475f2cb37d8e1677ea7dba03ef5f3cfda483e5e1e0216bbf112ecb3"),
+         "6ef7d1cb800b2d169e7a793be53302673ced094018382a9f9bcb956640160d24",
+         "a161acb6a048a0c6789b6f420461c5e06cee965673819df496113319192cfe80"),
     ]
     for model, horizon, summary, lines in cases:
         rc = run(
@@ -561,7 +559,7 @@ def test_sweep_branch_structure(models_dir, tmp_path):
             assert abs(alphas[1] - (1.0 + disc) / 2.0) < 1e-9
         elif omega == 0.5:
             assert len(alphas) == 1  # merged double root
-            assert abs(alphas[0] - 0.5) < 1e-4
+            assert abs(alphas[0] - 0.5) < 1e-7
         else:
             assert len(alphas) == 1
             assert abs(alphas[0] - 0.5) < 1e-9

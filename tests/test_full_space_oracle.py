@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import fast_decay_model
+from helpers import fast_decay_model, rotated
 from propcheck import random_subharmonic_model
 from qsslab import operators as op
 from qsslab.model import (
-    ModelSpec,
     build_generator,
     gkls_matrix,
     sandwich,
@@ -77,25 +76,13 @@ def _random_models():
     return [random_subharmonic_model(rng) for _ in range(5)] + [random_subharmonic_model(rng, d=8, rank=4)]
 
 
-def _rotated(spec: ModelSpec, seed: int) -> ModelSpec:
-    """``spec`` with H, every L and p0 conjugated by a random unitary: p0 is not diagonal."""
-    rng = np.random.default_rng(seed)
-    u, _ = np.linalg.qr(rng.standard_normal((spec.dim,) * 2) + 1j * rng.standard_normal((spec.dim,) * 2))
-
-    def conj(x):
-        return u @ x @ u.conj().T
-
-    return ModelSpec(dim=spec.dim, hamiltonian=conj(spec.hamiltonian),
-                     jump_ops=tuple(conj(l) for l in spec.jump_ops), p0=conj(spec.p0))
-
-
 # site1 at omega = 0 has a dark state, so T_t(p0) - p0 is singular on
 # range(p0_perp) and its smallest eigenvalue sits at 0 from both sides
 MODELS = [two_qubit_site1(0.3), two_qubit_site1(1.0), two_qubit_both(0.3), two_qubit_both(1.0),
           two_qubit_site1(0.0)] + _random_models()
 IDS = ["site1-0.3", "site1-1", "both-0.3", "both-1", "site1-dark"] + [f"random-{k}" for k in range(5)] + ["random-d8"]
 FAST = fast_decay_model(two_qubit_site1, 40)  # alpha ~ 1600: certified for t <= 2.2 / 1024
-ROTATED = _rotated(random_subharmonic_model(np.random.default_rng(7), d=5, rank=2), seed=8)
+ROTATED = rotated(random_subharmonic_model(np.random.default_rng(7), d=5, rank=2), seed=8)
 
 
 @pytest.mark.parametrize("spec", MODELS + [ROTATED], ids=IDS + ["random-rotated"])

@@ -1,0 +1,54 @@
+"""Metamorphic acceptance through ``cli.main``: what ``analyze`` reports is a property
+of the model, not of the basis it is written in, and an idle spectator changes only
+the multiplicities."""
+
+import json
+
+import pytest
+
+from helpers import model_to_doc, rotated, with_spectator
+from qsslab import cli
+from qsslab.model import two_qubit_both, two_qubit_site1
+from qsslab.structure import restrict
+
+
+def _analyze(spec, tmp_path, capsys):
+    """Exit code, absorbing verdict, (is_perron, dimension) per family and the Perron rate."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_doc(spec)))
+    code = cli.main(["analyze", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    families = report["qss_families"]
+    [alpha] = [fam["alpha"] for fam in families if fam["is_perron"]]
+    shape = [(fam["is_perron"], fam["dimension"]) for fam in families]
+    return code, report["structure"]["absorption"]["is_absorbing"], shape, alpha
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.5 + 1e-10, 0.5 - 1e-6, 0.3, 1.0, 0.5 + 1e-3, 0.5 + 1e-5])
+@pytest.mark.parametrize("factory", [two_qubit_site1, two_qubit_both])
+def test_frames_and_spectators_change_nothing_but_multiplicities(factory, omega, tmp_path, capsys):
+    # six random unitary frames leave the exit code, the absorbing verdict and
+    # each family's Perron mark and dimension as they are and move alpha by
+    # rounding only; an idle spectator X (x) 1_2 keeps alpha and multiplies the
+    # dimension of every family by 4.  omega = 1/2 is the branch collision;
+    # just above it the double eigenvalue -1/2 (-1 for two_qubit_both) has an
+    # ill-conditioned eigenvector
+    spec = factory(omega)
+    code, absorbing, shape, alpha = _analyze(spec, tmp_path, capsys)
+    assert code == 0
+    for seed in range(6):
+        got = _analyze(rotated(spec, seed), tmp_path, capsys)
+        assert got[:3] == (code, absorbing, shape)
+        assert abs(got[3] - alpha) <= 1e-6
+    got = _analyze(with_spectator(spec), tmp_path, capsys)
+    assert got[:3] == (code, absorbing, [(perron, 4 * dim) for perron, dim in shape])
+    assert abs(got[3] - alpha) <= 1e-6
+
+
+def test_an_ill_conditioned_double_eigenvalue_keeps_its_eigenspace():
+    # in this frame both computed eigenvalues are exactly -1/2, yet the second
+    # singular value of R + 1/2 is 5.7e-15, three times the clustering level:
+    # rounding lifted by the ill-conditioned eigenvector, which the null-space
+    # cut must take in
+    [top, *_] = restrict(rotated(two_qubit_site1(0.501), 117)).real_clusters
+    assert len(top.members) == top.coords.shape[1] == 2

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 import scipy.linalg as sla
 
 import propcheck
-from helpers import fast_decay_model
+from helpers import fast_decay_model, model_to_doc
 from oracles import grid_verification
+from qsslab import cli
 from qsslab import operators as op
 from qsslab import qss
 from qsslab.model import ModelSpec, two_qubit_both, two_qubit_site1
-from qsslab.operators import adjoint, devectorize, frob, vectorize
+from qsslab.operators import adjoint, frob
 from qsslab.qss import (
     ExtractionResult,
     QssCertificate,
@@ -167,14 +169,27 @@ def test_absorbing_implies_positive_rate():
     assert absorbing_implies_positive_rate(non_absorbing, fake)
 
 
-def test_near_bifurcation_defective_cluster():
-    # at omega = 1/2 the two decay branches collide in a double root; with a
-    # loose realness tolerance extraction still produces the merged family
-    restr = restrict(two_qubit_site1(0.5))
-    cands = real_eigen_candidates(restr, real_tol=1e-6)
-    result = extract_qss(cands)
-    alphas = [f.alpha for f in result.families]
-    assert any(abs(a - 0.5) < 1e-4 for a in alphas)
+COLLISION_OMEGAS = [(0.5, 0)] + [(0.5 + s * 10.0**-k, s * k) for k in range(3, 13) for s in (-1, 1)]
+
+
+@pytest.mark.parametrize("omega, k", COLLISION_OMEGAS, ids=[f"{k:+d}" for _, k in COLLISION_OMEGAS])
+def test_collision_rate_matches_the_closed_form(tmp_path, capsys, omega, k):
+    # site1's Perron rate is alpha = 1/2 - sqrt(1/4 - omega^2), and 1/2 above the
+    # collision at omega = 1/2 (k = 0), where the eigenvalue -1/2 has Jordan
+    # blocks 3 and 1 and a 2-dimensional eigenspace.  Near it, at 1/2 - 10^-k,
+    # rounding merges the branches from about k = 10 on: the rate may then be off
+    # by half the branch gap
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_doc(two_qubit_site1(omega))))
+    assert cli.main(["analyze", str(path)]) == 0
+    families = json.loads(capsys.readouterr().out)["qss_families"]
+    assert all(fam["verification"]["ok"] for fam in families)
+    [perron] = [fam for fam in families if fam["is_perron"]]
+    half_gap = np.sqrt(max(0.25 - omega**2, 0.0))
+    tol = 1e-7 if k >= -8 else half_gap + 1e-7
+    assert abs(perron["alpha"] - (0.5 - half_gap)) <= tol
+    if k == 0:
+        assert perron["dimension"] == 2
 
 
 def test_candidates_sorted_and_hermitian():
@@ -375,62 +390,6 @@ def test_lazy_residuals_equal_direct_calls():
                     assert c.residual_eigen == frob(qss._residual(restr, c.alpha, c.rho_hat)[0])
                     assert max(c.residual_eigen, verify_qss(restr.spec, c).residual_defn) < 1e-9
     assert dims == {1, 2, 4}
-
-
-def _hermitian_basis_by_columns(vectors, tol=1e-8):
-    """The per-column construction of ``qss._hermitian_basis``, kept as its reference."""
-    cols = []
-    for j in range(vectors.shape[1]):
-        v = devectorize(vectors[:, j])
-        cols.append(vectorize(0.5 * (v + adjoint(v))))
-        cols.append(vectorize(0.5j * (v - adjoint(v))))
-    stacked = np.column_stack(cols)
-    real_stacked = np.vstack([stacked.real, stacked.imag])
-    u, s, _ = np.linalg.svd(real_stacked, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
-    half = stacked.shape[0]
-    basis = []
-    for j in range(rank):
-        b = devectorize(u[:half, j] + 1j * u[half:, j])
-        b = 0.5 * (b + adjoint(b))
-        basis.append(b / frob(b))
-    return tuple(basis)
-
-
-def test_hermitian_basis_matches_per_column_reference(monkeypatch):
-    # the eigenvector column sets the fixtures hand to _hermitian_basis
-    fixture_inputs = []
-    stacked = qss._hermitian_basis
-
-    def recording(vectors):
-        fixture_inputs.append(vectors)
-        return stacked(vectors)
-
-    monkeypatch.setattr(qss, "_hermitian_basis", recording)
-    for factory in (two_qubit_site1, two_qubit_both):
-        for omega in (0.0, 0.25, 0.5, 1.0):
-            real_eigen_candidates(restrict(factory(omega)))
-    rng = np.random.default_rng(9)
-    random_inputs = []
-    for m in range(2, 7):
-        for k in range(1, 5):
-            z = rng.standard_normal((m * m, k + 1)) + 1j * rng.standard_normal((m * m, k + 1))
-            random_inputs += [z[:, :k], np.ascontiguousarray(z[:, 1:])]
-    # the SVD input, not only the basis, must be equal to the bit
-    svd_inputs = []
-    svd = np.linalg.svd
-
-    def recording_svd(a, *args, **kwargs):
-        svd_inputs.append(np.array(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    assert len(fixture_inputs) > 20
-    for vectors in fixture_inputs + random_inputs:
-        svd_inputs.clear()
-        got, ref = stacked(vectors), _hermitian_basis_by_columns(vectors)
-        assert len(svd_inputs) == 2 and np.array_equal(svd_inputs[0], svd_inputs[1])
-        assert len(got) == len(ref) and all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 def _fast_anchor():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import model_to_doc
+from helpers import model_to_doc, with_spectator
 from propcheck import random_subharmonic_model
 from qsslab import cli, model, qss, structure, trajectory
 from qsslab import operators as op
@@ -327,19 +327,13 @@ def test_burnside_verdict_is_the_algebra_dimension_and_matches_the_closure_searc
         assert report.note == f"invariant subspace of dimension {report.witness.shape[1]} found"
 
 
-def _with_spectator(spec: ModelSpec, k: int = 2) -> ModelSpec:
-    one = np.eye(k)
-    return ModelSpec(dim=spec.dim * k, hamiltonian=np.kron(spec.hamiltonian, one),
-                     jump_ops=tuple(np.kron(l, one) for l in spec.jump_ops), p0=np.kron(spec.p0, one))
-
-
 def test_idle_spectator_makes_an_irreducible_restriction_reducible():
     rm = RateMatrix(
         n=3,
         q=np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]),
         absorbing_set=(2,),
     )
-    restr = restrict(_with_spectator(embed(rm)))
+    restr = restrict(with_spectator(embed(rm)))
     assert restr.m == 4
     assert algebra_dimension([restr.g_hat] + list(restr.jumps_hat)) == 4  # M_2 (x) 1_2
     report = check_irreducible(restr)
@@ -421,15 +415,15 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
 
 def test_analyze_and_sweep_evolve_nothing(models_dir, monkeypatch, tmp_path):
     # analyze: subharmonicity is algebraic, absorption reads the restriction's
-    # kernel and verification one residual, also at the defective omega = 1/2
-    # (exit 2 on its Perron failure); sweep reads only the decay rates
+    # kernel and verification one residual, also at the defective omega = 1/2;
+    # sweep reads only the decay rates
     apply = _count_calls(monkeypatch, op.Propagator, "apply")
     semigroup = _count_calls(monkeypatch, model, "apply_semigroup")
     expm = _count_calls(monkeypatch, op, "expm")
     half = tmp_path / "site1_half.json"
     half.write_text(json.dumps(model_to_doc(two_qubit_site1(0.5))))
     path = os.path.join(models_dir, "two_qubit_site1.json")
-    for argv, code in (([path], 0), ([os.path.join(models_dir, "two_qubit_both.json")], 0), ([str(half)], 2)):
+    for argv, code in (([path], 0), ([os.path.join(models_dir, "two_qubit_both.json")], 0), ([str(half)], 0)):
         assert cli.main(["analyze", *argv, "--out", str(tmp_path / "report.json")]) == code
     assert apply == semigroup == expm == []
     assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
