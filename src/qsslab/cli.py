@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
     stats = traj_mod.jump_statistics(batch, alpha, nu=rho0)
     if args.records:
         with open(args.records, "w", encoding="utf-8") as fh:
-            # a record's JSON keys are the TrajectoryRecord fields
+            # one JSON line per trajectory; its keys are listed at modelio.record_lines
             fh.writelines(modelio.record_lines(batch))
     summary = {
         "n_trajectories": stats.n_trajectories,

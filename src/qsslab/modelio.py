@@ -329,9 +329,11 @@ RECORD_CHUNK_ENTRIES = 2**12  # most floats per chunk of record_lines: one kerne
 
 
 def record_lines(batch):
-    """``dumps(vars(rec)) + "\\n"`` of each trajectory record, joined and cut into chunks.
+    """One ``dumps`` line per trajectory of ``batch``, joined and cut into chunks.
 
-    ``batch`` is a :class:`~qsslab.trajectory.TrajectoryBatch`.  The floats of a
+    ``batch`` is a :class:`~qsslab.trajectory.TrajectoryBatch`.  A line's keys are
+    ``censored`` (always true), ``final_state``, ``final_weight``, ``horizon``,
+    ``jump_times``, ``post_jump_states``, ``seed`` and ``stream``.  The floats of a
     line come in five runs, each a slice of one column: the final state, the
     final weight, the horizon, the jump times and the post-jump states.  The
     floats of all lines, in line order, are cut into chunks of at most

@@ -361,15 +361,6 @@ class VerificationReport:
     alpha_log_crosscheck: float
     ok: bool
 
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.residual_defn,
-            self.residual_exp_survival,
-            self.residual_mult,
-            self.residual_repeated,
-        )
-
 
 def verify_qss(model, cert: QssCertificate) -> VerificationReport:
     """Certify a QSS by the equivalent characterizations, from one residual.

@@ -18,12 +18,11 @@ All trajectories of a batch advance in lockstep, one segment per round, in
 row-wise arithmetic, so a record does not depend on the batch size.  Every
 jump goes straight into the columns of one :class:`TrajectoryBatch`.
 
-Round r of stream s consumes uniform r of that stream.  Philox is
-counter-based: a uniform is a pure function of (key, counter), so the
-uniforms of all live streams come from one vectorized function
-(:func:`stream_keys`, :func:`stream_uniforms`) over uint64 arrays, equal bit
-for bit to numpy's ``Generator(Philox(SeedSequence(entropy=seed,
-spawn_key=(stream,)))).uniform()``.  Its domain is ``seed >= 0`` and
+Round r of stream s consumes uniform r of that stream: word ``r % 4`` of the
+Philox4x64-10 block at counter ``(s, r // 4 + 1, 0, 0)`` under one key per
+seed, so the stream id lives in the counter.  Philox is counter-based, so
+every live stream's uniform of a round comes from one call of numpy's
+Philox (:func:`stream_uniforms`).  Its domain is ``seed >= 0`` and
 ``0 <= stream < 2**32``; values outside raise ``ValueError``.
 """
 
@@ -45,7 +44,6 @@ STEP = 0.01           # finest grid step of the survival curve's bracket search
 GRID_INTERVALS = 2**16  # most grid steps per horizon: a longer horizon takes wider ones
 TIME_TOL = 1e-10      # a firing time lies within this of the crossing
 CHUNK_ENTRIES = 2**15  # most rows x (m^2 + 1) entries per chunk of every batched sampler step
-DRAWS = 8             # uniforms drawn from a stream at a time
 
 
 class TrajectoryError(RuntimeError):
@@ -93,22 +91,6 @@ def build_kernel(model) -> UnravelingKernel:
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    seed: int
-    stream: int
-    horizon: float
-    jump_times: tuple
-    post_jump_states: tuple
-    final_state: np.ndarray
-    final_weight: float
-    censored: bool
-
-    @property
-    def n_jumps(self) -> int:
-        return len(self.jump_times)
-
-
-@dataclass(frozen=True)
 class TrajectoryBatch:
     """The trajectories of streams ``first_stream .. first_stream + n - 1``, as columns.
 
@@ -118,9 +100,7 @@ class TrajectoryBatch:
     last segment of length ``last[i]`` from its last post-jump state (``start``,
     the vectorized rho0, if none).  Its normalized ``final_states[i]`` and
     surviving unnormalized weight ``final_weights[i]`` are formed on first read,
-    by one batched ``kernel.nojump`` apply.  Indexing and iteration give
-    :class:`TrajectoryRecord` views: a record for an index, a list of records
-    for a slice.
+    by one batched ``kernel.nojump`` apply.
     """
 
     seed: int
@@ -161,100 +141,25 @@ class TrajectoryBatch:
     def final_weights(self) -> np.ndarray:
         return self._finals[1]
 
-    def __getitem__(self, index):
-        i = range(len(self))[index]
-        if isinstance(i, range):
-            return [self[j] for j in i]
-        a, b = self.offsets[i], self.offsets[i + 1]
-        return TrajectoryRecord(
-            self.seed, self.first_stream + i, self.horizon, tuple(self.jump_times[a:b].tolist()),
-            tuple(self.post_jump_states[a:b]), self.final_states[i], float(self.final_weights[i]),
-            censored=True,
-        )
 
+def stream_uniforms(seed: int, first_stream: int, n: int, r: int) -> np.ndarray:
+    """Uniform ``r`` of streams ``first_stream .. first_stream + n - 1``, shape ``(n,)``.
 
-# numpy's SeedSequence (pool of 4 uint32 words) and Philox4x64-10 constants
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-
-
-def _hasher(const: int, mult: int):
-    """numpy's SeedSequence hash: each call xors the word with ``const``,
-    advances ``const`` by ``mult`` and multiplies by it."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-    return hashmix
-
-
-def stream_keys(seed: int, first_stream: int, n: int) -> np.ndarray:
-    """Philox keys of streams ``first_stream .. first_stream + n - 1``, shape ``(2, n)``:
-    ``SeedSequence(entropy=seed, spawn_key=(stream,)).generate_state(2, np.uint64)``.
-
-    Every word is a Python int below 2**32 or a uint64 array holding one, so
-    products fit and differences wrap; only the spawn key varies by stream.
+    Uniform r of stream s is word ``r % 4`` of the Philox4x64-10 block at
+    counter ``(s, r // 4 + 1, 0, 0)`` under the key
+    ``SeedSequence(seed).generate_state(2, np.uint64)``, taken to ``[0, 1)`` by
+    numpy's 53-bit rule.  numpy increments the counter, carrying from word 0
+    into word 1, before each block, so one ``random_raw`` call from the counter
+    before stream ``first_stream``'s gives the blocks of all ``n`` streams.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     if not 0 <= first_stream <= first_stream + n <= 2**32:
         raise ValueError("streams must lie in [0, 2**32)")
-    # little-endian 32-bit words, padded to the pool size since a spawn key follows
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        value = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:] + [np.arange(first_stream, first_stream + n, dtype=np.uint64)]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    out = list(map(_hasher(_INIT_B, _MULT_B), pool))  # generate_state: low word first
-    return np.array([out[0] | out[1] << 32, out[2] | out[3] << 32], dtype=np.uint64)
-
-
-def _mulhilo(m: int, x: np.ndarray):
-    """Low and high 64-bit words of ``m * x``, the high word from 32-bit halves."""
-    m_lo, m_hi = m & _MASK32, m >> 32
-    x_lo, x_hi = x & _MASK32, x >> 32
-    lh, hl = m_lo * x_hi, m_hi * x_lo
-    mid = (m_lo * x_lo >> 32) + (lh & _MASK32) + (hl & _MASK32)
-    return m * x, m_hi * x_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
-
-
-def stream_uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Uniforms ``start .. start + count - 1`` of the streams of ``keys``, shape ``(n, count)``.
-
-    Uniform r of a stream is word ``r % 4`` of the Philox4x64-10 block at
-    counter ``(r // 4 + 1, 0, 0, 0)``, since numpy increments the counter
-    before a block, taken to ``[0, 1)`` by numpy's 53-bit rule.
-    """
-    first = start // 4
-    blocks = np.arange(first + 1, (start + count - 1) // 4 + 2, dtype=np.uint64)
-    k0, k1 = keys[0][:, None], keys[1][:, None]
-    c0 = np.broadcast_to(blocks, (k0.size, blocks.size))
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for rnd in range(10):
-        if rnd:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], -1).reshape(k0.size, -1)
-    return (words[:, start - 4 * first:start - 4 * first + count] >> 11) * 2.0**-53
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    bits = np.random.Philox(key=key, counter=first_stream - 1 + ((r // 4 + 1) << 64))
+    return (bits.random_raw(4 * n)[r % 4::4] >> 11) * 2.0**-53
 
 
 def _bracket(x, at_end, table, grid, u, remaining):
@@ -318,7 +223,10 @@ def _states(vecs: np.ndarray, d: int) -> np.ndarray:
 def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int = 0) -> TrajectoryBatch:
     """Waiting-time unravelings of streams ``first_stream .. first_stream + n - 1``.
 
-    Per round, each live trajectory draws u ~ U(0,1) from its own stream; its
+    Round r gives each live trajectory uniform r of its own stream, the word
+    of the Philox block at counter (stream, r // 4 + 1, 0, 0) under the seed's
+    key (:func:`stream_uniforms`), so a draw depends only on (seed, stream,
+    r); the live rows' draws are one slice of one call.  A trajectory's
     jump fires at the first t where its row's survival trace is u, bracketed by
     binary search on the grid of a table of the survival curve's exponentials,
     then refined by safeguarded Newton to within ``TIME_TOL`` (see
@@ -335,6 +243,7 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     """
     if not 0 < horizon < np.inf:
         raise ValueError("horizon must be positive and finite")
+    stream_uniforms(seed, first_stream, n, 0)  # the seed and stream checks, also when n = 0
     rho0 = op.as_operator(rho0)
     d, v = rho0.shape[0], kernel.isometry
     m = v.shape[1]
@@ -347,8 +256,6 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     # a strided view of the corner's diagonal sums every row in one order whatever
     # the number of rows; a fancy-indexed copy is summed differently once it has two
     diag = slice(None, mm, m + 1)
-    keys = stream_keys(seed, first_stream, n)
-    draws = np.empty((n, DRAWS))
     vecs = np.tile(kernel.row(rho0), (n, 1))
     t_now = np.zeros(n)
     last = np.zeros(n)  # the length of each trajectory's last segment
@@ -356,9 +263,7 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     alive = np.ones(n, dtype=bool)
     r = 0
     while (live := np.flatnonzero(alive)).size:
-        if r % DRAWS == 0:  # the next DRAWS uniforms of each live stream, in stream order
-            draws[live] = stream_uniforms(keys[:, live], r, DRAWS)
-        u = draws[live, r % DRAWS]
+        u = stream_uniforms(seed, first_stream, n, r)[live]
         r += 1
         for c in range(0, live.size, chunk):
             rows = live[c:c + chunk]

@@ -13,6 +13,8 @@ its propagators one jump at a time, independent of the batched sampler in
 :mod:`qsslab.trajectory`, which runs on the restriction.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.integrate
 
@@ -107,9 +109,40 @@ def nojump_survival(spec: ModelSpec, rho0: np.ndarray, t: float):
     return total, perp
 
 
+@dataclass(frozen=True)
+class TrajectoryRecord:
+    """One trajectory of a batch; its fields are the keys of a ``--records`` line."""
+
+    seed: int
+    stream: int
+    horizon: float
+    jump_times: tuple
+    post_jump_states: tuple
+    final_state: np.ndarray
+    final_weight: float
+    censored: bool
+
+    @property
+    def n_jumps(self) -> int:
+        return len(self.jump_times)
+
+
+def records(batch) -> list:
+    """The :class:`TrajectoryRecord` of each trajectory of a ``TrajectoryBatch``, in stream order."""
+    at = batch.offsets
+    return [
+        TrajectoryRecord(
+            batch.seed, batch.first_stream + i, batch.horizon,
+            tuple(batch.jump_times[at[i]:at[i + 1]].tolist()), tuple(batch.post_jump_states[at[i]:at[i + 1]]),
+            batch.final_states[i], float(batch.final_weights[i]), censored=True,
+        )
+        for i in range(len(batch))
+    ]
+
+
 def sample_trajectory(kernel, rho0, horizon, seed, stream: int = 0):
     """One record: the ``n = 1`` case of :func:`qsslab.trajectory.sample_trajectories`."""
-    return sample_trajectories(kernel, rho0, horizon, seed, 1, first_stream=stream)[0]
+    return records(sample_trajectories(kernel, rho0, horizon, seed, 1, first_stream=stream))[0]
 
 
 def interjump_gaps(batch) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_lines, matrix_to_json, model_to_doc
+from oracles import records
 from qsslab import modelio
 from qsslab.model import two_qubit_both, two_qubit_site1
 from qsslab.modelio import ModelFileError, dumps, parse_model
@@ -219,7 +220,7 @@ def test_trajectory_records_format_like_the_recursive_formatter():
     from test_trajectory import perron_qss
 
     for spec in (two_qubit_both(1.0), two_qubit_site1(1.0)):
-        for rec in sample_trajectories(build_kernel(spec), perron_qss(spec), 6.0, seed=3, n=500):
+        for rec in records(sample_trajectories(build_kernel(spec), perron_qss(spec), 6.0, seed=3, n=500)):
             assert dumps(vars(rec)) == _reference_dumps(vars(rec))
 
 
@@ -236,7 +237,8 @@ def test_record_lines_format_like_the_recursive_formatter():
                 lines = list(modelio.record_lines(batch))
                 floats = 34 * n + 33 * int(batch.counts.sum())  # 32 per state
                 assert len(lines) == -(-floats // modelio.RECORD_CHUNK_ENTRIES)
-                assert_same_lines("".join(lines), "".join(_reference_dumps(vars(rec)) + "\n" for rec in batch))
+                want = "".join(_reference_dumps(vars(rec)) + "\n" for rec in records(batch))
+                assert_same_lines("".join(lines), want)
 
 
 def test_batch_record_lines_reject_non_finite_values_like_dumps(monkeypatch):
@@ -271,7 +273,7 @@ def test_batch_record_lines_reject_non_finite_values_like_dumps(monkeypatch):
     ]
     for broken_batch in bad:
         with pytest.raises(ValueError) as ref:
-            _reference_dumps(vars(broken_batch[i]))
+            _reference_dumps(vars(records(broken_batch)[i]))
         with pytest.raises(ValueError, match=f"^{ref.value}$"):
             "".join(modelio.record_lines(broken_batch))
 
@@ -350,7 +352,7 @@ def test_record_lines_cut_records_longer_than_a_chunk(monkeypatch):
     jump = np.diag([0.0, 1.0, 0.0]).astype(complex)
     spec = ModelSpec(dim=3, hamiltonian=h, jump_ops=(jump,), p0=np.diag([1.0, 0, 0]).astype(complex))
     batch = sample_trajectories(build_kernel(spec), np.diag([0.0, 1.0, 0.0]), 100.0, seed=1, n=4)
-    want = [_reference_dumps(vars(rec)) + "\n" for rec in batch]
+    want = [_reference_dumps(vars(rec)) + "\n" for rec in records(batch)]
     assert 20 + 19 * batch.counts.min() > 700  # floats per record: longer than a chunk of 700
     sizes = []
     kernel = modelio._format17
