@@ -26,6 +26,10 @@ from .model import FIXTURE_FAMILIES
 from .modelio import ModelFileError
 
 
+# most restriction entries (points x m^4) per chunk of a sweep's grid, solved as one stack
+SWEEP_CHUNK_ENTRIES = 2**15
+
+
 class InputError(RuntimeError):
     pass
 
@@ -262,13 +266,15 @@ def cmd_sweep(args) -> int:
     if args.param != "omega":
         raise InputError(f"unknown parameter {args.param!r}; this family exposes 'omega'")
     factory = FIXTURE_FAMILIES[mf.family]
-    values = _parse_range(args.range)
+    values = _parse_range(args.range).tolist()
+    spec = factory(values[0])
+    step = max(1, SWEEP_CHUNK_ENTRIES // (spec.dim - spec.p0_rank) ** 4)
     rows = []
-    for value in values:
-        restr = structure_mod.restrict(factory(float(value)))
-        result = qss_mod.extract_qss(qss_mod.real_eigen_candidates(restr))
-        alphas = sorted(f.alpha for f in result.families)
-        rows.append((float(value), alphas))
+    for lo in range(0, len(values), step):
+        chunk = values[lo:lo + step]
+        restrs = structure_mod.restrict_stack([factory(value) for value in chunk])
+        results = qss_mod.extract_stack([qss_mod.real_eigen_candidates(restr) for restr in restrs])
+        rows += [(value, sorted(f.alpha for f in result.families)) for value, result in zip(chunk, results)]
     width = max(len(alphas) for _, alphas in rows)
     header = [args.param] + [f"alpha_{k + 1}" for k in range(width)]
     lines = [",".join(header)]

@@ -68,24 +68,26 @@ class ModelSpec:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two matrices as one broadcast product, entry for entry."""
-    (n, m), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * p, m * q)
+    """``np.kron(a, b)`` of two matrices, or of each pair of two stacks, as one broadcast
+    product, entry for entry."""
+    (n, m), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n * p, m * q))
 
 
 def left_mul(a: np.ndarray) -> np.ndarray:
-    """Column-stacking matrix of x -> a x."""
-    return _kron(np.eye(a.shape[0]), a)
+    """Column-stacking matrix of x -> a x; of each matrix of a stack, too."""
+    return _kron(np.eye(a.shape[-1]), a)
 
 
 def right_mul(b: np.ndarray) -> np.ndarray:
-    """Column-stacking matrix of x -> x b."""
-    return _kron(b.T, np.eye(b.shape[0]))
+    """Column-stacking matrix of x -> x b; of each matrix of a stack, too."""
+    return _kron(b.swapaxes(-1, -2), np.eye(b.shape[-1]))
 
 
 def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-stacking matrix of x -> a x b."""
-    return _kron(b.T, a)
+    """Column-stacking matrix of x -> a x b; of each pair of two stacks, too."""
+    return _kron(b.swapaxes(-1, -2), a)
 
 
 def gkls_matrix(hamiltonian, jump_ops) -> np.ndarray:
@@ -142,8 +144,8 @@ def _two_qubit_pieces(omega: float):
     ket1 = np.array([[0.0], [1.0]], dtype=complex)
     lower = ket0 @ ket1.conj().T  # |0><1|
     eye2 = np.eye(2, dtype=complex)
-    s1m = np.kron(lower, eye2)
-    s2m = np.kron(eye2, lower)
+    s1m = _kron(lower, eye2)
+    s2m = _kron(eye2, lower)
     s1p, s2p = adjoint(s1m), adjoint(s2m)
     h = 0.5 * omega * (s1p @ s2m + s1m @ s2p)
     p0 = np.zeros((4, 4), dtype=complex)

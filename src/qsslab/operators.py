@@ -45,11 +45,12 @@ class EigenSolveError(RuntimeError):
     """An eigensolve that does not converge or check out."""
 
 
-def as_operator(a, dtype=complex) -> np.ndarray:
-    """Validate a square, finite matrix and return it as ``dtype``, complex128 by default."""
+def as_operator(a, dtype=complex, stack=False) -> np.ndarray:
+    """Validate a square, finite matrix, or with ``stack`` a ``(..., n, n)`` stack of
+    them, and return it as ``dtype``, complex128 by default."""
     a = np.asarray(a, dtype=dtype)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix{' or a stack of them' if stack else ''}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
@@ -75,19 +76,19 @@ def is_hermitian(a, tol: float = TOL_HERM) -> bool:
 
 
 def psd_check(a, tol: float = TOL_PSD):
-    """Decide positive semidefiniteness of a Hermitian matrix.
+    """Decide positive semidefiniteness of a Hermitian matrix, or of each matrix of a
+    ``(..., n, n)`` stack from one stacked eigensolve.
 
-    Returns ``(verdict, min_eigenvalue)`` where the verdict is true iff the
-    smallest eigenvalue is >= -tol.  Raises on inputs that are not Hermitian
-    within ``tol``.
+    Returns ``(verdict, min_eigenvalue)``, of the stack's shape, where the verdict is
+    true iff the smallest eigenvalue is >= -tol.  Raises on inputs that are not
+    Hermitian within ``tol``.
     """
-    a = as_operator(a)
+    a = as_operator(a, stack=True)
     if not is_hermitian(a, max(tol, TOL_HERM)):
         raise ValueError(
             f"not Hermitian: defect {hermiticity_defect(a):.3e} exceeds tolerance"
         )
-    w = np.linalg.eigvalsh(0.5 * (a + adjoint(a)))
-    min_eig = float(w[0])
+    min_eig = np.linalg.eigvalsh(0.5 * (a + adjoint(a)))[..., 0]
     return min_eig >= -tol, min_eig
 
 
@@ -148,11 +149,7 @@ def expm(a) -> np.ndarray:
     the rest is elementwise, so a matrix's bits do not depend on the rest of
     the stack.  A stack runs in chunks of at most ``EXPM_CHUNK_ENTRIES`` entries.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
+    a = as_operator(a, stack=True)
     n = a.shape[-1]
     flat = a.reshape((math.prod(a.shape[:-2]), n, n))
     out = np.empty_like(flat)
@@ -275,7 +272,8 @@ def rowdot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def eig_general(a):
-    """All eigenpairs of a general real or complex matrix, from one ``np.linalg.eig``.
+    """All eigenpairs of a general real or complex matrix, or of each matrix of a
+    ``(..., n, n)`` stack, from one ``np.linalg.eig``.
 
     A real matrix goes to LAPACK ``dgeev``: real eigenvalues come out with
     imaginary part exactly 0, complex ones in exact conjugate pairs.  Returns
@@ -285,21 +283,35 @@ def eig_general(a):
     descending imaginary part, so roundoff does not order eigenvalues that
     share a real part.  Residuals ``||a v - lambda v||`` of every returned
     vector are checked against ``TOL_EIG * max(1, ||a||)``.
+
+    The vectors of a real matrix with a real spectrum are float64.  In a stack
+    they are complex as soon as one matrix has a complex eigenvalue, as numpy
+    returns them; a real-spectrum matrix is still normalized in float64, so the
+    real part of its vectors is, bit for bit, what the matrix gets alone.
     """
-    a = as_operator(a, float if np.isrealobj(a) else complex)
+    a = as_operator(a, float if np.isrealobj(a) else complex, stack=True)
+    n = a.shape[-1]
+    flat = a.reshape((-1, n, n))
     try:
-        w, v = np.linalg.eig(a)
+        w, v = np.linalg.eig(flat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
-    w, scale = w.astype(complex), max(1.0, frob(a))
-    order = np.argsort(-w.real, kind="stable")
-    run = np.cumsum(np.diff(w.real[order], prepend=np.inf) < -1e-12 * scale)
-    order = order[np.lexsort((-w.imag[order], run))]
-    w = w[order]
-    norms = np.linalg.norm(v, axis=0)
+    norms = np.linalg.norm(v, axis=-2, keepdims=True)
     norms[norms == 0] = 1.0
-    v = (v / norms)[:, order]
-    residual = np.max(np.linalg.norm(a @ v - v * w, axis=0), initial=0.0)
-    if residual > TOL_EIG * scale:
-        raise EigenSolveError(f"eigenpair residual {residual:.3e} exceeds {TOL_EIG * scale:.3e}")
-    return w, v
+    unit = v / norms
+    if np.isrealobj(flat) and np.iscomplexobj(v):
+        real = (w.imag == 0).all(axis=-1)
+        if real.any():
+            unit[real] = v.real[real] / norms[real]
+    rows, w = np.arange(len(flat))[:, None], w.astype(complex)
+    scale = np.maximum(1.0, np.linalg.norm(flat, axis=(-2, -1)))
+    order = np.argsort(-w.real, axis=-1, kind="stable")
+    re = w.real[rows, order]
+    step = np.ones(re.shape, dtype=bool)  # where a run of ties starts
+    step[:, 1:] = re[:, 1:] - re[:, :-1] < -1e-12 * scale[:, None]
+    order = order[rows, np.lexsort((-w.imag[rows, order], np.cumsum(step, axis=-1)))]
+    w, v = w[rows, order], unit[rows[:, :, None], np.arange(n)[:, None], order[:, None, :]]
+    residual = np.linalg.norm(flat @ v - v * w[:, None, :], axis=-2).max(axis=-1, initial=0.0)
+    for k in np.flatnonzero(residual > TOL_EIG * scale)[:1]:
+        raise EigenSolveError(f"eigenpair residual {residual[k]:.3e} exceeds {TOL_EIG * scale[k]:.3e}")
+    return w.reshape(a.shape[:-1]), v.reshape(a.shape)

@@ -251,7 +251,8 @@ def _leads_negative(sigma: np.ndarray) -> bool:
 def _psd_slice(cand: RealEigenCandidate):
     """Anchor, endpoint states, interval and notes of a candidate's QSS set.
 
-    Returns the rejection reason (a str) instead when no state is found.
+    Returns the rejection reason (a str) instead when no state is found.  A 1-D
+    candidate's trace-one element is returned untested.
     """
     basis, notes = cand.herm_basis, (cand.warning,) if cand.warning else ()
     if not basis:
@@ -260,9 +261,7 @@ def _psd_slice(cand: RealEigenCandidate):
     if len(basis) == 1:
         if abs(traces[0]) <= 1e-10:
             return "trace-zero eigenvector"
-        nu_hat = basis[0] / traces[0]
-        ok, min_eig = op.psd_check(nu_hat, op.TOL_PSD)
-        return (nu_hat, (), None, notes) if ok else f"not PSD (min eigenvalue {min_eig:.3e})"
+        return basis[0] / traces[0], (), None, notes  # its positivity is tested by extract_stack
     tnorm2 = float(traces @ traces)
     if tnorm2 <= 1e-16:
         return "no trace-one element in eigenspace"
@@ -286,33 +285,48 @@ def _psd_slice(cand: RealEigenCandidate):
 
 
 def extract_qss(cands: CandidateSet) -> ExtractionResult:
-    """Trace-one PSD representatives of each real eigenspace.
+    """Trace-one PSD representatives of each real eigenspace: :func:`extract_stack` of one set."""
+    return extract_stack((cands,))[0]
 
-    Dimension 1: normalize and test positivity.  Dimension 2: the trace-one
-    slice is a line; its PSD part is an exact interval (``_psd_range``), and
-    the endpoint (extremal-support) states are certified.  Dimension >= 3:
-    four extreme points of the slice from face walks, flagged as a partial
-    list.
+
+def extract_stack(cand_sets) -> tuple:
+    """Trace-one PSD representatives of each real eigenspace of each candidate set.
+
+    Dimension 1: normalize and test positivity, in one stacked
+    ``op.psd_check`` of every such candidate of every set.  Dimension 2: the
+    trace-one slice is a line; its PSD part is an exact interval
+    (``_psd_range``), and the endpoint (extremal-support) states are
+    certified.  Dimension >= 3: four extreme points of the slice from face
+    walks, flagged as a partial list.
     """
-    restr = cands.restr
-    families, rejected = [], []
-    for cand in cands.candidates:
-        found = _psd_slice(cand)
-        if isinstance(found, str):
-            rejected.append(RejectedCandidate(cand.alpha, found))
-            continue
-        anchor, points, interval, notes = found
-        families.append(
-            QssFamily(
-                alpha=cand.alpha,
-                herm_basis=tuple(restr.embed(b) for b in cand.herm_basis),
-                anchor=_certificate(restr, cand.alpha, anchor),
-                param_interval=interval,
-                endpoints=tuple(_certificate(restr, cand.alpha, x) for x in points),
-                notes=notes,
+    flat = [cand for cset in cand_sets for cand in cset.candidates]
+    found = [_psd_slice(cand) for cand in flat]
+    ones = [k for k, cand in enumerate(flat) if len(cand.herm_basis) == 1 and not isinstance(found[k], str)]
+    if ones:
+        ok, min_eig = op.psd_check(np.array([found[k][0] for k in ones]), op.TOL_PSD)
+        for k, good, low in zip(ones, ok, min_eig):
+            if not good:
+                found[k] = f"not PSD (min eigenvalue {low:.3e})"
+    results, found = [], iter(found)
+    for cset in cand_sets:
+        restr, families, rejected = cset.restr, [], []
+        for cand, slice_ in zip(cset.candidates, found):
+            if isinstance(slice_, str):
+                rejected.append(RejectedCandidate(cand.alpha, slice_))
+                continue
+            anchor, points, interval, notes = slice_
+            families.append(
+                QssFamily(
+                    alpha=cand.alpha,
+                    herm_basis=tuple(restr.embed(b) for b in cand.herm_basis),
+                    anchor=_certificate(restr, cand.alpha, anchor),
+                    param_interval=interval,
+                    endpoints=tuple(_certificate(restr, cand.alpha, x) for x in points),
+                    notes=notes,
+                )
             )
-        )
-    return ExtractionResult(families=tuple(families), rejected=tuple(rejected))
+        results.append(ExtractionResult(families=tuple(families), rejected=tuple(rejected)))
+    return tuple(results)
 
 
 def perron_structure(

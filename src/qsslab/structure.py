@@ -56,6 +56,8 @@ class RestrictedGenerator:
     :func:`hermitian_frame`, with eigenpairs ``real_eig = (w, V_R)``; ``eig``
     is ``(w, frame @ V_R)``, the pairs of ``gen``.  ``g_hat`` and ``jumps_hat``
     are the compressed drift and jump operators that define it.
+    ``real_clusters`` are the real eigenvalues up to rounding, as
+    :class:`EigenCluster` s by descending mean (:func:`_real_clusters`).
     """
 
     spec: ModelSpec
@@ -68,6 +70,7 @@ class RestrictedGenerator:
     eig: tuple
     g_hat: np.ndarray
     jumps_hat: tuple
+    real_clusters: tuple
 
     def compress(self, x: np.ndarray) -> np.ndarray:
         v = self.isometry
@@ -77,46 +80,76 @@ class RestrictedGenerator:
         v = self.isometry
         return v @ np.asarray(x, dtype=complex) @ v.conj().T
 
-    @cached_property
-    def real_clusters(self) -> tuple:
-        """The real eigenvalues up to rounding, as :class:`EigenCluster` s by descending mean.
 
-        With delta = sqrt(n) eps ||R||_F (n = m^2, R = ``real_gen``), two
-        eigenvalues join when closer than 2 delta, or when their midpoint z has
-        sigma_min(R - z) <= delta, so that z is an eigenvalue of a matrix within
-        delta of R.  Only pairs with no other eigenvalue in the disk on their
-        segment are tested, and only pairs closer than 2 delta cond_F(V_R): the
-        delta-pseudospectrum lies within delta cond(V_R) of the spectrum
-        (Bauer-Fike).  The joined groups closed under conjugation are the real
-        clusters.  A singleton's null space is its real eigenvector; a larger
-        cluster keeps at most one singular vector of R - mean per member, those
-        up to twice its radius plus sqrt(delta ||R - mean||), the scale an
-        ill-conditioned eigenvector can lift rounding to.
-        """
-        (w, v), r, n = self.real_eig, self.real_gen, len(self.real_gen)
-        level = math.sqrt(n) * np.finfo(float).eps * frob(r)
-        d2 = np.abs(w[:, None] - w) ** 2
-        i, j = np.nonzero(np.triu(~(d2 > (2 * level * np.linalg.cond(v, "fro")) ** 2), 1))
-        join = d2[i, j] <= 4 * level**2
-        test = ~join & (d2[i] + d2[j] >= d2[i, j][:, None]).all(axis=1)
-        if test.any():
-            z = 0.5 * (w[i[test]] + w[j[test]])
-            z = z.real + 1j * np.abs(z.imag)  # one value for a pair and its conjugate
-            join[test] = np.linalg.svd(r - z[:, None, None] * np.eye(n), compute_uv=False)[:, -1] <= level
-        label = np.arange(n)
-        for a, b in zip(i[join], j[join]):
-            label[label == label[b]] = label[a]
-        order = np.argsort(label, kind="stable")
-        clusters = []
-        for idx in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-            if len(idx) == 1 and w[idx[0]].imag == 0:
-                clusters.append(EigenCluster(idx, w[idx[0]].real, v[:, idx].real))
-            elif len(idx) > 1 and np.isin(w[idx].conj(), w[idx]).any():
-                mean = float(w[idx].real.mean())
-                _, s, vt = np.linalg.svd(r - mean * np.eye(n))
-                cut = 2 * np.abs(w[idx] - mean).max() + math.sqrt(level * s[0])
-                clusters.append(EigenCluster(idx, mean, vt[n - min(len(idx), int(np.sum(s <= cut))):].T))
-        return tuple(sorted(clusters, key=lambda c: -c.mean))
+def _real_clusters(w: np.ndarray, v: np.ndarray, r: np.ndarray) -> list:
+    """The real clusters of each of k real matrices ``r`` (k, n, n) with eigenpairs
+    ``(w, v)`` from one :func:`op.eig_general`: per matrix, a tuple of
+    :class:`EigenCluster` s by descending mean.
+
+    With delta = sqrt(n) eps ||R||_F, two eigenvalues join when closer than
+    2 delta, or when their midpoint z has sigma_min(R - z) <= delta, so that z
+    is an eigenvalue of a matrix within delta of R.  Only pairs with no other
+    eigenvalue in the disk on their segment are tested, and only pairs closer
+    than 2 delta cond_F(V_R): the delta-pseudospectrum lies within
+    delta cond(V_R) of the spectrum (Bauer-Fike).  The joined groups closed under
+    conjugation are the real clusters.  A singleton's null space is its real
+    eigenvector; a larger cluster keeps at most one singular vector of R - mean
+    per member, those up to twice its radius plus sqrt(delta ||R - mean||), the
+    scale an ill-conditioned eigenvector can lift rounding to.
+
+    cond_F(V_R), the sigma_min tests and the null-space SVDs each run as one
+    stacked call over the k matrices (cond_F once per dtype: a real-spectrum
+    V_R is inverted in float64, as it would be alone); only the union of the
+    joined pairs and the building of each cluster are Python loops.
+    """
+    k, n = w.shape
+    level = math.sqrt(n) * np.finfo(float).eps * np.linalg.norm(r, axis=(-2, -1))
+    real_spectrum = (w.imag == 0).all(axis=-1)
+    cond = np.empty(k)
+    for group, basis in ((real_spectrum, v.real), (~real_spectrum, v)):
+        if group.any():
+            cond[group] = np.linalg.cond(basis[group], "fro")
+    d2 = np.abs(w[:, :, None] - w[:, None, :]) ** 2
+    upper = np.arange(n)[:, None] < np.arange(n)
+    p, i, j = np.nonzero(~(d2 > (2 * level * cond)[:, None, None] ** 2) & upper)
+    dij = d2[p, i, j]
+    join = dij <= 4 * level[p] ** 2
+    test = ~join & (d2[p, i] + d2[p, j] >= dij[:, None]).all(axis=1)
+    if test.any():
+        pt = p[test]
+        z = 0.5 * (w[pt, i[test]] + w[pt, j[test]])
+        z = z.real + 1j * np.abs(z.imag)  # one value for a pair and its conjugate
+        join[test] = np.linalg.svd(r[pt] - z[:, None, None] * np.eye(n), compute_uv=False)[:, -1] <= level[pt]
+    label = np.tile(np.arange(n), (k, 1))
+    for q, a, b in zip(p[join].tolist(), i[join].tolist(), j[join].tolist()):
+        row = label[q]
+        row[row == row[b]] = row[a]
+    # groups by ascending label, members ascending; a group is real if closed under conjugation
+    order = np.argsort(label, axis=-1, kind="stable")
+    rows = np.arange(k)[:, None]
+    conj = ((label[:, :, None] == label[:, None, :]) & (w.conj()[:, :, None] == w[:, None, :])).any(axis=-1)
+    ranked = label[rows, order]
+    first = np.ones((k, n), dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    starts = np.flatnonzero(first)
+    real = np.logical_or.reduceat(conj[rows, order].ravel(), starts)
+    ends, order = np.append(starts[1:], k * n), order.ravel()
+    clusters, wide = [[] for _ in range(k)], []  # wide: (matrix, members, mean, radius)
+    for lo, hi in zip(starts[real].tolist(), ends[real].tolist()):
+        q, idx = lo // n, order[lo:hi]
+        if hi - lo == 1:
+            clusters[q].append(EigenCluster(idx, w[q, idx[0]].real, v[q][:, idx].real))
+        else:
+            mean = float(w[q, idx].real.mean())
+            wide.append((q, idx, mean, np.abs(w[q, idx] - mean).max()))
+    if wide:
+        which, members, means, radius = zip(*wide)
+        _, sigma, vts = np.linalg.svd(r[list(which)] - np.array(means)[:, None, None] * np.eye(n))
+        cut = 2 * np.array(radius) + np.sqrt(level[list(which)] * sigma[:, 0])
+        kept = np.minimum([len(idx) for idx in members], (sigma <= cut[:, None]).sum(axis=-1))
+        for q, idx, mean, vt, keep in zip(which, members, means, vts, kept.tolist()):
+            clusters[q].append(EigenCluster(idx, mean, vt[n - keep:].T))
+    return [tuple(sorted(c, key=lambda c: -c.mean)) for c in clusters]
 
 
 @dataclass(frozen=True)
@@ -221,35 +254,55 @@ def hermitian_frame(m: int) -> np.ndarray:
 
 
 def restrict(model) -> RestrictedGenerator:
-    """Build the compressed generator on range(p0_perp).
+    """The compressed generator on range(p0_perp): :func:`restrict_stack` of one model."""
+    return restrict_stack((model,))[0]
 
-    Gated on the algebraic subharmonicity criterion.  The restriction is
-    defined by the compressed GKLS data g_hat = V^dag G V and
+
+def restrict_stack(models) -> tuple:
+    """Build the compressed generators on range(p0_perp) of models of one size as one stack.
+
+    Gated on each model's algebraic subharmonicity verdict (``Analysis.subharmonic``).
+    The restriction is defined by the compressed GKLS data g_hat = V^dag G V and
     L_hat = V^dag L V: x -> g_hat x + x g_hat^dag + sum_k L_hat x L_hat^dag,
     at O(m^6) and without the d^2 x d^2 generator.  It maps Hermitian matrices
     to Hermitian matrices, so in :func:`hermitian_frame` it is the real matrix
-    R; its imaginary part there is rounding and is dropped.  One real
-    eigensolve ``op.eig_general(R)`` gives the pairs (w, frame @ V_R) of
-    ``gen``, which serve every later stage.
+    R; its imaginary part there is rounding and is dropped.  The models must
+    share d, m and the number of jumps: every step broadcasts over the stack,
+    and one real eigensolve ``op.eig_general`` of the (k, m^2, m^2) stack of R
+    gives the pairs (w, frame @ V_R) of each ``gen``, which serve every later
+    stage, and its real clusters.  Each matrix is computed as it would be
+    alone, so a model's restriction does not depend on the rest of the stack.
     """
-    spec = as_analysis(model).spec
-    residual, ok = _algebraic_residual(spec)
-    if not ok:
-        raise StructureError(
-            "restriction undefined: p0 is not subharmonic "
-            f"(algebraic residual {residual:.3e})"
-        )
-    v = _perp_isometry(spec)
-    m = v.shape[1]
-    g_hat = v.conj().T @ spec.effective_drift() @ v
-    jumps_hat = tuple(v.conj().T @ l @ v for l in spec.jump_ops)
+    ctxs = [as_analysis(model) for model in models]
+    for ctx in ctxs:
+        if not ctx.subharmonic.verdict:
+            raise StructureError(
+                "restriction undefined: p0 is not subharmonic "
+                f"(algebraic residual {ctx.subharmonic.algebraic_residual:.3e})"
+            )
+    specs = [ctx.spec for ctx in ctxs]
+    d = specs[0].dim
+    jumps = np.array([spec.jump_ops for spec in specs], dtype=complex).reshape(len(specs), -1, d, d)
+    v = np.array([_perp_isometry(spec) for spec in specs])
+    vh = adjoint(v)
+    g_hat = vh @ np.array([spec.effective_drift() for spec in specs]) @ v
+    jumps_hat = vh[:, None] @ jumps @ v[:, None]
     gen = left_mul(g_hat) + right_mul(adjoint(g_hat))
-    for l in jumps_hat:
+    for l in jumps_hat.swapaxes(0, 1):
         gen = gen + sandwich(l, adjoint(l))
+    m = v.shape[-1]
     frame = hermitian_frame(m)
     real_gen = (adjoint(frame) @ gen @ frame).real
     w, v_real = op.eig_general(real_gen)
-    return RestrictedGenerator(spec, m, v, gen, frame, real_gen, (w, v_real), (w, frame @ v_real), g_hat, jumps_hat)
+    vecs, clusters = frame @ v_real, _real_clusters(w, v_real, real_gen)
+    real = (w.imag == 0).all(axis=-1)
+    return tuple(
+        RestrictedGenerator(
+            spec, m, v[q], gen[q], frame, real_gen[q], (w[q], v_real[q].real if real[q] else v_real[q]),
+            (w[q], vecs[q]), g_hat[q], tuple(jumps_hat[q]), clusters[q],
+        )
+        for q, spec in enumerate(specs)
+    )
 
 
 def absorption_operator(model) -> AbsorptionReport:

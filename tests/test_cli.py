@@ -14,7 +14,7 @@ from qsslab import operators as op
 from qsslab import qss
 from qsslab import structure
 from qsslab.classical import ClassicalQsd, CrosscheckReport
-from qsslab.model import two_qubit_both, two_qubit_site1
+from qsslab.model import FIXTURE_FAMILIES, two_qubit_both, two_qubit_site1
 
 
 def run(argv):
@@ -118,6 +118,50 @@ def test_analyze_output_is_pinned(models_dir, tmp_path, capsys, model, stream, d
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "model, grid, digest",
+    [
+        ("two_qubit_site1.json", "0:1:41", "63ed31e02cc13e38680f8af77587a8e102315861527c2e981847f2e6a165ee11"),
+        ("two_qubit_both.json", "0:1:41", "21719c305aa96aedc8653f1f337fe15d8afd2959fcb6d823016822f44749b74e"),
+        ("two_qubit_site1.json", "0.49:0.51:21", "56b45c915946d1a30b05121dea4239b756a78a895df0540e2992a90c82d716cd"),
+    ],
+    ids=["site1", "both", "site1-collision"],
+)
+def test_sweep_output_is_pinned(models_dir, capsys, model, grid, digest):
+    # the CSV byte for byte, also through the branch collision at omega = 1/2
+    assert run(["sweep", model_path(models_dir, model), "--range", grid]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family", ["two_qubit_site1", "two_qubit_both"])
+def test_sweep_rows_are_the_rates_analyze_reports(models_dir, tmp_path, capsys, family):
+    # sweep solves the 41 points as one stack, analyze each model file as a
+    # stack of one: every row is, bit for bit, the sorted rates of the report
+    assert run(["sweep", model_path(models_dir, f"{family}.json"), "--range", "0:1:41"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 41
+    for row in rows:
+        omega, *cells = row.split(",")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_doc(FIXTURE_FAMILIES[family](float(omega)))))
+        assert run(["analyze", str(path)]) == 0
+        alphas = sorted(fam["alpha"] for fam in json.loads(capsys.readouterr().out)["qss_families"])
+        assert [float(c) for c in cells if c] == alphas, omega
+
+
+def test_sweep_rows_do_not_depend_on_the_chunks(models_dir, monkeypatch, capsys):
+    # at most 2 restrictions of 81 entries per chunk: 21 points in 11 stacks
+    argv = ["sweep", model_path(models_dir, "two_qubit_site1.json"), "--range", "0.4:0.6:21"]
+    assert run(argv) == 0
+    whole = capsys.readouterr().out
+    shapes, eig = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(np.shape(a)) or eig(a))
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_ENTRIES", 2 * 81)
+    assert run(argv) == 0
+    assert shapes == [(2, 9, 9)] * 10 + [(1, 9, 9)]
+    assert capsys.readouterr().out == whole
+
+
 SEGMENT_MODELS = [f(w) for f in (two_qubit_site1, two_qubit_both) for w in (0.55, 0.7, 0.85, 1.0)]
 
 
@@ -144,11 +188,11 @@ def test_segment_order_is_a_property_of_the_family(tmp_path, monkeypatch, capsys
     lapack, solve = np.linalg.eig, op.eig_general
 
     def perturbed(a):
-        def eig(m):
+        def eig(m):  # of the stack of restrictions eig_general solves
             w, v = lapack(m)
             v = v.copy()
-            v[:, ::2] *= -1.0
-            return w[::-1], v[:, ::-1]
+            v[..., ::2] *= -1.0
+            return w[..., ::-1], v[..., ::-1]
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eig", eig)
@@ -157,10 +201,11 @@ def test_segment_order_is_a_property_of_the_family(tmp_path, monkeypatch, capsys
     with monkeypatch.context() as m:
         m.setattr(op, "eig_general", perturbed)
         assert _reports(tmp_path, capsys) == base
-    clusters = structure.RestrictedGenerator.real_clusters.func
+    clusters = structure._real_clusters
     with monkeypatch.context() as m:
-        m.setattr(structure.RestrictedGenerator, "real_clusters", property(lambda restr: tuple(
-            c._replace(coords=np.hstack([-c.coords[:, :1], c.coords[:, 1:]])) for c in clusters(restr))))
+        m.setattr(structure, "_real_clusters", lambda *args: [tuple(
+            c._replace(coords=np.hstack([-c.coords[:, :1], c.coords[:, 1:]])) for c in found)
+            for found in clusters(*args)])
         flipped = _reports(tmp_path, capsys)
     for got, want in zip(flipped, base):
         for fam, ref in zip(json.loads(got)["qss_families"], json.loads(want)["qss_families"]):

@@ -1,12 +1,13 @@
 """Metamorphic acceptance through ``cli.main``: what ``analyze`` reports is a property
-of the model, not of the basis it is written in, and an idle spectator changes only
-the multiplicities."""
+of the model, not of the basis it is written in, an idle spectator changes only
+the multiplicities, and scaling every rate by c scales the decay rate by c."""
 
 import json
 
 import pytest
 
 from helpers import model_to_doc, rotated, with_spectator
+from propcheck import scaled_model
 from qsslab import cli
 from qsslab.model import two_qubit_both, two_qubit_site1
 from qsslab.structure import restrict
@@ -43,6 +44,21 @@ def test_frames_and_spectators_change_nothing_but_multiplicities(factory, omega,
     got = _analyze(with_spectator(spec), tmp_path, capsys)
     assert got[:3] == (code, absorbing, [(perron, 4 * dim) for perron, dim in shape])
     assert abs(got[3] - alpha) <= 1e-6
+
+
+@pytest.mark.parametrize("omega", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("factory", [two_qubit_site1, two_qubit_both])
+def test_rate_scaling_scales_only_the_rate(factory, omega, tmp_path, capsys):
+    # H -> c H and L_k -> sqrt(c) L_k is time scaled by c: the exit code, the
+    # absorbing verdict and each family's Perron mark and dimension stay, and
+    # the Perron rate scales by c, within the frame test's tolerance scaled by c
+    spec = factory(omega)
+    code, absorbing, shape, alpha = _analyze(spec, tmp_path, capsys)
+    assert code == 0
+    for c in (10.0, 100.0, 1000.0):
+        got = _analyze(scaled_model(spec, c), tmp_path, capsys)
+        assert got[:3] == (code, absorbing, shape), c
+        assert abs(got[3] - c * alpha) <= c * 1e-6, c
 
 
 def test_an_ill_conditioned_double_eigenvalue_keeps_its_eigenspace():

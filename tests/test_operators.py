@@ -41,6 +41,11 @@ def test_psd_check_verdicts():
     assert not ok and mn == pytest.approx(-1e-3)
     with pytest.raises(ValueError, match="not Hermitian"):
         op.psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a stack gets one verdict and one smallest eigenvalue per matrix
+    ok, mn = op.psd_check(np.stack([np.diag([1.0, 0.0]), np.diag([1.0, -1e-3])]).astype(complex))
+    assert ok.tolist() == [True, False] and mn == pytest.approx([0.0, -1e-3], abs=1e-14)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        op.psd_check(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
 
 
 def test_validate_density():
@@ -239,6 +244,24 @@ def test_eig_general_sorted_and_accurate():
                 1.0, np.linalg.norm(a)
             )
             assert np.linalg.norm(v[:, j]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_eig_general_stack_is_each_matrix_alone_bit_for_bit():
+    # numpy returns complex vectors for a whole stack once one matrix has a
+    # complex eigenvalue; a real-spectrum matrix is still normalized in float64,
+    # so its vectors are the bits (and, in .real, the dtype) it gets alone
+    rng = np.random.default_rng(5)
+    mats = [rng.standard_normal((9, 9)) for _ in range(6)]
+    mats += [x + x.T for x in rng.standard_normal((3, 9, 9))]
+    w, v = op.eig_general(np.stack(mats))
+    assert v.dtype == complex
+    dtypes = set()
+    for a, w_k, v_k in zip(mats, w, v):
+        w_1, v_1 = op.eig_general(a)
+        dtypes.add(v_1.dtype)
+        assert np.array_equal(w_1, w_k)
+        assert np.array_equal(v_1, v_k.real if v_1.dtype == float else v_k)
+    assert dtypes == {np.dtype(float), np.dtype(complex)}
 
 
 def test_eig_general_order_is_a_property_of_the_matrix():

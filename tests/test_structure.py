@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import model_to_doc, with_spectator
+from helpers import model_to_doc, rotated, with_spectator
 from propcheck import random_subharmonic_model
 from qsslab import cli, model, qss, structure, trajectory
 from qsslab import operators as op
@@ -64,6 +64,28 @@ def test_restrict_canonical_isometry_and_roundtrip():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert np.allclose(restr.compress(restr.embed(x)), x)
+
+
+def test_a_stacked_restriction_is_the_lone_one_bit_for_bit():
+    # sweep solves its grid as one stack and analyze a stack of one: each
+    # model's restriction, eigenpairs and clusters are the same bits either way,
+    # with real and complex spectra in one stack, and in a rotated frame
+    specs = [two_qubit_site1(w) for w in np.linspace(0.0, 1.0, 9)]
+    specs += [rotated(two_qubit_site1(w), 5) for w in (0.3, 0.5, 0.7)]
+    stacked = structure.restrict_stack(specs)
+    assert {r.real_eig[1].dtype for r in stacked} == {np.dtype(float), np.dtype(complex)}
+    for spec, got in zip(specs, stacked):
+        want = restrict(spec)
+        for name in ("isometry", "gen", "real_gen", "g_hat"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for pair in ("real_eig", "eig"):
+            for x, y in zip(getattr(got, pair), getattr(want, pair)):
+                assert x.dtype == y.dtype and np.array_equal(x, y), pair
+        assert all(np.array_equal(x, y) for x, y in zip(got.jumps_hat, want.jumps_hat))
+        assert len(got.real_clusters) == len(want.real_clusters)
+        for x, y in zip(got.real_clusters, want.real_clusters):
+            assert np.array_equal(x.members, y.members) and x.mean == y.mean
+            assert np.array_equal(x.coords, y.coords)
 
 
 def test_restricted_operators_match_hand_forms():
@@ -377,10 +399,11 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def _count_sizes(monkeypatch, owner, name, sizes):
+    # one count per call, by the shape solved: (n, n) alone or (k, n, n) as a stack
     original = getattr(owner, name)
 
     def counting(a, *args, **kwargs):
-        sizes[np.shape(a)[0]] += 1
+        sizes[np.shape(a)] += 1
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
@@ -405,12 +428,28 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
     m = 3
-    assert sizes == {m * m: 1, m: 1}
+    assert sizes == {(1, m * m, m * m): 1, (m, m): 1}
     assert len(subharmonic) == 1
     assert len(eig_general) == 1
     # analyze evolves nothing, so it forms no exp(tL)
     assert expm == []
     assert full_space == [[], [], []]
+
+
+def test_each_model_checks_the_subharmonic_criterion_once(models_dir, monkeypatch, tmp_path):
+    # the restriction reads the verdict of its Analysis context: one residual
+    # per analyze and per simulate, and one per point of a sweep
+    residual = _count_calls(monkeypatch, structure, "_algebraic_residual")
+    path = os.path.join(models_dir, "two_qubit_site1.json")
+    for argv, calls in (
+        (["analyze", path], 1),
+        (["analyze", os.path.join(models_dir, "two_qubit_both.json")], 1),
+        (["simulate", path, "--samples", "20"], 1),
+        (["sweep", path, "--range", "0:1:41"], 41),
+    ):
+        residual.clear()
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert len(residual) == calls, argv[0]
 
 
 def test_analyze_and_sweep_evolve_nothing(models_dir, monkeypatch, tmp_path):
@@ -453,7 +492,8 @@ def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_pat
     _count_sizes(monkeypatch, sla, "eig", sizes)
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["sweep", path, "--range", "0.1:1.0:4", "--out", str(tmp_path / "s.csv")]) == 0
-    assert sizes == {3 * 3: 4}
+    # the four points' 9 x 9 restrictions as one stack, and no other eigensolve
+    assert sizes == {(4, 3 * 3, 3 * 3): 1}
 
 
 def test_each_command_builds_only_the_propagators_it_evolves_with(models_dir, monkeypatch, tmp_path):
@@ -492,10 +532,10 @@ def test_simulate_solves_only_the_nojump_generator_in_full(models_dir, monkeypat
     argv = ["simulate", path, "--samples", "20", "--out", str(tmp_path / "s.json")]
     d, m = 4, 3
     assert cli.main(argv) == 0
-    assert sizes == {m * m: 1}
+    assert sizes == {(1, m * m, m * m): 1}
     sizes.clear()
     assert cli.main(argv + ["--records", str(tmp_path / "r.jsonl")]) == 0
-    assert sizes == {d * d: 1, m * m: 1}  # the final states of the records
+    assert sizes == {(d * d, d * d): 1, (1, m * m, m * m): 1}  # the final states of the records
 
 
 def test_simulate_checks_subharmonicity_once(models_dir, monkeypatch, tmp_path):
