@@ -19,10 +19,8 @@ from .operators import (  # noqa: F401
 from .qss import (  # noqa: F401
     QssCertificate,
     QssFamily,
-    absorbing_implies_positive_rate,
     extract_qss,
     perron_structure,
-    real_eigen_candidates,
     verify_qss,
 )
 from .structure import (  # noqa: F401

@@ -135,8 +135,7 @@ def crosscheck(rm: RateMatrix) -> CrosscheckReport:
     """
     qsd = classical_qsd(rm)
     spec = embed(rm)
-    restr = structure_mod.restrict(spec)
-    result = qss_mod.extract_qss(qss_mod.real_eigen_candidates(restr))
+    result = qss_mod.extract_qss(structure_mod.restrict(spec))
 
     nu_hat_target = np.zeros((spec.dim, spec.dim), dtype=complex)
     for val, x in zip(qsd.density, rm.complement):

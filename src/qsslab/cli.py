@@ -54,42 +54,22 @@ def _load(path) -> modelio.ModelFile:
         raise InputError(f"invalid model file: {exc}") from exc
 
 
-def _restriction(ctx):
-    """The restricted generator; p0 must be subharmonic."""
-    sub = ctx.subharmonic
-    if not sub.verdict:
-        raise InputError(
-            "p0 is not subharmonic for this model "
-            f"(algebraic residual {sub.algebraic_residual:.3e})"
-        )
-    return ctx.restriction
-
-
-def _qss_families(ctx, irreducible=None):
-    """Candidates, extraction and Perron marking: all that ``simulate`` needs."""
-    restr = _restriction(ctx)
-    cands = qss_mod.real_eigen_candidates(restr)
-    return qss_mod.perron_structure(restr, qss_mod.extract_qss(cands), irreducible=irreducible)
-
-
-def _analysis_bundle(ctx):
-    """Run the full structural + spectral pipeline on one model context."""
-    restr = _restriction(ctx)
-    sub = ctx.subharmonic
-    absorption = ctx.absorption
+def _analysis_bundle(restr):
+    """Run the full structural + spectral pipeline on one model's restriction."""
+    absorption = structure_mod.absorption_operator(restr)
     irred = structure_mod.check_irreducible(restr)
-    result = _qss_families(ctx, irreducible=irred.verdict or None)
+    result = qss_mod.perron_structure(restr, qss_mod.extract_qss(restr), irreducible=irred.verdict or None)
     for fam in result.families:
-        if not qss_mod.absorbing_implies_positive_rate(absorption, fam.anchor):
+        if absorption.is_absorbing and fam.alpha <= 1e-9:  # an absorbing p0 forces alpha > 0
             raise ConsistencyError(f"p0 is absorbing but a family has alpha {fam.alpha:.6e}")
 
     spectrum, _ = restr.eig
     families_json = []
     for fam in result.families:
-        report = qss_mod.verify_qss(ctx, fam.anchor)
+        report = qss_mod.verify_qss(fam.anchor)
         fam_json = {
             "alpha": fam.alpha,
-            "is_perron": fam.anchor.is_perron,
+            "is_perron": fam.is_perron,
             "dimension": len(fam.herm_basis),
             "anchor": fam.anchor.nu,
             "residual_eigen": fam.anchor.residual_eigen,
@@ -110,11 +90,11 @@ def _analysis_bundle(ctx):
             fam_json["endpoints"] = [c.nu for c in fam.endpoints]
         families_json.append(fam_json)
     bundle = {
-        "label": ctx.spec.label,
+        "label": restr.spec.label,
         "structure": {
             "subharmonic": {
-                "algebraic_residual": sub.algebraic_residual,
-                "verdict": sub.verdict,
+                "algebraic_residual": restr.subharmonic.algebraic_residual,
+                "verdict": restr.subharmonic.verdict,
             },
             "absorption": {
                 "is_absorbing": absorption.is_absorbing,
@@ -146,8 +126,7 @@ def cmd_analyze(args) -> int:
     mf = _load(args.model)
     if mf.spec is None:
         raise InputError("model file has no quantum model block")
-    ctx = structure_mod.Analysis(mf.spec)
-    bundle = _analysis_bundle(ctx)
+    bundle = _analysis_bundle(structure_mod.restrict(mf.spec))
     for fam in bundle["qss_families"]:  # e.g. a residual that is not finite
         verification = {f"verification.{k}": v for k, v in fam["verification"].items()}
         for name, value in {**fam, **verification}.items():
@@ -160,6 +139,8 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     if args.samples <= 0:
         raise InputError("--samples must be positive")
+    if args.samples > 2**32:  # one sampler stream per trajectory, and there are 2**32
+        raise InputError("--samples must be at most 2**32")
     if args.seed < 0:
         raise InputError("--seed must be non-negative")
     if not 0 < args.horizon < np.inf:  # also rejects nan
@@ -185,15 +166,13 @@ def cmd_simulate(args) -> int:
             op.validate_density(rho0)
         except (ModelFileError, ValueError) as exc:
             raise InputError(f"invalid start density: {exc}") from exc
-    ctx = structure_mod.Analysis(spec)
-    result = _qss_families(ctx)
-    perron = [f for f in result.families if f.anchor.is_perron]
-    if not perron:
-        raise ConsistencyError("no Perron QSS available")
-    alpha = perron[0].alpha
+    restr = structure_mod.restrict(spec)
+    result = qss_mod.perron_structure(restr, qss_mod.extract_qss(restr))
+    perron = next(f for f in result.families if f.is_perron)  # perron_structure checked it exists
+    alpha = perron.alpha
     if args.start == "qss":
-        rho0 = perron[0].anchor.nu
-    kernel = traj_mod.build_kernel(ctx)
+        rho0 = perron.anchor.nu
+    kernel = traj_mod.build_kernel(restr)
 
     batch = traj_mod.sample_trajectories(kernel, rho0, args.horizon, args.seed, args.samples)
     stats = traj_mod.jump_statistics(batch, alpha, nu=rho0)
@@ -273,7 +252,7 @@ def cmd_sweep(args) -> int:
     for lo in range(0, len(values), step):
         chunk = values[lo:lo + step]
         restrs = structure_mod.restrict_stack([factory(value) for value in chunk])
-        results = qss_mod.extract_stack([qss_mod.real_eigen_candidates(restr) for restr in restrs])
+        results = qss_mod.extract_stack(restrs)
         rows += [(value, sorted(f.alpha for f in result.families)) for value, result in zip(chunk, results)]
     width = max(len(alphas) for _, alphas in rows)
     header = [args.param] + [f"alpha_{k + 1}" for k in range(width)]

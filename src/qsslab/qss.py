@@ -1,11 +1,12 @@
 """Quasi-stationary states from the spectrum of the restricted generator.
 
 Pipeline: the real eigenvalue clusters of the compressed state-evolution
-generator give candidate decay rates alpha; each real eigenspace is a real
-null space in a Hermitian frame, hence Hermitian; the trace-one PSD slice of that
-eigenspace (a point, a segment, or a higher-dimensional family) is the set
-of quasi-stationary states at rate alpha.  Perron-Frobenius structure marks
-the family at the spectral abscissa and enforces the existence theorem.
+generator (``restr.real_clusters``) give the candidate decay rates alpha; each
+real eigenspace is a real null space in a Hermitian frame, hence Hermitian; the
+trace-one PSD slice of that eigenspace (a point, a segment, or a
+higher-dimensional family) is the set of quasi-stationary states at rate alpha.
+The family at the spectral abscissa is the Perron family, and Perron-Frobenius
+structure enforces the existence theorem.
 
 The slice geometry is exact.  One primitive, ``_psd_range``, gives the
 interval {t : x + t d PSD} from the roots of det(a + t b) on the joint range
@@ -19,7 +20,7 @@ which certifies an extreme point (Ramana & Goldman, J. Global Optim. 7,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import operators as op
 from .operators import adjoint, devectorize, frob
-from .structure import AbsorptionReport, RestrictedGenerator, as_analysis
+from .structure import RestrictedGenerator
 
 VERIFY_HORIZON = 2.2  # verification bounds hold for t in [0, VERIFY_HORIZON / k]
 EXTREME_POINTS_NOTE = "endpoints: 4 extreme points reached by face walks; the family has others"
@@ -36,19 +37,6 @@ FACE_TOL = 1e-10  # relative rank cut of supports and joint ranges in the PSD-sl
 
 class QssTheoryError(RuntimeError):
     """A structural guarantee of the theory failed numerically."""
-
-
-@dataclass(frozen=True)
-class RealEigenCandidate:
-    alpha: float
-    herm_basis: tuple  # restricted m x m Hermitian matrices, orthonormal in HS
-    warning: str = ""  # why the basis is smaller than the cluster, if it is
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    restr: RestrictedGenerator
-    candidates: tuple
 
 
 @dataclass(frozen=True)
@@ -61,7 +49,6 @@ class QssCertificate:
 
     alpha: float
     nu: np.ndarray
-    is_perron: bool = False
     restr: Optional[RestrictedGenerator] = field(default=None, repr=False, compare=False)
     rho_hat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -82,12 +69,14 @@ class QssFamily:
     ``nu0 + x * sigma`` for x in ``param_interval``; the endpoint states are
     kept as certificates.  For a larger eigenspace ``endpoints`` holds four
     extreme points of the family, not all of them.  ``herm_basis`` is
-    embedded in the full space.
+    embedded in the full space.  ``is_perron`` marks the family at the
+    negated spectral abscissa, the mean of the top real cluster.
     """
 
     alpha: float
     herm_basis: tuple
     anchor: QssCertificate
+    is_perron: bool
     param_interval: Optional[tuple] = None
     endpoints: tuple = ()
     notes: tuple = ()
@@ -103,23 +92,6 @@ class RejectedCandidate:
 class ExtractionResult:
     families: tuple
     rejected: tuple
-
-
-def real_eigen_candidates(restr: RestrictedGenerator) -> CandidateSet:
-    """One candidate per real cluster of the restriction's spectrum (``restr.real_clusters``).
-
-    Its rate is minus the cluster mean, and its Hermitian basis is the real null
-    space of ``real_gen - mean`` mapped through the Hermitian frame.  A cluster
-    with fewer null vectors than members is defective, and its warning says so:
-    only genuine eigenvectors enter the basis.
-    """
-    candidates = []
-    for c in restr.real_clusters:
-        alg, geom = len(c.members), c.coords.shape[1]
-        basis = tuple(devectorize(x) for x in (restr.frame @ c.coords).T)
-        warning = f"defective eigenvalue: algebraic {alg}, geometric {geom}; generalized eigenvectors excluded"
-        candidates.append(RealEigenCandidate(-c.mean, basis, warning if geom < alg else ""))
-    return CandidateSet(restr=restr, candidates=tuple(candidates))
 
 
 def _gamma(n: int) -> float:
@@ -248,15 +220,25 @@ def _leads_negative(sigma: np.ndarray) -> bool:
     return bool(parts[np.argmax(np.abs(parts) >= (1.0 - 1e-8) * np.abs(parts).max())] < 0)
 
 
-def _psd_slice(cand: RealEigenCandidate):
-    """Anchor, endpoint states, interval and notes of a candidate's QSS set.
+def _eigenspace(restr: RestrictedGenerator, cluster) -> tuple:
+    """``(basis, notes)`` of a real cluster: restricted m x m Hermitian matrices, orthonormal
+    in HS, from the real null space of ``real_gen - mean`` mapped through the Hermitian frame.
+    A cluster with fewer null vectors than members is defective, and its note says so: only
+    genuine eigenvectors enter the basis."""
+    alg, geom = len(cluster.members), cluster.coords.shape[1]
+    basis = tuple(devectorize(x) for x in (restr.frame @ cluster.coords).T)
+    warning = f"defective eigenvalue: algebraic {alg}, geometric {geom}; generalized eigenvectors excluded"
+    return basis, (warning,) if geom < alg else ()
+
+
+def _psd_slice(basis: tuple, notes: tuple):
+    """Anchor, endpoint states, interval and notes of the QSS set of an eigenspace.
 
     Returns the rejection reason (a str) instead when no state is found.  A 1-D
-    candidate's trace-one element is returned untested.
+    eigenspace's trace-one element is returned untested.
     """
-    basis, notes = cand.herm_basis, (cand.warning,) if cand.warning else ()
     if not basis:
-        return cand.warning
+        return notes[0]
     traces = np.array([np.trace(b).real for b in basis])
     if len(basis) == 1:
         if abs(traces[0]) <= 1e-10:
@@ -284,44 +266,47 @@ def _psd_slice(cand: RealEigenCandidate):
     return found + (None, notes + (EXTREME_POINTS_NOTE,))
 
 
-def extract_qss(cands: CandidateSet) -> ExtractionResult:
-    """Trace-one PSD representatives of each real eigenspace: :func:`extract_stack` of one set."""
-    return extract_stack((cands,))[0]
+def extract_qss(restr: RestrictedGenerator) -> ExtractionResult:
+    """Trace-one PSD representatives of each real eigenspace: :func:`extract_stack` of one restriction."""
+    return extract_stack((restr,))[0]
 
 
-def extract_stack(cand_sets) -> tuple:
-    """Trace-one PSD representatives of each real eigenspace of each candidate set.
+def extract_stack(restrs) -> tuple:
+    """Trace-one PSD representatives of each real eigenspace of each restriction.
 
-    Dimension 1: normalize and test positivity, in one stacked
-    ``op.psd_check`` of every such candidate of every set.  Dimension 2: the
+    One candidate per real cluster of ``restr.real_clusters``, at rate minus its
+    mean (:func:`_eigenspace`).  Dimension 1: normalize and test positivity, in one
+    stacked ``op.psd_check`` of every such eigenspace of every restriction.  Dimension 2: the
     trace-one slice is a line; its PSD part is an exact interval
     (``_psd_range``), and the endpoint (extremal-support) states are
     certified.  Dimension >= 3: four extreme points of the slice from face
     walks, flagged as a partial list.
     """
-    flat = [cand for cset in cand_sets for cand in cset.candidates]
-    found = [_psd_slice(cand) for cand in flat]
-    ones = [k for k, cand in enumerate(flat) if len(cand.herm_basis) == 1 and not isinstance(found[k], str)]
+    spaces = [_eigenspace(restr, c) for restr in restrs for c in restr.real_clusters]
+    found = [_psd_slice(*space) for space in spaces]
+    ones = [k for k, (basis, _) in enumerate(spaces) if len(basis) == 1 and not isinstance(found[k], str)]
     if ones:
         ok, min_eig = op.psd_check(np.array([found[k][0] for k in ones]), op.TOL_PSD)
         for k, good, low in zip(ones, ok, min_eig):
             if not good:
                 found[k] = f"not PSD (min eigenvalue {low:.3e})"
-    results, found = [], iter(found)
-    for cset in cand_sets:
-        restr, families, rejected = cset.restr, [], []
-        for cand, slice_ in zip(cset.candidates, found):
+    results, found, spaces = [], iter(found), iter(spaces)
+    for restr in restrs:
+        families, rejected = [], []
+        for c, slice_, (basis, _) in zip(restr.real_clusters, found, spaces):
+            alpha = -c.mean
             if isinstance(slice_, str):
-                rejected.append(RejectedCandidate(cand.alpha, slice_))
+                rejected.append(RejectedCandidate(alpha, slice_))
                 continue
             anchor, points, interval, notes = slice_
             families.append(
                 QssFamily(
-                    alpha=cand.alpha,
-                    herm_basis=tuple(restr.embed(b) for b in cand.herm_basis),
-                    anchor=_certificate(restr, cand.alpha, anchor),
+                    alpha=alpha,
+                    herm_basis=tuple(restr.embed(b) for b in basis),
+                    anchor=_certificate(restr, alpha, anchor),
+                    is_perron=alpha == -restr.real_clusters[0].mean,
                     param_interval=interval,
-                    endpoints=tuple(_certificate(restr, cand.alpha, x) for x in points),
+                    endpoints=tuple(_certificate(restr, alpha, x) for x in points),
                     notes=notes,
                 )
             )
@@ -334,36 +319,33 @@ def perron_structure(
     result: ExtractionResult,
     irreducible: Optional[bool] = None,
 ) -> ExtractionResult:
-    """Mark the Perron family and enforce existence/uniqueness guarantees.
+    """Enforce the existence/uniqueness guarantees on the families of ``restr``; returns ``result``.
 
     Existence (finite dimension, subharmonic p0) requires a nonempty family
     at the negated spectral abscissa, which is a real eigenvalue (Evans &
-    Hoegh-Krohn, J. London Math. Soc. 1978): the mean of the top real cluster
-    of ``restr.real_clusters``.  A violation raises, carrying the full
-    spectrum.  Under irreducibility the Perron family must be a single
-    strictly positive state and the only family.
+    Hoegh-Krohn, J. London Math. Soc. 1978): the Perron family, marked at
+    extraction.  A violation raises, carrying the full spectrum.  Under
+    irreducibility the Perron family must be a single strictly positive state
+    and the only family.
     """
-    abscissa = restr.real_clusters[0].mean if restr.real_clusters else np.nan
-    marked = []
-    for fam in result.families:
-        is_perron = fam.alpha == -abscissa
-        endpoints = tuple(replace(c, is_perron=is_perron) for c in fam.endpoints)
-        marked.append(replace(fam, anchor=replace(fam.anchor, is_perron=is_perron), endpoints=endpoints))
-    if not any(fam.anchor.is_perron for fam in marked):
-        reason = f"no family at spectral abscissa {abscissa:.6e}" if marked else "no QSS family found"
+    families = result.families
+    if not any(fam.is_perron for fam in families):
+        reason = "no QSS family found"
+        if families:
+            reason = f"no family at spectral abscissa {restr.real_clusters[0].mean:.6e}"
         # one line: the message is printed as the CLI's one-line error
         spectrum = np.array2string(np.sort_complex(restr.eig[0]), max_line_width=np.inf)
         raise QssTheoryError(f"Perron existence failed: {reason}; spectrum {spectrum}")
     if irreducible:
-        if len(marked) != 1 or marked[0].param_interval is not None:
+        if len(families) != 1 or families[0].param_interval is not None:
             raise QssTheoryError(
                 "irreducible restriction must carry a unique QSS; "
-                f"found {len(marked)} families"
+                f"found {len(families)} families"
             )
-        nu_hat = restr.compress(marked[0].anchor.nu)
+        nu_hat = restr.compress(families[0].anchor.nu)
         if _min_eig(nu_hat) <= 0:
             raise QssTheoryError("Perron state of an irreducible restriction must be strictly positive")
-    return ExtractionResult(families=tuple(marked), rejected=result.rejected)
+    return result
 
 
 @dataclass(frozen=True)
@@ -376,12 +358,13 @@ class VerificationReport:
     ok: bool
 
 
-def verify_qss(model, cert: QssCertificate) -> VerificationReport:
+def verify_qss(cert: QssCertificate) -> VerificationReport:
     """Certify a QSS by the equivalent characterizations, from one residual.
 
     On the p0_perp corner T_t(nu) is the restricted evolution T^_t of nu^ =
-    compress(nu); f(t) = tr T^_t(nu^).  Each value bounds its quantity for all t in
-    [0, T], T = 2.2 / k, k = 2^floor(log2 alpha) for alpha >= 2 and 1 otherwise:
+    compress(nu), on the restriction ``cert`` carries; f(t) = tr T^_t(nu^).  Each
+    value bounds its quantity for all t in [0, T], T = 2.2 / k, k = 2^floor(log2 alpha)
+    for alpha >= 2 and 1 otherwise:
     ``residual_defn`` sup ||T^_t(nu^) / f(t) - nu^||_F, ``residual_exp_survival``
     sup |f(t) - e^{-alpha t}|, ``residual_mult`` sup |f(t+s) - f(t) f(s)| (t + s <= T),
     ``residual_repeated`` the definition's bound, since measure-and-condition cycles
@@ -411,9 +394,6 @@ def verify_qss(model, cert: QssCertificate) -> VerificationReport:
     ||M||_F; the factor 1 + gamma_{m^2+64} covers the evaluation of the bounds.
     ``ok`` gates the four residuals at 1e-8 and the rate at 1e-7.
     """
-    if cert.restr is None:  # a certificate built by hand: certify its nu on the model
-        restr = as_analysis(model).restriction
-        cert = replace(cert, restr=restr, rho_hat=restr.compress(cert.nu))
     (r, err), g, jumps = cert.residual, cert.restr.g_hat, cert.restr.jumps_hat
     x, alpha, m = cert.rho_hat, cert.alpha, len(cert.rho_hat)
     mat = g + adjoint(g) + sum((adjoint(l) @ l for l in jumps), np.zeros_like(g))
@@ -437,9 +417,3 @@ def verify_qss(model, cert: QssCertificate) -> VerificationReport:
         ok=max(defn, survival, mult) <= 1e-8 and rate <= 1e-7,
     )
 
-
-def absorbing_implies_positive_rate(
-    absorption: AbsorptionReport, cert: QssCertificate
-) -> bool:
-    """False signals a theory violation: absorbing p0 forces alpha > 0."""
-    return (not absorption.is_absorbing) or cert.alpha > 1e-9

@@ -5,16 +5,17 @@ evolution compressed to the range of p0-perp is again a semigroup.  Its
 generator and its eigenpairs are built here from the
 compressed GKLS data (g_hat, jumps_hat), together with the absorption operator
 A(p0) = lim_t T_t(p0) and an irreducibility verdict certified by Burnside's
-theorem.  :class:`Analysis` builds each of them once per model.  None of
-these stages builds a d^2 x d^2 matrix: everything is read off the m x m
-compressed operators and the m^2 x m^2 restriction.
+theorem.  :func:`restrict` builds the restriction once per model, for a
+subharmonic p0 only, and every later stage takes it.  None of these stages
+builds a d^2 x d^2 matrix: everything is read off the m x m compressed
+operators and the m^2 x m^2 restriction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -57,10 +58,12 @@ class RestrictedGenerator:
     is ``(w, frame @ V_R)``, the pairs of ``gen``.  ``g_hat`` and ``jumps_hat``
     are the compressed drift and jump operators that define it.
     ``real_clusters`` are the real eigenvalues up to rounding, as
-    :class:`EigenCluster` s by descending mean (:func:`_real_clusters`).
+    :class:`EigenCluster` s by descending mean (:func:`_real_clusters`), and
+    ``subharmonic`` the verdict it was built on.
     """
 
     spec: ModelSpec
+    subharmonic: SubharmonicReport
     m: int
     isometry: np.ndarray
     gen: np.ndarray
@@ -167,33 +170,6 @@ class IrreducibilityReport:
     note: str
 
 
-@dataclass(frozen=True, eq=False)
-class Analysis:
-    """What ``analyze`` derives from one model, each object built on first use.
-
-    The stage functions below take an ``Analysis`` or a bare ``ModelSpec``,
-    which gets a fresh context.
-    """
-
-    spec: ModelSpec
-
-    @cached_property
-    def subharmonic(self) -> SubharmonicReport:
-        return check_subharmonic(self)
-
-    @cached_property
-    def restriction(self) -> RestrictedGenerator:
-        return restrict(self)
-
-    @cached_property
-    def absorption(self) -> AbsorptionReport:
-        return absorption_operator(self)
-
-
-def as_analysis(model) -> Analysis:
-    return model if isinstance(model, Analysis) else Analysis(model)
-
-
 def _algebraic_residual(spec: ModelSpec) -> tuple:
     """``(residual, ok)``: how far range(p0) is from invariant under G and every jump.
 
@@ -207,14 +183,14 @@ def _algebraic_residual(spec: ModelSpec) -> tuple:
     return residual, residual <= 1e-10 * max(1.0, frob(spec.hamiltonian))
 
 
-def check_subharmonic(model) -> SubharmonicReport:
+def check_subharmonic(spec: ModelSpec) -> SubharmonicReport:
     """Decide whether p0 is subharmonic by the algebraic criterion.
 
     The range of p0 must be invariant under every jump operator and under
     the drift G.  For a projection this is equivalent to T_t(p0) >= p0 for
     all t >= 0, so the verdict needs no evolution.
     """
-    residual, ok = _algebraic_residual(as_analysis(model).spec)
+    residual, ok = _algebraic_residual(spec)
     return SubharmonicReport(algebraic_residual=residual, verdict=ok)
 
 
@@ -253,15 +229,16 @@ def hermitian_frame(m: int) -> np.ndarray:
     return frame
 
 
-def restrict(model) -> RestrictedGenerator:
+def restrict(spec: ModelSpec) -> RestrictedGenerator:
     """The compressed generator on range(p0_perp): :func:`restrict_stack` of one model."""
-    return restrict_stack((model,))[0]
+    return restrict_stack((spec,))[0]
 
 
-def restrict_stack(models) -> tuple:
+def restrict_stack(specs) -> tuple:
     """Build the compressed generators on range(p0_perp) of models of one size as one stack.
 
-    Gated on each model's algebraic subharmonicity verdict (``Analysis.subharmonic``).
+    Each model's :func:`check_subharmonic` verdict is taken once and kept as
+    ``subharmonic``; a model whose p0 is not subharmonic raises ``StructureError``.
     The restriction is defined by the compressed GKLS data g_hat = V^dag G V and
     L_hat = V^dag L V: x -> g_hat x + x g_hat^dag + sum_k L_hat x L_hat^dag,
     at O(m^6) and without the d^2 x d^2 generator.  It maps Hermitian matrices
@@ -273,14 +250,12 @@ def restrict_stack(models) -> tuple:
     stage, and its real clusters.  Each matrix is computed as it would be
     alone, so a model's restriction does not depend on the rest of the stack.
     """
-    ctxs = [as_analysis(model) for model in models]
-    for ctx in ctxs:
-        if not ctx.subharmonic.verdict:
+    subs = [check_subharmonic(spec) for spec in specs]
+    for sub in subs:
+        if not sub.verdict:
             raise StructureError(
-                "restriction undefined: p0 is not subharmonic "
-                f"(algebraic residual {ctx.subharmonic.algebraic_residual:.3e})"
+                f"p0 is not subharmonic for this model (algebraic residual {sub.algebraic_residual:.3e})"
             )
-    specs = [ctx.spec for ctx in ctxs]
     d = specs[0].dim
     jumps = np.array([spec.jump_ops for spec in specs], dtype=complex).reshape(len(specs), -1, d, d)
     v = np.array([_perp_isometry(spec) for spec in specs])
@@ -298,14 +273,15 @@ def restrict_stack(models) -> tuple:
     real = (w.imag == 0).all(axis=-1)
     return tuple(
         RestrictedGenerator(
-            spec, m, v[q], gen[q], frame, real_gen[q], (w[q], v_real[q].real if real[q] else v_real[q]),
-            (w[q], vecs[q]), g_hat[q], tuple(jumps_hat[q]), clusters[q],
+            spec, subs[q], m, v[q], gen[q], frame, real_gen[q],
+            (w[q], v_real[q].real if real[q] else v_real[q]), (w[q], vecs[q]), g_hat[q], tuple(jumps_hat[q]),
+            clusters[q],
         )
         for q, spec in enumerate(specs)
     )
 
 
-def absorption_operator(model) -> AbsorptionReport:
+def absorption_operator(restr: RestrictedGenerator) -> AbsorptionReport:
     """A(p0) = lim_t T_t(p0), via the peripheral spectral component.
 
     For subharmonic p0, 0 <= T_t(p0_perp) <= p0_perp forces
@@ -322,11 +298,7 @@ def absorption_operator(model) -> AbsorptionReport:
     the nearest |w| outside the kernel lies beyond the cut or, when every
     eigenvalue is inside, how far the largest |w| lies below it.
     """
-    ctx = as_analysis(model)
-    spec = ctx.spec
-    if not ctx.subharmonic.verdict:
-        raise StructureError("absorption operator requires a subharmonic p0")
-    restr = ctx.restriction
+    spec = restr.spec
     (w, v), one = restr.eig, np.eye(restr.m)
     modulus = np.abs(w)
     cut = KERNEL_CUT * max(1.0, frob(restr.gen))

@@ -38,7 +38,7 @@ import numpy as np
 from . import operators as op
 from .model import ModelSpec, build_generator, left_mul, right_mul, sandwich
 from .operators import adjoint, vectorize
-from .structure import as_analysis, check_subharmonic  # noqa: F401 (qssbench tests patch it)
+from .structure import RestrictedGenerator
 
 STEP = 0.01           # finest grid step of the survival curve's bracket search
 GRID_INTERVALS = 2**16  # most grid steps per horizon: a longer horizon takes wider ones
@@ -72,14 +72,10 @@ class UnravelingKernel:
         return np.append(vectorize(v.conj().T @ rho @ v), np.trace(self.spec.p0 @ rho))
 
 
-def build_kernel(model) -> UnravelingKernel:
+def build_kernel(restr: RestrictedGenerator) -> UnravelingKernel:
     """The unraveling's propagators.  A = [[S^ - 1, 0], [-vec(1_m)^T S^, 0]] takes
     its pairs from the restriction's S^ v = w v, no eigensolve: (w - 1,
     (v, -w tr v / (w - 1))) and (0, e_last).  ``nojump`` solves its own."""
-    ctx = as_analysis(model)
-    if not ctx.subharmonic.verdict:
-        raise TrajectoryError("unraveling kernel requires a subharmonic p0")
-    restr = ctx.restriction
     (w, v), s_hat, n = restr.eig, restr.gen, restr.m**2
     one = vectorize(np.eye(restr.m))
     a = np.zeros((n + 1, n + 1), dtype=complex)
@@ -87,7 +83,7 @@ def build_kernel(model) -> UnravelingKernel:
     vecs = np.zeros_like(a)
     vecs[:n, :n], vecs[n, :n], vecs[n, n] = v, -w * (one @ v) / (w - 1), 1.0
     loop = op.Propagator(a, eig=(np.append(w - 1, 0.0), vecs), trace_row=np.append(one, 1.0))
-    return UnravelingKernel(loop, restr.isometry, ctx.spec)
+    return UnravelingKernel(loop, restr.isometry, restr.spec)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import scipy.linalg as sla
 
 from qsslab import operators as op
 from qsslab.model import ModelSpec, apply_semigroup, build_generator
-from qsslab.qss import extract_qss, real_eigen_candidates
+from qsslab.qss import extract_qss
 from qsslab.structure import restrict
 
 from oracles import duality_check, gen_tilde
@@ -96,8 +96,8 @@ def scaled_model(spec, c):
 
 def check_rate_scaling(spec, c=1.7):
     """alpha scales with the rates, the states do not."""
-    base = extract_qss(real_eigen_candidates(restrict(spec)))
-    scaled = extract_qss(real_eigen_candidates(restrict(scaled_model(spec, c))))
+    base = extract_qss(restrict(spec))
+    scaled = extract_qss(restrict(scaled_model(spec, c)))
     if len(base.families) != len(scaled.families):
         return np.inf
     worst = 0.0
@@ -150,8 +150,7 @@ def grid_oracle_case(seed, grid_n=21, t=0.8, residual_cut=1e-4):
     propagator = sla.expm(t * build_generator(spec))
     perp = spec.p0_perp
 
-    restr = restrict(spec)
-    result = extract_qss(real_eigen_candidates(restr))
+    result = extract_qss(restrict(spec))
 
     states = []
     for fam in result.families:

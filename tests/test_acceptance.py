@@ -14,7 +14,7 @@ from oracles import interjump_gaps, nojump_survival, sector_sum, truncated_exp_m
 from qsslab import cli
 from qsslab.classical import RateMatrix, crosscheck
 from qsslab.model import two_qubit_both, two_qubit_site1
-from qsslab.qss import extract_qss, perron_structure, real_eigen_candidates, verify_qss
+from qsslab.qss import extract_qss, perron_structure, verify_qss
 from qsslab.structure import absorption_operator, check_irreducible, restrict
 from qsslab.trajectory import build_kernel, jump_statistics, sample_trajectories
 
@@ -30,8 +30,7 @@ def _verdict(number, description, checks):
 
 def _pipeline(spec):
     restr = restrict(spec)
-    result = extract_qss(real_eigen_candidates(restr))
-    return restr, perron_structure(restr, result)
+    return restr, perron_structure(restr, extract_qss(restr))
 
 
 def test_criterion_1_site1_omega1_family():
@@ -112,7 +111,7 @@ def test_criterion_4_equivalent_characterizations():
         _, result = _pipeline(spec)
         for fam in result.families:
             for cert in (fam.anchor,) + fam.endpoints:
-                report = verify_qss(spec, cert)
+                report = verify_qss(cert)
                 residual = max(report.residual_defn, report.residual_exp_survival, report.residual_mult,
                                report.residual_repeated)
                 checks.append((f"{spec.label} alpha={fam.alpha:g} residuals", report.ok and residual <= 1e-8))
@@ -121,13 +120,13 @@ def test_criterion_4_equivalent_characterizations():
 
 def test_criterion_5_absorbing_iff_positive_rate():
     checks = []
-    absorption = absorption_operator(two_qubit_both(1.0))
+    absorption = absorption_operator(restrict(two_qubit_both(1.0)))
     checks.append(("both-site model absorbing", absorption.is_absorbing))
     _, result = _pipeline(two_qubit_both(1.0))
-    perron = [f for f in result.families if f.anchor.is_perron]
+    perron = [f for f in result.families if f.is_perron]
     checks.append(("Perron alpha = 1 > 0", len(perron) == 1 and abs(perron[0].alpha - 1.0) < 1e-9))
 
-    dark = absorption_operator(two_qubit_site1(0.0))
+    dark = absorption_operator(restrict(two_qubit_site1(0.0)))
     checks.append(("uncoupled one-site model not absorbing", not dark.is_absorbing))
     restr = restrict(two_qubit_site1(0.0))
     w = np.linalg.eigvals(restr.gen)
@@ -140,7 +139,7 @@ def test_criterion_6_trajectory_suite():
     _, result = _pipeline(spec)
     nu = result.families[0].anchor.nu
     alpha = result.families[0].alpha
-    kernel = build_kernel(spec)
+    kernel = build_kernel(restrict(spec))
     checks = []
 
     worst = 0.0

@@ -124,7 +124,7 @@ def test_distance_to_family_is_exact_membership():
         return QssCertificate(alpha=1.0, nu=nu)
 
     basis = tuple(rotated(e) for e in np.eye(3))
-    fam = QssFamily(alpha=1.0, herm_basis=basis, anchor=cert(rotated([1 / 3] * 3)),
+    fam = QssFamily(alpha=1.0, herm_basis=basis, anchor=cert(rotated([1 / 3] * 3)), is_perron=True,
                     endpoints=tuple(cert(b) for b in basis))
     member = rotated([0.6, 0.3, 0.1])
     assert min(np.linalg.norm(member - c.nu) for c in (fam.anchor,) + fam.endpoints) > 0.3

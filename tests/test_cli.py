@@ -15,6 +15,7 @@ from qsslab import qss
 from qsslab import structure
 from qsslab.classical import ClassicalQsd, CrosscheckReport
 from qsslab.model import FIXTURE_FAMILIES, two_qubit_both, two_qubit_site1
+from test_structure import raising_model
 
 
 def run(argv):
@@ -77,9 +78,8 @@ def test_analyze_reports_face_walk_endpoints(tmp_path):
     assert len(fams) == 1
     fam = fams[0]
     assert "param_interval" not in fam
-    restr = structure.restrict(spec)
     (expected,) = [
-        f for f in qss.extract_qss(qss.real_eigen_candidates(restr)).families
+        f for f in qss.extract_qss(structure.restrict(spec)).families
         if abs(f.alpha - fam["alpha"]) < 1e-12
     ]
     assert len(fam["endpoints"]) == len(expected.endpoints) == 4
@@ -377,7 +377,7 @@ def test_absorbing_p0_with_a_non_decaying_family_exits_2(tmp_path, monkeypatch, 
     absorption_operator = structure.absorption_operator
     monkeypatch.setattr(
         structure, "absorption_operator",
-        lambda model: dataclasses.replace(absorption_operator(model), is_absorbing=True),
+        lambda restr: dataclasses.replace(absorption_operator(restr), is_absorbing=True),
     )
     path, out = tmp_path / "model.json", tmp_path / "report.json"
     path.write_text(json.dumps(model_to_doc(two_qubit_site1(0.0))))
@@ -391,7 +391,7 @@ def test_absorbing_p0_with_a_non_decaying_family_exits_2(tmp_path, monkeypatch, 
 
 
 def test_theory_errors_outside_perron_exit_2(models_dir, monkeypatch, capsys):
-    def failing_verify(model, cert, tol=1e-8):
+    def failing_verify(cert):
         raise qss.QssTheoryError("injected verification failure")
 
     monkeypatch.setattr(qss, "verify_qss", failing_verify)
@@ -403,7 +403,7 @@ def test_theory_errors_outside_perron_exit_2(models_dir, monkeypatch, capsys):
 
 
 def test_simulate_without_perron_family_exits_2(models_dir, monkeypatch, capsys):
-    monkeypatch.setattr(qss, "extract_qss", lambda cands: qss.ExtractionResult((), ()))
+    monkeypatch.setattr(qss, "extract_qss", lambda restr: qss.ExtractionResult((), ()))
     rc = run(["simulate", model_path(models_dir, "two_qubit_both.json"), "--samples", "5"])
     err = capsys.readouterr().err
     assert rc == 2
@@ -501,6 +501,25 @@ def test_simulate_input_errors(models_dir, capsys):
     assert run(
         ["simulate", model_path(models_dir, "two_qubit_both.json"), "--start", "file"]
     ) == 1
+    capsys.readouterr()
+    # each trajectory samples its own stream, and there are 2**32 of them; the
+    # check comes before anything is allocated
+    assert run(
+        ["simulate", model_path(models_dir, "two_qubit_both.json"), "--samples", str(2**32 + 1)]
+    ) == 1
+    assert capsys.readouterr() == ("", "error: --samples must be at most 2**32\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_a_model_that_is_not_subharmonic_exits_1_with_one_line(tmp_path, capsys, command):
+    # the raising jump leaves range(p0): restrict refuses the model, which has no
+    # restriction, QSS or unraveling kernel
+    path = tmp_path / "raising.json"
+    path.write_text(json.dumps(model_to_doc(raising_model())))
+    assert run([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p0 is not subharmonic for this model (algebraic residual 1.000e+00)\n"
 
 
 @pytest.mark.parametrize(

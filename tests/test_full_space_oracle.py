@@ -26,8 +26,8 @@ from qsslab.model import (
     two_qubit_site1,
 )
 from oracles import MULT_GRID, REPEATED_TIMES, VERIFY_TIMES, grid_verification, time_scale
-from qsslab.qss import extract_qss, real_eigen_candidates, verify_qss
-from qsslab.structure import Analysis
+from qsslab.qss import extract_qss, verify_qss
+from qsslab.structure import check_subharmonic, restrict
 
 AGREE = 1e-10
 SUBHARMONIC_TIMES = (0.1, 0.5, 1.0, 5.0)
@@ -89,7 +89,7 @@ ROTATED = rotated(random_subharmonic_model(np.random.default_rng(7), d=5, rank=2
 def test_restriction_is_the_compressed_full_generator(spec):
     # the restriction is built from g_hat and the compressed jumps only; the
     # full generator compressed through V must give the same matrix
-    restr = Analysis(spec).restriction
+    restr = restrict(spec)
     v = restr.isometry
     if spec is ROTATED:
         assert op.frob(spec.p0 - np.diag(np.diag(spec.p0))) > 1e-3  # the eigh isometry path
@@ -101,18 +101,18 @@ def test_restriction_is_the_compressed_full_generator(spec):
 @pytest.mark.parametrize("spec", MODELS + [ROTATED], ids=IDS + ["random-rotated"])
 def test_subharmonic_verdict_matches_the_full_space_semigroup(spec):
     # the algebraic criterion decides; T_t(p0) >= p0 must hold on the full space
-    assert Analysis(spec).subharmonic.verdict
+    assert check_subharmonic(spec).verdict
     assert min(full_space_semigroup_eigenvalues(spec)) >= -1e-9
 
 
 @pytest.mark.parametrize("spec", MODELS + [FAST], ids=IDS + ["site1-x40"])
 def test_reported_bounds_dominate_the_full_space_grids(spec):
-    ctx = Analysis(spec)
-    families = extract_qss(real_eigen_candidates(ctx.restriction)).families
+    restr = restrict(spec)
+    families = extract_qss(restr).families
     assert families
     for fam in families:
-        report = verify_qss(ctx, fam.anchor)
-        restricted = grid_verification(ctx.restriction, fam.anchor)
+        report = verify_qss(fam.anchor)
+        restricted = grid_verification(restr, fam.anchor)
         # the full-space expm is accurate to AGREE only (1.4e-13 at x40, above the
         # bound): the restricted grids must dominate exactly (test_qss), these to AGREE
         for key, want in full_space_verification(spec, fam.anchor.nu, fam.alpha).items():

@@ -216,20 +216,22 @@ def test_complex_arrays_format_like_the_recursive_formatter():
 
 
 def test_trajectory_records_format_like_the_recursive_formatter():
+    from qsslab.structure import restrict
     from qsslab.trajectory import build_kernel, sample_trajectories
     from test_trajectory import perron_qss
 
     for spec in (two_qubit_both(1.0), two_qubit_site1(1.0)):
-        for rec in records(sample_trajectories(build_kernel(spec), perron_qss(spec), 6.0, seed=3, n=500)):
+        for rec in records(sample_trajectories(build_kernel(restrict(spec)), perron_qss(spec), 6.0, seed=3, n=500)):
             assert dumps(vars(rec)) == _reference_dumps(vars(rec))
 
 
 def test_record_lines_format_like_the_recursive_formatter():
+    from qsslab.structure import restrict
     from qsslab.trajectory import build_kernel, sample_trajectories
     from test_trajectory import perron_qss
 
     for spec in (two_qubit_both(1.0), two_qubit_site1(1.0)):
-        kernel, nu = build_kernel(spec), perron_qss(spec)
+        kernel, nu = build_kernel(restrict(spec)), perron_qss(spec)
         for horizon in (6.0, 0.3):  # at 0.3 about half the records have no jump
             for first, n in ((0, 500), (7, 493), (0, 32), (0, 1)):
                 batch = sample_trajectories(kernel, nu, horizon, seed=3, n=n, first_stream=first)
@@ -245,11 +247,12 @@ def test_batch_record_lines_reject_non_finite_values_like_dumps(monkeypatch):
     # the same errors when the writer reads a batch's columns, as simulate does
     from dataclasses import replace
 
+    from qsslab.structure import restrict
     from qsslab.trajectory import build_kernel, sample_trajectories
     from test_trajectory import perron_qss
 
     spec = two_qubit_both(1.0)
-    batch = sample_trajectories(build_kernel(spec), perron_qss(spec), 6.0, seed=3, n=64)
+    batch = sample_trajectories(build_kernel(restrict(spec)), perron_qss(spec), 6.0, seed=3, n=64)
     monkeypatch.setattr(modelio, "RECORD_CHUNK_ENTRIES", 500)
     i = next(i for i in range(40, 64) if batch.counts[i] >= 2)  # past the first chunk
     a = int(batch.offsets[i])
@@ -345,13 +348,14 @@ def test_record_lines_cut_records_longer_than_a_chunk(monkeypatch):
     # a record of d = 3 (18 floats per state) at horizon 100 holds thousands of
     # floats; every chunk stays within the budget wherever its ends fall
     from qsslab.model import ModelSpec
+    from qsslab.structure import restrict
     from qsslab.trajectory import build_kernel, sample_trajectories
 
     h = np.zeros((3, 3), dtype=complex)
     h[1, 2] = h[2, 1] = 0.3
     jump = np.diag([0.0, 1.0, 0.0]).astype(complex)
     spec = ModelSpec(dim=3, hamiltonian=h, jump_ops=(jump,), p0=np.diag([1.0, 0, 0]).astype(complex))
-    batch = sample_trajectories(build_kernel(spec), np.diag([0.0, 1.0, 0.0]), 100.0, seed=1, n=4)
+    batch = sample_trajectories(build_kernel(restrict(spec)), np.diag([0.0, 1.0, 0.0]), 100.0, seed=1, n=4)
     want = [_reference_dumps(vars(rec)) + "\n" for rec in records(batch)]
     assert 20 + 19 * batch.counts.min() > 700  # floats per record: longer than a chunk of 700
     sizes = []

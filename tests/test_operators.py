@@ -173,7 +173,7 @@ def test_expm_chunks_do_not_move_a_bit(monkeypatch):
     rng = np.random.default_rng(9)
     stack = _mixed_stack(rng)
     whole = op.expm(stack)
-    prop = build_kernel(two_qubit_site1(0.5)).loop
+    prop = build_kernel(restrict(two_qubit_site1(0.5))).loop
     times = np.linspace(0.0, 6.0, 601)
     vecs = _complex(rng, 601, len(prop.mat))
     rows, applied = prop.trace_rows(times), prop.apply(times, vecs)
@@ -217,7 +217,7 @@ def test_propagator_matches_scipy_on_random_generator():
 def test_propagator_falls_back_on_defective_nojump_generator():
     # the sampler's (m^2 + 1) no-jump generator of the site-1 fixture at the
     # branch collision inherits the restriction's near-defective eigenbasis
-    kernel = build_kernel(two_qubit_site1(0.5))
+    kernel = build_kernel(restrict(two_qubit_site1(0.5)))
     prop = kernel.loop
     assert not prop.spectral and prop.mat.shape == (10, 10)
     vec = kernel.row(np.diag([0.0, 0.5, 0.5, 0.0]))

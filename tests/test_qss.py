@@ -19,21 +19,19 @@ from qsslab.qss import (
     QssTheoryError,
     _pencil_roots,
     _psd_range,
-    absorbing_implies_positive_rate,
+    _eigenspace,
     extract_qss,
     perron_structure,
-    real_eigen_candidates,
     verify_qss,
 )
-from qsslab.structure import absorption_operator, restrict
+from qsslab.structure import restrict
 
 SQRT3_4 = np.sqrt(3.0) / 4.0
 
 
 def analysis(spec):
     restr = restrict(spec)
-    cands = real_eigen_candidates(restr)
-    return restr, extract_qss(cands)
+    return restr, extract_qss(restr)
 
 
 def test_site1_omega03_two_pure_states():
@@ -112,7 +110,7 @@ def test_both_sites_segment_members_are_genuine():
     assert abs(ends[0] + 0.5) < 1e-9 and abs(ends[1] - 0.5) < 1e-9
     for c in fam.endpoints:
         assert c.residual_eigen < 1e-9
-        assert verify_qss(spec, c).residual_defn < 1e-9
+        assert verify_qss(c).residual_defn < 1e-9
 
 
 def test_verify_qss_residuals_on_fixtures():
@@ -120,7 +118,7 @@ def test_verify_qss_residuals_on_fixtures():
         _, result = analysis(spec)
         for fam in result.families:
             for cert in (fam.anchor,) + fam.endpoints:
-                report = verify_qss(spec, cert)
+                report = verify_qss(cert)
                 assert report.ok
                 assert max(report.residual_defn, report.residual_exp_survival, report.residual_mult,
                            report.residual_repeated) <= 1e-8
@@ -136,16 +134,18 @@ def test_verification_gives_the_anchor_definition_residual():
     for spec in specs:
         _, result = analysis(spec)
         for fam in result.families:
-            assert verify_qss(spec, fam.anchor).residual_defn < 1e-9
+            assert verify_qss(fam.anchor).residual_defn < 1e-9
 
 
 def test_perron_marking():
+    # extraction marks the family at the negated spectral abscissa; perron_structure
+    # checks that there is one and passes the result through
     restr, result = analysis(two_qubit_site1(0.3))
-    marked = perron_structure(restr, result)
-    perron = [f for f in marked.families if f.anchor.is_perron]
+    assert perron_structure(restr, result) is result
+    perron = [f for f in result.families if f.is_perron]
     assert len(perron) == 1
-    assert abs(perron[0].alpha - 0.1) < 1e-9
-    other = [f for f in marked.families if not f.anchor.is_perron]
+    assert abs(perron[0].alpha - 0.1) < 1e-9 and perron[0].alpha == -restr.real_clusters[0].mean
+    other = [f for f in result.families if not f.is_perron]
     assert len(other) == 1 and abs(other[0].alpha - 0.9) < 1e-9
 
 
@@ -157,17 +157,6 @@ def test_perron_existence_failure_raises():
     assert "\n" not in str(exc.value)  # printed as a one-line CLI error
     spectrum = np.array2string(np.sort_complex(restr.eig[0]), max_line_width=np.inf)
     assert str(exc.value) == f"Perron existence failed: no QSS family found; spectrum {spectrum}"
-
-
-def test_absorbing_implies_positive_rate():
-    absorption = absorption_operator(two_qubit_both(1.0))
-    restr, result = analysis(two_qubit_both(1.0))
-    marked = perron_structure(restr, result)
-    assert absorbing_implies_positive_rate(absorption, marked.families[0].anchor)
-    fake = QssCertificate(alpha=0.0, nu=marked.families[0].anchor.nu)
-    assert not absorbing_implies_positive_rate(absorption, fake)
-    non_absorbing = absorption_operator(two_qubit_site1(0.0))
-    assert absorbing_implies_positive_rate(non_absorbing, fake)
 
 
 COLLISION_OMEGAS = [(0.5, 0)] + [(0.5 + s * 10.0**-k, s * k) for k in range(3, 13) for s in (-1, 1)]
@@ -195,11 +184,12 @@ def test_collision_rate_matches_the_closed_form(tmp_path, capsys, omega, k):
 
 def test_candidates_sorted_and_hermitian():
     restr = restrict(two_qubit_site1(0.3))
-    cands = real_eigen_candidates(restr)
-    alphas = [c.alpha for c in cands.candidates]
+    alphas = [-c.mean for c in restr.real_clusters]
     assert alphas == sorted(alphas)
-    for cand in cands.candidates:
-        for b in cand.herm_basis:
+    for c in restr.real_clusters:
+        basis, notes = _eigenspace(restr, c)
+        assert len(basis) == len(c.members) and notes == ()
+        for b in basis:
             assert op.is_hermitian(b, 1e-10)
             assert abs(np.linalg.norm(b) - 1.0) < 1e-10
 
@@ -377,8 +367,8 @@ def test_segment_intervals_are_exact(spec, half_width):
 
 
 def test_lazy_residuals_equal_direct_calls():
-    # anchors and endpoints of every family, read after Perron marking (whose
-    # replace() must carry the restriction and rho_hat along)
+    # anchors and endpoints of every family carry the restriction and the
+    # rho_hat they were built from
     dims = set()
     for factory in (two_qubit_site1, two_qubit_both):
         for omega in (0.0, 0.25, 1.0):
@@ -389,42 +379,33 @@ def test_lazy_residuals_equal_direct_calls():
                     assert c.restr is restr
                     assert np.array_equal(restr.embed(c.rho_hat), c.nu)
                     assert c.residual_eigen == frob(qss._residual(restr, c.alpha, c.rho_hat)[0])
-                    assert max(c.residual_eigen, verify_qss(restr.spec, c).residual_defn) < 1e-9
+                    assert max(c.residual_eigen, verify_qss(c).residual_defn) < 1e-9
     assert dims == {1, 2, 4}
 
 
 def _fast_anchor():
-    spec = fast_decay_model()
-    restr, result = analysis(spec)
+    restr, result = analysis(fast_decay_model())
     anchor = perron_structure(restr, result).families[0].anchor
     assert anchor.alpha == pytest.approx(400.0)
-    return spec, anchor
+    return anchor
 
 
 @pytest.mark.parametrize("shift, finite", [(1e-6, True), (np.nan, False), (np.inf, False)])
 def test_verify_flags_a_residual_over_the_gate(monkeypatch, shift, finite):
     # a residual over the gate, or not finite, fails the certificate; a bound
     # whose denominator is not positive is inf rather than nan
-    spec, anchor = _fast_anchor()
-    assert verify_qss(spec, anchor).ok
+    anchor = _fast_anchor()
+    assert verify_qss(anchor).ok
     residual = qss._residual
     monkeypatch.setattr(qss, "_residual", lambda *args: (residual(*args)[0] + shift, residual(*args)[1]))
-    _, anchor = _fast_anchor()
-    report = verify_qss(spec, anchor)
+    anchor = _fast_anchor()
+    report = verify_qss(anchor)
     assert not report.ok
     assert report.residual_defn == report.residual_repeated
     values = [getattr(report, key) for key in ("residual_defn", "residual_exp_survival",
                                                "residual_mult", "alpha_log_crosscheck")]
     assert np.isfinite(values).all() == finite
     assert finite or report.residual_defn == report.alpha_log_crosscheck == np.inf
-
-
-def test_verify_a_hand_built_certificate_on_the_model():
-    # without the restriction it was built from, a certificate's nu is
-    # compressed onto the model's restriction: the same bounds to the bit here
-    spec, anchor = _fast_anchor()
-    bare = QssCertificate(alpha=anchor.alpha, nu=anchor.nu)
-    assert verify_qss(spec, bare) == verify_qss(spec, anchor)
 
 
 def _domination_cases():
@@ -449,7 +430,7 @@ def test_certified_bounds_dominate_the_evolved_grid_residuals():
             moved = QssCertificate(fam.alpha, fam.anchor.nu, restr=restr,
                                    rho_hat=fam.anchor.rho_hat + 1e-6 * (kick - np.trace(kick) * np.eye(restr.m) / restr.m))
             for cert in (fam.anchor,) + fam.endpoints + (moved,):
-                report = verify_qss(spec, cert)
+                report = verify_qss(cert)
                 assert report.ok or cert is moved, spec.label
                 oracle = grid_verification(restr, replace(cert, nu=restr.embed(cert.rho_hat)))
                 for key, evolved in oracle.items():

@@ -151,7 +151,7 @@ def test_restriction_subunital():
 
 
 def test_absorption_both_sites_is_absorbing():
-    report = absorption_operator(two_qubit_both(1.0))
+    report = absorption_operator(restrict(two_qubit_both(1.0)))
     assert report.is_absorbing
     assert np.linalg.norm(report.a_op - np.eye(4)) < 1e-6
     assert report.residual_harmonic < 1e-8
@@ -166,23 +166,23 @@ def test_kernel_margin_when_every_eigenvalue_is_in_the_kernel():
     # spectrum and the margin is the cut's distance to the largest |w|, 0
     spec = ModelSpec(dim=3, hamiltonian=np.zeros((3, 3)), jump_ops=(),
                      p0=np.diag([1.0, 0.0, 0.0]).astype(complex))
-    report = absorption_operator(spec)
+    report = absorption_operator(restrict(spec))
     assert report.kernel_margin == structure.KERNEL_CUT
     assert np.array_equal(report.a_op, spec.p0) and not report.is_absorbing
     # the dark state: kernel eigenvalue 0 (inside), the nearest outside is 1/2
-    report = absorption_operator(two_qubit_site1(0.0))
+    report = absorption_operator(restrict(two_qubit_site1(0.0)))
     scale = op.frob(restrict(two_qubit_site1(0.0)).gen)
     assert abs(report.kernel_margin - (0.5 - structure.KERNEL_CUT * scale)) <= 1e-12
 
 
 def test_absorption_site1_coupled_is_absorbing():
-    report = absorption_operator(two_qubit_site1(1.0))
+    report = absorption_operator(restrict(two_qubit_site1(1.0)))
     assert report.is_absorbing
 
 
 def test_absorption_site1_uncoupled_dark_state():
     # without exchange coupling the site-2 excitation never decays
-    report = absorption_operator(two_qubit_site1(0.0))
+    report = absorption_operator(restrict(two_qubit_site1(0.0)))
     assert not report.is_absorbing
     assert np.allclose(report.a_op, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-8)
     restr = restrict(two_qubit_site1(0.0))
@@ -197,7 +197,7 @@ def test_absorption_at_the_branch_collision_matches_the_long_time_limit(omega):
     spec = two_qubit_site1(omega)
     heis = op.adjoint(build_generator(spec))
     limit = op.devectorize(sla.expm(400.0 * heis) @ op.vectorize(spec.p0))
-    report = absorption_operator(spec)
+    report = absorption_operator(restrict(spec))
     assert np.max(np.abs(report.a_op - limit)) <= 1e-9
     assert report.is_absorbing
 
@@ -211,7 +211,7 @@ def test_absorption_with_a_multidimensional_heisenberg_kernel():
     heis = op.adjoint(build_generator(spec))
     w = np.linalg.eigvals(heis)
     assert np.sum(np.abs(w) <= 1e-9 * max(1.0, op.frob(heis))) >= 2
-    report = structure.Analysis(spec).absorption
+    report = absorption_operator(restrict(spec))
     assert np.max(np.abs(report.a_op - np.diag([1.0, 0.0, 1.0]))) <= 1e-9
     assert not report.is_absorbing
 
@@ -220,7 +220,7 @@ def test_absorption_with_a_multidimensional_heisenberg_kernel():
 def test_small_omega_absorption_is_exact(omega):
     # the slowest restricted rate is ~omega^2, far above the kernel cut, so
     # the restricted Heisenberg kernel is empty and A(p0) = 1 exactly
-    report = absorption_operator(two_qubit_site1(omega))
+    report = absorption_operator(restrict(two_qubit_site1(omega)))
     assert np.max(np.abs(report.a_op - np.eye(4))) <= 1e-14
     assert report.is_absorbing
 
@@ -229,7 +229,7 @@ def test_small_omega_absorption_is_exact(omega):
 def test_analysis_propagators_match_independent_generators(spec):
     # the restricted generators against compressions of the independently
     # built full-space ones, whose propagators eigendecompose them afresh
-    restr = structure.Analysis(spec).restriction
+    restr = restrict(spec)
     v, one = restr.isometry, np.eye(restr.m)
     compress, embed = np.kron(v.T, v.conj().T), np.kron(v.conj(), v)
     full = build_generator(spec)
@@ -278,8 +278,8 @@ def test_kernel_projector_needs_an_invertible_eigenbasis_only_for_a_kernel(monke
 
     monkeypatch.setattr(op, "eig_general", singular_eig)
     with pytest.raises(op.EigenSolveError, match="singular eigenbasis"):
-        absorption_operator(two_qubit_site1(0.0))
-    report = absorption_operator(two_qubit_both(1.0))
+        absorption_operator(restrict(two_qubit_site1(0.0)))
+    report = absorption_operator(restrict(two_qubit_both(1.0)))
     assert np.array_equal(report.a_op, np.eye(4))
 
 
@@ -437,8 +437,8 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
 
 
 def test_each_model_checks_the_subharmonic_criterion_once(models_dir, monkeypatch, tmp_path):
-    # the restriction reads the verdict of its Analysis context: one residual
-    # per analyze and per simulate, and one per point of a sweep
+    # restrict takes each model's verdict once and the restriction keeps it: one
+    # residual per analyze and per simulate, and one per point of a sweep
     residual = _count_calls(monkeypatch, structure, "_algebraic_residual")
     path = os.path.join(models_dir, "two_qubit_site1.json")
     for argv, calls in (

@@ -21,8 +21,8 @@ from oracles import (
 from qsslab import modelio, operators, trajectory
 from qsslab.model import two_qubit_both, two_qubit_site1
 from qsslab.operators import frob, vectorize
-from qsslab.structure import Analysis, restrict
-from qsslab.qss import extract_qss, perron_structure, real_eigen_candidates
+from qsslab.structure import StructureError, restrict
+from qsslab.qss import extract_qss, perron_structure
 from qsslab.trajectory import (
     TrajectoryError,
     STEP,
@@ -38,22 +38,22 @@ from test_structure import raising_model
 
 def both_sites_qss():
     restr = restrict(two_qubit_both(1.0))
-    result = extract_qss(real_eigen_candidates(restr))
-    return result.families[0].anchor.nu
+    return extract_qss(restr).families[0].anchor.nu
 
 
 def perron_qss(spec):
     restr = restrict(spec)
-    result = perron_structure(restr, extract_qss(real_eigen_candidates(restr)))
-    return next(f.anchor.nu for f in result.families if f.anchor.is_perron)
+    result = perron_structure(restr, extract_qss(restr))
+    return next(f.anchor.nu for f in result.families if f.is_perron)
 
 
 SAMPLER_MODELS = (two_qubit_both(1.0), two_qubit_site1(1.0), two_qubit_site1(0.3))
 
 
-def test_build_kernel_requires_subharmonic():
-    with pytest.raises(TrajectoryError, match="subharmonic"):
-        build_kernel(raising_model())
+def test_no_kernel_without_a_subharmonic_p0():
+    # build_kernel takes a restriction, and restrict refuses such a model
+    with pytest.raises(StructureError, match="subharmonic"):
+        restrict(raising_model())
 
 
 def test_tilde_generator_preserves_trace():
@@ -84,7 +84,7 @@ def test_sampling_determinism_and_stream_split():
     # at seed 42 streams 3 and 4 may both end without a jump (on this model the
     # trace plateaus at 1/2) and so give equal records: the split is a property
     # of the draws
-    kernel = build_kernel(two_qubit_both(1.0))
+    kernel = build_kernel(restrict(two_qubit_both(1.0)))
     nu = both_sites_qss()
     rec_a = sample_trajectory(kernel, nu, 6.0, seed=42, stream=3)
     rec_b = sample_trajectory(kernel, nu, 6.0, seed=42, stream=3)
@@ -133,7 +133,7 @@ def test_stream_domain():
         with pytest.raises(ValueError, match="streams"):
             stream_uniforms(5, first_stream, n, 0)
     assert stream_uniforms(5, 2**32 - 1, 1, 0).shape == (1,)
-    kernel = build_kernel(two_qubit_both(1.0))
+    kernel = build_kernel(restrict(two_qubit_both(1.0)))
     nu = both_sites_qss()
     with pytest.raises(ValueError, match="seed"):
         sample_trajectories(kernel, nu, 6.0, seed=-1, n=2)
@@ -145,7 +145,7 @@ def test_stream_domain():
 
 def test_record_invariants():
     for spec in SAMPLER_MODELS[:2]:
-        kernel = build_kernel(spec)
+        kernel = build_kernel(restrict(spec))
         batch = sample_trajectories(kernel, perron_qss(spec), 6.0, seed=1, n=300)
         for rec in records(batch):
             times = list(rec.jump_times)
@@ -164,7 +164,7 @@ def test_records_independent_of_batch_size():
     # every record of a batch is bit-identical to the same stream sampled in
     # any other batch size, across chunk boundaries
     for spec in SAMPLER_MODELS:
-        kernel = build_kernel(spec)
+        kernel = build_kernel(restrict(spec))
         nu = perron_qss(spec)
         ref = records(sample_trajectories(kernel, nu, 6.0, seed=11, n=400))
         for n in (1, 3, 17, 64):
@@ -188,7 +188,7 @@ def test_records_independent_of_batch_size_on_random_models():
     for seed in range(12):
         spec = propcheck.random_subharmonic_model(rng)
         rho0 = propcheck.random_density(rng, spec.dim)
-        kernel = build_kernel(spec)
+        kernel = build_kernel(restrict(spec))
         lines = "".join(modelio.record_lines(sample_trajectories(kernel, rho0, 3.0, seed, 40)))
         lines = lines.splitlines(keepends=True)
         for stream in range(0, 40, 4):
@@ -200,7 +200,7 @@ def test_fallback_records_independent_of_batch_size():
     # at the branch collision both propagators take the expm fallback: each
     # row's exponential is its own matrix of one stacked call, so a record
     # does not depend on the batch it was sampled in
-    kernel = build_kernel(two_qubit_site1(0.5))
+    kernel = build_kernel(restrict(two_qubit_site1(0.5)))
     assert not kernel.loop.spectral and not kernel.nojump.spectral
     rho0 = np.diag([0.0, 0.5, 0.5, 0.0])
     few = sample_trajectories(kernel, rho0, 6.0, 3, 40)
@@ -217,7 +217,7 @@ def test_records_independent_of_the_chunk_size(monkeypatch):
     for _ in range(3):
         spec = propcheck.random_subharmonic_model(rng, d=3)
         rho0 = propcheck.random_density(rng, spec.dim)
-        kernel = build_kernel(spec)
+        kernel = build_kernel(restrict(spec))
         whole = list(modelio.record_lines(sample_trajectories(kernel, rho0, 3.0, 9, 60)))
         with monkeypatch.context() as m:
             m.setattr(trajectory, "CHUNK_ENTRIES", 7 * (kernel.isometry.shape[1]**2 + 1))
@@ -239,7 +239,7 @@ def test_jump_times_invert_the_survival_curve():
         spec = propcheck.random_subharmonic_model(rng, d=4)
         cases.append((spec, propcheck.random_density(rng, spec.dim), 400))
     for spec, nu, n in cases:
-        kernel = build_kernel(spec)
+        kernel = build_kernel(restrict(spec))
         n_jumps = 0
         for rec in records(sample_trajectories(kernel, nu, 6.0, seed=23, n=n)):
             longest = max(longest, rec.n_jumps)
@@ -262,8 +262,7 @@ def test_kernel_eigenpairs_come_from_the_restriction(monkeypatch):
     rng = np.random.default_rng(303)
     specs = [*SAMPLER_MODELS, *(propcheck.random_subharmonic_model(rng, d=d) for d in (3, 4, 6, 8))]
     for spec in specs:
-        ctx = Analysis(spec)
-        ctx.restriction
+        restr = restrict(spec)
         sizes = []
         eig = np.linalg.eig
 
@@ -273,12 +272,12 @@ def test_kernel_eigenpairs_come_from_the_restriction(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eig", counting_eig)
-            kernel = build_kernel(ctx)
+            kernel = build_kernel(restr)
             assert sizes == []
             kernel.nojump
         assert sizes == [spec.dim**2]
         loop = kernel.loop
-        assert loop.spectral and loop.mat.shape == (ctx.restriction.m**2 + 1,) * 2
+        assert loop.spectral and loop.mat.shape == (restr.m**2 + 1,) * 2
         assert frob(loop.mat @ loop.v - loop.v * loop.w) <= 1e-12 * max(1.0, frob(loop.mat))
 
 
@@ -292,7 +291,7 @@ def test_sampling_loop_runs_on_the_restriction(monkeypatch):
         cases.append((spec, propcheck.random_density(rng, d)))
     rowdot, apply, segment = operators.rowdot, operators.Propagator.apply, trajectory._segment
     for spec, rho0 in cases:
-        kernel = build_kernel(spec)
+        kernel = build_kernel(restrict(spec))
         n = kernel.isometry.shape[1]**2 + 1
         events = []
 
@@ -327,7 +326,7 @@ def test_zero_jump_final_states_match_the_spec_built_oracle():
     for _ in range(8):
         spec = propcheck.random_subharmonic_model(rng, d=int(rng.integers(3, 7)))
         rho0 = propcheck.random_density(rng, spec.dim)  # p0 mass and p0/p0_perp coherences
-        kernel = build_kernel(spec)
+        kernel = build_kernel(restrict(spec))
         batch = sample_trajectories(kernel, rho0, 1.0, 7, 200)
         evolved = scipy.linalg.expm(nojump_generator(spec)) @ vectorize(rho0)
         weight = np.trace(evolved.reshape(spec.dim, spec.dim)).real
@@ -344,9 +343,9 @@ def test_zero_jump_final_states_match_the_spec_built_oracle():
 def test_fallback_propagator_samples_like_the_spectral_one(monkeypatch):
     spec = two_qubit_both(1.0)
     nu = perron_qss(spec)
-    spectral = records(sample_trajectories(build_kernel(spec), nu, 6.0, seed=5, n=30))
+    spectral = records(sample_trajectories(build_kernel(restrict(spec)), nu, 6.0, seed=5, n=30))
     monkeypatch.setattr(operators, "EXPM_COND_LIMIT", 0.0)
-    kernel = build_kernel(spec)
+    kernel = build_kernel(restrict(spec))
     assert not kernel.loop.spectral
     fallback = records(sample_trajectories(kernel, nu, 6.0, seed=5, n=30))
     assert sum(r.n_jumps for r in spectral) > 10
@@ -390,12 +389,12 @@ def test_bracket_matches_the_linear_scan(monkeypatch):
             segments.append((grid, vecs, u, remaining))
             return segment(prop, table, grid, vecs, u, remaining)
 
-        kernel = build_kernel(spec)
+        kernel = build_kernel(restrict(spec))
         with monkeypatch.context() as m:
             m.setattr(trajectory, "_segment", capture)
             sample_trajectories(kernel, perron_qss(spec), 6.0, seed=42, n=10_000)
             m.setattr(operators, "EXPM_COND_LIMIT", 0.0)
-            fallback = build_kernel(spec).loop
+            fallback = build_kernel(restrict(spec)).loop
         assert not fallback.spectral
         grid = segments[0][0]
         vecs, u, remaining = (np.concatenate(parts) for parts in list(zip(*segments))[1:])
@@ -456,7 +455,7 @@ def test_jump_times_lie_within_time_tol_of_the_crossing(monkeypatch):
         with monkeypatch.context() as m:
             if fallback:
                 m.setattr(operators, "EXPM_COND_LIMIT", 0.0)
-            kernel = build_kernel(spec)
+            kernel = build_kernel(restrict(spec))
             prop = kernel.loop
             assert prop.spectral is not fallback
             (vecs, u, remaining, fired, t), _ = _segment_calls(m, kernel, rho0, n)
@@ -471,7 +470,7 @@ def test_jump_times_lie_within_time_tol_of_the_crossing(monkeypatch):
 def test_newton_refines_in_a_few_rounds(monkeypatch):
     # bisection from the 0.01 bracket to TIME_TOL takes 27 rounds; Newton about 4
     for spec in SAMPLER_MODELS[:2]:
-        (*_, fired, _), evaluations = _segment_calls(monkeypatch, build_kernel(spec), perron_qss(spec),
+        (*_, fired, _), evaluations = _segment_calls(monkeypatch, build_kernel(restrict(spec)), perron_qss(spec),
                                                      10_000)
         assert fired.sum() >= 1000
         assert evaluations / fired.sum() <= 6
@@ -484,7 +483,7 @@ def test_survival_curve_is_non_increasing_on_the_grid():
     specs = list(SAMPLER_MODELS[:2]) + [propcheck.random_subharmonic_model(rng) for _ in range(30)]
     grid = STEP * np.arange(3001)
     for case, spec in enumerate(specs):
-        kernel = build_kernel(spec)
+        kernel = build_kernel(restrict(spec))
         prop = kernel.loop
         table = prop.trace_rows(grid)
         for _ in range(5):
@@ -494,7 +493,7 @@ def test_survival_curve_is_non_increasing_on_the_grid():
 
 
 def test_post_jump_states_return_to_qss():
-    kernel = build_kernel(two_qubit_both(1.0))
+    kernel = build_kernel(restrict(two_qubit_both(1.0)))
     nu = both_sites_qss()
     records = sample_trajectories(kernel, nu, 6.0, seed=9, n=100)
     stats = jump_statistics(records, alpha=1.0, nu=nu)
@@ -503,7 +502,7 @@ def test_post_jump_states_return_to_qss():
 
 
 def test_jump_statistics_small_run():
-    kernel = build_kernel(two_qubit_both(1.0))
+    kernel = build_kernel(restrict(two_qubit_both(1.0)))
     nu = both_sites_qss()
     records = sample_trajectories(kernel, nu, 6.0, seed=5, n=300)
     stats = jump_statistics(records, alpha=1.0, nu=nu)
@@ -516,7 +515,7 @@ def test_jump_statistics_small_run():
 
 
 def test_ks_statistic_matches_scipy():
-    kernel = build_kernel(two_qubit_both(1.0))
+    kernel = build_kernel(restrict(two_qubit_both(1.0)))
     nu = both_sites_qss()
     records = sample_trajectories(kernel, nu, 6.0, seed=9, n=300)
     stats = jump_statistics(records, alpha=1.0, nu=nu)
@@ -529,7 +528,7 @@ def test_ks_statistic_matches_scipy():
 
 
 def test_jump_statistics_requires_jumps():
-    kernel = build_kernel(two_qubit_both(1.0))
+    kernel = build_kernel(restrict(two_qubit_both(1.0)))
     nu = both_sites_qss()
     batch = sample_trajectories(kernel, nu, 1e-4, seed=0, n=1)
     with pytest.raises(TrajectoryError, match="no jumps"):
@@ -568,7 +567,7 @@ def test_sector_sum_normalization():
 
 
 def test_sampler_input_validation():
-    kernel = build_kernel(two_qubit_both(1.0))
+    kernel = build_kernel(restrict(two_qubit_both(1.0)))
     nu = both_sites_qss()
     with pytest.raises(ValueError, match="horizon"):
         sample_trajectory(kernel, nu, 0.0, seed=1)
