@@ -252,8 +252,7 @@ def cmd_sweep(args) -> int:
     for lo in range(0, len(values), step):
         chunk = values[lo:lo + step]
         restrs = structure_mod.restrict_stack([factory(value) for value in chunk])
-        results = qss_mod.extract_stack(restrs)
-        rows += [(value, sorted(f.alpha for f in result.families)) for value, result in zip(chunk, results)]
+        rows += zip(chunk, qss_mod.rates_stack(restrs))
     width = max(len(alphas) for _, alphas in rows)
     header = [args.param] + [f"alpha_{k + 1}" for k in range(width)]
     lines = [",".join(header)]

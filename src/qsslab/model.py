@@ -10,6 +10,7 @@ conjugate transpose, which realizes the trace pairing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class ModelSpec:
         p0 = op.as_operator(self.p0)
         if p0.shape[0] != self.dim:
             raise ValueError("p0 dimension mismatch")
-        rank = op.projection_rank(p0)
+        rank = _projection_rank(p0.tobytes(), self.dim)
         if rank == 0 or rank == self.dim:
             raise ValueError(f"p0 rank {rank} must be strictly between 0 and {self.dim}")
         object.__setattr__(self, "hamiltonian", h)
@@ -65,6 +66,11 @@ class ModelSpec:
         for l in self.jump_ops:
             g = g - 0.5 * (adjoint(l) @ l)
         return g
+
+
+@lru_cache(maxsize=1)  # the models of a sweep share their p0, which is validated once
+def _projection_rank(p0: bytes, dim: int) -> int:
+    return op.projection_rank(np.frombuffer(p0, dtype=complex).reshape(dim, dim))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

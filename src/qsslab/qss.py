@@ -8,13 +8,15 @@ higher-dimensional family) is the set of quasi-stationary states at rate alpha.
 The family at the spectral abscissa is the Perron family, and Perron-Frobenius
 structure enforces the existence theorem.
 
-The slice geometry is exact.  One primitive, ``_psd_range``, gives the
-interval {t : x + t d PSD} from the roots of det(a + t b) on the joint range
-of x and d (b's null space deflated, then one eigensolve).  It is the
-segment of a 2-dimensional eigenspace; in larger ones a face walk moves
-along directions supported on supp x to the boundary until none is left,
-which certifies an extreme point (Ramana & Goldman, J. Global Optim. 7,
-1995).
+Extraction runs in two stages.  The decision stage finds which slices are
+non-empty, for a whole stack of restrictions at once; ``sweep`` stops there.
+The geometry stage builds the endpoints, the embedded basis and the
+certificates of the non-empty ones.  The slice geometry is exact.  One
+stacked primitive, ``_psd_ranges``, gives intervals {t : x + t d PSD} from the
+roots of det(a + t b) on the joint range of x and d.  It is the segment of a
+2-dimensional eigenspace; in larger ones a face walk moves along directions
+supported on supp x to the boundary until none is left, which certifies an
+extreme point (Ramana & Goldman, J. Global Optim. 7, 1995).
 """
 
 from __future__ import annotations
@@ -122,45 +124,63 @@ def _min_eig(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (h + adjoint(h)))[0])
 
 
-def _pencil_roots(a: np.ndarray, b: np.ndarray):
-    """The finite roots of det(a + t b), Hermitian a and b, or None when no a + t b is PSD:
-    in b's eigenbasis, a's block on null(b) is free of t and must be positive definite
-    (a singular PSD block needs a common null vector of a and b); the roots are then
-    those of its Schur complement s + t diag(beta) on range(b), eigvals(-s / beta)."""
-    beta, q = np.linalg.eigh(b)
-    a = adjoint(q) @ a @ q
-    null = np.abs(beta) <= FACE_TOL * np.abs(beta).max(initial=0.0)
-    try:
-        y = np.linalg.solve(np.linalg.cholesky(a[np.ix_(null, null)]), a[np.ix_(null, ~null)])
-    except np.linalg.LinAlgError:
-        return None
-    return np.linalg.eigvals((adjoint(y) @ y - a[np.ix_(~null, ~null)]) / beta[~null, None])
-
-
-def _psd_range(x: np.ndarray, d: np.ndarray):
-    """{t : x + t d PSD} as ``(lo, hi)``; None when empty.
+def _psd_ranges(xs: np.ndarray, ds: np.ndarray) -> list:
+    """{t : x + t d PSD} as ``(lo, hi)``, or None when empty, for each pair of the
+    ``(k, n, n)`` Hermitian stacks ``xs`` and ``ds``.
 
     Compressed to the joint range of x and d (a and b), the boundary points
-    are roots of det(a + t b).  The inertia of a + t b is constant between
-    consecutive roots, so the PSD set is the gap whose midpoint is PSD, or
-    else a single PSD root.  A gap with PSD interior makes the pencil
-    definite and its roots real, so keeping only real parts adds at most
-    harmless breakpoints.  Bounded for traceless d != 0.
+    are roots of det(a + t b).  In b's eigenbasis, a's block on null(b) is free
+    of t and must be positive definite, else no a + t b is PSD (a singular PSD
+    block needs a common null vector of a and b); the roots are then those of
+    its Schur complement s + t diag(beta) on range(b), eigvals(-s / beta).  The
+    inertia of a + t b is constant between consecutive roots, so the PSD set is
+    the gap whose midpoint is PSD, or else a single PSD root.  A gap with PSD
+    interior makes the pencil definite and its roots real, so keeping only real
+    parts adds at most harmless breakpoints.  Bounded for traceless d != 0.
+
+    One stacked SVD gives the joint ranges; each group of one rank and one null
+    pattern of b takes one eigh, cholesky, solve and eigvals, and each rank one
+    eigvalsh of all midpoints and roots.  A group whose Cholesky fails is redone
+    pencil by pencil: a pencil gets the bits of a stack of one.
     """
-    u, s, _ = np.linalg.svd(np.hstack([x, d]))
-    u = u[:, s > FACE_TOL * s[0]]  # joint range
-    a, b = adjoint(u) @ x @ u, adjoint(u) @ d @ u
-    roots = _pencil_roots(a, b)
-    roots = [] if roots is None else np.sort(roots.real)
-    if len(roots) > 1:
-        mid_eigs = [_min_eig(a + 0.5 * (r0 + r1) * b) for r0, r1 in zip(roots, roots[1:])]
-        k = int(np.argmax(mid_eigs))
-        if mid_eigs[k] >= -op.TOL_PSD:
-            return float(roots[k]), float(roots[k + 1])
-    for r in roots:
-        if _min_eig(a + r * b) >= -op.TOL_PSD:
-            return float(r), float(r)
-    return None
+    u, s, _ = np.linalg.svd(np.concatenate([xs, ds], axis=-1))
+    ranks = (s > FACE_TOL * s[:, :1]).sum(axis=-1)
+    out = [None] * len(xs)
+    for r in sorted(set(ranks.tolist())):
+        idx = np.flatnonzero(ranks == r)
+        ur = u[idx, :, :r]  # joint ranges
+        a, b = (adjoint(ur) @ m[idx] @ ur for m in (xs, ds))
+        beta, q = np.linalg.eigh(b)
+        rot = adjoint(q) @ a @ q
+        null = np.abs(beta) <= FACE_TOL * np.abs(beta).max(axis=-1, initial=0.0, keepdims=True)
+        groups = {}
+        for p, pattern in enumerate(null.tolist()):
+            groups.setdefault(tuple(pattern), []).append(p)
+
+        def roots(g, pattern):  # (pencil, sorted real roots) of the pencils g with a definite null block
+            g, sel = np.array(g), np.array(pattern)
+            i, j, block = sel.nonzero()[0], (~sel).nonzero()[0], rot[g]
+            try:
+                y = np.linalg.solve(np.linalg.cholesky(block[:, i[:, None], i]), block[:, i[:, None], j])
+            except np.linalg.LinAlgError:
+                return [] if len(g) == 1 else [pair for p in g.tolist() for pair in roots([p], pattern)]
+            z = (adjoint(y) @ y - block[:, j[:, None], j]) / beta[g][:, j, None]
+            return list(zip(g.tolist(), np.sort(np.linalg.eigvals(z).real, axis=-1).tolist()))
+
+        solved = [pair for pattern, g in groups.items() for pair in roots(g, pattern)]
+        # a + t b at each pencil's midpoints, then at its roots
+        pens = [p for p, t in solved for _ in range(2 * len(t) - 1)]
+        ts = [x for _, t in solved for x in [0.5 * (t0 + t1) for t0, t1 in zip(t, t[1:])] + t]
+        h = a[pens] + np.array(ts)[:, None, None] * b[pens]
+        low = iter(np.linalg.eigvalsh(0.5 * (h + adjoint(h)))[:, 0].tolist())
+        for p, t in solved:
+            mids, ends = [next(low) for _ in t[1:]], [next(low) for _ in t]
+            k = int(np.argmax(mids)) if len(mids) > 1 else 0
+            if mids and mids[k] >= -op.TOL_PSD:
+                out[idx[p]] = t[k], t[k + 1]
+            else:
+                out[idx[p]] = next(((x, x) for x, e in zip(t, ends) if e >= -op.TOL_PSD), None)
+    return out
 
 
 def _walk_to_extreme(x: np.ndarray, dirs: np.ndarray, pref: np.ndarray) -> np.ndarray:
@@ -184,31 +204,8 @@ def _walk_to_extreme(x: np.ndarray, dirs: np.ndarray, pref: np.ndarray) -> np.nd
         c = c / np.linalg.norm(c) if np.linalg.norm(c) > FACE_TOL else null[0]
         step = np.tensordot(c, dirs, axes=1)
         # on supp x, where x is positive definite, t = 0 is interior
-        x = x + _psd_range(adjoint(u) @ x @ u, adjoint(u) @ step @ u)[1] * step
+        x = x + _psd_ranges((adjoint(u) @ x @ u)[None], (adjoint(u) @ step @ u)[None])[0][1] * step
     return x
-
-
-def _extreme_points(nu0: np.ndarray, basis, traces: np.ndarray):
-    """Anchor and four extreme points of the PSD slice of a >= 3-dim eigenspace.
-
-    The anchor is ``nu0`` when it is PSD, else the midpoint of the first
-    non-empty chord through ``nu0`` along a traceless direction (a heuristic
-    search; None when it finds nothing).  The extreme points are face walks
-    from the anchor with preferred directions +-d1 and +-d2.
-    """
-    _, _, vt = np.linalg.svd(traces[None, :])  # rows 1.. are orthogonal to the traces
-    dirs = np.tensordot(vt[1:], np.array(basis), axes=1)  # orthonormal, traceless
-    anchor = nu0
-    if _min_eig(nu0) < -op.TOL_PSD:
-        for d in dirs:
-            chord = _psd_range(nu0, d)
-            if chord is not None:
-                anchor = nu0 + 0.5 * (chord[0] + chord[1]) * d
-                break
-        else:
-            return None
-    prefs = np.eye(len(dirs))[:2]
-    return anchor, tuple(_walk_to_extreme(anchor, dirs, s * p) for p in prefs for s in (1.0, -1.0))
 
 
 def _leads_negative(sigma: np.ndarray) -> bool:
@@ -231,39 +228,80 @@ def _eigenspace(restr: RestrictedGenerator, cluster) -> tuple:
     return basis, (warning,) if geom < alg else ()
 
 
-def _psd_slice(basis: tuple, notes: tuple):
-    """Anchor, endpoint states, interval and notes of the QSS set of an eigenspace.
-
-    Returns the rejection reason (a str) instead when no state is found.  A 1-D
-    eigenspace's trace-one element is returned untested.
-    """
+def _slice(basis: tuple, notes: tuple):
+    """An eigenspace's trace-one slice before the stacked tests: a rejection reason (a str),
+    or ``(basis, notes, point, dirs, interval)`` with ``interval`` None.  1-D: ``point`` is the
+    trace-one element.  2-D: ``point`` is the minimum-norm trace-one element nu0 and ``dirs``
+    the unit traceless direction sigma.  >= 3-D: ``dirs`` are orthonormal traceless
+    directions and ``point`` is nu0 when PSD, else the midpoint of the first non-empty chord
+    through nu0 along one of them (a heuristic search)."""
     if not basis:
         return notes[0]
     traces = np.array([np.trace(b).real for b in basis])
     if len(basis) == 1:
         if abs(traces[0]) <= 1e-10:
             return "trace-zero eigenvector"
-        return basis[0] / traces[0], (), None, notes  # its positivity is tested by extract_stack
+        return basis, notes, basis[0] / traces[0], None, None
     tnorm2 = float(traces @ traces)
     if tnorm2 <= 1e-16:
         return "no trace-one element in eigenspace"
     nu0 = sum(t * b for t, b in zip(traces, basis)) / tnorm2  # minimum-norm trace-one element
     if len(basis) == 2:
-        sigma = (traces[1] * basis[0] - traces[0] * basis[1]) / np.sqrt(tnorm2)
-        interval = _psd_range(nu0, sigma)
-        if interval is None:
-            return "empty PSD slice"
-        lo, hi = interval
-        anchor = nu0 + 0.5 * (lo + hi) * sigma
+        return basis, notes, nu0, (traces[1] * basis[0] - traces[0] * basis[1]) / np.sqrt(tnorm2), None
+    _, _, vt = np.linalg.svd(traces[None, :])  # rows 1.. are orthogonal to the traces
+    dirs = np.tensordot(vt[1:], np.array(basis), axes=1)
+    if _min_eig(nu0) < -op.TOL_PSD:  # anchor at the midpoint of the first non-empty chord through nu0
+        chords = ((d, _psd_ranges(nu0[None], d[None])[0]) for d in dirs)
+        d, chord = next(((d, chord) for d, chord in chords if chord is not None), (None, None))
+        if chord is None:
+            return "no PSD state on the chords through the minimum-norm element (heuristic search)"
+        nu0 = nu0 + 0.5 * (chord[0] + chord[1]) * d
+    return basis, notes, nu0, dirs, None
+
+
+def _decide_stack(restrs) -> list:
+    """Decision stage: per restriction, the :func:`_slice` of each real cluster, with every 1-D
+    point of every restriction tested in one ``op.psd_check`` and every 2-D interval solved in
+    one :func:`_psd_ranges`; a failed test replaces the slice data by its rejection reason."""
+    found = [_slice(*_eigenspace(restr, c)) for restr in restrs for c in restr.real_clusters]
+    ones, twos = ([k for k, f in enumerate(found) if not isinstance(f, str) and len(f[0]) == n] for n in (1, 2))
+    if ones:
+        ok, min_eig = op.psd_check(np.array([found[k][2] for k in ones]), op.TOL_PSD)
+        for k, good, low in zip(ones, ok, min_eig):
+            if not good:
+                found[k] = f"not PSD (min eigenvalue {low:.3e})"
+    if twos:
+        ranges = _psd_ranges(np.array([found[k][2] for k in twos]), np.array([found[k][3] for k in twos]))
+        for k, interval in zip(twos, ranges):
+            found[k] = "empty PSD slice" if interval is None else found[k][:4] + (interval,)
+    found = iter(found)
+    return [[next(found) for _ in restr.real_clusters] for restr in restrs]
+
+
+def _family(restr: RestrictedGenerator, alpha: float, basis, notes, point, dirs, interval) -> QssFamily:
+    """Geometry stage: the family of a non-empty slice (:func:`_slice`), with its endpoint
+    states, the embedded basis and the certificates."""
+    anchor, points = point, ()
+    if interval is not None:
+        (lo, hi), sigma = interval, dirs
+        anchor = point + 0.5 * (lo + hi) * sigma
         # the segment's direction is fixed up to sign by the family: report the
         # interval and the ends along the direction whose leading component is positive
         if _leads_negative(sigma):
             sigma, lo, hi = -sigma, -hi, -lo
-        return anchor, (nu0 + lo * sigma, nu0 + hi * sigma), (lo, hi), notes
-    found = _extreme_points(nu0, basis, traces)
-    if found is None:
-        return "no PSD state on the chords through the minimum-norm element (heuristic search)"
-    return found + (None, notes + (EXTREME_POINTS_NOTE,))
+        interval, points = (lo, hi), (point + lo * sigma, point + hi * sigma)
+    elif dirs is not None:
+        points = tuple(_walk_to_extreme(anchor, dirs, s * p) for p in np.eye(len(dirs))[:2] for s in (1.0, -1.0))
+        notes = notes + (EXTREME_POINTS_NOTE,)
+    return QssFamily(
+        alpha=alpha,
+        herm_basis=tuple(restr.embed(b) for b in basis),
+        anchor=_certificate(restr, alpha, anchor),
+        is_perron=alpha == -restr.real_clusters[0].mean,
+        param_interval=interval,
+        endpoints=tuple(_certificate(restr, alpha, x) for x in points),
+        notes=notes,
+    )
 
 
 def extract_qss(restr: RestrictedGenerator) -> ExtractionResult:
@@ -272,46 +310,48 @@ def extract_qss(restr: RestrictedGenerator) -> ExtractionResult:
 
 
 def extract_stack(restrs) -> tuple:
-    """Trace-one PSD representatives of each real eigenspace of each restriction.
+    """Trace-one PSD representatives of each real eigenspace of each restriction, in two stages.
 
     One candidate per real cluster of ``restr.real_clusters``, at rate minus its
-    mean (:func:`_eigenspace`).  Dimension 1: normalize and test positivity, in one
-    stacked ``op.psd_check`` of every such eigenspace of every restriction.  Dimension 2: the
-    trace-one slice is a line; its PSD part is an exact interval
-    (``_psd_range``), and the endpoint (extremal-support) states are
-    certified.  Dimension >= 3: four extreme points of the slice from face
-    walks, flagged as a partial list.
+    mean (:func:`_eigenspace`).  The decision stage (:func:`_decide_stack`) finds
+    for all the restrictions at once whether each slice is empty: dimension 1 by
+    one stacked ``op.psd_check``, dimension 2 (a line) by its exact interval from
+    one stacked :func:`_psd_ranges`, dimension >= 3 by an anchor state.  The
+    geometry stage (:func:`_family`) builds, for the non-empty slices only, the
+    certified endpoint (extremal-support) states of a segment, or four extreme
+    points of a larger slice from face walks, flagged as a partial list; the
+    embedded basis; the certificates.  :func:`rates_stack` stops after decision.
     """
-    spaces = [_eigenspace(restr, c) for restr in restrs for c in restr.real_clusters]
-    found = [_psd_slice(*space) for space in spaces]
-    ones = [k for k, (basis, _) in enumerate(spaces) if len(basis) == 1 and not isinstance(found[k], str)]
-    if ones:
-        ok, min_eig = op.psd_check(np.array([found[k][0] for k in ones]), op.TOL_PSD)
-        for k, good, low in zip(ones, ok, min_eig):
-            if not good:
-                found[k] = f"not PSD (min eigenvalue {low:.3e})"
-    results, found, spaces = [], iter(found), iter(spaces)
-    for restr in restrs:
+    results = []
+    for restr, slices in zip(restrs, _decide_stack(restrs)):
         families, rejected = [], []
-        for c, slice_, (basis, _) in zip(restr.real_clusters, found, spaces):
-            alpha = -c.mean
-            if isinstance(slice_, str):
-                rejected.append(RejectedCandidate(alpha, slice_))
-                continue
-            anchor, points, interval, notes = slice_
-            families.append(
-                QssFamily(
-                    alpha=alpha,
-                    herm_basis=tuple(restr.embed(b) for b in basis),
-                    anchor=_certificate(restr, alpha, anchor),
-                    is_perron=alpha == -restr.real_clusters[0].mean,
-                    param_interval=interval,
-                    endpoints=tuple(_certificate(restr, alpha, x) for x in points),
-                    notes=notes,
-                )
-            )
+        for c, found in zip(restr.real_clusters, slices):
+            if isinstance(found, str):
+                rejected.append(RejectedCandidate(-c.mean, found))
+            else:
+                families.append(_family(restr, -c.mean, *found))
         results.append(ExtractionResult(families=tuple(families), rejected=tuple(rejected)))
     return tuple(results)
+
+
+def rates_stack(restrs) -> tuple:
+    """Per restriction, the ascending rates of its QSS families from the decision stage of
+    :func:`extract_stack` alone, after the existence check of :func:`perron_structure`."""
+    rates = []
+    for restr, slices in zip(restrs, _decide_stack(restrs)):
+        alphas = sorted(-c.mean for c, found in zip(restr.real_clusters, slices) if not isinstance(found, str))
+        if not slices or isinstance(slices[0], str):  # the top cluster carries the Perron family
+            _no_perron(restr, bool(alphas))
+        rates.append(alphas)
+    return tuple(rates)
+
+
+def _no_perron(restr: RestrictedGenerator, found: bool):
+    """Raise the existence failure of ``restr``, which has QSS families iff ``found``."""
+    reason = f"no family at spectral abscissa {restr.real_clusters[0].mean:.6e}" if found else "no QSS family found"
+    # one line: the message is printed as the CLI's one-line error
+    spectrum = np.array2string(np.sort_complex(restr.eig[0]), max_line_width=np.inf)
+    raise QssTheoryError(f"Perron existence failed: {reason}; spectrum {spectrum}")
 
 
 def perron_structure(
@@ -330,12 +370,7 @@ def perron_structure(
     """
     families = result.families
     if not any(fam.is_perron for fam in families):
-        reason = "no QSS family found"
-        if families:
-            reason = f"no family at spectral abscissa {restr.real_clusters[0].mean:.6e}"
-        # one line: the message is printed as the CLI's one-line error
-        spectrum = np.array2string(np.sort_complex(restr.eig[0]), max_line_width=np.inf)
-        raise QssTheoryError(f"Perron existence failed: {reason}; spectrum {spectrum}")
+        _no_perron(restr, bool(families))
     if irreducible:
         if len(families) != 1 or families[0].param_interval is not None:
             raise QssTheoryError(

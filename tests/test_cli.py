@@ -411,6 +411,21 @@ def test_simulate_without_perron_family_exits_2(models_dir, monkeypatch, capsys)
     assert "Perron existence failed" in err
 
 
+def test_sweep_without_perron_family_exits_2(models_dir, monkeypatch, capsys, tmp_path):
+    # the decision stage rejects the top real cluster: sweep exits 2 with the
+    # message analyze gives for that model, not a row without its Perron rate
+    decide = qss._decide_stack
+    monkeypatch.setattr(qss, "_decide_stack", lambda restrs: [["rejected"] + s[1:] for s in decide(restrs)])
+    assert run(["sweep", model_path(models_dir, "two_qubit_site1.json"), "--range", "0.3:1:3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("theory-consistency failure: Perron existence failed: no family at spectral abscissa")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_doc(two_qubit_site1(0.3))))
+    assert run(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_simulate_small_run(models_dir, tmp_path):
     out = tmp_path / "summary.json"
     records = tmp_path / "records.jsonl"

@@ -17,9 +17,8 @@ from qsslab.qss import (
     ExtractionResult,
     QssCertificate,
     QssTheoryError,
-    _pencil_roots,
-    _psd_range,
     _eigenspace,
+    _psd_ranges,
     extract_qss,
     perron_structure,
     verify_qss,
@@ -267,6 +266,11 @@ def test_high_dim_endpoints_carry_extremality_certificate():
     assert checked >= 4 * len(specs)
 
 
+def _psd_range(x, d):
+    """The slice {t : x + t d PSD} of one pair, as a stack of one."""
+    return _psd_ranges(x[None], d[None])[0]
+
+
 def test_psd_range_when_min_norm_point_is_not_psd():
     # the segment between a pure P and R = diag(.9, .1, 0): its line's
     # minimum-norm point lies beyond R and is not PSD
@@ -297,22 +301,27 @@ def _pencil(rng, n, rank, null_sign=1.0):
     return h + null_sign * (np.linalg.norm(h, 2) + 1.0) * null, b
 
 
-def test_pencil_roots_match_the_generalized_eigenvalues():
+def test_psd_range_ends_are_generalized_eigenvalues():
     # oracle: scipy's QZ eigenvalues of (a, -b), whose finite ones are the
-    # roots of det(a + t b); b of every rank, down to b = 0 (no roots)
+    # roots of det(a + t b); b of every nonzero rank.  The pencils span the whole
+    # space, so the slice is solved on a and b themselves
     rng = np.random.default_rng(41)
-    for n in range(1, 7):
-        for rank in range(n + 1):
-            a, b = _pencil(rng, n, rank)
-            ref = sla.eigvals(a, -b)
-            ref = list(ref[np.abs(ref) < 1e8])  # QZ leaves null(b) at inf or near it
-            roots = _pencil_roots(a, b)
-            assert len(roots) == len(ref) == rank
-            for r in roots:
-                k = int(np.argmin(np.abs(np.array(ref) - r)))
-                assert abs(ref.pop(k) - r) <= 1e-8 * max(1.0, abs(r)), (n, rank)
-            if rank < n:  # a negative definite on null(b): no a + t b is PSD
-                assert _pencil_roots(*_pencil(rng, n, rank, null_sign=-1.0)) is None
+    intervals = 0
+    for _ in range(8):
+        for n in range(1, 7):
+            for rank in range(1, n + 1):
+                a, b = _pencil(rng, n, rank)
+                got = _psd_range(a, b)
+                if got is not None:
+                    intervals += 1
+                    ref = sla.eigvals(a, -b)
+                    ref = ref[np.abs(ref) < 1e8]  # QZ leaves null(b) at inf or near it
+                    for end in got:
+                        assert np.min(np.abs(ref - end)) <= 1e-8 * max(1.0, abs(end)), (n, rank)
+                    assert np.linalg.eigvalsh(a + 0.5 * (got[0] + got[1]) * b)[0] >= -op.TOL_PSD
+                if rank < n:  # a negative definite on null(b): no a + t b is PSD
+                    assert _psd_range(*_pencil(rng, n, rank, null_sign=-1.0)) is None
+    assert intervals >= 30
 
 
 def _psd_range_with_qz(x, d):
@@ -353,6 +362,40 @@ def test_psd_range_matches_the_generalized_eigensolve():
         if got is not None:
             assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
     assert min(seen.values()) >= 30
+
+
+def test_stacked_psd_ranges_are_the_lone_ones(monkeypatch):
+    # pencils of every joint-range rank r (a pencil of size r in a random frame
+    # of size 5) and null count, some with a's null block negative definite so
+    # that a stacked Cholesky fails: each pencil's interval or None is, bit for
+    # bit, what it gets as a stack of one
+    rng = np.random.default_rng(47)
+    n, xs, ds = 5, [], []
+    for _ in range(12):
+        for r in range(1, n + 1):
+            for rank in range(1, r + 1):
+                a, b = _pencil(rng, r, rank, null_sign=rng.choice([-1.0, 1.0]))
+                q, _ = np.linalg.qr(propcheck._rand_complex(rng, (n, n)))
+                shift = rng.uniform(-0.5, 1.5) * np.linalg.norm(a, 2)
+                xs.append(q[:, :r] @ (a + shift * np.eye(r)) @ adjoint(q[:, :r]))
+                ds.append(q[:, :r] @ b @ adjoint(q[:, :r]))
+    failed, cholesky = [], np.linalg.cholesky
+
+    def spying(m):
+        try:
+            return cholesky(m)
+        except np.linalg.LinAlgError:
+            failed.append(len(m))
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", spying)
+    got = _psd_ranges(np.array(xs), np.array(ds))
+    assert max(failed) > 1  # a group was redone pencil by pencil
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    lone = [_psd_range(x, d) for x, d in zip(xs, ds)]
+    assert got == lone
+    assert sum(r is None for r in lone) >= 50
+    assert sum(r is not None and r[0] < r[1] for r in lone) >= 20
 
 
 @pytest.mark.parametrize(

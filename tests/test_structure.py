@@ -486,6 +486,51 @@ def test_only_analyze_certifies_and_only_what_it_reports(models_dir, monkeypatch
     assert calls == [["_residual"], ["verify_qss"]]
 
 
+def test_sweep_decides_its_slices_in_stacked_solves(models_dir, monkeypatch, tmp_path):
+    # sweep prints only the rates, so it builds no slice geometry: no face walk,
+    # no segment orientation, no embedded basis and no certificate.  Deciding the
+    # slices of a chunk takes a fixed number of numpy.linalg calls: a 401-point
+    # chunk makes no more than a 41-point one.  The points share their p0, which
+    # is validated once
+    geometry = [_count_calls(monkeypatch, qss, name) for name in ("_walk_to_extreme", "_leads_negative", "_certificate")]
+    geometry.append(_count_calls(monkeypatch, structure.RestrictedGenerator, "embed"))
+    p0_checks = _count_calls(monkeypatch, op, "projection_rank")
+    linalg, inside = Counter(), []
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "cholesky", "solve", "inv", "cond", "norm", "qr"):
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            linalg[_name] += bool(inside)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    rates = qss.rates_stack
+
+    def extracting(restrs):
+        inside.append(True)
+        try:
+            return rates(restrs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(qss, "rates_stack", extracting)
+    # one eigvalsh tests every 1-D eigenspace; the 2-D intervals take one svd, eigh,
+    # cholesky, solve, eigvals and eigvalsh; each >= 3-D eigenspace at omega = 0 one
+    # svd for its directions and one eigvalsh for its anchor
+    pinned = {
+        "two_qubit_site1": {"eigvalsh": 3, "svd": 2, "eigh": 1, "cholesky": 1, "solve": 1, "eigvals": 1},
+        "two_qubit_both": {"eigvalsh": 3, "svd": 2, "eigh": 1, "cholesky": 1, "solve": 1, "eigvals": 1},
+    }
+    for family, want in pinned.items():
+        path = os.path.join(models_dir, f"{family}.json")
+        for grid in ("0:1:41", "0:1:401"):
+            linalg.clear()
+            p0_checks.clear()
+            model._projection_rank.cache_clear()
+            assert cli.main(["sweep", path, "--range", grid, "--out", str(tmp_path / "s.csv")]) == 0
+            assert +linalg == want, (family, grid)
+            assert len(p0_checks) == 1  # the family's p0 is validated once per sweep
+    assert geometry == [[], [], [], []]
+
+
 def test_sweep_solves_one_restriction_per_point(models_dir, monkeypatch, tmp_path):
     sizes = Counter()
     _count_sizes(monkeypatch, np.linalg, "eig", sizes)
