@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _load(path) -> modelio.ModelFile:
     try:
         return modelio.load_model(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         raise InputError(f"cannot read model file: {exc}") from exc
     except ModelFileError as exc:
         raise InputError(f"invalid model file: {exc}") from exc
@@ -114,10 +114,17 @@ def _analysis_bundle(restr):
     return bundle
 
 
+def _write(path, lines, what: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    except OSError as exc:  # e.g. a missing directory
+        raise InputError(f"cannot write {what}: {exc}") from exc
+
+
 def _write_out(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, [text], "output file")
     else:
         sys.stdout.write(text)
 
@@ -155,9 +162,9 @@ def cmd_simulate(args) -> int:
         try:
             with open(args.start_file, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except FileNotFoundError as exc:
+        except OSError as exc:
             raise InputError(f"cannot read start file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputError(f"invalid start file JSON: {exc}") from exc
         if not isinstance(doc, dict) or "density" not in doc:
             raise InputError("start file must be a JSON object with a 'density' matrix")
@@ -177,9 +184,8 @@ def cmd_simulate(args) -> int:
     batch = traj_mod.sample_trajectories(kernel, rho0, args.horizon, args.seed, args.samples)
     stats = traj_mod.jump_statistics(batch, alpha, nu=rho0)
     if args.records:
-        with open(args.records, "w", encoding="utf-8") as fh:
-            # one JSON line per trajectory; its keys are listed at modelio.record_lines
-            fh.writelines(modelio.record_lines(batch))
+        # one JSON line per trajectory; its keys are listed at modelio.record_lines
+        _write(args.records, modelio.record_lines(batch), "records file")
     summary = {
         "n_trajectories": stats.n_trajectories,
         "n_observed_jumps": stats.n_observed_jumps,

@@ -119,28 +119,6 @@ def build_generator(spec: ModelSpec) -> np.ndarray:
     return m
 
 
-def apply_semigroup(prop: op.Propagator, t, x: np.ndarray) -> np.ndarray:
-    """exp(t * prop.mat) applied to the operator x.  Semigroup only: t >= 0.
-
-    On the spectral path ``Propagator.apply`` maps x into the generator's
-    eigenbasis and back, O(d^4); the exponential is not formed.  A 1-D sequence
-    of times gives a (k, d, d) stack from one ``Propagator.apply`` call, each
-    slice bit for bit the scalar call's.
-    """
-    times = np.asarray(t, dtype=float)
-    if not np.all((0 <= times) & (times < np.inf)):
-        raise ValueError("semigroup is defined for finite t >= 0 only")
-    x = op.as_operator(x)
-    zero = times == 0
-    if zero.all():
-        return np.broadcast_to(x, times.shape + x.shape).copy()
-    rows = prop.apply(times, x.reshape(-1, order="F"))  # vectorize(x), validated once
-    # C-ordered slices, as devectorize returns: norms sum in memory order
-    out = rows.reshape(times.shape + x.shape).swapaxes(-1, -2).copy()
-    out[zero] = x
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Two-qubit fixtures: one decaying site, or decay on both sites.
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def load_model(path) -> ModelFile:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # UTF-8 is decoded as JSON is read
             raise ModelFileError("$", f"invalid JSON: {exc}") from exc
     return parse_model(doc)
 

@@ -26,7 +26,7 @@ from .operators import adjoint, devectorize, frob, vectorize
 
 ABSORBING_NORM_TOL = 1e-6
 KERNEL_CUT = 1e-9  # relative cut of the restriction's kernel eigenvalues
-CLOSURE_TOL = 1e-10  # relative rank cut of invariant closures and algebra spans
+CLOSURE_TOL = 1e-10  # relative rank cut of algebra spans and invariant subspaces
 
 
 class StructureError(RuntimeError):
@@ -166,31 +166,32 @@ class AbsorptionReport:
 @dataclass(frozen=True)
 class IrreducibilityReport:
     verdict: bool
-    witness: Optional[np.ndarray]  # d x k orthonormal basis of an invariant subspace
+    witness: Optional[np.ndarray]  # m x k orthonormal basis of an invariant subspace of range(p0_perp)
     note: str
 
 
-def _algebraic_residual(spec: ModelSpec) -> tuple:
-    """``(residual, ok)``: how far range(p0) is from invariant under G and every jump.
+def _algebraic_residual(spec: ModelSpec, drift: np.ndarray) -> tuple:
+    """``(residual, ok)``: how far range(p0) is from invariant under the drift G and every jump.
 
     For a projection this criterion is exact (Fagnola & Rebolledo, J. Math.
     Phys. 43, 2002): ``ok`` decides subharmonicity.
     """
     p0, perp = spec.p0, spec.p0_perp
-    residual = frob(perp @ spec.effective_drift() @ p0)
+    residual = frob(perp @ drift @ p0)
     for l in spec.jump_ops:
         residual = max(residual, frob(perp @ l @ p0))
     return residual, residual <= 1e-10 * max(1.0, frob(spec.hamiltonian))
 
 
-def check_subharmonic(spec: ModelSpec) -> SubharmonicReport:
+def check_subharmonic(spec: ModelSpec, drift: Optional[np.ndarray] = None) -> SubharmonicReport:
     """Decide whether p0 is subharmonic by the algebraic criterion.
 
     The range of p0 must be invariant under every jump operator and under
-    the drift G.  For a projection this is equivalent to T_t(p0) >= p0 for
-    all t >= 0, so the verdict needs no evolution.
+    the drift G (``spec.effective_drift()`` unless given).  For a projection
+    this is equivalent to T_t(p0) >= p0 for all t >= 0, so the verdict needs
+    no evolution.
     """
-    residual, ok = _algebraic_residual(spec)
+    residual, ok = _algebraic_residual(spec, spec.effective_drift() if drift is None else drift)
     return SubharmonicReport(algebraic_residual=residual, verdict=ok)
 
 
@@ -237,8 +238,9 @@ def restrict(spec: ModelSpec) -> RestrictedGenerator:
 def restrict_stack(specs) -> tuple:
     """Build the compressed generators on range(p0_perp) of models of one size as one stack.
 
-    Each model's :func:`check_subharmonic` verdict is taken once and kept as
-    ``subharmonic``; a model whose p0 is not subharmonic raises ``StructureError``.
+    Each model's drift G is built once, and its :func:`check_subharmonic` verdict
+    is taken once and kept as ``subharmonic``; a model whose p0 is not subharmonic
+    raises ``StructureError``.  Models that share p0 share its isometry.
     The restriction is defined by the compressed GKLS data g_hat = V^dag G V and
     L_hat = V^dag L V: x -> g_hat x + x g_hat^dag + sum_k L_hat x L_hat^dag,
     at O(m^6) and without the d^2 x d^2 generator.  It maps Hermitian matrices
@@ -250,7 +252,8 @@ def restrict_stack(specs) -> tuple:
     stage, and its real clusters.  Each matrix is computed as it would be
     alone, so a model's restriction does not depend on the rest of the stack.
     """
-    subs = [check_subharmonic(spec) for spec in specs]
+    drifts = np.array([spec.effective_drift() for spec in specs])
+    subs = [check_subharmonic(spec, g) for spec, g in zip(specs, drifts)]
     for sub in subs:
         if not sub.verdict:
             raise StructureError(
@@ -258,9 +261,14 @@ def restrict_stack(specs) -> tuple:
             )
     d = specs[0].dim
     jumps = np.array([spec.jump_ops for spec in specs], dtype=complex).reshape(len(specs), -1, d, d)
-    v = np.array([_perp_isometry(spec) for spec in specs])
+    isometries = {}  # by p0: models that share it share its isometry
+    for spec in specs:
+        key = spec.p0.tobytes()
+        if key not in isometries:
+            isometries[key] = _perp_isometry(spec)
+    v = np.array([isometries[spec.p0.tobytes()] for spec in specs])
     vh = adjoint(v)
-    g_hat = vh @ np.array([spec.effective_drift() for spec in specs]) @ v
+    g_hat = vh @ drifts @ v
     jumps_hat = vh[:, None] @ jumps @ v[:, None]
     gen = left_mul(g_hat) + right_mul(adjoint(g_hat))
     for l in jumps_hat.swapaxes(0, 1):
@@ -328,66 +336,66 @@ def absorption_operator(restr: RestrictedGenerator) -> AbsorptionReport:
     )
 
 
-def _invariant_closure(ops, seed: np.ndarray, dim: int) -> np.ndarray:
-    """Smallest subspace containing ``seed`` invariant under all ``ops``.
+def algebra_basis(ops) -> np.ndarray:
+    """Orthonormal basis of the unital algebra A generated by the m x m matrices ``ops``.
 
-    Grown by repeated application and re-orthonormalization until the
-    dimension stabilizes; returns an orthonormal basis (columns).
-    """
-    basis = seed.reshape(dim, 1) / np.linalg.norm(seed)
-    while True:
-        u, s, _ = np.linalg.svd(np.hstack([basis] + [a @ basis for a in ops]), full_matrices=False)
-        rank = int(np.sum(s > CLOSURE_TOL * max(1.0, s[0])))
-        if rank == basis.shape[1]:
-            return u[:, :rank]
-        basis = u[:, :rank]
-
-
-def algebra_dimension(ops) -> int:
-    """Dimension of the unital algebra generated by the m x m matrices ``ops``.
-
-    The span (matrices as vectors) starts at the identity.  Each round
+    The columns are the row-major vectors of the basis matrices; their number
+    is the dimension of A.  The span starts at the identity.  Each round
     left-multiplies only the directions the last round added by every
     generator, orthogonalizes the images twice against the current basis,
     and keeps as new directions the left singular vectors above
     ``CLOSURE_TOL * max(1, max ||op||)``, until a round adds nothing.
     """
-    m = ops[0].shape[0]
-    cut = CLOSURE_TOL * max(1.0, max(frob(a) for a in ops))
+    ops = np.asarray(ops)
+    m = ops.shape[-1]
+    cut = CLOSURE_TOL * max(1.0, np.linalg.norm(ops, axis=(-2, -1)).max())
     basis = np.eye(m, dtype=complex).reshape(m * m, 1) / np.sqrt(m)
     new = basis.T
     while len(new) and basis.shape[1] < m * m:
-        images = np.concatenate([a @ new.reshape(-1, m, m) for a in ops]).reshape(-1, m * m).T
+        images = (ops[:, None] @ new.reshape(-1, m, m)).reshape(-1, m * m).T
         for _ in range(2):
             images = images - basis @ (adjoint(basis) @ images)
         u, s, _ = np.linalg.svd(images, full_matrices=False)
         new = u[:, s > cut].T
         basis = np.hstack([basis, new.T])
-    return basis.shape[1]
+    return basis
 
 
-def _witness_search(restr: RestrictedGenerator) -> Optional[np.ndarray]:
-    """A proper subspace invariant under g_hat and the jumps, or None if none is found.
+def _range_and_kernel(a: np.ndarray) -> tuple:
+    """Orthonormal bases of the range of ``a`` and, for ``a`` with no more columns than
+    rows, of its kernel: singular values above ``CLOSURE_TOL * max(1, sigma_max)`` count."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > CLOSURE_TOL * max(1.0, s[0])))
+    return u[:, :rank], vh[rank:].conj().T
 
-    Seeds are the eigenvectors of g_hat, then the top eigenvectors of eight
-    random Hermitian combinations of the operators (fixed RNG seed, so the
-    search is reproducible), drawn only when the eigenvectors give no proper
-    closure.
+
+def _invariant_subspace(ops: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of a subspace invariant under ``ops``, read off the ``basis`` of
+    their algebra A, a proper subalgebra of M_m; proper unless rounding spoils it.
+
+    The radical J of A is the kernel of the trace form tr(xy) on A (Dickson's
+    criterion, characteristic 0).  If J != 0, span(J C^m) is invariant, J being
+    a two-sided ideal, and proper, J being nilpotent.  Otherwise A is
+    semisimple, so its commutant holds a non-scalar c (double commutant
+    theorem), and ker(c - lambda) is invariant for every eigenvalue lambda of
+    c; the smallest of them is taken, so that its dimension does not depend on
+    which eigenvalue LAPACK lists first.
     """
-    ops = [restr.g_hat] + list(restr.jumps_hat)
-
-    def seeds():
-        yield from np.linalg.eig(restr.g_hat)[1].T
-        rng = np.random.default_rng(782133)
-        for _ in range(8):
-            combo = sum((rng.standard_normal() + 1j * rng.standard_normal()) * a for a in ops)
-            yield np.linalg.eigh(combo + adjoint(combo))[1][:, -1]
-
-    for seed in seeds():
-        closure = _invariant_closure(ops, seed, restr.m)
-        if closure.shape[1] < restr.m:
-            return closure
-    return None
+    m = ops.shape[-1]
+    vecs = basis.T
+    transposes = vecs.reshape(-1, m, m).swapaxes(1, 2).reshape(-1, m * m)
+    _, radical = _range_and_kernel(vecs @ transposes.T)  # tr(b_i b_j) = vec(b_i) . vec(b_j^T)
+    if radical.shape[1]:
+        ideal = (radical.T @ vecs).reshape(-1, m, m)
+        return _range_and_kernel(ideal.swapaxes(0, 1).reshape(m, -1))[0]  # [J_1 J_2 ...]
+    eye = np.eye(m)
+    _, commutant = _range_and_kernel(np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in ops]))
+    scalar = eye.reshape(m * m, 1) / np.sqrt(m)
+    nonscalar, _ = _range_and_kernel(commutant - scalar @ (scalar.T @ commutant))
+    if not nonscalar.shape[1]:  # rounding lost the commutant
+        return np.zeros((m, 0))
+    c = nonscalar[:, 0].reshape(m, m)
+    return min((_range_and_kernel(c - lam * eye)[1] for lam in np.linalg.eigvals(c)), key=lambda k: k.shape[1])
 
 
 def check_irreducible(restr: RestrictedGenerator) -> IrreducibilityReport:
@@ -395,14 +403,20 @@ def check_irreducible(restr: RestrictedGenerator) -> IrreducibilityReport:
 
     Burnside's theorem: they have none iff the unital algebra they generate
     is all of M_m, of dimension m^2, and then the verdict is a certificate.
-    A smaller algebra means the restriction is reducible; the seeded closure
-    search of :func:`_witness_search` then looks for a witness to report.
+    A smaller algebra means the restriction is reducible, and
+    :func:`_invariant_subspace` builds a witness W from the algebra's basis;
+    it is reported when it is proper and ||(1 - W W^dag) a W|| is within
+    ``CLOSURE_TOL * max(1, max ||a||)`` for the operators a.
     """
     m = restr.m
-    dim = algebra_dimension([restr.g_hat] + list(restr.jumps_hat))
+    ops = np.array([restr.g_hat, *restr.jumps_hat])
+    basis = algebra_basis(ops)
+    dim = basis.shape[1]
     if dim == m * m:
         return IrreducibilityReport(True, None, f"irreducible (algebra dimension {dim} = m^2)")
-    witness = _witness_search(restr)
-    note = (f"reducible (algebra dimension {dim} < m^2; no witness found)" if witness is None
-            else f"invariant subspace of dimension {witness.shape[1]} found")
-    return IrreducibilityReport(False, witness, note)
+    witness = _invariant_subspace(ops, basis)
+    k, images = witness.shape[1], ops @ witness
+    defect = np.linalg.norm(images - witness @ (adjoint(witness) @ images), axis=(-2, -1)).max()
+    if 0 < k < m and defect <= CLOSURE_TOL * max(1.0, np.linalg.norm(ops, axis=(-2, -1)).max()):
+        return IrreducibilityReport(False, witness, f"invariant subspace of dimension {k} found")
+    return IrreducibilityReport(False, None, f"reducible (algebra dimension {dim} < m^2; no witness found)")

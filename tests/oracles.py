@@ -1,6 +1,7 @@
-"""Reference computations for the tests: the duality pairing of the state and
-observable evolutions, the verification residuals on time grids, and the
-jump-time measure of the sampler.
+"""Reference computations for the tests: the semigroup applied to an operator,
+which no command evolves, the duality pairing of the state and observable
+evolutions, the verification residuals on time grids, and the jump-time
+measure of the sampler.
 
 ``grid_verification`` evolves a QSS over fixed time grids on a fresh propagator of
 the restriction; every bound that ``verify_qss`` certifies must dominate these
@@ -21,7 +22,6 @@ import scipy.integrate
 from qsslab import operators as op
 from qsslab.model import (
     ModelSpec,
-    apply_semigroup,
     build_generator,
     left_mul,
     right_mul,
@@ -29,6 +29,28 @@ from qsslab.model import (
 )
 from qsslab.operators import adjoint, devectorize, frob, vectorize
 from qsslab.trajectory import sample_trajectories
+
+
+def apply_semigroup(prop: op.Propagator, t, x: np.ndarray) -> np.ndarray:
+    """exp(t * prop.mat) applied to the operator x.  Semigroup only: t >= 0.
+
+    On the spectral path ``Propagator.apply`` maps x into the generator's
+    eigenbasis and back, O(d^4); the exponential is not formed.  A 1-D sequence
+    of times gives a (k, d, d) stack from one ``Propagator.apply`` call, each
+    slice bit for bit the scalar call's.
+    """
+    times = np.asarray(t, dtype=float)
+    if not np.all((0 <= times) & (times < np.inf)):
+        raise ValueError("semigroup is defined for finite t >= 0 only")
+    x = op.as_operator(x)
+    zero = times == 0
+    if zero.all():
+        return np.broadcast_to(x, times.shape + x.shape).copy()
+    rows = prop.apply(times, x.reshape(-1, order="F"))  # vectorize(x), validated once
+    # C-ordered slices, as devectorize returns: norms sum in memory order
+    out = rows.reshape(times.shape + x.shape).swapaxes(-1, -2).copy()
+    out[zero] = x
+    return out
 
 
 def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> float:

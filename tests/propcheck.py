@@ -10,11 +10,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from qsslab import operators as op
-from qsslab.model import ModelSpec, apply_semigroup, build_generator
+from qsslab.model import ModelSpec, build_generator
 from qsslab.qss import extract_qss
 from qsslab.structure import restrict
 
-from oracles import duality_check, gen_tilde
+from oracles import apply_semigroup, duality_check, gen_tilde
 
 
 def _rand_complex(rng, shape):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from oracles import apply_semigroup
 from qsslab.classical import (
     ClassicalError,
     RateMatrix,
@@ -11,7 +12,7 @@ from qsslab.classical import (
     embed,
 )
 from qsslab import operators as op
-from qsslab.model import apply_semigroup, build_generator
+from qsslab.model import build_generator
 from qsslab.qss import QssCertificate, QssFamily
 
 

@@ -99,10 +99,10 @@ def test_analyze_deterministic_output(models_dir, tmp_path):
 @pytest.mark.parametrize(
     "model, stream, digest",
     [
-        ("two_qubit_site1.json", "out", "edeae08d2af62f6af7dc49a6370c33776af0668d560196ae38dabceaf2e4fb7b"),
-        ("two_qubit_both.json", "out", "e1e770a6f72a987080c1cb3511a41bc1ef427acf3d4fd135bb3629123a704f52"),
-        (two_qubit_both(0.0), "out", "9606d43e87148b9c3db5fde9bd92c8d9c7151f4ca74d7113a8679018e4ece0ed"),
-        (two_qubit_site1(0.5), "out", "cecefa731d5f2580f64a62b6fa47d620eea690200f06dccd8b0ed3276883def2"),
+        ("two_qubit_site1.json", "out", "7ffd8fe74f31c2b52b5a20d01107de8d960e55fcf9ae204e2d4b39a8f3cf4a88"),
+        ("two_qubit_both.json", "out", "166f520c6c1d0c9f48275c910effd41e63d739ca7c79eb9a3e5eb993da6cd712"),
+        (two_qubit_both(0.0), "out", "9b5f5908eefda5836fa8667bf1500ce32daadcb9c58026d93ab3ceba3ee9e9d9"),
+        (two_qubit_site1(0.5), "out", "052ebbeb98e40004c1eca13e586cc6156d121ea94fd5673671cfdecba060abae"),
     ],
     ids=["site1", "both", "both-omega0-face-walk", "site1-omega-half"],
 )
@@ -287,6 +287,36 @@ def test_analyze_input_errors(models_dir, tmp_path, capsys):
     # classical-only file has no quantum block
     assert run(["analyze", model_path(models_dir, "classical_two_state.json")]) == 1
     assert "no quantum model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "analyze MODELS",
+        "analyze LATIN1",
+        "classical MODELS",
+        "simulate two_qubit_both.json --start file --start-file MODELS",
+        "simulate two_qubit_both.json --start file --start-file LATIN1",
+        "analyze two_qubit_both.json --out MISSING/r.json",
+        "sweep two_qubit_site1.json --range 0:1:3 --out MISSING/s.csv",
+        "simulate two_qubit_both.json --samples 5 --records MISSING/r.jsonl",
+        "simulate two_qubit_both.json --samples 5 --out MODELS",
+    ],
+)
+def test_unreadable_inputs_and_unwritable_outputs_exit_1_with_one_line(models_dir, tmp_path, capsys, argv):
+    # a directory for a file, a file that is not UTF-8, or an output in a missing
+    # directory: an input error with one stderr line, never a traceback
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"label": "caf\u00e9"}'.encode("latin-1"))
+    paths = {"MODELS": models_dir, "LATIN1": str(latin1), "MISSING": str(tmp_path / "missing")}
+    argv = [model_path(models_dir, a) if a.endswith(".json") and "/" not in a else a for a in argv.split()]
+    for key, path in paths.items():
+        argv = [a.replace(key, path) for a in argv]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("omega", [0.001, 0.015])

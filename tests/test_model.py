@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import choi_matrix
-from oracles import duality_check
+from oracles import apply_semigroup, duality_check
 from qsslab import operators as op
 from qsslab.model import (
     ModelSpec,
-    apply_semigroup,
     build_generator,
     left_mul,
     right_mul,

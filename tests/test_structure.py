@@ -8,13 +8,13 @@ import pytest
 import scipy.linalg as sla
 
 from helpers import model_to_doc, rotated, with_spectator
+from oracles import apply_semigroup
 from propcheck import random_subharmonic_model
 from qsslab import cli, model, qss, structure, trajectory
 from qsslab import operators as op
 from qsslab.classical import RateMatrix, embed
 from qsslab.model import (
     ModelSpec,
-    apply_semigroup,
     build_generator,
     two_qubit_both,
     two_qubit_site1,
@@ -22,7 +22,7 @@ from qsslab.model import (
 from qsslab.structure import (
     StructureError,
     absorption_operator,
-    algebra_dimension,
+    algebra_basis,
     check_irreducible,
     check_subharmonic,
     restrict,
@@ -317,9 +317,14 @@ def _naive_algebra_dimension(ops) -> int:
         rank = len(words)
 
 
-def _old_closure_verdict(restr) -> bool:
-    """The seeded closure search alone: irreducible iff it finds no witness."""
-    return structure._witness_search(restr) is None
+def _assert_invariant_witness(restr, witness):
+    # m x k, orthonormal, proper and invariant under g_hat and every jump
+    m, k = witness.shape
+    assert m == restr.m and 0 < k < m
+    assert np.linalg.norm(witness.conj().T @ witness - np.eye(k)) <= 1e-10
+    for a in [restr.g_hat] + list(restr.jumps_hat):
+        image = a @ witness
+        assert np.linalg.norm(image - witness @ (witness.conj().T @ image)) <= 1e-10
 
 
 def _burnside_cases():
@@ -336,42 +341,58 @@ BURNSIDE_CASES = _burnside_cases()
 
 
 @pytest.mark.parametrize("spec", BURNSIDE_CASES.values(), ids=BURNSIDE_CASES.keys())
-def test_burnside_verdict_is_the_algebra_dimension_and_matches_the_closure_search(spec):
+def test_burnside_verdict_is_the_algebra_dimension_and_a_reducible_one_has_a_witness(spec):
     restr = restrict(spec)
     ops = [restr.g_hat] + list(restr.jumps_hat)
     dim = _naive_algebra_dimension(ops)
-    assert algebra_dimension(ops) == dim
+    assert algebra_basis(ops).shape[1] == dim
     report = check_irreducible(restr)
-    assert report.verdict == (dim == restr.m**2) == _old_closure_verdict(restr)
+    assert report.verdict == (dim == restr.m**2)
     if report.verdict:
         assert report.note == f"irreducible (algebra dimension {dim} = m^2)"
     else:
+        _assert_invariant_witness(restr, report.witness)
         assert report.note == f"invariant subspace of dimension {report.witness.shape[1]} found"
 
 
-def test_idle_spectator_makes_an_irreducible_restriction_reducible():
+def spectator_model():
+    # the connected chain of test_irreducibility_classical_connected_chain and an idle qubit
     rm = RateMatrix(
         n=3,
         q=np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]),
         absorbing_set=(2,),
     )
-    restr = restrict(with_spectator(embed(rm)))
+    return with_spectator(embed(rm))
+
+
+def two_block_model():
+    # H and L keep span(e1) and span(e2, e3) of range(p0_perp) apart: the algebra is
+    # C + M_2, semisimple, and its commutant is spanned by the two block projections
+    h = np.zeros((4, 4), dtype=complex)
+    h[1, 1] = 0.3
+    h[2:, 2:] = [[0.7, 0.2 - 0.4j], [0.2 + 0.4j, -0.5]]
+    l = np.zeros((4, 4), dtype=complex)
+    l[2, 3] = 1.0
+    return ModelSpec(dim=4, hamiltonian=h, jump_ops=(l,), p0=np.diag([1.0, 0, 0, 0]).astype(complex))
+
+
+def test_idle_spectator_makes_an_irreducible_restriction_reducible():
+    restr = restrict(spectator_model())
     assert restr.m == 4
-    assert algebra_dimension([restr.g_hat] + list(restr.jumps_hat)) == 4  # M_2 (x) 1_2
+    assert algebra_basis([restr.g_hat] + list(restr.jumps_hat)).shape[1] == 4  # M_2 (x) 1_2
     report = check_irreducible(restr)
     assert not report.verdict
     assert report.note == "invariant subspace of dimension 2 found"
-    for a in [restr.g_hat] + list(restr.jumps_hat):  # the witness is invariant
-        image = a @ report.witness
-        assert np.linalg.norm(image - report.witness @ (report.witness.conj().T @ image)) <= 1e-10
+    _assert_invariant_witness(restr, report.witness)
 
 
 def test_reducible_restriction_without_a_closure_witness():
     # on range(p0_perp) = span(e1, e2): L1 = |u><u_perp|, L2 = |u><u| with
     # u = (e1 + e2)/sqrt(2), so span(u) is invariant (block upper triangular
     # in the basis u, u_perp) and g_hat = -1/2 is scalar.  The eigenvectors
-    # of g_hat are e1, e2, whose closures are everything, as are those of the
-    # random Hermitian combinations: only the algebra dimension tells.
+    # of g_hat are e1, e2, whose invariant closures are everything, so no
+    # search seeded by them finds span(u); the radical of the algebra, spanned
+    # by |u><u_perp|, has range span(u)
     u = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
     u_perp = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
     spec = ModelSpec(dim=3, hamiltonian=np.zeros((3, 3)),
@@ -379,11 +400,52 @@ def test_reducible_restriction_without_a_closure_witness():
                      p0=np.diag([1.0, 0.0, 0.0]).astype(complex))
     restr = restrict(spec)
     assert np.allclose(restr.g_hat, -0.5 * np.eye(2))
-    assert _old_closure_verdict(restr)  # the search alone would say irreducible
+    assert algebra_basis([restr.g_hat] + list(restr.jumps_hat)).shape[1] == 3
+    report = check_irreducible(restr)
+    assert not report.verdict
+    assert report.note == "invariant subspace of dimension 1 found"
+    _assert_invariant_witness(restr, report.witness)
+    assert abs(np.vdot(report.witness[:, 0], restr.compress(np.outer(u, u)) @ report.witness[:, 0]) - 1) <= 1e-12
+
+
+def test_a_witness_that_fails_the_invariance_check_is_not_reported(monkeypatch):
+    restr = restrict(two_qubit_both(1.0))
+    monkeypatch.setattr(structure, "_invariant_subspace", lambda ops, basis: np.eye(restr.m)[:, :1])
     report = check_irreducible(restr)
     assert not report.verdict
     assert report.witness is None
-    assert report.note == "reducible (algebra dimension 3 < m^2; no witness found)"
+    assert report.note == "reducible (algebra dimension 5 < m^2; no witness found)"
+
+
+def test_a_commutant_lost_to_rounding_gives_no_witness():
+    # an energy offset of 1e8 puts the 1e-3 jumps below the algebra's cut, which
+    # scales with ||g_hat||, but not below the commutant's, which then holds only
+    # the scalars: no witness, and no error
+    rm = RateMatrix(
+        n=3,
+        q=np.array([[-2.0, 1e-6, 2.0 - 1e-6], [1e-6, -2.0, 2.0 - 1e-6], [0.0, 0.0, 0.0]]),
+        absorbing_set=(2,),
+    )
+    chain = embed(rm)
+    spec = ModelSpec(dim=3, hamiltonian=chain.hamiltonian + 1e8 * np.eye(3), jump_ops=chain.jump_ops, p0=chain.p0)
+    report = check_irreducible(restrict(spec))
+    if not report.verdict:
+        assert report.witness is None
+        assert report.note == "reducible (algebra dimension 1 < m^2; no witness found)"
+
+
+@pytest.mark.parametrize("spec", [two_qubit_site1(1.0), two_qubit_both(0.0), spectator_model(), two_block_model()],
+                         ids=["site1-omega1", "both-omega0", "spectator", "two-blocks"])
+def test_the_witness_dimension_does_not_depend_on_the_frame(spec):
+    # the radical's range, or the smallest eigenspace of a commutant element:
+    # the two-block model's eigenspaces have dimensions 1 and 2
+    dims = set()
+    for seed in range(5):
+        restr = restrict(rotated(spec, seed))
+        report = check_irreducible(restr)
+        _assert_invariant_witness(restr, report.witness)
+        dims.add(report.witness.shape[1])
+    assert len(dims) == 1
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -410,9 +472,9 @@ def _count_sizes(monkeypatch, owner, name, sizes):
 
 
 def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_path):
-    # one m^2 x m^2 solve serves the restriction and its kernel, g_hat
-    # (m x m) seeds the witness search of the reducible restriction, and no
-    # d^2 x d^2 matrix is built (only simulate's kernel builds one), let alone
+    # one m^2 x m^2 solve serves the restriction and its kernel, the witness
+    # of the reducible restriction is read off its algebra without an
+    # eigensolve of g_hat, and no d^2 x d^2 matrix is built (only simulate's kernel builds one), let alone
     # eigendecomposed
     sizes = Counter()
     _count_sizes(monkeypatch, np.linalg, "eig", sizes)
@@ -428,7 +490,7 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
     m = 3
-    assert sizes == {(1, m * m, m * m): 1, (m, m): 1}
+    assert sizes == {(1, m * m, m * m): 1}
     assert len(subharmonic) == 1
     assert len(eig_general) == 1
     # analyze evolves nothing, so it forms no exp(tL)
@@ -455,16 +517,15 @@ def test_each_model_checks_the_subharmonic_criterion_once(models_dir, monkeypatc
 def test_analyze_and_sweep_evolve_nothing(models_dir, monkeypatch, tmp_path):
     # analyze: subharmonicity is algebraic, absorption reads the restriction's
     # kernel and verification one residual, also at the defective omega = 1/2;
-    # sweep reads only the decay rates
+    # sweep reads only the decay rates; every evolution goes through Propagator.apply
     apply = _count_calls(monkeypatch, op.Propagator, "apply")
-    semigroup = _count_calls(monkeypatch, model, "apply_semigroup")
     expm = _count_calls(monkeypatch, op, "expm")
     half = tmp_path / "site1_half.json"
     half.write_text(json.dumps(model_to_doc(two_qubit_site1(0.5))))
     path = os.path.join(models_dir, "two_qubit_site1.json")
     for argv, code in (([path], 0), ([os.path.join(models_dir, "two_qubit_both.json")], 0), ([str(half)], 0)):
         assert cli.main(["analyze", *argv, "--out", str(tmp_path / "report.json")]) == code
-    assert apply == semigroup == expm == []
+    assert apply == expm == []
     assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
     assert len(apply) == 0
 

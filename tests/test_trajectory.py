@@ -63,7 +63,7 @@ def test_tilde_generator_preserves_trace():
     rho = a @ a.conj().T
     rho /= np.trace(rho)
     for t in (0.3, 1.0, 4.0):
-        from qsslab.model import apply_semigroup
+        from oracles import apply_semigroup
 
         evolved = apply_semigroup(operators.Propagator(gen_tilde(spec)), t, rho)
         assert abs(np.trace(evolved).real - 1.0) < 1e-10
