@@ -233,15 +233,15 @@ class _Pieces:
 def _kernel_tables():
     """The kernel's constants, made on first use: ``hi`` and ``lo`` with hi + lo =
     10^(16 - e) to about 2^-106 relative for e in [_E_LO, _E_HI], each rounded
-    once from exact integers (``int / int`` rounds correctly); 10^k as int64 for
-    k = 0 .. 17; and the pieces."""
+    once from exact integers (``int / int`` rounds correctly), and hi's halves
+    (:func:`_halves`); 10^k as int64 for k = 0 .. 17; and the pieces."""
     hi, lo = [], []
     for e in range(_E_LO, _E_HI + 1):
         num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
         h_num, h_den = (num / den).as_integer_ratio()
         hi.append(h_num / h_den)
         lo.append((num * h_den - h_num * den) / (den * h_den))
-    return np.array(hi), np.array(lo), 10 ** np.arange(18, dtype=np.int64), _Pieces()
+    return (hi := np.array(hi)), np.array(lo), *_halves(hi), 10 ** np.arange(18, dtype=np.int64), _Pieces()
 
 
 def _piece(key: int) -> str:
@@ -287,17 +287,20 @@ def _format17(values: np.ndarray, after) -> str:
     rounding carries).  With its trailing zeros stripped, D is written by ``%d``
     and ``%0Nd`` inside a piece that holds the sign, the lead digit, the point
     and the exponent; one piece per key, made once.  Zeros take the pieces of
-    0.0 and -0.0, and every other value (ties, the ends of the range and
-    non-finite values, which raise) takes :func:`_fmt_float` itself.
+    0.0 and -0.0 and skip the kernel, which is elementwise and runs on the rest;
+    every other value (ties, the ends of the range and non-finite values, which
+    raise) takes :func:`_fmt_float` itself.
     """
-    hi_e, lo_e, pow10, pieces = _kernel_tables()
+    hi_e, lo_e, hh_e, hl_e, pow10, pieces = _kernel_tables()
+    key = _KEYS + np.signbit(values)  # the zeros' keys; the others' are set below
+    values = values[nonzero := np.flatnonzero(values)]
     mag = np.abs(values)
-    fast = (mag >= 1e-270) & (mag <= 1e270)  # false for zeros and non-finite values
+    fast = (mag >= 1e-270) & (mag <= 1e270)  # false for non-finite values
     mag = np.where(fast, mag, 1.0)
     e = np.floor(np.log10(mag)).astype(np.int64).clip(_E_LO, _E_HI)
-    hi, lo = hi_e[e - _E_LO], lo_e[e - _E_LO]
+    hi, lo, hh, hl = (table[e - _E_LO] for table in (hi_e, lo_e, hh_e, hl_e))
     prod = mag * hi
-    (xh, xl), (hh, hl) = _halves(mag), _halves(hi)
+    xh, xl = _halves(mag)
     rest = (((xh * hh - prod) + xh * hl) + xl * hh) + xl * hl + mag * lo
     digits = prod.astype(np.int64) + np.rint(rest).astype(np.int64)
     fast &= (np.abs(rest - np.floor(rest) - 0.5) > 1e-9) & (digits > 10**16 + 64) & (digits < 10**17 - 64)
@@ -315,12 +318,12 @@ def _format17(values: np.ndarray, after) -> str:
     frac = kept - head * scale
     padded = (frac * 10 < scale) & (width > 0)  # a zero after the point or the lead
     neg = np.signbit(values)
-    key = ((((e - _E_LO) * 2 + neg) * 10 + np.where(whole, 0, head)) * 17 + width) * 2 + padded
-    text = pieces[np.where(fast, key, _KEYS + neg)]
-    slow = np.flatnonzero(~fast & (values != 0))
-    text[slow] = [_fmt_float(x) for x in values[slow].tolist()]
+    key[nonzero] = np.where(fast, ((((e - _E_LO) * 2 + neg) * 10 + np.where(whole, 0, head)) * 17 + width) * 2
+                            + padded, _KEYS)
+    text = pieces[key]
+    text[nonzero[~fast]] = [_fmt_float(x) for x in values[~fast].tolist()]
     args = np.stack([head, frac], 1)[np.stack([fast & whole, fast & (width > 0)], 1)]
-    out = np.empty(2 * len(values), dtype=object)
+    out = np.empty(2 * len(key), dtype=object)
     out[0::2], out[1::2] = text, after
     return "".join(out.tolist()) % tuple(args.tolist())
 

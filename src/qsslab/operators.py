@@ -212,6 +212,7 @@ class Propagator:
             and cond < EXPM_COND_LIMIT
             and frob((self.v * self.w) @ self.v_inv - a) <= 1e-12 * max(1.0, frob(a))
         )
+        self._trace_weights = trace_row @ self.v if self.spectral and trace_row is not None else None
 
     def apply(self, t, vec: np.ndarray, coef=None) -> np.ndarray:
         """``exp(t*a) @ vec``: one time per row of a batch ``vec``, or times for one ``vec``.
@@ -236,11 +237,11 @@ class Propagator:
         """``x`` with ``trace_row @ exp(t*a) vec = sum(x * trace_rows(t))``, per row of ``vecs``.
 
         Spectral: trace-weighted eigencoefficients, zeroed at modulus <= 1e-18;
-        ``coef`` as in :meth:`apply`.
+        ``coef`` as in :meth:`apply`; the weights ``trace_row @ V`` are formed once.
         """
         if not self.spectral:
             return np.asarray(vecs, dtype=complex)
-        x = (self.trace_row @ self.v) * (rowdot(self.v_inv, vecs) if coef is None else coef)
+        x = self._trace_weights * (rowdot(self.v_inv, vecs) if coef is None else coef)
         x[np.abs(x) <= 1e-18] = 0.0
         return x
 

@@ -406,10 +406,12 @@ def check_irreducible(restr: RestrictedGenerator) -> IrreducibilityReport:
     A smaller algebra means the restriction is reducible, and
     :func:`_invariant_subspace` builds a witness W from the algebra's basis;
     it is reported when it is proper and ||(1 - W W^dag) a W|| is within
-    ``CLOSURE_TOL * max(1, max ||a||)`` for the operators a.
+    ``CLOSURE_TOL * max(1, max ||a||)`` for the traceless parts a of g_hat and the jumps:
+    same algebra and invariant subspaces, and no cut moves with an energy offset H + c 1.
     """
     m = restr.m
     ops = np.array([restr.g_hat, *restr.jumps_hat])
+    ops -= np.trace(ops, axis1=1, axis2=2)[:, None, None] / m * np.eye(m)
     basis = algebra_basis(ops)
     dim = basis.shape[1]
     if dim == m * m:

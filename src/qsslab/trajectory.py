@@ -138,7 +138,7 @@ class TrajectoryBatch:
         return self._finals[1]
 
 
-def stream_uniforms(seed: int, first_stream: int, n: int, r: int) -> np.ndarray:
+def stream_uniforms(seed: int, first_stream: int, n: int, r: int, key=None) -> np.ndarray:
     """Uniform ``r`` of streams ``first_stream .. first_stream + n - 1``, shape ``(n,)``.
 
     Uniform r of stream s is word ``r % 4`` of the Philox4x64-10 block at
@@ -146,33 +146,45 @@ def stream_uniforms(seed: int, first_stream: int, n: int, r: int) -> np.ndarray:
     ``SeedSequence(seed).generate_state(2, np.uint64)``, taken to ``[0, 1)`` by
     numpy's 53-bit rule.  numpy increments the counter, carrying from word 0
     into word 1, before each block, so one ``random_raw`` call from the counter
-    before stream ``first_stream``'s gives the blocks of all ``n`` streams.
+    before stream ``first_stream``'s gives the blocks of all ``n`` streams.  The key
+    depends on the seed alone, so a caller may derive it once (:func:`_stream_key`)
+    and pass it as ``key``, for the same bits.
     """
+    key = _stream_key(seed, first_stream, n) if key is None else key
+    bits = np.random.Philox(key=key, counter=first_stream - 1 + ((r // 4 + 1) << 64))
+    return (bits.random_raw(4 * n)[r % 4::4] >> 11) * 2.0**-53
+
+
+def _stream_key(seed: int, first_stream: int, n: int) -> np.ndarray:
+    """The Philox key of ``seed``, after the seed and stream checks."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     if not 0 <= first_stream <= first_stream + n <= 2**32:
         raise ValueError("streams must lie in [0, 2**32)")
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    bits = np.random.Philox(key=key, counter=first_stream - 1 + ((r // 4 + 1) << 64))
-    return (bits.random_raw(4 * n)[r % 4::4] >> 11) * 2.0**-53
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
 def _bracket(x, at_end, table, grid, u, remaining):
     """``(fired, k_hit)``: the first grid index ``k <= ceil(remaining / grid[1])`` with
     survival below ``u`` (``-1`` where none), by binary search on the monotone
-    curve; grid points past ``remaining`` take ``at_end``, its value there."""
+    curve; grid points past ``remaining`` take ``at_end``, its value there.  The fired
+    rows, gathered once, take ceil(log2(k_max + 1)) masked halvings in lockstep.  A
+    row down to hi - lo <= 1 takes mid = lo (0 if lo = -1, hi = 0: survival at t = 0
+    below u), re-reads that value by the same row arithmetic and stays, so each row
+    visits the mids of its own search and ``k_hit`` is the same bit for bit."""
     fired = at_end < u
-    k_hit = np.where(fired, np.ceil(remaining / grid[1]).astype(int), -1)
-    lo = np.full(len(u), -1)  # the last index known at or above u
-    active = np.flatnonzero(k_hit - lo > 1)
-    while active.size:
-        mid = (lo[active] + k_hit[active]) // 2
-        curve = (x[active] * table[mid]).sum(-1).real
-        below = np.where(grid[mid] > remaining[active], at_end[active], curve) < u[active]
-        k_hit[active[below]] = mid[below]
-        lo[active[~below]] = mid[~below]
-        active = active[k_hit[active] - lo[active] > 1]
+    k_hit = np.full(len(u), -1)
+    rows = np.flatnonzero(fired)
+    x, at_end, u, remaining = x[rows], at_end[rows], u[rows], remaining[rows]
+    hi = np.ceil(remaining / grid[1]).astype(int)
+    lo = np.full(rows.size, -1)  # the last index known at or above u
+    for _ in range(int(hi.max(initial=0)).bit_length()):
+        mid = np.maximum((lo + hi) // 2, 0)
+        curve = (x * table[mid]).sum(-1).real
+        below = np.where(grid[mid] > remaining, at_end, curve) < u
+        hi, lo = np.where(below, mid, hi), np.where(below, lo, mid)
+    k_hit[rows] = hi
     return fired, k_hit
 
 
@@ -185,6 +197,7 @@ def _segment(prop, table, grid, vecs, u, remaining):
     ``dx``) from one ``trace_rows`` call and shrinks ``[lo, hi]`` by the sign of
     f - u, keeping f(lo) >= u > f(hi); a step that leaves ``[lo, hi]`` bisects
     it.  A row stops at a step <= ``TIME_TOL / 2`` or a bracket <= ``TIME_TOL``.
+    Unfinished rows stay compact, recompacted only when rows stop; t is row arithmetic.
     On the spectral path one eigen-transform of ``vecs`` serves ``x`` and ``sig``.
     """
     coef = op.rowdot(prop.v_inv, vecs) if prop.spectral else None
@@ -194,20 +207,21 @@ def _segment(prop, table, grid, vecs, u, remaining):
     fired, k_hit = _bracket(x, at_end, table, grid, u, remaining)
     hi = np.minimum(grid[k_hit], remaining)
     lo = np.where(k_hit > 0, np.minimum(grid[k_hit - 1], remaining), 0.0)
-    t = 0.5 * (lo + hi)
+    t = np.where(fired, 0.5 * (lo + hi), remaining)
     active = np.flatnonzero(fired & (hi - lo > TIME_TOL))
-    while active.size:
-        rows = prop.trace_rows(now := t[active])
-        f = (x[active] * rows).sum(-1).real - u[active]
-        lo[active] = np.where(f >= 0, now, lo[active])
-        hi[active] = np.where(f >= 0, hi[active], now)
-        with np.errstate(all="ignore"):  # f' = 0 gives a non-finite step, which bisects
-            step = f / (dx[active] * rows).sum(-1).real
-        newton = (now - step >= lo[active]) & (now - step <= hi[active])
-        t[active] = np.where(newton, now - step, 0.5 * (lo[active] + hi[active]))
-        done = (newton & (np.abs(step) <= TIME_TOL / 2)) | (hi[active] - lo[active] <= TIME_TOL)
-        active = active[~done]
-    t = np.where(fired, t, remaining)
+    x, dx, u, lo, hi, now = (a[active] for a in (x, dx, u, lo, hi, t))
+    with np.errstate(all="ignore"):  # f' = 0 gives a non-finite step, which bisects
+        while active.size:
+            rows = prop.trace_rows(now)
+            f = (x * rows).sum(-1).real - u
+            lo, hi = np.where(f >= 0, now, lo), np.where(f >= 0, hi, now)
+            step = f / (dx * rows).sum(-1).real
+            newton = (now - step >= lo) & (now - step <= hi)
+            now = np.where(newton, now - step, 0.5 * (lo + hi))
+            done = (newton & (np.abs(step) <= TIME_TOL / 2)) | (hi - lo <= TIME_TOL)
+            if done.any():
+                t[active[done]] = now[done]
+                active, x, dx, u, lo, hi, now = (a[~done] for a in (active, x, dx, u, lo, hi, now))
     return fired, t, prop.apply(t, vecs, coef)
 
 
@@ -222,11 +236,11 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     Round r gives each live trajectory uniform r of its own stream, the word
     of the Philox block at counter (stream, r // 4 + 1, 0, 0) under the seed's
     key (:func:`stream_uniforms`), so a draw depends only on (seed, stream,
-    r); the live rows' draws are one slice of one call.  A trajectory's
-    jump fires at the first t where its row's survival trace is u, bracketed by
-    binary search on the grid of a table of the survival curve's exponentials,
-    then refined by safeguarded Newton to within ``TIME_TOL`` (see
-    :func:`_segment`).  A jump leaves the row (corner / tr corner, 0).  A
+    r); the live rows' draws are one slice of one call, under a key derived once
+    per batch.  A trajectory's jump fires at the first t where its row's
+    survival trace is u, bracketed by binary search on the grid of a table of
+    the survival curve's exponentials, then refined by safeguarded Newton to
+    within ``TIME_TOL`` (see :func:`_segment`).  A jump leaves the row (corner / tr corner, 0).  A
     trajectory whose trace stays above u up to the horizon, or whose jump has
     vanishing weight (the absorbed branch), ends censored.  The grid step is
     ``STEP``, or ``horizon / GRID_INTERVALS`` if wider.  Rows pass every step in
@@ -239,7 +253,7 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     """
     if not 0 < horizon < np.inf:
         raise ValueError("horizon must be positive and finite")
-    stream_uniforms(seed, first_stream, n, 0)  # the seed and stream checks, also when n = 0
+    key = _stream_key(seed, first_stream, n)  # checks the seed and streams, also when n = 0
     rho0 = op.as_operator(rho0)
     d, v = rho0.shape[0], kernel.isometry
     m = v.shape[1]
@@ -259,7 +273,7 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     alive = np.ones(n, dtype=bool)
     r = 0
     while (live := np.flatnonzero(alive)).size:
-        u = stream_uniforms(seed, first_stream, n, r)[live]
+        u = stream_uniforms(seed, first_stream, n, r, key)[live]
         r += 1
         for c in range(0, live.size, chunk):
             rows = live[c:c + chunk]
@@ -310,9 +324,7 @@ def jump_statistics(batch: TrajectoryBatch, alpha: float, nu: Optional[np.ndarra
     prev = np.roll(times, 1)
     prev[batch.offsets[:-1][counts > 0]] = 0.0  # first jump of each trajectory
     gaps_arr = times - prev
-    max_dev = 0.0
-    if nu is not None:
-        max_dev = float(np.max(np.linalg.norm(batch.post_jump_states - nu, axis=(1, 2))))
+    max_dev = 0.0 if nu is None else float(np.max(np.linalg.norm(batch.post_jump_states - nu, axis=(1, 2))))
     rate = 1.0 + alpha
 
     z = 1.0 - np.exp(-rate * window)

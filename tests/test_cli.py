@@ -319,6 +319,41 @@ def test_unreadable_inputs_and_unwritable_outputs_exit_1_with_one_line(models_di
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("outputs", [("MISSING/r.jsonl", None), (None, "MISSING/out.json"), ("NEW", "MISSING/out.json"),
+                                     ("MODELS", None), (None, "MODELS")])
+def test_unwritable_simulate_outputs_fail_before_sampling(models_dir, tmp_path, capsys, monkeypatch, outputs):
+    # both paths are opened before any work: the sampler is never reached, and a
+    # writable path checked on the way to an unwritable one is not left behind
+    def sampler(*args, **kwargs):
+        raise AssertionError("sampled before checking the outputs")
+
+    monkeypatch.setattr(cli.traj_mod, "sample_trajectories", sampler)
+    paths = {"MISSING": str(tmp_path / "missing"), "MODELS": models_dir, "NEW": str(tmp_path / "new.jsonl")}
+    argv = ["simulate", model_path(models_dir, "two_qubit_both.json"), "--samples", "5"]
+    for flag, path in zip(("--records", "--out"), outputs):
+        if path is not None:
+            for key, value in paths.items():
+                path = path.replace(key, value)
+            argv += [flag, path]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_simulate_keeps_an_existing_output_until_it_is_written(models_dir, tmp_path):
+    # the early check appends nothing: an existing --records file stays as it was
+    # when the run fails later, and is overwritten when it succeeds
+    records, out = tmp_path / "r.jsonl", tmp_path / "out.json"
+    records.write_text("old\n")
+    argv = ["simulate", model_path(models_dir, "two_qubit_both.json"), "--samples", "5", "--records", str(records)]
+    assert run(argv + ["--out", str(tmp_path / "missing" / "out.json")]) == 1
+    assert records.read_text() == "old\n"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert len(records.read_text().splitlines()) == 5 and json.loads(out.read_text())["n_trajectories"] == 5
+
+
 @pytest.mark.parametrize("omega", [0.001, 0.015])
 def test_analyze_small_omega_converges(omega, tmp_path):
     # the slowest decay rate is ~omega^2, far above the kernel cut: p0 is

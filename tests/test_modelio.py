@@ -307,6 +307,19 @@ def test_format17_is_percent_g_on_random_bits_and_every_decade():
         assert _first_mismatch(decade) is None, k
 
 
+def test_format17_is_percent_g_on_mostly_zero_values():
+    # records are mostly exact zeros, which skip the digit kernel: 90 % of +-0
+    # among random finite bit patterns, and chunks of zeros only and of no zeros
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    values = np.where(rng.uniform(size=bits.size) < 0.9, rng.choice([0.0, -0.0], bits.size), bits)
+    values = values[np.isfinite(values)]
+    assert 0.89 < (values == 0).mean() < 0.91
+    for chunk in (values, values[values == 0], values[values != 0], values[:0]):
+        got, want = _percent_g(chunk)
+        assert got == want
+
+
 def test_format17_is_percent_g_on_edge_cases():
     tiny = np.finfo(float).tiny
     powers = np.array([float(f"1e{k}") for k in range(-300, 301)])

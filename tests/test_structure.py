@@ -417,21 +417,25 @@ def test_a_witness_that_fails_the_invariance_check_is_not_reported(monkeypatch):
     assert report.note == "reducible (algebra dimension 5 < m^2; no witness found)"
 
 
-def test_a_commutant_lost_to_rounding_gives_no_witness():
-    # an energy offset of 1e8 puts the 1e-3 jumps below the algebra's cut, which
-    # scales with ||g_hat||, but not below the commutant's, which then holds only
-    # the scalars: no witness, and no error
+def test_a_commutant_lost_to_rounding_gives_no_witness(monkeypatch):
+    # an algebra basis that rounding has cut down to the identity: no radical, so
+    # the commutant branch runs, and the operators of an irreducible chain commute
+    # only with the scalars: no witness, and no error
     rm = RateMatrix(
         n=3,
-        q=np.array([[-2.0, 1e-6, 2.0 - 1e-6], [1e-6, -2.0, 2.0 - 1e-6], [0.0, 0.0, 0.0]]),
+        q=np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]),
         absorbing_set=(2,),
     )
-    chain = embed(rm)
-    spec = ModelSpec(dim=3, hamiltonian=chain.hamiltonian + 1e8 * np.eye(3), jump_ops=chain.jump_ops, p0=chain.p0)
-    report = check_irreducible(restrict(spec))
-    if not report.verdict:
-        assert report.witness is None
-        assert report.note == "reducible (algebra dimension 1 < m^2; no witness found)"
+    restr = restrict(embed(rm))
+    m = restr.m
+    identity = np.eye(m, dtype=complex).reshape(m * m, 1) / np.sqrt(m)
+    ops = np.array([restr.g_hat, *restr.jumps_hat])
+    assert structure._invariant_subspace(ops, identity).shape == (m, 0)
+    monkeypatch.setattr(structure, "algebra_basis", lambda ops: identity)
+    report = check_irreducible(restr)
+    assert not report.verdict
+    assert report.witness is None
+    assert report.note == "reducible (algebra dimension 1 < m^2; no witness found)"
 
 
 @pytest.mark.parametrize("spec", [two_qubit_site1(1.0), two_qubit_both(0.0), spectator_model(), two_block_model()],

@@ -413,6 +413,45 @@ def test_bracket_matches_the_linear_scan(monkeypatch):
             assert 0 < fired.sum() < len(u) and (k_hit > 0).any()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_bracket_is_the_first_grid_point_below_the_draw(seed):
+    # random decreasing curves sum_j x_j exp(w_j t), with remaining times that
+    # span the grid, fall within one step of 0 or end on a grid point, and draws
+    # that fire at index 1 or at 0 because the curve at t = 0 rounds below u
+    rng = np.random.default_rng(seed)
+    n, k = 3000, 5
+    grid = STEP * np.arange(601)
+    w = -rng.uniform(0.1, 3.0, k) + 0j
+    table = np.exp(grid[:, None] * w)
+    x = rng.uniform(0.0, 1.0, (n, k)) / k + 0j
+    remaining = rng.uniform(0.0, grid[-1], n)
+    remaining[:300] = rng.uniform(0.0, STEP, 300)
+    remaining[300:400] = grid[rng.integers(1, len(grid), 100)]
+    start, one = x.sum(-1).real, (x * table[1]).sum(-1).real
+    u = rng.uniform(0.0, 1.0, n) * start
+    u[400:600] = 0.5 * (start + one)[400:600]  # between the values at 0 and at one step
+    u[600:800] = np.nextafter(start, np.inf)[600:800]  # just above the value at 0
+    at_end = (x * np.exp(remaining[:, None] * w)).sum(-1).real
+    u[:150] = (at_end + rng.uniform(0.0, 1.0, n) * (start - at_end))[:150]  # fire within a short remaining
+    fired, k_hit = _bracket(x, at_end, table, grid, u, remaining)
+    want_fired, want_k = _scan_bracket(x, at_end, table, grid, u, remaining)
+    assert np.array_equal(fired, want_fired) and np.array_equal(k_hit, want_k)
+    assert (k_hit[600:800] == 0).all() and (k_hit[400:600] <= 1).all() and (k_hit[400:600] == 1).any()
+    assert (k_hit[:150] == 1).sum() > 100 and (~fired).any() and (k_hit > 100).any()
+
+
+def test_each_batch_derives_its_philox_key_once(monkeypatch):
+    # one SeedSequence per sample_trajectories call, however many rounds it runs
+    seed_sequences, rounds = [], []
+    seed_sequence, philox = np.random.SeedSequence, np.random.Philox
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *a, **k: seed_sequences.append(a) or seed_sequence(*a, **k))
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: rounds.append(k) or philox(*a, **k))
+    spec = two_qubit_site1(1.0)
+    batch = sample_trajectories(build_kernel(restrict(spec)), perron_qss(spec), 6.0, seed=7, n=500)
+    assert len(seed_sequences) == 1 and len(rounds) > 5
+    assert len(rounds) == batch.counts.max() + 1
+
+
 def _segment_calls(monkeypatch, kernel, rho0, n):
     """Every ``_segment`` call of ``n`` streams (horizon 6, seed 42), pooled:
     ``(vecs, u, remaining, fired, t)`` and the number of times its Newton
