@@ -115,9 +115,9 @@ def _analysis_bundle(restr):
     return bundle
 
 
-def _write(path, lines, what: str, mode: str = "w"):
+def _write(path, lines, what: str):
     try:
-        with open(path, mode, encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
     except OSError as exc:  # e.g. a missing directory
         raise InputError(f"cannot write {what}: {exc}") from exc
@@ -175,11 +175,9 @@ def cmd_simulate(args) -> int:
         except (ModelFileError, ValueError) as exc:
             raise InputError(f"invalid start density: {exc}") from exc
     for path, what in ((args.records, "records file"), (args.out, "output file")):
-        if path:  # fail before the work, not after it: append nothing, remove what that made
-            made = not os.path.lexists(path)
-            _write(path, [], what, mode="a")
-            if made:
-                os.remove(path)
+        if path and (os.path.isdir(path) or not os.path.exists(path)):  # fail first; open no existing path
+            _write(path, [], what)
+            os.remove(os.path.realpath(path))  # the file made, also behind a dangling link
     restr = structure_mod.restrict(spec)
     result = qss_mod.perron_structure(restr, qss_mod.extract_qss(restr))
     perron = next(f for f in result.families if f.is_perron)  # perron_structure checked it exists

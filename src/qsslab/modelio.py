@@ -286,14 +286,12 @@ def _format17(values: np.ndarray, after) -> str:
     D lies within 64 of 10^16 or 10^17 (where log10 may be off by one or the
     rounding carries).  With its trailing zeros stripped, D is written by ``%d``
     and ``%0Nd`` inside a piece that holds the sign, the lead digit, the point
-    and the exponent; one piece per key, made once.  Zeros take the pieces of
-    0.0 and -0.0 and skip the kernel, which is elementwise and runs on the rest;
-    every other value (ties, the ends of the range and non-finite values, which
-    raise) takes :func:`_fmt_float` itself.
+    and the exponent; one piece per key, made once.  Zeros skip the (elementwise)
+    kernel and take the pieces of 0.0 and -0.0; every other value (ties, the ends of
+    the range and non-finite values, which raise) takes :func:`_fmt_float` itself.
     """
     hi_e, lo_e, hh_e, hl_e, pow10, pieces = _kernel_tables()
-    key = _KEYS + np.signbit(values)  # the zeros' keys; the others' are set below
-    values = values[nonzero := np.flatnonzero(values)]
+    key, values = _KEYS + np.signbit(values), values[nonzero := np.flatnonzero(values != 0)]  # zeros keyed here
     mag = np.abs(values)
     fast = (mag >= 1e-270) & (mag <= 1e270)  # false for non-finite values
     mag = np.where(fast, mag, 1.0)

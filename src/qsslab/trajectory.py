@@ -138,7 +138,7 @@ class TrajectoryBatch:
         return self._finals[1]
 
 
-def stream_uniforms(seed: int, first_stream: int, n: int, r: int, key=None) -> np.ndarray:
+def stream_uniforms(seed: int, first_stream: int, n: int, r: int) -> np.ndarray:
     """Uniform ``r`` of streams ``first_stream .. first_stream + n - 1``, shape ``(n,)``.
 
     Uniform r of stream s is word ``r % 4`` of the Philox4x64-10 block at
@@ -147,10 +147,14 @@ def stream_uniforms(seed: int, first_stream: int, n: int, r: int, key=None) -> n
     numpy's 53-bit rule.  numpy increments the counter, carrying from word 0
     into word 1, before each block, so one ``random_raw`` call from the counter
     before stream ``first_stream``'s gives the blocks of all ``n`` streams.  The key
-    depends on the seed alone, so a caller may derive it once (:func:`_stream_key`)
-    and pass it as ``key``, for the same bits.
+    depends on the seed alone, so :func:`sample_trajectories` derives it once per
+    batch and draws each round by :func:`_uniforms`, for the same bits.
     """
-    key = _stream_key(seed, first_stream, n) if key is None else key
+    return _uniforms(_stream_key(seed, first_stream, n), first_stream, n, r)
+
+
+def _uniforms(key: np.ndarray, first_stream: int, n: int, r: int) -> np.ndarray:
+    """:func:`stream_uniforms` under the Philox ``key`` of its seed."""
     bits = np.random.Philox(key=key, counter=first_stream - 1 + ((r // 4 + 1) << 64))
     return (bits.random_raw(4 * n)[r % 4::4] >> 11) * 2.0**-53
 
@@ -168,14 +172,12 @@ def _stream_key(seed: int, first_stream: int, n: int) -> np.ndarray:
 def _bracket(x, at_end, table, grid, u, remaining):
     """``(fired, k_hit)``: the first grid index ``k <= ceil(remaining / grid[1])`` with
     survival below ``u`` (``-1`` where none), by binary search on the monotone
-    curve; grid points past ``remaining`` take ``at_end``, its value there.  The fired
-    rows, gathered once, take ceil(log2(k_max + 1)) masked halvings in lockstep.  A
-    row down to hi - lo <= 1 takes mid = lo (0 if lo = -1, hi = 0: survival at t = 0
-    below u), re-reads that value by the same row arithmetic and stays, so each row
-    visits the mids of its own search and ``k_hit`` is the same bit for bit."""
-    fired = at_end < u
+    curve; grid points past ``remaining`` take ``at_end``, its value there.  The fired rows,
+    gathered once, take ceil(log2(k_max + 1)) masked halvings in lockstep; a row down to
+    hi - lo <= 1 re-reads mid = lo (0 if lo = -1, hi = 0: survival at t = 0 below u) and
+    stays, so it visits its own search's mids and ``k_hit`` is the same bit for bit."""
     k_hit = np.full(len(u), -1)
-    rows = np.flatnonzero(fired)
+    rows = np.flatnonzero(fired := at_end < u)
     x, at_end, u, remaining = x[rows], at_end[rows], u[rows], remaining[rows]
     hi = np.ceil(remaining / grid[1]).astype(int)
     lo = np.full(rows.size, -1)  # the last index known at or above u
@@ -210,18 +212,18 @@ def _segment(prop, table, grid, vecs, u, remaining):
     t = np.where(fired, 0.5 * (lo + hi), remaining)
     active = np.flatnonzero(fired & (hi - lo > TIME_TOL))
     x, dx, u, lo, hi, now = (a[active] for a in (x, dx, u, lo, hi, t))
-    with np.errstate(all="ignore"):  # f' = 0 gives a non-finite step, which bisects
-        while active.size:
-            rows = prop.trace_rows(now)
-            f = (x * rows).sum(-1).real - u
-            lo, hi = np.where(f >= 0, now, lo), np.where(f >= 0, hi, now)
+    while active.size:
+        rows = prop.trace_rows(now)
+        f = (x * rows).sum(-1).real - u
+        lo, hi = np.where(f >= 0, now, lo), np.where(f >= 0, hi, now)
+        with np.errstate(all="ignore"):  # f' = 0 gives a non-finite step, which bisects
             step = f / (dx * rows).sum(-1).real
-            newton = (now - step >= lo) & (now - step <= hi)
-            now = np.where(newton, now - step, 0.5 * (lo + hi))
-            done = (newton & (np.abs(step) <= TIME_TOL / 2)) | (hi - lo <= TIME_TOL)
-            if done.any():
-                t[active[done]] = now[done]
-                active, x, dx, u, lo, hi, now = (a[~done] for a in (active, x, dx, u, lo, hi, now))
+        newton = (now - step >= lo) & (now - step <= hi)
+        now = np.where(newton, now - step, 0.5 * (lo + hi))
+        done = (newton & (np.abs(step) <= TIME_TOL / 2)) | (hi - lo <= TIME_TOL)
+        if done.any():
+            t[active[done]] = now[done]
+            active, x, dx, u, lo, hi, now = (a[~done] for a in (active, x, dx, u, lo, hi, now))
     return fired, t, prop.apply(t, vecs, coef)
 
 
@@ -273,7 +275,7 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     alive = np.ones(n, dtype=bool)
     r = 0
     while (live := np.flatnonzero(alive)).size:
-        u = stream_uniforms(seed, first_stream, n, r, key)[live]
+        u = _uniforms(key, first_stream, n, r)[live]
         r += 1
         for c in range(0, live.size, chunk):
             rows = live[c:c + chunk]
@@ -324,7 +326,9 @@ def jump_statistics(batch: TrajectoryBatch, alpha: float, nu: Optional[np.ndarra
     prev = np.roll(times, 1)
     prev[batch.offsets[:-1][counts > 0]] = 0.0  # first jump of each trajectory
     gaps_arr = times - prev
-    max_dev = 0.0 if nu is None else float(np.max(np.linalg.norm(batch.post_jump_states - nu, axis=(1, 2))))
+    max_dev = 0.0
+    if nu is not None:
+        max_dev = float(np.max(np.linalg.norm(batch.post_jump_states - nu, axis=(1, 2))))
     rate = 1.0 + alpha
 
     z = 1.0 - np.exp(-rate * window)

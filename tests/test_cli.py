@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -343,8 +344,8 @@ def test_unwritable_simulate_outputs_fail_before_sampling(models_dir, tmp_path, 
 
 
 def test_simulate_keeps_an_existing_output_until_it_is_written(models_dir, tmp_path):
-    # the early check appends nothing: an existing --records file stays as it was
-    # when the run fails later, and is overwritten when it succeeds
+    # the early check opens no existing path: an existing --records file stays as
+    # it was when the run fails later, and is overwritten when it succeeds
     records, out = tmp_path / "r.jsonl", tmp_path / "out.json"
     records.write_text("old\n")
     argv = ["simulate", model_path(models_dir, "two_qubit_both.json"), "--samples", "5", "--records", str(records)]
@@ -352,6 +353,45 @@ def test_simulate_keeps_an_existing_output_until_it_is_written(models_dir, tmp_p
     assert records.read_text() == "old\n"
     assert run(argv + ["--out", str(out)]) == 0
     assert len(records.read_text().splitlines()) == 5 and json.loads(out.read_text())["n_trajectories"] == 5
+
+
+def test_the_early_check_removes_the_file_it_made_behind_a_dangling_link(models_dir, tmp_path, monkeypatch):
+    # the check makes the link's target; removing it leaves the link as it was
+    def sampler(*args, **kwargs):
+        raise AssertionError("sampled before checking the outputs")
+
+    monkeypatch.setattr(cli.traj_mod, "sample_trajectories", sampler)
+    link = tmp_path / "r.jsonl"
+    link.symlink_to(tmp_path / "target.jsonl")
+    argv = ["simulate", model_path(models_dir, "two_qubit_both.json"), "--samples", "5", "--records", str(link)]
+    assert run(argv + ["--out", str(tmp_path / "missing" / "out.json")]) == 1
+    assert os.listdir(tmp_path) == ["r.jsonl"] and link.is_symlink() and not link.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_simulate_writes_its_records_into_a_fifo(models_dir, tmp_path):
+    # an early open and close of an existing --records path would end a FIFO
+    # reader's input, and the records' writer would then wait for a reader forever
+    fifo = tmp_path / "records"
+    os.mkfifo(fifo)
+    text = []
+    reader = threading.Thread(target=lambda: text.append(fifo.read_text()), daemon=True)
+    reader.start()
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys; from qsslab import cli; sys.exit(cli.main(sys.argv[1:]))"
+    argv = ["simulate", model_path(models_dir, "two_qubit_both.json"), "--samples", "5", "--records", str(fifo)]
+    proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env, stdout=subprocess.DEVNULL)
+    try:
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        try:  # a reader still waiting for a writer: let it go
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+        reader.join()
+    assert len(text[0].splitlines()) == 5
 
 
 @pytest.mark.parametrize("omega", [0.001, 0.015])
