@@ -68,8 +68,7 @@ class RateMatrix:
 class ClassicalQsd:
     density: np.ndarray  # indexed by the complement states, sums to 1
     alpha: float
-    unique: bool
-    extras: tuple = ()   # further maximal-eigenvalue densities when not unique
+    unique: bool  # whether no other maximal-eigenvalue density exists
 
 
 def classical_qsd(rm: RateMatrix) -> ClassicalQsd:
@@ -89,12 +88,7 @@ def classical_qsd(rm: RateMatrix) -> ClassicalQsd:
         densities.append(vec / s)
     if not densities:
         raise ClassicalError("no nonnegative Perron density found")
-    return ClassicalQsd(
-        density=densities[0],
-        alpha=float(-top),
-        unique=len(densities) == 1,
-        extras=tuple(densities[1:]),
-    )
+    return ClassicalQsd(density=densities[0], alpha=float(-top), unique=len(densities) == 1)
 
 
 def embed(rm: RateMatrix) -> ModelSpec:

@@ -9,6 +9,7 @@ formatting); sweeps are locale-independent CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -75,14 +76,7 @@ def _analysis_bundle(restr):
             "anchor": fam.anchor.nu,
             "residual_eigen": fam.anchor.residual_eigen,
             "residual_defn": report.residual_defn,
-            "verification": {
-                "residual_defn": report.residual_defn,
-                "residual_exp_survival": report.residual_exp_survival,
-                "residual_mult": report.residual_mult,
-                "residual_repeated": report.residual_repeated,
-                "alpha_log_crosscheck": report.alpha_log_crosscheck,
-                "ok": report.ok,
-            },
+            "verification": dataclasses.asdict(report),
             "notes": list(fam.notes),
         }
         if fam.param_interval is not None:
@@ -92,17 +86,9 @@ def _analysis_bundle(restr):
         families_json.append(fam_json)
     bundle = {
         "label": restr.spec.label,
-        "structure": {
-            "subharmonic": {
-                "algebraic_residual": restr.subharmonic.algebraic_residual,
-                "verdict": restr.subharmonic.verdict,
-            },
-            "absorption": {
-                "is_absorbing": absorption.is_absorbing,
-                "residual_harmonic": absorption.residual_harmonic,
-                "kernel_margin": absorption.kernel_margin,
-                "a_op": absorption.a_op,
-            },
+        "structure": {  # the report types' fields are the report keys
+            "subharmonic": dataclasses.asdict(restr.subharmonic),
+            "absorption": dataclasses.asdict(absorption),
             "irreducible": {"verdict": irred.verdict, "note": irred.note},
         },
         "spectrum": spectrum,
@@ -153,6 +139,8 @@ def cmd_simulate(args) -> int:
         raise InputError("--seed must be non-negative")
     if not 0 < args.horizon < np.inf:  # also rejects nan
         raise InputError("--horizon must be positive and finite")
+    if args.start_file is not None and args.start != "file":
+        raise InputError("--start-file requires --start file")
     mf = _load(args.model)
     if mf.spec is None:
         raise InputError("model file has no quantum model block")
@@ -191,22 +179,8 @@ def cmd_simulate(args) -> int:
     if args.records:
         # one JSON line per trajectory; its keys are listed at modelio.record_lines
         _write(args.records, modelio.record_lines(batch), "records file")
-    summary = {
-        "n_trajectories": stats.n_trajectories,
-        "n_observed_jumps": stats.n_observed_jumps,
-        "conditional_interjump_mean": stats.empirical_mean,
-        "ks_statistic": stats.ks_statistic,
-        "post_jump_max_deviation": stats.post_jump_max_deviation,
-        "censoring_fraction": stats.censoring_fraction,
-        "rate": stats.rate,
-        "alpha": alpha,
-        "provenance": {
-            "artifact_version": __version__,
-            "seed": args.seed,
-            "samples": args.samples,
-            "horizon": args.horizon,
-        },
-    }
+    provenance = {"artifact_version": __version__, "seed": args.seed, "samples": args.samples, "horizon": args.horizon}
+    summary = {**dataclasses.asdict(stats), "alpha": alpha, "provenance": provenance}
     _write_out(modelio.dumps(summary) + "\n", args.out)
     return 0
 

@@ -1,5 +1,9 @@
 """GKLS models and their generators as explicit superoperator matrices.
 
+Every evolution of the package is :func:`gkls_superop` of a drift and jumps: the
+generator of (G, L_k), its restriction of the compressed (g_hat, L_hat_k) and the
+no-jump evolution of the counting process of (G - 1/2 p0_perp, L_k).
+
 The vectorization convention for the whole package is fixed here: column
 stacking, so that ``vec(A X B) = kron(B.T, A) vec(X)``.  A generator is the
 Schroedinger (state-evolution) matrix; the Heisenberg evolution is its
@@ -96,23 +100,22 @@ def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _kron(b.swapaxes(-1, -2), a)
 
 
-def gkls_matrix(hamiltonian, jump_ops) -> np.ndarray:
-    """Raw GKLS generator matrix without ModelSpec validation.
+def gkls_superop(g: np.ndarray, jumps) -> np.ndarray:
+    """Column-stacking matrix of x -> g x + x g^dag + sum_k L_k x L_k^dag.
 
-    L*(rho) = -i[H, rho] + sum_l (L rho L^dag - 1/2 {L^dag L, rho}).
+    ``g`` is one drift or a stack of them, and each L_k of ``jumps`` one matrix or
+    a stack alike: the caller iterates over the jump axis.
     """
-    h = np.asarray(hamiltonian, dtype=complex)
-    m = -1j * (left_mul(h) - right_mul(h))
-    for l in jump_ops:
-        l = np.asarray(l, dtype=complex)
-        k = adjoint(l) @ l
-        m = m + sandwich(l, adjoint(l)) - 0.5 * (left_mul(k) + right_mul(k))
+    m = left_mul(g) + right_mul(adjoint(g))
+    for l in jumps:
+        m = m + sandwich(l, adjoint(l))
     return m
 
 
 def build_generator(spec: ModelSpec) -> np.ndarray:
-    """The d^2 x d^2 GKLS generator matrix of ``spec``, checked trace-preserving."""
-    m = gkls_matrix(spec.hamiltonian, spec.jump_ops)
+    """The d^2 x d^2 GKLS generator matrix of ``spec``, checked trace-preserving:
+    :func:`gkls_superop` of the drift G and the jumps."""
+    m = gkls_superop(spec.effective_drift(), spec.jump_ops)
     defect = np.linalg.norm(vectorize(np.eye(spec.dim)).conj() @ m)
     if defect > op.TOL_EIG * max(1.0, frob(m)):
         raise RuntimeError(f"generator is not trace-preserving: defect {defect:.3e}")

@@ -40,7 +40,6 @@ class ModelFile:
     spec: Optional[ModelSpec]
     classical: Optional[RateMatrix]
     family: Optional[str]
-    params: dict
 
 
 def _matrix(value, dim: int, path: str) -> np.ndarray:
@@ -72,7 +71,6 @@ def parse_model(doc: dict) -> ModelFile:
             "schema_version", f"expected {SCHEMA_VERSION!r}, got {doc.get('schema_version')!r}"
         )
     label = doc.get("label", "")
-    params = doc.get("params", {}) or {}
     family = doc.get("family")
     if family is not None and family not in FIXTURE_FAMILIES:
         raise ModelFileError("family", f"unknown model family {family!r}")
@@ -138,7 +136,7 @@ def parse_model(doc: dict) -> ModelFile:
 
     if spec is None and classical is None:
         raise ModelFileError("$", "model file defines neither a quantum nor a classical model")
-    return ModelFile(label=label, spec=spec, classical=classical, family=family, params=params)
+    return ModelFile(label=label, spec=spec, classical=classical, family=family)
 
 
 def load_model(path) -> ModelFile:

@@ -92,35 +92,30 @@ def psd_check(a, tol: float = TOL_PSD):
     return min_eig >= -tol, min_eig
 
 
-def validate_density(
-    rho,
-    tol_herm: float = TOL_HERM,
-    tol_psd: float = TOL_PSD,
-    tol_trace: float = TOL_TRACE,
-) -> np.ndarray:
-    """Check the density-matrix invariants and return the matrix."""
+def validate_density(rho) -> np.ndarray:
+    """Check the density-matrix invariants within the ``TOL_*`` tolerances; return the matrix."""
     rho = as_operator(rho)
     defect = hermiticity_defect(rho)
-    if defect > tol_herm:
+    if defect > TOL_HERM:
         raise ValueError(f"density not Hermitian: defect {defect:.3e}")
-    ok, min_eig = psd_check(rho, tol_psd)
+    ok, min_eig = psd_check(rho)
     if not ok:
         raise ValueError(f"density not PSD: min eigenvalue {min_eig:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol_trace:
+    if abs(tr - 1.0) > TOL_TRACE:
         raise ValueError(f"density trace {tr} is not 1")
     return rho
 
 
-def projection_rank(p, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD) -> int:
-    """Verify that ``p`` is an orthogonal projection and return its rank."""
+def projection_rank(p) -> int:
+    """Verify within the ``TOL_*`` tolerances that ``p`` is an orthogonal projection; return its rank."""
     p = as_operator(p)
-    if hermiticity_defect(p) > tol_herm:
+    if hermiticity_defect(p) > TOL_HERM:
         raise ValueError("projection is not Hermitian")
-    if frob(p @ p - p) > max(tol_herm, 1e-10) * max(1.0, frob(p)):
+    if frob(p @ p - p) > TOL_HERM * max(1.0, frob(p)):
         raise ValueError("matrix is not idempotent")
     w = np.linalg.eigvalsh(0.5 * (p + adjoint(p)))
-    if np.any(np.minimum(np.abs(w), np.abs(w - 1.0)) > max(tol_psd, 1e-9)):
+    if np.any(np.minimum(np.abs(w), np.abs(w - 1.0)) > TOL_PSD):
         raise ValueError("projection eigenvalues are not all 0 or 1")
     return int(np.sum(w > 0.5))
 

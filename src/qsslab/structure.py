@@ -2,8 +2,8 @@
 
 Given a model whose distinguished projection p0 is subharmonic, the state
 evolution compressed to the range of p0-perp is again a semigroup.  Its
-generator and its eigenpairs are built here from the
-compressed GKLS data (g_hat, jumps_hat), together with the absorption operator
+generator, ``model.gkls_superop`` of the compressed GKLS data (g_hat,
+jumps_hat), and its eigenpairs are built here, together with the absorption operator
 A(p0) = lim_t T_t(p0) and an irreducibility verdict certified by Burnside's
 theorem.  :func:`restrict` builds the restriction once per model, for a
 subharmonic p0 only, and every later stage takes it.  None of these stages
@@ -21,10 +21,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import operators as op
-from .model import ModelSpec, left_mul, right_mul, sandwich
+from .model import ModelSpec, gkls_superop
 from .operators import adjoint, devectorize, frob, vectorize
 
-ABSORBING_NORM_TOL = 1e-6
 KERNEL_CUT = 1e-9  # relative cut of the restriction's kernel eigenvalues
 CLOSURE_TOL = 1e-10  # relative rank cut of algebra spans and invariant subspaces
 
@@ -170,29 +169,20 @@ class IrreducibilityReport:
     note: str
 
 
-def _algebraic_residual(spec: ModelSpec, drift: np.ndarray) -> tuple:
-    """``(residual, ok)``: how far range(p0) is from invariant under the drift G and every jump.
-
-    For a projection this criterion is exact (Fagnola & Rebolledo, J. Math.
-    Phys. 43, 2002): ``ok`` decides subharmonicity.
-    """
-    p0, perp = spec.p0, spec.p0_perp
-    residual = frob(perp @ drift @ p0)
-    for l in spec.jump_ops:
-        residual = max(residual, frob(perp @ l @ p0))
-    return residual, residual <= 1e-10 * max(1.0, frob(spec.hamiltonian))
-
-
 def check_subharmonic(spec: ModelSpec, drift: Optional[np.ndarray] = None) -> SubharmonicReport:
     """Decide whether p0 is subharmonic by the algebraic criterion.
 
     The range of p0 must be invariant under every jump operator and under
-    the drift G (``spec.effective_drift()`` unless given).  For a projection
-    this is equivalent to T_t(p0) >= p0 for all t >= 0, so the verdict needs
-    no evolution.
+    the drift G (``spec.effective_drift()`` unless given): ``algebraic_residual``
+    is the largest ||p0_perp X p0|| over them.  For a projection this is
+    equivalent to T_t(p0) >= p0 for all t >= 0 (Fagnola & Rebolledo, J. Math.
+    Phys. 43, 2002), so the verdict needs no evolution.
     """
-    residual, ok = _algebraic_residual(spec, spec.effective_drift() if drift is None else drift)
-    return SubharmonicReport(algebraic_residual=residual, verdict=ok)
+    p0, perp = spec.p0, spec.p0_perp
+    residual = frob(perp @ (spec.effective_drift() if drift is None else drift) @ p0)
+    for l in spec.jump_ops:
+        residual = max(residual, frob(perp @ l @ p0))
+    return SubharmonicReport(algebraic_residual=residual, verdict=residual <= 1e-10 * max(1.0, frob(spec.hamiltonian)))
 
 
 def _perp_isometry(spec: ModelSpec) -> np.ndarray:
@@ -242,8 +232,8 @@ def restrict_stack(specs) -> tuple:
     is taken once and kept as ``subharmonic``; a model whose p0 is not subharmonic
     raises ``StructureError``.  Models that share p0 share its isometry.
     The restriction is defined by the compressed GKLS data g_hat = V^dag G V and
-    L_hat = V^dag L V: x -> g_hat x + x g_hat^dag + sum_k L_hat x L_hat^dag,
-    at O(m^6) and without the d^2 x d^2 generator.  It maps Hermitian matrices
+    L_hat = V^dag L V: ``model.gkls_superop`` of (g_hat, L_hat), at O(m^6) and
+    without the d^2 x d^2 generator.  It maps Hermitian matrices
     to Hermitian matrices, so in :func:`hermitian_frame` it is the real matrix
     R; its imaginary part there is rounding and is dropped.  The models must
     share d, m and the number of jumps: every step broadcasts over the stack,
@@ -270,9 +260,7 @@ def restrict_stack(specs) -> tuple:
     vh = adjoint(v)
     g_hat = vh @ drifts @ v
     jumps_hat = vh[:, None] @ jumps @ v[:, None]
-    gen = left_mul(g_hat) + right_mul(adjoint(g_hat))
-    for l in jumps_hat.swapaxes(0, 1):
-        gen = gen + sandwich(l, adjoint(l))
+    gen = gkls_superop(g_hat, jumps_hat.swapaxes(0, 1))
     m = v.shape[-1]
     frame = hermitian_frame(m)
     real_gen = (adjoint(frame) @ gen @ frame).real
@@ -298,8 +286,9 @@ def absorption_operator(restr: RestrictedGenerator) -> AbsorptionReport:
     kernel, the adjoint of gen's V_R[:, k] V_R^-1[k, :] for the eigenvalues k
     with |w| <= cut = ``KERNEL_CUT`` * max(1, ||gen||): P(1_m) =
     V_R^-1[k, :]^dag (V_R[:, k]^dag vec 1_m).  Only ``restr.eig`` is read and
-    nothing is evolved.  An empty kernel (absorbing p0) gives A(p0) = 1
-    exactly; a non-empty one with singular V_R raises ``EigenSolveError``.
+    nothing is evolved.  p0 is absorbing iff the kernel is empty: then A(p0) = 1
+    exactly, while a stationary state w^ of a non-empty kernel has tr(w^ P(1_m)) =
+    1, so ||A(p0) - 1|| is of order 1.  Singular V_R there raises ``EigenSolveError``.
     Dropping purely imaginary peripheral eigenvalues realizes the Cesaro time
     average.  ``residual_harmonic`` is ||L^*(A(p0))|| in d x d form,
     L^*(A) = G^dag A + A G + sum_k L_k^dag A L_k.  ``kernel_margin`` is how far
@@ -327,10 +316,9 @@ def absorption_operator(restr: RestrictedGenerator) -> AbsorptionReport:
     residual_harmonic = frob(
         adjoint(g) @ a_op + a_op @ g + sum(adjoint(l) @ a_op @ l for l in spec.jump_ops)
     )
-    is_absorbing = frob(a_op - np.eye(spec.dim)) <= ABSORBING_NORM_TOL
     return AbsorptionReport(
         a_op=a_op,
-        is_absorbing=is_absorbing,
+        is_absorbing=not keep.any(),
         residual_harmonic=residual_harmonic,
         kernel_margin=float(margin),
     )

@@ -21,7 +21,7 @@ jump goes straight into the columns of one :class:`TrajectoryBatch`.
 Round r of stream s consumes uniform r of that stream: word ``r % 4`` of the
 Philox4x64-10 block at counter ``(s, r // 4 + 1, 0, 0)`` under one key per
 seed, so the stream id lives in the counter.  Philox is counter-based, so
-every live stream's uniform of a round comes from one call of numpy's
+every stream's uniforms of four rounds come from one call of numpy's
 Philox (:func:`stream_uniforms`).  Its domain is ``seed >= 0`` and
 ``0 <= stream < 2**32``; values outside raise ``ValueError``.
 """
@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import operators as op
-from .model import ModelSpec, build_generator, left_mul, right_mul, sandwich
+from .model import ModelSpec, gkls_superop, sandwich
 from .operators import adjoint, vectorize
 from .structure import RestrictedGenerator
 
@@ -54,8 +54,8 @@ class TrajectoryError(RuntimeError):
 class UnravelingKernel:
     """``loop``: exp(tA) on rows (vec V^dag rho V, tr p0 rho) with trace row
     (vec 1_m, 1), all the sampling loop runs on; ``isometry``: the restriction's V;
-    ``nojump``: the d^2 x d^2 no-jump propagator of ``spec``, built on first read
-    (only the final states need it)."""
+    ``nojump``: the d^2 x d^2 no-jump propagator of ``spec``, the GKLS form of
+    (G - 1/2 p0_perp, L_k), built on first read (only the final states need it)."""
 
     loop: op.Propagator
     isometry: np.ndarray
@@ -63,8 +63,8 @@ class UnravelingKernel:
 
     @cached_property
     def nojump(self) -> op.Propagator:
-        perp = self.spec.p0_perp
-        return op.Propagator(build_generator(self.spec) - 0.5 * (left_mul(perp) + right_mul(perp)))
+        spec = self.spec
+        return op.Propagator(gkls_superop(spec.effective_drift() - 0.5 * spec.p0_perp, spec.jump_ops))
 
     def row(self, rho: np.ndarray) -> np.ndarray:
         """The loop's row (vec V^dag rho V, tr p0 rho) of a d x d state."""
@@ -148,15 +148,16 @@ def stream_uniforms(seed: int, first_stream: int, n: int, r: int) -> np.ndarray:
     into word 1, before each block, so one ``random_raw`` call from the counter
     before stream ``first_stream``'s gives the blocks of all ``n`` streams.  The key
     depends on the seed alone, so :func:`sample_trajectories` derives it once per
-    batch and draws each round by :func:`_uniforms`, for the same bits.
+    batch and draws four rounds at once by :func:`_uniform_blocks`, for the same bits.
     """
-    return _uniforms(_stream_key(seed, first_stream, n), first_stream, n, r)
+    return _uniform_blocks(_stream_key(seed, first_stream, n), first_stream, n, r)[:, r % 4]
 
 
-def _uniforms(key: np.ndarray, first_stream: int, n: int, r: int) -> np.ndarray:
-    """:func:`stream_uniforms` under the Philox ``key`` of its seed."""
+def _uniform_blocks(key: np.ndarray, first_stream: int, n: int, r: int) -> np.ndarray:
+    """Uniforms ``4 (r // 4) .. 4 (r // 4) + 3`` of the streams, shape ``(n, 4)``: the
+    Philox blocks that :func:`stream_uniforms` reads under the ``key`` of its seed."""
     bits = np.random.Philox(key=key, counter=first_stream - 1 + ((r // 4 + 1) << 64))
-    return (bits.random_raw(4 * n)[r % 4::4] >> 11) * 2.0**-53
+    return (bits.random_raw(4 * n).reshape(n, 4) >> 11) * 2.0**-53
 
 
 def _stream_key(seed: int, first_stream: int, n: int) -> np.ndarray:
@@ -238,8 +239,8 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     Round r gives each live trajectory uniform r of its own stream, the word
     of the Philox block at counter (stream, r // 4 + 1, 0, 0) under the seed's
     key (:func:`stream_uniforms`), so a draw depends only on (seed, stream,
-    r); the live rows' draws are one slice of one call, under a key derived once
-    per batch.  A trajectory's jump fires at the first t where its row's
+    r); one call under a key derived once per batch draws the blocks of four
+    rounds.  A trajectory's jump fires at the first t where its row's
     survival trace is u, bracketed by binary search on the grid of a table of
     the survival curve's exponentials, then refined by safeguarded Newton to
     within ``TIME_TOL`` (see :func:`_segment`).  A jump leaves the row (corner / tr corner, 0).  A
@@ -275,7 +276,9 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
     alive = np.ones(n, dtype=bool)
     r = 0
     while (live := np.flatnonzero(alive)).size:
-        u = _uniforms(key, first_stream, n, r)[live]
+        if r % 4 == 0:
+            blocks = _uniform_blocks(key, first_stream, n, r)
+        u = blocks[live, r % 4]
         r += 1
         for c in range(0, live.size, chunk):
             rows = live[c:c + chunk]
@@ -306,7 +309,7 @@ def sample_trajectories(kernel, rho0, horizon, seed, n: int, first_stream: int =
 class JumpStatistics:
     n_trajectories: int
     n_observed_jumps: int
-    empirical_mean: float
+    conditional_interjump_mean: float
     ks_statistic: float
     post_jump_max_deviation: float
     censoring_fraction: float  # fraction of trajectories with no observed jump
@@ -339,7 +342,7 @@ def jump_statistics(batch: TrajectoryBatch, alpha: float, nu: Optional[np.ndarra
     return JumpStatistics(
         n_trajectories=len(batch),
         n_observed_jumps=len(gaps_arr),
-        empirical_mean=float(np.mean(gaps_arr)),
+        conditional_interjump_mean=float(np.mean(gaps_arr)),
         ks_statistic=ks,
         post_jump_max_deviation=max_dev,
         censoring_fraction=int(np.sum(counts == 0)) / len(batch),

@@ -1,5 +1,5 @@
-"""Reference computations for the tests: the semigroup applied to an operator,
-which no command evolves, the duality pairing of the state and observable
+"""Reference computations for the tests: the textbook GKLS generator, the
+semigroup applied to an operator, which no command evolves, the duality pairing of the state and observable
 evolutions, the verification residuals on time grids, and the jump-time
 measure of the sampler.
 
@@ -29,6 +29,19 @@ from qsslab.model import (
 )
 from qsslab.operators import adjoint, devectorize, frob, vectorize
 from qsslab.trajectory import sample_trajectories
+
+
+def gkls_matrix(hamiltonian, jump_ops) -> np.ndarray:
+    """The GKLS generator matrix in its textbook form, without ModelSpec validation:
+    L*(rho) = -i[H, rho] + sum_l (L rho L^dag - 1/2 {L^dag L, rho}).
+    """
+    h = np.asarray(hamiltonian, dtype=complex)
+    m = -1j * (left_mul(h) - right_mul(h))
+    for l in jump_ops:
+        l = np.asarray(l, dtype=complex)
+        k = adjoint(l) @ l
+        m = m + sandwich(l, adjoint(l)) - 0.5 * (left_mul(k) + right_mul(k))
+    return m
 
 
 def apply_semigroup(prop: op.Propagator, t, x: np.ndarray) -> np.ndarray:
@@ -99,9 +112,9 @@ def grid_verification(restr, cert) -> dict:
 
 
 def nojump_generator(spec: ModelSpec) -> np.ndarray:
-    """The d^2 x d^2 no-jump generator L - 1/2 {p0_perp, .}, built from the model."""
+    """The d^2 x d^2 no-jump generator L - 1/2 {p0_perp, .}, from the textbook L."""
     perp = spec.p0_perp
-    return build_generator(spec) - 0.5 * (left_mul(perp) + right_mul(perp))
+    return gkls_matrix(spec.hamiltonian, spec.jump_ops) - 0.5 * (left_mul(perp) + right_mul(perp))
 
 
 def jump_map(spec: ModelSpec, rho: np.ndarray) -> np.ndarray:

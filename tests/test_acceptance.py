@@ -161,7 +161,7 @@ def test_criterion_6_trajectory_suite():
     stderr = float(np.std(gaps, ddof=1) / np.sqrt(len(gaps)))
     checks.append(
         ("conditional inter-jump mean within 3 SE of truncated-Exp(2)",
-         abs(stats.empirical_mean - target_mean) <= 3.0 * stderr)
+         abs(stats.conditional_interjump_mean - target_mean) <= 3.0 * stderr)
     )
 
     p_jump = 0.5 * (1.0 - np.exp(-2.0 * horizon))

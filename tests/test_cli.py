@@ -610,6 +610,18 @@ def test_simulate_start_file(models_dir, tmp_path):
     assert json.loads(out.read_text())["n_trajectories"] == 50
 
 
+@pytest.mark.parametrize("start", [[], ["--start", "qss"]])
+def test_simulate_start_file_needs_start_file(models_dir, tmp_path, capsys, start):
+    # a start file is read only with --start file: given without it, even a
+    # missing path is an input error, not a run from the Perron QSS
+    argv = ["simulate", model_path(models_dir, "two_qubit_both.json"), "--samples", "5",
+            "--start-file", str(tmp_path / "missing.json"), *start]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --start-file requires --start file\n"
+
+
 def test_simulate_input_errors(models_dir, capsys):
     assert run(
         ["simulate", model_path(models_dir, "two_qubit_both.json"), "--samples", "0"]

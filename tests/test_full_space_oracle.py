@@ -20,12 +20,11 @@ from propcheck import random_subharmonic_model
 from qsslab import operators as op
 from qsslab.model import (
     build_generator,
-    gkls_matrix,
     sandwich,
     two_qubit_both,
     two_qubit_site1,
 )
-from oracles import MULT_GRID, REPEATED_TIMES, VERIFY_TIMES, grid_verification, time_scale
+from oracles import MULT_GRID, REPEATED_TIMES, VERIFY_TIMES, gkls_matrix, grid_verification, time_scale
 from qsslab.qss import extract_qss, verify_qss
 from qsslab.structure import check_subharmonic, restrict
 

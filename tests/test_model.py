@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import choi_matrix
-from oracles import apply_semigroup, duality_check
+from oracles import apply_semigroup, duality_check, gkls_matrix
 from qsslab import operators as op
 from qsslab.model import (
     ModelSpec,
     build_generator,
+    gkls_superop,
     left_mul,
     right_mul,
     sandwich,
@@ -188,6 +189,33 @@ def test_fixture_generator_against_hand_oracle(both):
         rho[1:, 1:] = rho_hat
         image = op.devectorize(gen @ op.vectorize(rho))
         assert np.linalg.norm(image[1:, 1:] - act(rho_hat)) < 1e-12
+
+
+def test_gkls_superop_matches_the_textbook_generator():
+    # G x + x G^dag + sum L x L^dag with G = -iH - 1/2 sum L^dag L against the
+    # oracle's -i[H, x] + sum (L x L^dag - 1/2 {L^dag L, x}): bit for bit on the
+    # fixtures, to rounding on random models and on a stack of them
+    for factory in (two_qubit_site1, two_qubit_both):
+        for omega in (0.3, 0.475, 1.0):
+            spec = factory(omega)
+            assert np.array_equal(build_generator(spec), gkls_matrix(spec.hamiltonian, spec.jump_ops))
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 5, 8):
+        spec = random_model(rng, d)
+        ref = gkls_matrix(spec.hamiltonian, spec.jump_ops)
+        assert op.frob(gkls_superop(spec.effective_drift(), spec.jump_ops) - ref) <= 1e-14 * op.frob(ref)
+    p0 = np.diag([1.0, 0.0, 0.0, 0.0])
+    specs = [
+        ModelSpec(dim=4, hamiltonian=random_hermitian(rng, 4), p0=p0,
+                  jump_ops=tuple(rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))))
+        for _ in range(3)
+    ]
+    stack = gkls_superop(np.array([s.effective_drift() for s in specs]),
+                         np.array([s.jump_ops for s in specs]).swapaxes(0, 1))
+    for gen, spec in zip(stack, specs):
+        ref = gkls_matrix(spec.hamiltonian, spec.jump_ops)
+        assert op.frob(gen - ref) <= 1e-14 * op.frob(ref)
+        assert np.array_equal(gen, gkls_superop(spec.effective_drift(), spec.jump_ops))
 
 
 def test_fixture_shapes_and_labels():

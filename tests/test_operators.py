@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg as sla
 
 import propcheck
+from oracles import gkls_matrix
 from qsslab import operators as op
-from qsslab.model import gkls_matrix, two_qubit_site1
+from qsslab.model import two_qubit_site1
 from qsslab.structure import restrict
 from qsslab.trajectory import build_kernel
 

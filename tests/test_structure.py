@@ -487,9 +487,8 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     eig_general = _count_calls(monkeypatch, op, "eig_general")
     expm = _count_calls(monkeypatch, op, "expm")
     full_space = [
-        _count_calls(monkeypatch, model, "gkls_matrix"),
         _count_calls(monkeypatch, model, "build_generator"),
-        _count_calls(monkeypatch, trajectory, "build_generator"),
+        _count_calls(monkeypatch, trajectory, "gkls_superop"),
     ]
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
@@ -499,13 +498,13 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     assert len(eig_general) == 1
     # analyze evolves nothing, so it forms no exp(tL)
     assert expm == []
-    assert full_space == [[], [], []]
+    assert full_space == [[], []]
 
 
 def test_each_model_checks_the_subharmonic_criterion_once(models_dir, monkeypatch, tmp_path):
     # restrict takes each model's verdict once and the restriction keeps it: one
     # residual per analyze and per simulate, and one per point of a sweep
-    residual = _count_calls(monkeypatch, structure, "_algebraic_residual")
+    residual = _count_calls(monkeypatch, structure, "check_subharmonic")
     path = os.path.join(models_dir, "two_qubit_site1.json")
     for argv, calls in (
         (["analyze", path], 1),
