@@ -190,22 +190,8 @@ def cmd_classical(args) -> int:
     if mf.classical is None:
         raise InputError("model file has no classical block")
     report = classical_mod.crosscheck(mf.classical)
-    doc = {
-        "qsd": {
-            "density": list(map(float, report.qsd.density)),
-            "alpha": report.qsd.alpha,
-            "unique": report.qsd.unique,
-        },
-        "embedded_match": {
-            "alpha": None if np.isnan(report.matched_alpha) else report.matched_alpha,
-            "alpha_gap": None if np.isinf(report.alpha_gap) else report.alpha_gap,
-            "residual": None if np.isinf(report.match_residual) else report.match_residual,
-            "ok": report.ok,
-        },
-        "n_extra_families": len(report.extra_families),
-    }
-    _write_out(modelio.dumps(doc) + "\n", args.out)
-    return 0 if report.ok else 2
+    _write_out(modelio.dumps(dataclasses.asdict(report)) + "\n", args.out)
+    return 0 if report.embedded_match.ok else 2
 
 
 def _parse_range(text: str):
@@ -227,8 +213,6 @@ def cmd_sweep(args) -> int:
     mf = _load(args.model)
     if mf.family is None:
         raise InputError("sweep requires a model file with a 'family' entry")
-    if args.param != "omega":
-        raise InputError(f"unknown parameter {args.param!r}; this family exposes 'omega'")
     factory = FIXTURE_FAMILIES[mf.family]
     values = _parse_range(args.range).tolist()
     spec = factory(values[0])
@@ -239,7 +223,7 @@ def cmd_sweep(args) -> int:
         restrs = structure_mod.restrict_stack([factory(value) for value in chunk])
         rows += zip(chunk, qss_mod.rates_stack(restrs))
     width = max(len(alphas) for _, alphas in rows)
-    header = [args.param] + [f"alpha_{k + 1}" for k in range(width)]
+    header = ["omega"] + [f"alpha_{k + 1}" for k in range(width)]
     lines = [",".join(header)]
     for value, alphas in rows:
         cells = [format(value, ".17g")]
@@ -279,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("sweep", parents=[common], help="parameter sweep to CSV")
-    p.add_argument("--param", default="omega")
     p.add_argument("--range", required=True, help="a:b:n inclusive linspace")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -36,7 +36,6 @@ class ModelFileError(ValueError):
 
 @dataclass(frozen=True)
 class ModelFile:
-    label: str
     spec: Optional[ModelSpec]
     classical: Optional[RateMatrix]
     family: Optional[str]
@@ -70,7 +69,6 @@ def parse_model(doc: dict) -> ModelFile:
         raise ModelFileError(
             "schema_version", f"expected {SCHEMA_VERSION!r}, got {doc.get('schema_version')!r}"
         )
-    label = doc.get("label", "")
     family = doc.get("family")
     if family is not None and family not in FIXTURE_FAMILIES:
         raise ModelFileError("family", f"unknown model family {family!r}")
@@ -78,7 +76,7 @@ def parse_model(doc: dict) -> ModelFile:
     spec = None
     if "dim" in doc:
         dim = doc["dim"]
-        if not isinstance(dim, int) or dim <= 0:
+        if type(dim) is not int or dim <= 0:  # a JSON integer: not a float, not a bool
             raise ModelFileError("dim", "must be a positive integer")
         h = _matrix(doc.get("hamiltonian"), dim, "hamiltonian")
         raw_jumps = doc.get("jump_ops", [])
@@ -92,7 +90,7 @@ def parse_model(doc: dict) -> ModelFile:
             if (
                 not isinstance(idx, list)
                 or not idx
-                or not all(isinstance(i, int) and 0 <= i < dim for i in idx)
+                or not all(type(i) is int and 0 <= i < dim for i in idx)
             ):
                 raise ModelFileError("p0_basis", f"expected basis indices in [0, {dim})")
             p0 = np.zeros((dim, dim), dtype=complex)
@@ -103,7 +101,7 @@ def parse_model(doc: dict) -> ModelFile:
         else:
             raise ModelFileError("p0_basis", "model needs p0_basis or p0_matrix")
         try:
-            spec = ModelSpec(dim=dim, hamiltonian=h, jump_ops=jumps, p0=p0, label=label)
+            spec = ModelSpec(dim=dim, hamiltonian=h, jump_ops=jumps, p0=p0, label=doc.get("label", ""))
         except ValueError as exc:
             raise ModelFileError("$", str(exc)) from exc
 
@@ -127,8 +125,8 @@ def parse_model(doc: dict) -> ModelFile:
                     )
                 q[i, j] = entry
         absorbing = block.get("absorbing_set")
-        if not isinstance(absorbing, list) or not absorbing:
-            raise ModelFileError("classical.absorbing_set", "expected a nonempty list")
+        if not isinstance(absorbing, list) or not absorbing or not all(type(i) is int for i in absorbing):
+            raise ModelFileError("classical.absorbing_set", "expected a nonempty list of state indices")
         try:
             classical = RateMatrix(n=n, q=q, absorbing_set=tuple(absorbing))
         except ValueError as exc:
@@ -136,7 +134,7 @@ def parse_model(doc: dict) -> ModelFile:
 
     if spec is None and classical is None:
         raise ModelFileError("$", "model file defines neither a quantum nor a classical model")
-    return ModelFile(label=label, spec=spec, classical=classical, family=family)
+    return ModelFile(spec=spec, classical=classical, family=family)
 
 
 def load_model(path) -> ModelFile:

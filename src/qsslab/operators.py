@@ -28,7 +28,7 @@ TOL_EIG = 1e-9
 
 # switch to scaling-and-squaring when the eigenvector basis is worse than this
 EXPM_COND_LIMIT = 1e6
-# most matrix entries per chunk of a stacked expm: its temporaries stay in cache
+# most matrix entries per stacked expm call of a Propagator: its temporaries stay in cache
 EXPM_CHUNK_ENTRIES = 2**13
 
 # degree-13 Pade coefficients b_0 .. b_13 of exp, and the largest 1-norm they
@@ -142,26 +142,17 @@ def expm(a) -> np.ndarray:
     power that brings the matrix's 1-norm to ``THETA_13``.  s is chosen per
     matrix, each product and solve is one BLAS or LAPACK call per matrix and
     the rest is elementwise, so a matrix's bits do not depend on the rest of
-    the stack.  A stack runs in chunks of at most ``EXPM_CHUNK_ENTRIES`` entries.
+    the stack.  The whole stack is one call: :meth:`Propagator.apply` and
+    :meth:`Propagator.trace_rows` bound its size by ``EXPM_CHUNK_ENTRIES``.
     """
     a = as_operator(a, stack=True)
-    n = a.shape[-1]
-    flat = a.reshape((math.prod(a.shape[:-2]), n, n))
-    out = np.empty_like(flat)
-    step = max(1, EXPM_CHUNK_ENTRIES // max(1, n * n))
-    for c in range(0, len(flat), step):
-        out[c:c + step] = _pade13(flat[c:c + step])
-    return out.reshape(a.shape)
-
-
-def _pade13(a: np.ndarray) -> np.ndarray:
-    """:func:`expm` of each matrix of a ``(k, n, n)`` stack."""
-    b = PADE13
+    shape, b = a.shape, PADE13
+    a = a.reshape((math.prod(shape[:-2]),) + shape[-2:])
     norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
     mant, s = np.frexp(np.maximum(norm / THETA_13, 1.0))
     s -= mant == 0.5  # s = ceil(log2(norm / THETA_13)), at least 0
     a = a * np.ldexp(1.0, -s)[:, None, None]
-    eye = np.eye(a.shape[-1])
+    eye = np.eye(shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -173,7 +164,7 @@ def _pade13(a: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(s > k)
         x = r[rows]
         r[rows] = x @ x
-    return r
+    return r.reshape(shape)
 
 
 class Propagator:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import operators as op
 from .operators import adjoint, devectorize, frob
-from .structure import RestrictedGenerator
+from .structure import RestrictedGenerator, hermitian_frame
 
 VERIFY_HORIZON = 2.2  # verification bounds hold for t in [0, VERIFY_HORIZON / k]
 EXTREME_POINTS_NOTE = "endpoints: 4 extreme points reached by face walks; the family has others"
@@ -223,7 +223,7 @@ def _eigenspace(restr: RestrictedGenerator, cluster) -> tuple:
     A cluster with fewer null vectors than members is defective, and its note says so: only
     genuine eigenvectors enter the basis."""
     alg, geom = len(cluster.members), cluster.coords.shape[1]
-    basis = tuple(devectorize(x) for x in (restr.frame @ cluster.coords).T)
+    basis = tuple(devectorize(x) for x in (hermitian_frame(restr.m) @ cluster.coords).T)
     warning = f"defective eigenvalue: algebraic {alg}, geometric {geom}; generalized eigenvectors excluded"
     return basis, (warning,) if geom < alg else ()
 
@@ -305,41 +305,34 @@ def _family(restr: RestrictedGenerator, alpha: float, basis, notes, point, dirs,
 
 
 def extract_qss(restr: RestrictedGenerator) -> ExtractionResult:
-    """Trace-one PSD representatives of each real eigenspace: :func:`extract_stack` of one restriction."""
-    return extract_stack((restr,))[0]
-
-
-def extract_stack(restrs) -> tuple:
-    """Trace-one PSD representatives of each real eigenspace of each restriction, in two stages.
+    """Trace-one PSD representatives of each real eigenspace of ``restr``, in two stages.
 
     One candidate per real cluster of ``restr.real_clusters``, at rate minus its
     mean (:func:`_eigenspace`).  The decision stage (:func:`_decide_stack`) finds
-    for all the restrictions at once whether each slice is empty: dimension 1 by
-    one stacked ``op.psd_check``, dimension 2 (a line) by its exact interval from
-    one stacked :func:`_psd_ranges`, dimension >= 3 by an anchor state.  The
-    geometry stage (:func:`_family`) builds, for the non-empty slices only, the
-    certified endpoint (extremal-support) states of a segment, or four extreme
-    points of a larger slice from face walks, flagged as a partial list; the
-    embedded basis; the certificates.  :func:`rates_stack` stops after decision.
+    whether each slice is empty: dimension 1 by one stacked ``op.psd_check``,
+    dimension 2 (a line) by its exact interval from one stacked
+    :func:`_psd_ranges`, dimension >= 3 by an anchor state.  The geometry stage
+    (:func:`_family`) builds, for the non-empty slices only, the certified
+    endpoint (extremal-support) states of a segment, or four extreme points of a
+    larger slice from face walks, flagged as a partial list; the embedded basis;
+    the certificates.  :func:`rates_stack` stops after decision.
     """
-    results = []
-    for restr, slices in zip(restrs, _decide_stack(restrs)):
-        families, rejected = [], []
-        for c, found in zip(restr.real_clusters, slices):
-            if isinstance(found, str):
-                rejected.append(RejectedCandidate(-c.mean, found))
-            else:
-                families.append(_family(restr, -c.mean, *found))
-        results.append(ExtractionResult(families=tuple(families), rejected=tuple(rejected)))
-    return tuple(results)
+    families, rejected = [], []
+    for c, found in zip(restr.real_clusters, _decide_stack((restr,))[0]):
+        alpha = 0.0 - c.mean  # a zero rate is +0, whatever the sign of the computed mean
+        if isinstance(found, str):
+            rejected.append(RejectedCandidate(alpha, found))
+        else:
+            families.append(_family(restr, alpha, *found))
+    return ExtractionResult(families=tuple(families), rejected=tuple(rejected))
 
 
 def rates_stack(restrs) -> tuple:
     """Per restriction, the ascending rates of its QSS families from the decision stage of
-    :func:`extract_stack` alone, after the existence check of :func:`perron_structure`."""
+    :func:`extract_qss` alone, after the existence check of :func:`perron_structure`."""
     rates = []
     for restr, slices in zip(restrs, _decide_stack(restrs)):
-        alphas = sorted(-c.mean for c, found in zip(restr.real_clusters, slices) if not isinstance(found, str))
+        alphas = sorted(0.0 - c.mean for c, found in zip(restr.real_clusters, slices) if not isinstance(found, str))
         if not slices or isinstance(slices[0], str):  # the top cluster carries the Perron family
             _no_perron(restr, bool(alphas))
         rates.append(alphas)

@@ -53,7 +53,7 @@ class RestrictedGenerator:
     ``isometry`` has the orthonormal basis of range(p0_perp) as columns;
     ``gen`` is the m^2 x m^2 generator matrix of the compressed state
     evolution and ``real_gen`` the real frame^dag gen frame in the unitary
-    :func:`hermitian_frame`, with eigenpairs ``real_eig = (w, V_R)``; ``eig``
+    frame :func:`hermitian_frame` (m), with eigenpairs (w, V_R); ``eig``
     is ``(w, frame @ V_R)``, the pairs of ``gen``.  ``g_hat`` and ``jumps_hat``
     are the compressed drift and jump operators that define it.
     ``real_clusters`` are the real eigenvalues up to rounding, as
@@ -66,9 +66,7 @@ class RestrictedGenerator:
     m: int
     isometry: np.ndarray
     gen: np.ndarray
-    frame: np.ndarray
     real_gen: np.ndarray
-    real_eig: tuple
     eig: tuple
     g_hat: np.ndarray
     jumps_hat: tuple
@@ -266,12 +264,10 @@ def restrict_stack(specs) -> tuple:
     real_gen = (adjoint(frame) @ gen @ frame).real
     w, v_real = op.eig_general(real_gen)
     vecs, clusters = frame @ v_real, _real_clusters(w, v_real, real_gen)
-    real = (w.imag == 0).all(axis=-1)
     return tuple(
         RestrictedGenerator(
-            spec, subs[q], m, v[q], gen[q], frame, real_gen[q],
-            (w[q], v_real[q].real if real[q] else v_real[q]), (w[q], vecs[q]), g_hat[q], tuple(jumps_hat[q]),
-            clusters[q],
+            spec, subs[q], m, v[q], gen[q], real_gen[q], (w[q], vecs[q]),
+            g_hat[q], tuple(jumps_hat[q]), clusters[q],
         )
         for q, spec in enumerate(specs)
     )

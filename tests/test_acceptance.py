@@ -196,11 +196,12 @@ def test_criterion_7_classical_bridge():
         density /= density.sum()
         alpha_oracle = float(-w[top].real)
         report = crosscheck(rm)
+        match = report.embedded_match
         checks.append((f"{label} alpha", abs(report.qsd.alpha - alpha_oracle) < 1e-9))
         checks.append(
             (f"{label} density", float(np.max(np.abs(report.qsd.density - density))) < 1e-9)
         )
-        checks.append((f"{label} embedded match", report.ok and report.match_residual <= 1e-9))
+        checks.append((f"{label} embedded match", match.ok and match.residual <= 1e-9))
     _verdict(7, "classical chains: embedded QSS matches the QSD and decay rate", checks)
 
 

@@ -95,12 +95,20 @@ def test_embed_p0_is_absorbing_set_projector():
     assert len(spec.jump_ops) == 4  # one per positive off-diagonal rate
 
 
+def test_unique_is_whether_the_densities_agree():
+    # a defective top rate: LAPACK returns two parallel eigenvectors of the
+    # Jordan pair, both of the one QSD; two closed classes at one rate give two
+    defective = classical_qsd(RateMatrix(3, [[-1, 1, 0], [0, -1, 1], [0, 0, 0]], (2,)))
+    assert defective.unique and np.allclose(defective.density, [0.0, 1.0], atol=1e-12)
+    assert not classical_qsd(RateMatrix(3, [[-1, 0, 1], [0, -1, 1], [0, 0, 0]], (2,))).unique
+
+
 def test_crosscheck_fixture_chains():
     for rm in (chain_two_state(), chain_two_state(0.7), chain_three_state()):
-        report = crosscheck(rm)
-        assert report.ok
-        assert report.alpha_gap <= 1e-9
-        assert report.match_residual <= 1e-9
+        match = crosscheck(rm).embedded_match
+        assert match.ok
+        assert match.alpha_gap <= 1e-9
+        assert match.residual <= 1e-9
 
 
 def test_crosscheck_random_chains():
@@ -109,7 +117,7 @@ def test_crosscheck_random_chains():
         n = int(rng.integers(2, 5))
         rm = random_absorbing_chain(rng, n)
         report = crosscheck(rm)
-        assert report.ok, f"crosscheck failed for chain\n{rm.q}"
+        assert report.embedded_match.ok, f"crosscheck failed for chain\n{rm.q}"
 
 
 def test_distance_to_family_is_exact_membership():

@@ -14,7 +14,7 @@ from qsslab import cli
 from qsslab import operators as op
 from qsslab import qss
 from qsslab import structure
-from qsslab.classical import ClassicalQsd, CrosscheckReport
+from qsslab.classical import ClassicalQsd, CrosscheckReport, EmbeddedMatch
 from qsslab.model import FIXTURE_FAMILIES, two_qubit_both, two_qubit_site1
 from test_structure import raising_model
 
@@ -122,7 +122,7 @@ def test_analyze_output_is_pinned(models_dir, tmp_path, capsys, model, stream, d
 @pytest.mark.parametrize(
     "model, grid, digest",
     [
-        ("two_qubit_site1.json", "0:1:41", "63ed31e02cc13e38680f8af77587a8e102315861527c2e981847f2e6a165ee11"),
+        ("two_qubit_site1.json", "0:1:41", "11b5e581b572372011b383eb62b37cdbcd0dabd7e33d64ab37f87e3203804e98"),
         ("two_qubit_both.json", "0:1:41", "21719c305aa96aedc8653f1f337fe15d8afd2959fcb6d823016822f44749b74e"),
         ("two_qubit_site1.json", "0.49:0.51:21", "56b45c915946d1a30b05121dea4239b756a78a895df0540e2992a90c82d716cd"),
     ],
@@ -717,6 +717,23 @@ def test_classical_command(models_dir, tmp_path):
     assert doc["embedded_match"]["ok"]
 
 
+def test_a_zero_rate_is_written_0(models_dir, tmp_path, capsys):
+    # each rate is 0.0 - mean, so the sign of a computed zero mean never reaches
+    # a report: analyze and sweep of two_qubit_site1(0), and a chain whose
+    # transient states form a closed class
+    site1 = tmp_path / "site1.json"
+    site1.write_text(json.dumps(model_to_doc(two_qubit_site1(0.0))))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"schema_version": "1", "classical": {
+        "rate_matrix": [[-1, 1, 0], [1, -1, 0], [0, 0, 0]], "absorbing_set": [2]}}))
+    for argv in (["analyze", str(site1)], ["classical", str(chain)]):
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        assert '"alpha": 0,' in text and '"alpha": -0' not in text, argv
+    assert run(["sweep", model_path(models_dir, "two_qubit_site1.json"), "--range", "0:0:1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,1"
+
+
 def test_classical_missing_block(models_dir, capsys):
     assert run(["classical", model_path(models_dir, "two_qubit_both.json")]) == 1
     assert "classical" in capsys.readouterr().err
@@ -726,10 +743,7 @@ def test_classical_consistency_exit_code(models_dir, monkeypatch):
     # exit code 2 is reserved for theory-consistency failures
     def fake_crosscheck(rm):
         qsd = ClassicalQsd(density=np.array([1.0]), alpha=1.0, unique=True)
-        return CrosscheckReport(
-            qsd=qsd, matched_alpha=np.nan, match_residual=np.inf,
-            alpha_gap=np.inf, extra_families=(), ok=False,
-        )
+        return CrosscheckReport(qsd, EmbeddedMatch(alpha=None, alpha_gap=None, residual=None, ok=False), 0)
 
     monkeypatch.setattr(cli.classical_mod, "crosscheck", fake_crosscheck)
     rc = run(

@@ -122,6 +122,27 @@ def test_parse_classical_block_errors():
         parse_model(bad)
 
 
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda doc: doc["classical"].update(absorbing_set=[1.5]), "classical.absorbing_set"),
+        (lambda doc: doc["classical"].update(absorbing_set=[True]), "classical.absorbing_set"),
+        (lambda doc: doc["classical"].update(absorbing_set=[1, "1"]), "classical.absorbing_set"),
+        (lambda doc: doc.update(minimal_doc(), p0_basis=[True]), "p0_basis"),
+        (lambda doc: doc.update(minimal_doc(), dim=True), "dim"),
+        (lambda doc: doc.update(minimal_doc(), dim=2.0), "dim"),
+    ],
+    ids=["float-state", "bool-state", "string-state", "bool-p0-index", "bool-dim", "float-dim"],
+)
+def test_indices_and_dim_are_json_integers(edit, where):
+    # a float, a bool or a string is not coerced to a state index or a dimension
+    doc = {"schema_version": "1", "classical": {"rate_matrix": [[-1.0, 1.0], [0.0, 0.0]], "absorbing_set": [1]}}
+    edit(doc)
+    with pytest.raises(ModelFileError) as exc:
+        parse_model(doc)
+    assert exc.value.path == where
+
+
 def test_model_roundtrip():
     for spec in (two_qubit_site1(0.4), two_qubit_both(1.0)):
         doc = model_to_doc(spec, family=None, params={"omega": 0.4})
@@ -171,7 +192,7 @@ def test_load_model_files(models_dir):
         "classical_three_state.json",
     ):
         mf = modelio.load_model(os.path.join(models_dir, name))
-        assert mf.label
+        assert mf.classical is not None if name.startswith("classical") else mf.spec.label
 
 
 def _reference_dumps(obj):
