@@ -41,6 +41,8 @@ class RateMatrix:
             raise ClassicalError("off-diagonal rates must be nonnegative")
         if np.max(np.abs(q.sum(axis=1))) > 1e-12:
             raise ClassicalError("rows must sum to zero")
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in self.absorbing_set):
+            raise ClassicalError("absorbing set entries must be integers")
         a = tuple(sorted(set(int(i) for i in self.absorbing_set)))
         if not a or len(a) >= self.n:
             raise ClassicalError("absorbing set must be a nonempty strict subset")

@@ -36,10 +36,6 @@ class InputError(RuntimeError):
     pass
 
 
-class ConsistencyError(RuntimeError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """A usage error is an input error: exit 1 with one line, not argparse's 2."""
 
@@ -60,10 +56,10 @@ def _analysis_bundle(restr):
     """Run the full structural + spectral pipeline on one model's restriction."""
     absorption = structure_mod.absorption_operator(restr)
     irred = structure_mod.check_irreducible(restr)
-    result = qss_mod.perron_structure(restr, qss_mod.extract_qss(restr), irreducible=irred.verdict or None)
+    result = qss_mod.perron_structure(restr, qss_mod.extract_qss(restr), irreducible=irred.verdict)
     for fam in result.families:
         if absorption.is_absorbing and fam.alpha <= 1e-9:  # an absorbing p0 forces alpha > 0
-            raise ConsistencyError(f"p0 is absorbing but a family has alpha {fam.alpha:.6e}")
+            raise qss_mod.QssTheoryError(f"p0 is absorbing but a family has alpha {fam.alpha:.6e}")
 
     spectrum, _ = restr.eig
     families_json = []
@@ -125,7 +121,7 @@ def cmd_analyze(args) -> int:
         verification = {f"verification.{k}": v for k, v in fam["verification"].items()}
         for name, value in {**fam, **verification}.items():
             if isinstance(value, float) and not np.isfinite(value):
-                raise ConsistencyError(f"{name} is {value} for the family at alpha {fam['alpha']:.6e}")
+                raise qss_mod.QssTheoryError(f"{name} is {value} for the family at alpha {fam['alpha']:.6e}")
     _write_out(modelio.dumps(bundle) + "\n", args.out)
     return 0
 
@@ -275,7 +271,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConsistencyError, qss_mod.QssTheoryError) as exc:
+    except qss_mod.QssTheoryError as exc:
         print(f"theory-consistency failure: {exc}", file=sys.stderr)
         return 2
     except op.EigenSolveError as exc:

@@ -1,8 +1,8 @@
 """GKLS models and their generators as explicit superoperator matrices.
 
-Every evolution of the package is :func:`gkls_superop` of a drift and jumps: the
-generator of (G, L_k), its restriction of the compressed (g_hat, L_hat_k) and the
-no-jump evolution of the counting process of (G - 1/2 p0_perp, L_k).
+Every generator is :func:`gkls_superop` of a drift and jumps: the restriction of
+the compressed (g_hat, L_hat_k), the no-jump evolution of the counting process of
+(G - 1/2 p0_perp, L_k) and, for reference, the full generator of (G, L_k).
 
 The vectorization convention for the whole package is fixed here: column
 stacking, so that ``vec(A X B) = kron(B.T, A) vec(X)``.  A generator is the
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import operators as op
-from .operators import adjoint, frob, vectorize
+from .operators import adjoint
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,6 @@ def gkls_superop(g: np.ndarray, jumps) -> np.ndarray:
     m = left_mul(g) + right_mul(adjoint(g))
     for l in jumps:
         m = m + sandwich(l, adjoint(l))
-    return m
-
-
-def build_generator(spec: ModelSpec) -> np.ndarray:
-    """The d^2 x d^2 GKLS generator matrix of ``spec``, checked trace-preserving:
-    :func:`gkls_superop` of the drift G and the jumps."""
-    m = gkls_superop(spec.effective_drift(), spec.jump_ops)
-    defect = np.linalg.norm(vectorize(np.eye(spec.dim)).conj() @ m)
-    if defect > op.TOL_EIG * max(1.0, frob(m)):
-        raise RuntimeError(f"generator is not trace-preserving: defect {defect:.3e}")
     return m
 
 

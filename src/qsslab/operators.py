@@ -176,8 +176,8 @@ class Propagator:
     If both gates pass, ``spectral`` is true; otherwise :meth:`apply` and
     :meth:`trace_rows` fall back to :func:`expm` of ``t*a``, one stacked call
     per chunk of at most ``EXPM_CHUNK_ENTRIES`` entries of their times.
-    ``trace_row`` is the functional that :meth:`trace_coords` and
-    :meth:`trace_rows` read.
+    ``trace_row`` is the functional that :meth:`coords` and :meth:`trace_rows`
+    read.  These two and :meth:`apply` serve either path: callers need not know which.
     """
 
     def __init__(self, a, eig=None, trace_row=None):
@@ -204,7 +204,7 @@ class Propagator:
         """``exp(t*a) @ vec``: one time per row of a batch ``vec``, or times for one ``vec``.
 
         Spectral: ``V (exp(t*w) * (V^-1 vec))``, two :func:`rowdot` matvecs per row;
-        ``coef``, if given, is ``rowdot(v_inv, vec)`` computed by the caller.
+        ``coef``, if given, is the one :meth:`coords` returned for ``vec``.
         Fallback: one :func:`rowdot` matvec of ``expm(t*a)`` per row.
         """
         if self.spectral:
@@ -219,17 +219,19 @@ class Propagator:
             out[rows] = rowdot(e, vecs[rows])
         return out.reshape(shape)
 
-    def trace_coords(self, vecs: np.ndarray, coef=None) -> np.ndarray:
-        """``x`` with ``trace_row @ exp(t*a) vec = sum(x * trace_rows(t))``, per row of ``vecs``.
+    def coords(self, vecs: np.ndarray) -> tuple:
+        """``(coef, x, dx)`` per row of ``vecs``: ``trace_row @ exp(t*a) vec`` is
+        ``sum(x * trace_rows(t))``, and its time derivative ``sum(dx * trace_rows(t))``.
 
-        Spectral: trace-weighted eigencoefficients, zeroed at modulus <= 1e-18;
-        ``coef`` as in :meth:`apply`; the weights ``trace_row @ V`` are formed once.
+        Spectral: ``coef = V^-1 vec``, which :meth:`apply` reuses, ``x`` its trace-weighted
+        coefficients zeroed at modulus <= 1e-18, ``dx = x * w``.  Fallback: ``(None, vec, a vec)``.
         """
         if not self.spectral:
-            return np.asarray(vecs, dtype=complex)
-        x = self._trace_weights * (rowdot(self.v_inv, vecs) if coef is None else coef)
+            return None, np.asarray(vecs, dtype=complex), rowdot(self.mat, vecs)
+        coef = rowdot(self.v_inv, vecs)
+        x = self._trace_weights * coef
         x[np.abs(x) <= 1e-18] = 0.0
-        return x
+        return coef, x, x * self.w
 
     def trace_rows(self, times) -> np.ndarray:
         """``exp(t*w)`` per time; the fallback forms ``trace_row @ expm(t*a)``."""

@@ -219,7 +219,7 @@ def _leads_negative(sigma: np.ndarray) -> bool:
 
 def _eigenspace(restr: RestrictedGenerator, cluster) -> tuple:
     """``(basis, notes)`` of a real cluster: restricted m x m Hermitian matrices, orthonormal
-    in HS, from the real null space of ``real_gen - mean`` mapped through the Hermitian frame.
+    in HS, from the cluster's real null space ``coords`` mapped through the Hermitian frame.
     A cluster with fewer null vectors than members is defective, and its note says so: only
     genuine eigenvectors enter the basis."""
     alg, geom = len(cluster.members), cluster.coords.shape[1]
@@ -347,11 +347,8 @@ def _no_perron(restr: RestrictedGenerator, found: bool):
     raise QssTheoryError(f"Perron existence failed: {reason}; spectrum {spectrum}")
 
 
-def perron_structure(
-    restr: RestrictedGenerator,
-    result: ExtractionResult,
-    irreducible: Optional[bool] = None,
-) -> ExtractionResult:
+def perron_structure(restr: RestrictedGenerator, result: ExtractionResult,
+                     irreducible: bool = False) -> ExtractionResult:
     """Enforce the existence/uniqueness guarantees on the families of ``restr``; returns ``result``.
 
     Existence (finite dimension, subharmonic p0) requires a nonempty family

@@ -43,7 +43,7 @@ class EigenCluster(NamedTuple):
 
     members: np.ndarray
     mean: float  # of the members' real parts: accurate to rounding, being a trace
-    coords: np.ndarray  # orthonormal columns: the real null space of real_gen - mean
+    coords: np.ndarray  # orthonormal columns: the real null space of R - mean
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ class RestrictedGenerator:
 
     ``isometry`` has the orthonormal basis of range(p0_perp) as columns;
     ``gen`` is the m^2 x m^2 generator matrix of the compressed state
-    evolution and ``real_gen`` the real frame^dag gen frame in the unitary
-    frame :func:`hermitian_frame` (m), with eigenpairs (w, V_R); ``eig``
-    is ``(w, frame @ V_R)``, the pairs of ``gen``.  ``g_hat`` and ``jumps_hat``
+    evolution and ``eig`` its pairs ``(w, frame @ V_R)``, from the pairs
+    (w, V_R) of the real R = frame^dag gen frame in the unitary frame
+    :func:`hermitian_frame` (m).  ``g_hat`` and ``jumps_hat``
     are the compressed drift and jump operators that define it.
     ``real_clusters`` are the real eigenvalues up to rounding, as
     :class:`EigenCluster` s by descending mean (:func:`_real_clusters`), and
@@ -66,7 +66,6 @@ class RestrictedGenerator:
     m: int
     isometry: np.ndarray
     gen: np.ndarray
-    real_gen: np.ndarray
     eig: tuple
     g_hat: np.ndarray
     jumps_hat: tuple
@@ -261,12 +260,12 @@ def restrict_stack(specs) -> tuple:
     gen = gkls_superop(g_hat, jumps_hat.swapaxes(0, 1))
     m = v.shape[-1]
     frame = hermitian_frame(m)
-    real_gen = (adjoint(frame) @ gen @ frame).real
-    w, v_real = op.eig_general(real_gen)
-    vecs, clusters = frame @ v_real, _real_clusters(w, v_real, real_gen)
+    real = (adjoint(frame) @ gen @ frame).real
+    w, v_real = op.eig_general(real)
+    vecs, clusters = frame @ v_real, _real_clusters(w, v_real, real)
     return tuple(
         RestrictedGenerator(
-            spec, subs[q], m, v[q], gen[q], real_gen[q], (w[q], vecs[q]),
+            spec, subs[q], m, v[q], gen[q], (w[q], vecs[q]),
             g_hat[q], tuple(jumps_hat[q]), clusters[q],
         )
         for q, spec in enumerate(specs)

@@ -195,17 +195,15 @@ def _segment(prop, table, grid, vecs, u, remaining):
     """Advance rows to the first ``t <= remaining`` where their survival trace is ``u``.
 
     Returns ``(fired, t, sig)``: whether a row fired, its firing time
-    (``remaining`` if not) and the row advanced to it.  Safeguarded Newton on the
-    grid bracket, from its midpoint: each round takes f and f' (coordinates
-    ``dx``) from one ``trace_rows`` call and shrinks ``[lo, hi]`` by the sign of
-    f - u, keeping f(lo) >= u > f(hi); a step that leaves ``[lo, hi]`` bisects
-    it.  A row stops at a step <= ``TIME_TOL / 2`` or a bracket <= ``TIME_TOL``.
+    (``remaining`` if not) and the row advanced to it.  One ``prop.coords`` call, on
+    either exponential path, gives the curve's ``x`` and ``dx`` and the ``coef`` that
+    ``prop.apply`` reuses for ``sig``.  Safeguarded Newton on the grid bracket, from
+    its midpoint: each round takes f and f' from one ``trace_rows`` call and shrinks
+    ``[lo, hi]`` by the sign of f - u, keeping f(lo) >= u > f(hi); a step that leaves
+    ``[lo, hi]`` bisects it.  A row stops at a step <= ``TIME_TOL / 2`` or a bracket <= ``TIME_TOL``.
     Unfinished rows stay compact, recompacted only when rows stop; t is row arithmetic.
-    On the spectral path one eigen-transform of ``vecs`` serves ``x`` and ``sig``.
     """
-    coef = op.rowdot(prop.v_inv, vecs) if prop.spectral else None
-    x = prop.trace_coords(vecs, coef)
-    dx = x * prop.w if prop.spectral else prop.trace_coords(op.rowdot(prop.mat, vecs))
+    coef, x, dx = prop.coords(vecs)
     at_end = (x * prop.trace_rows(remaining)).sum(-1).real
     fired, k_hit = _bracket(x, at_end, table, grid, u, remaining)
     hi = np.minimum(grid[k_hit], remaining)

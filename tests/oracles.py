@@ -1,5 +1,6 @@
-"""Reference computations for the tests: the textbook GKLS generator, the
-semigroup applied to an operator, which no command evolves, the duality pairing of the state and observable
+"""Reference computations for the tests: the textbook GKLS generator and the
+package's (``full_generator``), which no command builds, the semigroup applied to an
+operator, which no command evolves, the duality pairing of the state and observable
 evolutions, the verification residuals on time grids, and the jump-time
 measure of the sampler.
 
@@ -22,7 +23,7 @@ import scipy.integrate
 from qsslab import operators as op
 from qsslab.model import (
     ModelSpec,
-    build_generator,
+    gkls_superop,
     left_mul,
     right_mul,
     sandwich,
@@ -42,6 +43,11 @@ def gkls_matrix(hamiltonian, jump_ops) -> np.ndarray:
         k = adjoint(l) @ l
         m = m + sandwich(l, adjoint(l)) - 0.5 * (left_mul(k) + right_mul(k))
     return m
+
+
+def full_generator(spec: ModelSpec) -> np.ndarray:
+    """The d^2 x d^2 GKLS generator of ``spec``: ``gkls_superop`` of the drift G and the jumps."""
+    return gkls_superop(spec.effective_drift(), spec.jump_ops)
 
 
 def apply_semigroup(prop: op.Propagator, t, x: np.ndarray) -> np.ndarray:
@@ -68,7 +74,7 @@ def apply_semigroup(prop: op.Propagator, t, x: np.ndarray) -> np.ndarray:
 
 def duality_check(spec: ModelSpec, t: float, x: np.ndarray, y: np.ndarray) -> float:
     """| tr(x T_t(y)) - tr(T_t*(x) y) |, each side from its own eigendecomposition."""
-    gen = build_generator(spec)
+    gen = full_generator(spec)
     heis, schr = op.Propagator(adjoint(gen)), op.Propagator(gen)
     lhs = complex(np.trace(op.as_operator(x) @ apply_semigroup(heis, t, y)))
     rhs = complex(np.trace(apply_semigroup(schr, t, x) @ op.as_operator(y)))

@@ -10,11 +10,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from qsslab import operators as op
-from qsslab.model import ModelSpec, build_generator
+from qsslab.model import ModelSpec
 from qsslab.qss import extract_qss
 from qsslab.structure import restrict
 
-from oracles import apply_semigroup, duality_check, gen_tilde
+from oracles import apply_semigroup, duality_check, full_generator, gen_tilde
 
 
 def _rand_complex(rng, shape):
@@ -61,7 +61,7 @@ def check_duality(spec, rng):
 
 
 def check_density_preservation(spec, rng):
-    prop = op.Propagator(build_generator(spec))
+    prop = op.Propagator(full_generator(spec))
     rho = random_density(rng, spec.dim)
     t = float(rng.uniform(0.1, 1.5))
     op.validate_density(apply_semigroup(prop, t, rho))
@@ -78,7 +78,7 @@ def check_restrict_embed(spec, rng):
     restr = restrict(spec)
     rho_hat = _rand_hermitian(rng, restr.m)
     t = float(rng.uniform(0.1, 1.5))
-    full = apply_semigroup(op.Propagator(build_generator(spec)), t, restr.embed(rho_hat))
+    full = apply_semigroup(op.Propagator(full_generator(spec)), t, restr.embed(rho_hat))
     perp = spec.p0_perp
     corner = perp @ full @ perp
     hat = restr.embed(apply_semigroup(op.Propagator(restr.gen, restr.eig), t, rho_hat))
@@ -147,7 +147,7 @@ def grid_oracle_case(seed, grid_n=21, t=0.8, residual_cut=1e-4):
     """
     rng = np.random.default_rng(seed)
     spec = random_subharmonic_model(rng, d=3, rank=1)
-    propagator = sla.expm(t * build_generator(spec))
+    propagator = sla.expm(t * full_generator(spec))
     perp = spec.p0_perp
 
     result = extract_qss(restrict(spec))

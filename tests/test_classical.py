@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from oracles import apply_semigroup
+from oracles import apply_semigroup, full_generator
 from qsslab.classical import (
     ClassicalError,
     RateMatrix,
@@ -12,7 +12,6 @@ from qsslab.classical import (
     embed,
 )
 from qsslab import operators as op
-from qsslab.model import build_generator
 from qsslab.qss import QssCertificate, QssFamily
 
 
@@ -56,6 +55,16 @@ def test_rate_matrix_validation():
         RateMatrix(n=2, q=np.array([[-1.0, 1.0], [0.0, 0.0]]), absorbing_set=(5,))
 
 
+@pytest.mark.parametrize("state", ["1", 1.5, True, np.float64(1.0), np.bool_(True)],
+                         ids=["string", "float", "bool", "numpy-float", "numpy-bool"])
+def test_absorbing_states_are_integers(state):
+    # a state is not coerced by int(): each of these once ran as state 1
+    with pytest.raises(ClassicalError, match="integers"):
+        RateMatrix(2, [[-1, 1], [0, 0]], (state,))
+    # numpy integers are integers
+    assert RateMatrix(2, [[-1, 1], [0, 0]], (np.int64(1),)).absorbing_set == (1,)
+
+
 def test_two_state_qsd():
     qsd = classical_qsd(chain_two_state(0.7))
     assert qsd.unique
@@ -77,7 +86,7 @@ def test_embed_matches_classical_dynamics():
         n = int(rng.integers(2, 5))
         rm = random_absorbing_chain(rng, n)
         spec = embed(rm)
-        prop = op.Propagator(build_generator(spec))
+        prop = op.Propagator(full_generator(spec))
         p = rng.uniform(0.1, 1.0, size=n)
         p /= p.sum()
         rho = np.diag(p).astype(complex)

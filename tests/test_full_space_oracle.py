@@ -19,12 +19,11 @@ from helpers import fast_decay_model, rotated
 from propcheck import random_subharmonic_model
 from qsslab import operators as op
 from qsslab.model import (
-    build_generator,
     sandwich,
     two_qubit_both,
     two_qubit_site1,
 )
-from oracles import MULT_GRID, REPEATED_TIMES, VERIFY_TIMES, gkls_matrix, grid_verification, time_scale
+from oracles import MULT_GRID, REPEATED_TIMES, VERIFY_TIMES, full_generator, gkls_matrix, grid_verification, time_scale
 from qsslab.qss import extract_qss, verify_qss
 from qsslab.structure import check_subharmonic, restrict
 
@@ -39,7 +38,7 @@ def _evolve(gen: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
 def full_space_verification(spec, nu, alpha) -> dict:
     """The grid residuals of ``oracles.grid_verification`` from exp(t S) of the full
     Schroedinger matrix S, each time t run as t / k."""
-    schr, perp = build_generator(spec), spec.p0_perp
+    schr, perp = full_generator(spec), spec.p0_perp
     k = time_scale(alpha)
 
     def f(t):
@@ -62,7 +61,7 @@ def full_space_verification(spec, nu, alpha) -> dict:
 
 def full_space_semigroup_eigenvalues(spec) -> list:
     """lambda_min(T_t(p0) - p0) at each check time, from exp(t H) of the full Heisenberg matrix H."""
-    heis, p0 = op.adjoint(build_generator(spec)), spec.p0
+    heis, p0 = op.adjoint(full_generator(spec)), spec.p0
     out = []
     for t in SUBHARMONIC_TIMES:
         diff = _evolve(heis, t, p0) - p0

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import choi_matrix
-from oracles import apply_semigroup, duality_check, gkls_matrix
+from oracles import apply_semigroup, duality_check, full_generator, gkls_matrix
 from qsslab import operators as op
 from qsslab.model import (
     ModelSpec,
-    build_generator,
     gkls_superop,
     left_mul,
     right_mul,
@@ -75,7 +74,7 @@ def test_generator_trace_and_unitality():
     for _ in range(10):
         d = int(rng.integers(2, 5))
         spec = random_model(rng, d)
-        schr = build_generator(spec)
+        schr = full_generator(spec)
         heis = schr.conj().T
         ident = op.vectorize(np.eye(d))
         # trace preservation (Schrodinger) and unitality (its adjoint, Heisenberg)
@@ -95,7 +94,7 @@ def test_duality_pairing():
 
 def test_apply_semigroup_contract():
     spec = two_qubit_site1(1.0)
-    prop = op.Propagator(build_generator(spec))
+    prop = op.Propagator(full_generator(spec))
     rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
     assert np.allclose(apply_semigroup(prop, 0.0, rho), rho)
     with pytest.raises(ValueError):
@@ -117,7 +116,7 @@ def test_batched_apply_semigroup_matches_scalar_calls(monkeypatch, cond_limit):
     monkeypatch.setattr(op, "EXPM_COND_LIMIT", cond_limit)
     rng = np.random.default_rng(11)
     for spec in (two_qubit_site1(1.0), two_qubit_both(1.0)):
-        prop = op.Propagator(build_generator(spec))
+        prop = op.Propagator(full_generator(spec))
         assert prop.spectral == (cond_limit > 0)
         x = random_hermitian(rng, 4)
         times = (0.0, 0.1, 0.5, 1.0, 2.0, 0.0, 2.0**20)
@@ -136,7 +135,7 @@ def test_batched_apply_semigroup_matches_scalar_calls(monkeypatch, cond_limit):
 
 def test_fallback_propagator_applies_one_vector_at_many_times():
     # the branch collision omega = 1/2 is defective: scaling-and-squaring
-    prop = op.Propagator(build_generator(two_qubit_site1(0.5)))
+    prop = op.Propagator(full_generator(two_qubit_site1(0.5)))
     assert not prop.spectral
     vec = np.arange(16, dtype=complex)
     rows = prop.apply(np.array([1.0, 2.0]), vec)
@@ -147,7 +146,7 @@ def test_fallback_propagator_applies_one_vector_at_many_times():
 
 def test_choi_positivity_on_fixtures():
     for spec in (two_qubit_site1(1.0), two_qubit_both(1.0)):
-        gen = build_generator(spec)
+        gen = full_generator(spec)
         prop = op.Propagator(gen)
         assert prop.spectral
         for t in (0.1, 1.0):
@@ -181,7 +180,7 @@ def test_fixture_generator_against_hand_oracle(both):
     rng = np.random.default_rng(43)
     omega = 0.7
     spec = two_qubit_both(omega) if both else two_qubit_site1(omega)
-    gen = build_generator(spec)
+    gen = full_generator(spec)
     act = _perp_index_oracle(omega, both)
     for _ in range(10):
         rho_hat = random_hermitian(rng, 3)
@@ -198,7 +197,7 @@ def test_gkls_superop_matches_the_textbook_generator():
     for factory in (two_qubit_site1, two_qubit_both):
         for omega in (0.3, 0.475, 1.0):
             spec = factory(omega)
-            assert np.array_equal(build_generator(spec), gkls_matrix(spec.hamiltonian, spec.jump_ops))
+            assert np.array_equal(full_generator(spec), gkls_matrix(spec.hamiltonian, spec.jump_ops))
     rng = np.random.default_rng(29)
     for d in (2, 3, 5, 8):
         spec = random_model(rng, d)

@@ -6,7 +6,7 @@ import propcheck
 from oracles import gkls_matrix
 from qsslab import operators as op
 from qsslab.model import two_qubit_site1
-from qsslab.structure import restrict
+from qsslab.structure import hermitian_frame, restrict
 from qsslab.trajectory import build_kernel
 
 
@@ -222,10 +222,28 @@ def test_propagator_falls_back_on_defective_nojump_generator():
         ref = sla.expm(t * prop.mat)
         assert np.linalg.norm(op.expm(t * prop.mat) - ref) <= 1e-14 * np.linalg.norm(ref)
     assert np.array_equal(prop.apply(times, vec), [op.expm(t * prop.mat) @ vec for t in times])
-    curve = (prop.trace_coords(vec) * prop.trace_rows(times)).sum(-1).real
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.5], ids=["spectral", "fallback"])
+def test_coords_read_the_survival_curve_its_derivative_and_the_states(omega):
+    # x and dx give the loop's survival trace and its time derivative through
+    # trace_rows, and apply reuses coef (V^-1 vec; None on the fallback)
+    kernel = build_kernel(restrict(two_qubit_site1(omega)))
+    prop = kernel.loop
+    assert prop.spectral == (omega == 1.0)
+    vecs = np.array([kernel.row(np.diag(p).astype(complex)) for p in ([0, 0.5, 0.5, 0], [0, 0, 0.2, 0.8])])
+    coef, x, dx = prop.coords(vecs)
+    if prop.spectral:
+        assert np.array_equal(coef, op.rowdot(prop.v_inv, vecs))
+    else:
+        assert coef is None and np.array_equal(x, vecs) and np.array_equal(dx, op.rowdot(prop.mat, vecs))
+    times = np.array([0.3, 2.0])
+    assert np.array_equal(prop.apply(times, vecs, coef), prop.apply(times, vecs))
     trace_row = np.append(op.vectorize(np.eye(3)), 1.0)
-    expected = [(trace_row @ sla.expm(t * prop.mat) @ vec).real for t in times]
-    assert np.allclose(curve, expected, atol=1e-12)
+    for coords, mat in ((x, np.eye(10)), (dx, prop.mat)):
+        curve = (coords * prop.trace_rows(times)).sum(-1).real
+        expected = [(trace_row @ mat @ sla.expm(t * prop.mat) @ v).real for t, v in zip(times, vecs)]
+        assert np.allclose(curve, expected, atol=1e-12)
 
 
 def test_eig_general_sorted_and_accurate():
@@ -267,7 +285,9 @@ def test_eig_general_order_is_a_property_of_the_matrix():
     rng = np.random.default_rng(81)
     pairs = 0
     for _ in range(6):
-        a = restrict(propcheck.random_subharmonic_model(rng, d=8, rank=3)).real_gen
+        restr = restrict(propcheck.random_subharmonic_model(rng, d=8, rank=3))
+        frame = hermitian_frame(restr.m)
+        a = (frame.conj().T @ restr.gen @ frame).real
         p = np.eye(len(a))[rng.permutation(len(a))]
         w, _ = op.eig_general(a)
         w_perm, _ = op.eig_general(p @ a @ p.T)

@@ -8,14 +8,13 @@ import pytest
 import scipy.linalg as sla
 
 from helpers import model_to_doc, rotated, with_spectator
-from oracles import apply_semigroup
+from oracles import apply_semigroup, full_generator
 from propcheck import random_subharmonic_model
 from qsslab import cli, model, qss, structure, trajectory
 from qsslab import operators as op
 from qsslab.classical import RateMatrix, embed
 from qsslab.model import (
     ModelSpec,
-    build_generator,
     two_qubit_both,
     two_qubit_site1,
 )
@@ -76,7 +75,7 @@ def test_a_stacked_restriction_is_the_lone_one_bit_for_bit():
     assert {bool((r.eig[0].imag == 0).all()) for r in stacked} == {True, False}
     for spec, got in zip(specs, stacked):
         want = restrict(spec)
-        for name in ("isometry", "gen", "real_gen", "g_hat"):
+        for name in ("isometry", "gen", "g_hat"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         for x, y in zip(got.eig, want.eig):
             assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -194,7 +193,7 @@ def test_absorption_at_the_branch_collision_matches_the_long_time_limit(omega):
     # the eigenbasis has condition number ~4e10 at omega = 1/2; the kernel
     # projector from the kernel rows of V^-1 still gets the limit right there
     spec = two_qubit_site1(omega)
-    heis = op.adjoint(build_generator(spec))
+    heis = op.adjoint(full_generator(spec))
     limit = op.devectorize(sla.expm(400.0 * heis) @ op.vectorize(spec.p0))
     report = absorption_operator(restrict(spec))
     assert np.max(np.abs(report.a_op - limit)) <= 1e-9
@@ -207,7 +206,7 @@ def test_absorption_with_a_multidimensional_heisenberg_kernel():
     jump[0, 2] = 1.0
     spec = ModelSpec(dim=3, hamiltonian=np.zeros((3, 3)), jump_ops=(jump,),
                      p0=np.diag([1.0, 0.0, 0.0]).astype(complex))
-    heis = op.adjoint(build_generator(spec))
+    heis = op.adjoint(full_generator(spec))
     w = np.linalg.eigvals(heis)
     assert np.sum(np.abs(w) <= 1e-9 * max(1.0, op.frob(heis))) >= 2
     report = absorption_operator(restrict(spec))
@@ -231,7 +230,7 @@ def test_analysis_propagators_match_independent_generators(spec):
     restr = restrict(spec)
     v, one = restr.isometry, np.eye(restr.m)
     compress, embed = np.kron(v.T, v.conj().T), np.kron(v.conj(), v)
-    full = build_generator(spec)
+    full = full_generator(spec)
     for heisenberg in (True, False):
         ref = op.Propagator(compress @ (op.adjoint(full) if heisenberg else full) @ embed)
         prop = op.Propagator(op.adjoint(restr.gen)) if heisenberg else op.Propagator(restr.gen, restr.eig)
@@ -479,25 +478,27 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     # of the reducible restriction is read off its algebra without an
     # eigensolve of g_hat, and no d^2 x d^2 matrix is built (only simulate's kernel builds one), let alone
     # eigendecomposed
-    sizes = Counter()
+    sizes, superops = Counter(), Counter()  # superops: gkls_superop calls by the shape of their drift
     _count_sizes(monkeypatch, np.linalg, "eig", sizes)
     _count_sizes(monkeypatch, sla, "eig", sizes)
+    for owner in (structure, trajectory):
+        _count_sizes(monkeypatch, owner, "gkls_superop", superops)
     subharmonic = _count_calls(monkeypatch, structure, "check_subharmonic")
     eig_general = _count_calls(monkeypatch, op, "eig_general")
     expm = _count_calls(monkeypatch, op, "expm")
-    full_space = [
-        _count_calls(monkeypatch, model, "build_generator"),
-        _count_calls(monkeypatch, trajectory, "gkls_superop"),
-    ]
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
-    m = 3
+    d, m = 4, 3
     assert sizes == {(1, m * m, m * m): 1}
     assert len(subharmonic) == 1
     assert len(eig_general) == 1
     # analyze evolves nothing, so it forms no exp(tL)
     assert expm == []
-    assert full_space == [[], []]
+    assert superops == {(1, m, m): 1}
+    # simulate restricts again, and only its records build the no-jump generator in full
+    argv = ["simulate", path, "--samples", "20", "--records", str(tmp_path / "r.jsonl")]
+    assert cli.main(argv + ["--out", str(tmp_path / "s.json")]) == 0
+    assert superops == {(1, m, m): 2, (d, d): 1}
 
 
 def test_each_model_checks_the_subharmonic_criterion_once(models_dir, monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 
 import numpy as np
 import pytest
@@ -345,7 +346,7 @@ def test_zero_jump_final_states_match_the_spec_built_oracle():
         weight = np.trace(evolved.reshape(spec.dim, spec.dim)).real
         state = evolved.reshape(spec.dim, spec.dim).T / weight
         # the loop's survival trace of the start row, (vec 1_m, 1) after exp(A)
-        x = kernel.loop.trace_coords(kernel.row(rho0))
+        x = kernel.loop.coords(kernel.row(rho0))[1]
         assert abs((x * kernel.loop.trace_rows(1.0)).sum().real - weight) <= 1e-12
         none = batch.counts == 0
         assert none.sum() >= 10
@@ -365,6 +366,42 @@ def test_fallback_propagator_samples_like_the_spectral_one(monkeypatch):
     for a, b in zip(spectral, fallback):
         assert a.n_jumps == b.n_jumps
         assert np.allclose(a.jump_times, b.jump_times, rtol=0.0, atol=1e-9)
+
+
+class _LoopPropagator:
+    """The sampler's view of its propagator: ``coords``, ``trace_rows`` and ``apply``, nothing else."""
+
+    __slots__ = ("_prop",)
+
+    def __init__(self, prop):
+        self._prop = prop
+
+    def coords(self, vecs):
+        return self._prop.coords(vecs)
+
+    def trace_rows(self, times):
+        return self._prop.trace_rows(times)
+
+    def apply(self, t, vec, coef=None):
+        return self._prop.apply(t, vec, coef)
+
+
+@pytest.mark.parametrize("cond_limit", [operators.EXPM_COND_LIMIT, 0.0], ids=["spectral", "fallback"])
+def test_the_sampler_leaves_the_exponential_path_to_the_propagator(monkeypatch, cond_limit):
+    # which path a propagator takes is its own business: a stand-in with only
+    # the three methods gives every batch of the real propagator bit for bit
+    monkeypatch.setattr(operators, "EXPM_COND_LIMIT", cond_limit)
+    spec = two_qubit_both(1.0)
+    kernel = build_kernel(restrict(spec))
+    assert kernel.loop.spectral == (cond_limit > 0)
+    stand_in = dataclasses.replace(kernel, loop=_LoopPropagator(kernel.loop))
+    nu = perron_qss(spec)
+    for seed, n in ((5, 40), (8, 3)):
+        want = sample_trajectories(kernel, nu, 6.0, seed, n)
+        got = sample_trajectories(stand_in, nu, 6.0, seed, n)
+        for name in ("counts", "jump_times", "post_jump_states", "last", "final_states", "final_weights"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert want.counts.sum() > 0
 
 
 def _scan_bracket(x, at_end, table, grid, u, remaining):
@@ -412,7 +449,7 @@ def test_bracket_matches_the_linear_scan(monkeypatch):
         grid = segments[0][0]
         vecs, u, remaining = (np.concatenate(parts) for parts in list(zip(*segments))[1:])
         for prop in (kernel.loop, fallback):
-            x = prop.trace_coords(vecs)
+            x = prop.coords(vecs)[1]
             times, at = np.unique(remaining, return_inverse=True)
             at_end = (x * prop.trace_rows(times)[at]).sum(-1).real
             table = prop.trace_rows(grid)
@@ -513,7 +550,7 @@ def test_jump_times_lie_within_time_tol_of_the_crossing(monkeypatch):
             prop = kernel.loop
             assert prop.spectral is not fallback
             (vecs, u, remaining, fired, t), _ = _segment_calls(m, kernel, rho0, n)
-        x = prop.trace_coords(vecs[fired])
+        x = prop.coords(vecs[fired])[1]
         before = (x * prop.trace_rows(np.maximum(t[fired] - TIME_TOL, 0.0))).sum(-1).real
         after = (x * prop.trace_rows(np.minimum(t[fired] + TIME_TOL, remaining[fired]))).sum(-1).real
         assert (before >= u[fired]).all() and (u[fired] >= after).all()
@@ -542,7 +579,7 @@ def test_survival_curve_is_non_increasing_on_the_grid():
         table = prop.trace_rows(grid)
         for _ in range(5):
             post = jump_map(spec, propcheck.random_density(rng, spec.dim))
-            curve = (prop.trace_coords(kernel.row(post / np.trace(post))) * table).sum(-1).real
+            curve = (prop.coords(kernel.row(post / np.trace(post)))[1] * table).sum(-1).real
             assert np.diff(curve).max() <= 64 * np.finfo(float).eps, case
 
 
