@@ -79,10 +79,11 @@ def classical_qsd(rm: RateMatrix) -> ClassicalQsd:
     sub = rm.sub_rate_matrix()
     w, v = op.eig_general(sub.T)
     top = w[0].real
-    close = [j for j in range(len(w)) if abs(w[j].real - top) <= 1e-10 and w[j].imag == 0]
+    # a real top rate may come back as a conjugate pair with roundoff imaginary
+    # parts: the real and imaginary parts of its vectors span the real eigenspace
+    close = np.flatnonzero(np.abs(w - top) <= 1e-10)
     densities = []
-    for j in close:
-        vec = v[:, j].real
+    for vec in (part for j in close for part in (v[:, j].real, v[:, j].imag)):
         if np.sum(vec) < 0:
             vec = -vec
         s = np.sum(vec)

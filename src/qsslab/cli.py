@@ -1,7 +1,8 @@
 """Batch front door: analyze / simulate / classical / sweep.
 
 Exit codes: 0 success, 1 input error, 2 theory-consistency or numerical
-failure (an eigensolve that does not converge or check out).
+failure (an eigensolve that does not converge or check out, or a chain
+with no nonnegative QSD).
 Reports are emitted as deterministic JSON (sorted keys, fixed float
 formatting); sweeps are locale-independent CSV.
 """
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     except qss_mod.QssTheoryError as exc:
         print(f"theory-consistency failure: {exc}", file=sys.stderr)
         return 2
-    except op.EigenSolveError as exc:
+    except (op.EigenSolveError, classical_mod.ClassicalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (structure_mod.StructureError, traj_mod.TrajectoryError) as exc:

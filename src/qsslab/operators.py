@@ -4,8 +4,8 @@ Everything operates on plain numpy ``complex128`` arrays.  The helpers here
 are the only place where hermiticity / positivity predicates, eigensolves and
 matrix exponentials are implemented; the rest of the package goes through
 these functions so that tolerances are applied consistently.  numpy is the
-only dependency: :func:`expm` is a numpy scaling-and-squaring, so no command
-loads scipy.
+only dependency: :class:`Propagator` falls back to a numpy Taylor cell table,
+so no command loads scipy.
 
 Default tolerances (overridable where a function takes ``tol``):
 
@@ -17,7 +17,9 @@ Default tolerances (overridable where a function takes ``tol``):
 
 from __future__ import annotations
 
+import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -26,19 +28,8 @@ TOL_TRACE = 1e-10
 TOL_PSD = 1e-9
 TOL_EIG = 1e-9
 
-# switch to scaling-and-squaring when the eigenvector basis is worse than this
+# switch to the Taylor cell table when the eigenvector basis is worse than this
 EXPM_COND_LIMIT = 1e6
-# most matrix entries per stacked expm call of a Propagator: its temporaries stay in cache
-EXPM_CHUNK_ENTRIES = 2**13
-
-# degree-13 Pade coefficients b_0 .. b_13 of exp, and the largest 1-norm they
-# serve unscaled to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
-PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-THETA_13 = 5.371920351148152
 
 
 class EigenSolveError(RuntimeError):
@@ -135,38 +126,6 @@ def devectorize(v) -> np.ndarray:
     return v.reshape(d, d, order="F").copy()
 
 
-def expm(a) -> np.ndarray:
-    """Exponential of a square matrix, or of each matrix of a ``(..., n, n)`` stack.
-
-    Degree-13 Pade after scaling by 2^-s, then s squarings, with s the least
-    power that brings the matrix's 1-norm to ``THETA_13``.  s is chosen per
-    matrix, each product and solve is one BLAS or LAPACK call per matrix and
-    the rest is elementwise, so a matrix's bits do not depend on the rest of
-    the stack.  The whole stack is one call: :meth:`Propagator.apply` and
-    :meth:`Propagator.trace_rows` bound its size by ``EXPM_CHUNK_ENTRIES``.
-    """
-    a = as_operator(a, stack=True)
-    shape, b = a.shape, PADE13
-    a = a.reshape((math.prod(shape[:-2]),) + shape[-2:])
-    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
-    mant, s = np.frexp(np.maximum(norm / THETA_13, 1.0))
-    s -= mant == 0.5  # s = ceil(log2(norm / THETA_13)), at least 0
-    a = a * np.ldexp(1.0, -s)[:, None, None]
-    eye = np.eye(shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
-    for k in range(s.max(initial=0)):
-        rows = np.flatnonzero(s > k)
-        x = r[rows]
-        r[rows] = x @ x
-    return r.reshape(shape)
-
-
 class Propagator:
     """``exp(t*a)`` for many ``t`` from one eigendecomposition ``a = V diag(w) V^-1``.
 
@@ -174,8 +133,8 @@ class Propagator:
     ``a`` is eigendecomposed here.  The inverse, the condition-number gate
     (``EXPM_COND_LIMIT``) and the reconstruction check run once, on either.
     If both gates pass, ``spectral`` is true; otherwise :meth:`apply` and
-    :meth:`trace_rows` fall back to :func:`expm` of ``t*a``, one stacked call
-    per chunk of at most ``EXPM_CHUNK_ENTRIES`` entries of their times.
+    :meth:`trace_rows` fall back to the :class:`_CellTable` of ``a`` and of
+    ``a^T``, each built on its first call.
     ``trace_row`` is the functional that :meth:`coords` and :meth:`trace_rows`
     read.  These two and :meth:`apply` serve either path: callers need not know which.
     """
@@ -205,7 +164,7 @@ class Propagator:
 
         Spectral: ``V (exp(t*w) * (V^-1 vec))``, two :func:`rowdot` matvecs per row;
         ``coef``, if given, is the one :meth:`coords` returned for ``vec``.
-        Fallback: one :func:`rowdot` matvec of ``expm(t*a)`` per row.
+        Fallback: the cell table of ``a``, whose times must be finite and >= 0.
         """
         if self.spectral:
             coef = rowdot(self.v_inv, vec) if coef is None else coef
@@ -214,10 +173,7 @@ class Propagator:
         shape = np.broadcast_shapes(times.shape, np.shape(vec)[:-1]) + np.shape(vec)[-1:]
         times = np.broadcast_to(times, shape[:-1]).reshape(-1)
         vecs = np.broadcast_to(vec, shape).reshape(-1, shape[-1])
-        out = np.empty(vecs.shape, dtype=complex)
-        for rows, e in self._exponentials(times):
-            out[rows] = rowdot(e, vecs[rows])
-        return out.reshape(shape)
+        return self._cells.apply(times, vecs).reshape(shape)
 
     def coords(self, vecs: np.ndarray) -> tuple:
         """``(coef, x, dx)`` per row of ``vecs``: ``trace_row @ exp(t*a) vec`` is
@@ -234,23 +190,62 @@ class Propagator:
         return coef, x, x * self.w
 
     def trace_rows(self, times) -> np.ndarray:
-        """``exp(t*w)`` per time; the fallback forms ``trace_row @ expm(t*a)``."""
+        """``exp(t*w)`` per time; the fallback forms ``trace_row @ exp(t*a)`` as
+        ``exp(t*a^T) trace_row`` from the cell table of ``a^T``."""
         times = np.asarray(times, dtype=float)
         if self.spectral:
             return np.exp(times[..., None] * self.w)
-        out = np.empty((times.size, len(self.mat)), dtype=complex)
-        for rows, e in self._exponentials(times.reshape(-1)):
-            out[rows] = self.trace_row @ e
+        flat = times.reshape(-1)
+        out = self._trace_cells.apply(flat, np.broadcast_to(self.trace_row, (flat.size, len(self.mat))))
         return out.reshape(times.shape + out.shape[1:])
 
-    def _exponentials(self, times: np.ndarray):
-        """``(rows, expm(t*a) for t in times[rows])``, ``EXPM_CHUNK_ENTRIES`` entries at a time."""
-        if not np.isfinite(times).all():
-            raise ValueError("time parameter must be finite")
-        step = max(1, EXPM_CHUNK_ENTRIES // max(1, self.mat.size))
-        for c in range(0, times.size, step):
-            rows = slice(c, c + step)
-            yield rows, expm(times[rows, None, None] * self.mat)
+    @cached_property
+    def _cells(self) -> _CellTable:
+        return _CellTable(self.mat)
+
+    @cached_property
+    def _trace_cells(self) -> _CellTable:
+        return _CellTable(self.mat.T)
+
+
+class _CellTable:
+    """``exp(t*a) v = E^j T(t - j h) v`` for times ``t >= 0``, with ``j = floor(t / h)``.
+
+    ``h = 2^-k`` is the widest power of two with ``h ||a||_1 <= 1``.  ``T(s)`` is the
+    Taylor polynomial of ``exp(s*a)`` of the least degree q whose remainder at
+    ``||s a||_1 <= 1``, below ``(q+2) / ((q+1) (q+1)!)``, is under ``2^-55``: q = 18.
+    ``E = T(h)``, and ``E^j`` is the product of the squares ``E^(2^b)`` over the bits
+    ``b`` of ``j``, each squared once, on demand.  ``t / h`` and ``t - j h`` are exact,
+    and every step is one :func:`rowdot` matvec per row, so a row's bits depend on it only.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = np.ascontiguousarray(a)
+        mant, k = math.frexp(float(np.abs(self.a).sum(axis=0).max(initial=0.0)))
+        self.h = math.ldexp(1.0, (mant == 0.5) - k)  # h ||a||_1 is 1 or mant < 1
+        self.degree = next(q for q in itertools.count(1) if math.factorial(q + 1) * (q + 1) > 2**55 * (q + 2))
+        n = len(self.a)
+        self.squares = [np.ascontiguousarray(self._taylor(np.full(n, self.h), np.eye(n)).T)]
+
+    def _taylor(self, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``T(s) v`` per row by Horner's rule: ``v + s a (v + s a / 2 (... (v + s a / q v)))``."""
+        y = v
+        for k in range(self.degree, 0, -1):
+            y = v + (s / k)[:, None] * rowdot(self.a, y)
+        return y
+
+    def apply(self, times: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """``exp(t*a) v`` for each time ``t`` of ``times`` (n,) and row ``v`` of ``vecs`` (n, len(a))."""
+        j = np.floor(times / self.h)
+        if not np.all(np.isfinite(j) & (j >= 0)):
+            raise ValueError("time parameter must be finite and non-negative")
+        out = self._taylor(times - j * self.h, vecs)
+        for b in range(int(j.max(initial=0)).bit_length()):
+            if b == len(self.squares):
+                self.squares.append(self.squares[-1] @ self.squares[-1])
+            rows = np.flatnonzero(j // 2.0**b % 2)
+            out[rows] = rowdot(self.squares[b], out[rows])
+        return out
 
 
 def rowdot(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -112,6 +112,26 @@ def test_unique_is_whether_the_densities_agree():
     assert not classical_qsd(RateMatrix(3, [[-1, 0, 1], [0, -1, 1], [0, 0, 0]], (2,))).unique
 
 
+TWIN_BLOCKS = RateMatrix(7, [
+    [-4, 0, 2, 0, 1, 0, 1], [0, -5, 0, 2, 0, 2, 1], [2, 0, -5, 0, 2, 0, 1], [0, 2, 0, -4, 0, 1, 1],
+    [2, 0, 2, 0, -6, 0, 2], [0, 2, 0, 2, 0, -6, 2], [0, 0, 0, 0, 0, 0, 0],
+], (6,))
+
+
+def test_a_double_top_rate_from_a_conjugate_pair():
+    # two copies of one transient block ({0, 2, 4} and {1, 3, 5}) share the top
+    # rate; LAPACK may return it as a conjugate pair with roundoff imaginary
+    # parts, whose vectors' real and imaginary parts still give the densities
+    qsd = classical_qsd(TWIN_BLOCKS)
+    w = np.linalg.eigvals(TWIN_BLOCKS.sub_rate_matrix())
+    assert not qsd.unique and qsd.alpha == pytest.approx(-w.real.max(), abs=1e-12)
+    assert qsd.density.sum() == pytest.approx(1.0) and np.all(qsd.density >= -1e-9)
+    assert np.allclose(qsd.density @ TWIN_BLOCKS.sub_rate_matrix(), -qsd.alpha * qsd.density, atol=1e-9)
+    support = np.flatnonzero(qsd.density > 1e-9)
+    assert support.tolist() in ([0, 2, 4], [1, 3, 5])
+    assert crosscheck(TWIN_BLOCKS).embedded_match.ok
+
+
 def test_crosscheck_fixture_chains():
     for rm in (chain_two_state(), chain_two_state(0.7), chain_three_state()):
         match = crosscheck(rm).embedded_match

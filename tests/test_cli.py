@@ -217,9 +217,9 @@ def test_segment_order_is_a_property_of_the_family(tmp_path, monkeypatch, capsys
 
 def test_commands_leave_scipy_unloaded(models_dir, tmp_path):
     # one fresh process running every command imports numpy only, on the
-    # spectral path of the shipped models and on the expm fallback alike: at
-    # omega = 0.49999 both of simulate's propagators fail the condition gate and
-    # evolve by operators.expm, and analyze at omega = 1/2 evolves nothing.
+    # spectral path of the shipped models and on the cell-table fallback alike:
+    # at omega = 0.49999 both of simulate's propagators fail the condition gate
+    # and evolve by Taylor cells, and analyze at omega = 1/2 evolves nothing.
     # Importing the CLI loads no numpy.random that numpy itself does not (numpy
     # 2 loads it lazily): only the sampler's draws reach it
     defective = tmp_path / "site1_half.json"
@@ -737,6 +737,28 @@ def test_a_zero_rate_is_written_0(models_dir, tmp_path, capsys):
 def test_classical_missing_block(models_dir, capsys):
     assert run(["classical", model_path(models_dir, "two_qubit_both.json")]) == 1
     assert "classical" in capsys.readouterr().err
+
+
+def test_classical_twin_blocks_and_a_failed_qsd(tmp_path, monkeypatch, capsys):
+    # a double top rate reports a non-unique QSD; a chain with no nonnegative
+    # Perron density is a numerical failure: exit 2 with one line
+    chain = tmp_path / "twin.json"
+    chain.write_text(json.dumps({"schema_version": "1", "classical": {
+        "rate_matrix": [[-4, 0, 2, 0, 1, 0, 1], [0, -5, 0, 2, 0, 2, 1], [2, 0, -5, 0, 2, 0, 1],
+                        [0, 2, 0, -4, 0, 1, 1], [2, 0, 2, 0, -6, 0, 2], [0, 2, 0, 2, 0, -6, 2],
+                        [0, 0, 0, 0, 0, 0, 0]],
+        "absorbing_set": [6]}}))
+    assert run(["classical", str(chain)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["qsd"]["unique"] is False and doc["embedded_match"]["ok"] is True
+
+    def no_density(rm):
+        raise cli.classical_mod.ClassicalError("no nonnegative Perron density found")
+
+    monkeypatch.setattr(cli.classical_mod, "classical_qsd", no_density)
+    assert run(["classical", str(chain)]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: no nonnegative Perron density found\n"
 
 
 def test_classical_consistency_exit_code(models_dir, monkeypatch):

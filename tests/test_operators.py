@@ -99,24 +99,24 @@ def test_expm_matches_scipy():
         assert np.linalg.norm(op.Propagator(a).apply(t, np.eye(d)).T - ref) < 1e-9 * np.linalg.norm(ref)
 
 
-def test_expm_defective_fallback():
+def test_fallback_on_a_jordan_block():
     # Jordan block: eigendecomposition is useless, must fall back
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     assert not op.Propagator(a).spectral
     exact = np.array([[1.0, 2.0], [0.0, 1.0]])
-    assert np.allclose(op.expm(2.0 * a), exact)
     assert np.allclose(op.Propagator(a).apply(2.0, np.eye(2)).T, exact)
 
 
-def test_expm_rejects_bad_time():
-    # directly, and through the fallback of a propagator, which is handed times
+def test_fallback_rejects_bad_time():
+    # the cell table serves t >= 0 only, through apply and trace_rows alike
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    prop = op.Propagator(a)
-    for bad in (np.inf, -np.inf, np.nan):
-        with pytest.raises(ValueError):
-            op.expm(bad * np.ones((2, 2)))
+    prop = op.Propagator(a, trace_row=np.ones(2))
+    assert not prop.spectral
+    for bad in (np.inf, -np.inf, np.nan, -1.0, -5e-324):
         with pytest.raises(ValueError):
             prop.apply(bad, np.ones(2))
+        with pytest.raises(ValueError):
+            prop.apply([1.0, bad], np.ones(2))
         with pytest.raises(ValueError):
             prop.trace_rows([1.0, bad])
 
@@ -128,7 +128,13 @@ def _stable(rng, n, norm):
     return a * (norm / np.linalg.norm(a, 1))
 
 
-def test_expm_matches_scipy_over_norms():
+@pytest.fixture
+def no_spectral(monkeypatch):
+    # shut the condition gate: every propagator takes the cell table
+    monkeypatch.setattr(op, "EXPM_COND_LIMIT", 0.0)
+
+
+def test_fallback_matches_scipy_over_norms(no_spectral):
     # two backward-stable exponentials differ by O(eps * ||a||_1) relative: the
     # exponential's own condition number grows with the norm.  A spectral
     # abscissa of 0 keeps exp(a) finite at 1-norms up to 1e4
@@ -137,61 +143,69 @@ def test_expm_matches_scipy_over_norms():
         a = _stable(rng, int(rng.integers(3, 37)), 10.0**log_norm)
         ref = sla.expm(a)
         bound = 1e-15 * max(1.0, np.linalg.norm(a, 1)) * np.linalg.norm(ref)
-        assert np.linalg.norm(op.expm(a) - ref) <= bound
+        assert np.linalg.norm(op.Propagator(a).apply(1.0, np.eye(len(a))).T - ref) <= bound
 
 
-def test_expm_matches_scipy_on_the_defective_restriction():
+def test_fallback_matches_scipy_on_the_defective_restriction(no_spectral):
     # the site-1 restriction at the branch collision has a Jordan block of
     # size 3; it and its adjoint decay to 0 by t = 2^41
     gen = restrict(two_qubit_site1(0.5)).gen
     times = 2.0 ** np.arange(-4, 42)
     for a in (gen, op.adjoint(gen)):
-        got = op.expm(times[:, None, None] * a)
+        eye = np.eye(len(a))
+        got = op.Propagator(a).apply(times[:, None], eye)  # row i of got[k]: exp(t_k a) e_i
         for t, e in zip(times, got):
-            assert np.max(np.abs(e - sla.expm(t * a))) <= 1e-15
+            assert np.max(np.abs(e.T - sla.expm(t * a))) <= 1e-15
 
 
-def _mixed_stack(rng):
-    """Matrices of 1-norms 1e-3 .. 1e4 and a zero one: their scaling powers differ."""
-    stack = [_stable(rng, 6, 10.0**e) for e in np.linspace(-3.0, 4.0, 29)]
-    return np.array(stack + [np.zeros((6, 6))])
+def test_fallback_matches_scipy_on_and_beside_the_cell_edges(no_spectral):
+    # t = j h takes no Taylor step (r = 0), and one ulp either side of it
+    # changes j; all three stay as accurate as the times inside a cell
+    rng = np.random.default_rng(4)
+    for log_norm in (-2.0, 0.5, 3.0):
+        a = _stable(rng, 6, 10.0**log_norm)
+        prop = op.Propagator(a)
+        vec = random_complex(rng, 6)[0]
+        h = prop._cells.h
+        assert h * np.linalg.norm(a, 1) <= 1.0 < 2 * h * np.linalg.norm(a, 1)
+        for j in (1, 2, 3, 64, 1000):
+            edge = j * h
+            for t in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+                ref = sla.expm(t * a) @ vec
+                bound = 1e-15 * max(1.0, t * np.linalg.norm(a, 1)) * np.linalg.norm(sla.expm(t * a)) * np.linalg.norm(vec)
+                assert np.linalg.norm(prop.apply(t, vec) - ref) <= bound
 
 
-def test_expm_stack_matches_each_matrix_alone():
+def test_fallback_rows_do_not_depend_on_their_batch(no_spectral):
+    # times of j = 0 next to times of j up to 2^20: each row takes the squares
+    # of its own bits, so a batch gives every row the bits it gets alone
     rng = np.random.default_rng(8)
-    stack = _mixed_stack(rng)
-    got = op.expm(stack)
-    for a, e in zip(stack, got):
-        assert np.array_equal(op.expm(a), e)
-    nested = op.expm(stack[:28].reshape(4, 7, 6, 6))
-    assert np.array_equal(nested.reshape(28, 6, 6), got[:28])
-    assert op.expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    a = _stable(rng, 6, 3.0)
+    prop = op.Propagator(a, trace_row=random_complex(rng, 6)[0])
+    assert not prop.spectral
+    h = prop._cells.h
+    times = np.concatenate([[0.0, 0.3 * h, h], h * rng.uniform(0.0, 2.0**20, 20), [h * 2.0**20]])
+    rng.shuffle(times)
+    vecs = random_complex(rng, len(times))[:, :6]
+    applied, rows = prop.apply(times, vecs), prop.trace_rows(times)
+    for t, v, got, row in zip(times, vecs, applied, rows):
+        assert np.array_equal(op.Propagator(a).apply(t, v), got)
+        assert np.array_equal(prop.apply(t, v), got)
+        assert np.array_equal(prop.trace_rows(t), row)
+    assert np.array_equal(prop.apply(times.reshape(4, 6), vecs.reshape(4, 6, 6)), applied.reshape(4, 6, 6))
+    assert prop.apply(np.zeros(0), np.zeros((0, 6))).shape == (0, 6)
+    assert prop.trace_rows(np.zeros((0, 2))).shape == (0, 2, 6)
 
 
-def test_expm_chunks_do_not_move_a_bit(monkeypatch):
-    # 601 times of the sampler's fallback propagator in expm calls of 7, the last of 6
-    rng = np.random.default_rng(9)
-    prop = build_kernel(restrict(two_qubit_site1(0.5))).loop
-    times = np.linspace(0.0, 6.0, 601)
-    vecs = _complex(rng, 601, len(prop.mat))
-    rows, applied = prop.trace_rows(times), prop.apply(times, vecs)
-    with monkeypatch.context() as m:
-        m.setattr(op, "EXPM_CHUNK_ENTRIES", 7 * prop.mat.size)
-        assert np.array_equal(prop.trace_rows(times), rows)
-        assert np.array_equal(prop.apply(times, vecs), applied)
-
-
-def test_expm_rejects_non_finite_input():
-    # one bad entry anywhere in a stack, and a matrix that is not square
+def test_propagator_rejects_non_finite_input():
+    # one bad entry anywhere, and a matrix that is not square
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
-        a = np.zeros((3, 4, 4), dtype=complex)
-        a[2, 1, 3] = bad
+        a = np.zeros((4, 4), dtype=complex)
+        a[1, 3] = bad
         with pytest.raises(ValueError):
-            op.expm(a)
-        with pytest.raises(ValueError):
-            op.expm(a[2])
+            op.Propagator(a)
     with pytest.raises(ValueError):
-        op.expm(np.zeros((2, 3)))
+        op.Propagator(np.zeros((2, 3)))
 
 
 def test_propagator_matches_scipy_on_random_generator():
@@ -218,10 +232,11 @@ def test_propagator_falls_back_on_defective_nojump_generator():
     assert not prop.spectral and prop.mat.shape == (10, 10)
     vec = kernel.row(np.diag([0.0, 0.5, 0.5, 0.0]))
     times = np.array([0.0, 0.7, 3.0])
-    for t in times:
-        ref = sla.expm(t * prop.mat)
-        assert np.linalg.norm(op.expm(t * prop.mat) - ref) <= 1e-14 * np.linalg.norm(ref)
-    assert np.array_equal(prop.apply(times, vec), [op.expm(t * prop.mat) @ vec for t in times])
+    got = prop.apply(times, vec)
+    for t, row in zip(times, got):
+        ref = sla.expm(t * prop.mat) @ vec
+        assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.array_equal(prop.apply(t, vec), row)
 
 
 @pytest.mark.parametrize("omega", [1.0, 0.5], ids=["spectral", "fallback"])

@@ -485,7 +485,7 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
         _count_sizes(monkeypatch, owner, "gkls_superop", superops)
     subharmonic = _count_calls(monkeypatch, structure, "check_subharmonic")
     eig_general = _count_calls(monkeypatch, op, "eig_general")
-    expm = _count_calls(monkeypatch, op, "expm")
+    cells = _count_calls(monkeypatch, op, "_CellTable")
     path = os.path.join(models_dir, "two_qubit_site1.json")
     assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == 0
     d, m = 4, 3
@@ -493,7 +493,7 @@ def test_analyze_decomposes_each_generator_once(models_dir, monkeypatch, tmp_pat
     assert len(subharmonic) == 1
     assert len(eig_general) == 1
     # analyze evolves nothing, so it forms no exp(tL)
-    assert expm == []
+    assert cells == []
     assert superops == {(1, m, m): 1}
     # simulate restricts again, and only its records build the no-jump generator in full
     argv = ["simulate", path, "--samples", "20", "--records", str(tmp_path / "r.jsonl")]
@@ -522,13 +522,13 @@ def test_analyze_and_sweep_evolve_nothing(models_dir, monkeypatch, tmp_path):
     # kernel and verification one residual, also at the defective omega = 1/2;
     # sweep reads only the decay rates; every evolution goes through Propagator.apply
     apply = _count_calls(monkeypatch, op.Propagator, "apply")
-    expm = _count_calls(monkeypatch, op, "expm")
+    cells = _count_calls(monkeypatch, op, "_CellTable")
     half = tmp_path / "site1_half.json"
     half.write_text(json.dumps(model_to_doc(two_qubit_site1(0.5))))
     path = os.path.join(models_dir, "two_qubit_site1.json")
     for argv, code in (([path], 0), ([os.path.join(models_dir, "two_qubit_both.json")], 0), ([str(half)], 0)):
         assert cli.main(["analyze", *argv, "--out", str(tmp_path / "report.json")]) == code
-    assert apply == expm == []
+    assert apply == cells == []
     assert cli.main(["sweep", path, "--range", "0:1:41", "--out", str(tmp_path / "s.csv")]) == 0
     assert len(apply) == 0
 
@@ -609,7 +609,7 @@ def test_each_command_builds_only_the_propagators_it_evolves_with(models_dir, mo
     # analyze evolves nothing and builds none; simulate builds its loop
     # propagator (m^2 + 1) and, for the final states of --records only, the
     # no-jump one (d^2); sweep (through the defective omega = 1/2, where a
-    # propagator would take the expm fallback) and classical build none
+    # propagator would take the cell-table fallback) and classical build none
     sizes = Counter()
     init = op.Propagator.__init__
 

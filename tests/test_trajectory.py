@@ -211,9 +211,9 @@ def test_nojump_generator_matches_the_textbook_form():
 
 
 def test_fallback_records_independent_of_batch_size():
-    # at the branch collision both propagators take the expm fallback: each
-    # row's exponential is its own matrix of one stacked call, so a record
-    # does not depend on the batch it was sampled in
+    # at the branch collision both propagators take the cell-table fallback:
+    # each row runs its own Horner matvecs and the squares of its own bits, so
+    # a record does not depend on the batch it was sampled in
     kernel = build_kernel(restrict(two_qubit_site1(0.5)))
     assert not kernel.loop.spectral and not kernel.nojump.spectral
     rho0 = np.diag([0.0, 0.5, 0.5, 0.0])
